@@ -77,7 +77,10 @@ def _marginals(cfg: dict) -> tuple[GridMeasure, GridMeasure]:
         target_cfg = cfg.get("target", cfg["source"])
     except KeyError as exc:
         raise ConfigError(f"config missing marginal spec: {exc}") from exc
-    return make_measure(source_cfg), make_measure(target_cfg)
+    try:
+        return make_measure(source_cfg), make_measure(target_cfg)
+    except DomainError as exc:
+        raise ConfigError(f"invalid marginal: {exc}") from exc
 
 
 def _solver_opts(cfg: dict) -> dict:
@@ -221,6 +224,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
             "intercept": None if reg is None else reg[1],
         })
         trace = result
+        converged = all(r["converged"] for r in result["rows"])
 
     elif name == "longtraj":
         ladder = [float(e) for e in _require(exp, "eps_ladder")]
@@ -240,6 +244,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
                 "intercept": None if reg is None else reg[1],
             })
         trace = result
+        converged = all(r["converged"] for r in result["rows"])
 
     elif name == "quasimin":
         ladder = [float(e) for e in _require(exp, "eps_ladder")]
@@ -266,6 +271,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
         columns = ["epsilon", "R", "lhs", "competitor_cost", "defect", "eps2_mass",
                    "energy_2R", "normalized_defect", "degenerate", "converged"]
         trace = {"R": radius, "Lambda": lam_factor, "rows": rows}
+        converged = all(r["converged"] for r in rows)
         write_csv(out_dir / "defects.csv", columns, rows)
         extra_files.append("defects.csv")
 
@@ -275,6 +281,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
         radius = float(_require(exp, "R0"))
         theta = float(exp.get("theta", reg_cfg.theta))
         res = sinkhorn(lam, mu, epsilon, **solver_opts)
+        converged = res.converged
         s_bar = normalizing_scaling(lam, mu)
         lam_n, mu_n = apply_to_measures(s_bar, lam, mu, windows=reg_cfg.windows)
         pi_n = apply_to_coupling(s_bar, res.plan, windows=reg_cfg.windows)
@@ -309,6 +316,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
         theta = float(exp.get("theta", reg_cfg.theta))
         max_levels = int(exp.get("max_levels", 16))
         res = sinkhorn(lam, mu, epsilon, **solver_opts)
+        converged = res.converged
         trace_obj = campanato_iterate(
             res.plan, lam, mu, radius, theta, epsilon,
             max_levels=max_levels, config=reg_cfg,
@@ -351,6 +359,7 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
         radius = float(_require(exp, "R"))
         rho_ladder = [float(r) for r in _require(exp, "rho_ladder")]
         res = sinkhorn(lam, mu, epsilon, **solver_opts)
+        converged = res.converged
         if "Delta_R" in exp:
             delta_r = float(exp["Delta_R"])
         else:
@@ -372,8 +381,9 @@ def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: Ru
     write_json(out_dir / "trace.json", trace)
     for fname in ["report.csv", "trace.json", *extra_files]:
         manifest.add_output(out_dir / fname)
-    manifest.status = {"experiment": name, "ok": True}
-    return 0
+    # Files are written either way; an unconverged solve is flagged by exit 3.
+    manifest.status = {"experiment": name, "ok": converged}
+    return 0 if converged else 3
 
 
 if __name__ == "__main__":

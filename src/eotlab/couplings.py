@@ -40,6 +40,17 @@ __all__ = [
 RADIUS_SCAN_COLUMNS = ["R", "E", "D", "long_energy", "long_mass", "defect_beta0"]
 
 
+def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quadratic cost matrix |x_i - y_j|^2 between two (n, d) point arrays."""
+    c = (
+        np.sum(x**2, axis=1)[:, None]
+        + np.sum(y**2, axis=1)[None, :]
+        - 2.0 * (x @ y.T)
+    )
+    np.maximum(c, 0.0, out=c)
+    return c
+
+
 @dataclass
 class Coupling:
     """Dense nonnegative mass matrix over (source points x target points)."""
@@ -88,13 +99,7 @@ class Coupling:
     @cached_property
     def cost_matrix(self) -> np.ndarray:
         """Squared-distance matrix |x_i - y_j|^2."""
-        x, y = self.source_points, self.target_points
-        c = (
-            np.sum(x**2, axis=1)[:, None]
-            + np.sum(y**2, axis=1)[None, :]
-            - 2.0 * (x @ y.T)
-        )
-        np.maximum(c, 0.0, out=c)
+        c = squared_distances(self.source_points, self.target_points)
         c.setflags(write=False)
         return c
 

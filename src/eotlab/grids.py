@@ -125,10 +125,12 @@ class GridMeasure:
                 f"weights length {w.shape[0]} does not match grid with "
                 f"{self.spec.n_points} points"
             )
+        if not np.all(np.isfinite(w)):
+            raise DomainError("weights must be finite (no NaN or inf)")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        if not np.sum(w) > 0:
-            raise DomainError("total mass must be positive")
+        if not 0 < np.sum(w) < np.inf:
+            raise DomainError("total mass must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         w.setflags(write=False)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .couplings import Coupling
+from .couplings import Coupling, squared_distances
 from .errors import CertificateError, DomainError, MassMismatchError
 from .grids import GridMeasure
 
@@ -30,6 +30,10 @@ __all__ = [
 logger = logging.getLogger("eotlab.solvers")
 
 MASS_RTOL = 1e-12
+# Sinkhorn scalings are absorbed into the log potentials once they leave
+# (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry that underflows to zero then
+# stands for a plan entry below 1e-208, far under any marginal tolerance.
+ABSORB_BOUND = 1e50
 
 
 @dataclass
@@ -68,14 +72,9 @@ def _require_equal_masses(lam: GridMeasure, mu: GridMeasure) -> float:
     return 0.5 * (ml + mm)
 
 
-def _cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    c = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    np.maximum(c, 0.0, out=c)
-    return c
+def _bounded(scaling: np.ndarray) -> bool:
+    """True if every entry lies strictly inside (1/ABSORB_BOUND, ABSORB_BOUND)."""
+    return 1.0 / ABSORB_BOUND < scaling.min() and scaling.max() < ABSORB_BOUND
 
 
 def _epsilon_ladder(epsilon: float, cost_max: float) -> list[float]:
@@ -100,7 +99,17 @@ def sinkhorn(
     warm_start: bool = True,
     check_every: int = 10,
 ) -> SinkhornResult:
-    """Log-domain Sinkhorn iteration at temperature epsilon^2.
+    """Sinkhorn iteration at temperature epsilon^2, in the scaling domain.
+
+    Each epsilon stage opens with a log-domain sweep.  The potentials (f, g)
+    are then absorbed into the kernel K = exp((f + g - c)/eps^2) * (a (x) b)
+    and the iteration runs on scalings: u = a / (K v), v = b / (K^T u).  A
+    scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or turns non-finite or
+    zero, sends that iteration through a log-domain sweep and a new kernel
+    (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).  The iterates are those of
+    log-domain Sinkhorn in other arithmetic.  A nonzero ``stabilize_every``
+    centres f and g at each absorption; the plan does not depend on it.  A
+    non-finite marginal error ends the stage at once, unconverged.
 
     Marginals are normalized to probability internally; the returned plan,
     potentials, cost and entropy refer to the original mass scale, and the
@@ -116,7 +125,7 @@ def sinkhorn(
     mb = mu.weights[pos_j] / mu.total_mass
     x = lam.points[pos_i]
     y = mu.points[pos_j]
-    cost = _cost_matrix(x, y)
+    cost = squared_distances(x, y)
     log_la = np.log(la)
     log_mb = np.log(mb)
 
@@ -127,17 +136,8 @@ def sinkhorn(
     iterations = 0
     marg_err = np.inf
     err_history: list[tuple[int, float]] = []
+    # Scratch for the log-domain sweeps; between sweeps it holds the kernel.
     work = np.empty_like(cost)
-
-    def marginal_error(eps2: float) -> float:
-        np.add(f[:, None] + log_la[:, None] * eps2, g[None, :] + log_mb[None, :] * eps2,
-               out=work)
-        np.subtract(work, cost, out=work)
-        np.divide(work, eps2, out=work)
-        np.exp(work, out=work)
-        err_row = float(np.sum(np.abs(work.sum(axis=1) - la)))
-        err_col = float(np.sum(np.abs(work.sum(axis=0) - mb)))
-        return max(err_row, err_col)
 
     def softmin_rows(pot: np.ndarray, log_w: np.ndarray, eps2: float) -> np.ndarray:
         """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j), row-wise."""
@@ -156,21 +156,55 @@ def sinkhorn(
         np.exp(work, out=work)
         return -eps2 * (np.log(work.sum(axis=0)) + peak)
 
+    def center() -> None:
+        if stabilize_every:
+            shift = float(np.mean(f))
+            f[:] -= shift
+            g[:] += shift
+
     for stage, eps in enumerate(ladder):
         final = stage == len(ladder) - 1
         eps2 = eps * eps
         stage_tol = tol if final else max(tol, 1e-3)
         stage_iter = max_iter if final else 200
+        u = np.ones_like(la)
+        v = np.ones_like(mb)
+        in_bounds = False
         for it in range(1, stage_iter + 1):
-            f = softmin_rows(g, log_mb, eps2)
-            g = softmin_cols(f, log_la, eps2)
-            if stabilize_every and it % stabilize_every == 0:
-                center = float(np.mean(f))
-                f -= center
-                g += center
+            if in_bounds:
+                u_next = la / kv
+                ktu = work.T @ u_next
+                v_next = mb / ktu
+                in_bounds = _bounded(u_next) and _bounded(v_next)
+                if in_bounds:
+                    u, v = u_next, v_next
+                    kv = work @ v
+            if not in_bounds:
+                # Redo this iteration in the log domain from the last scalings
+                # that stayed in bounds, then absorb the potentials.
+                g += eps2 * np.log(v)
+                f = softmin_rows(g, log_mb, eps2)
+                g = softmin_cols(f, log_la, eps2)
+                center()
+                np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
+                np.subtract(work, cost, out=work)
+                np.divide(work, eps2, out=work)
+                np.exp(work, out=work)
+                # Subnormal entries make the matrix-vector products several
+                # times slower; scaled by at most ABSORB_BOUND**2 they stay
+                # far below any marginal tolerance.
+                work[work < np.finfo(float).tiny] = 0.0
+                u = np.ones_like(la)
+                v = np.ones_like(mb)
+                kv = work.sum(axis=1)
+                ktu = work.sum(axis=0)
+                in_bounds = True
             iterations += 1
             if it % check_every == 0 or it == stage_iter:
-                err = marginal_error(eps2)
+                err = max(
+                    float(np.sum(np.abs(u * kv - la))),
+                    float(np.sum(np.abs(v * ktu - mb))),
+                )
                 if final:
                     if err_history and err > err_history[-1][1] + 1e-12:
                         logger.warning(
@@ -181,11 +215,13 @@ def sinkhorn(
                         )
                     err_history.append((iterations, err))
                     marg_err = err
-                if err <= stage_tol:
+                # Non-finite scalings rebuild the kernel in the same iteration,
+                # so a non-finite error has already survived a re-absorption.
+                if err <= stage_tol or not np.isfinite(err):
                     break
-        if final and marg_err > tol:
-            marg_err = marginal_error(eps2)
-            err_history.append((iterations, marg_err))
+        f += eps2 * np.log(u)
+        g += eps2 * np.log(v)
+        center()
 
     eps2 = epsilon * epsilon
     log_plan = (f[:, None] + g[None, :] - cost) / eps2 + log_la[:, None] + log_mb[None, :]
@@ -328,12 +364,12 @@ def _certify(
 def _embed_result(
     lam: GridMeasure,
     mu: GridMeasure,
+    cost: np.ndarray,
     plan: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
     method: str,
 ) -> ExactOTResult:
-    cost = _cost_matrix(lam.points, mu.points)
     gap, violation = _certify(cost, plan, u, v, lam.weights, mu.weights)
     if gap > CERT_RTOL or violation > CERT_RTOL:
         raise CertificateError(
@@ -418,11 +454,11 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     v = np.zeros(m)
     u[pos_i[order_i]] = us
     v[pos_j[order_j]] = vs
-    cost = _cost_matrix(lam.points, mu.points)
+    cost = squared_distances(lam.points, mu.points)
     zero_i = np.nonzero(lam.weights == 0)[0]
     zero_j = np.nonzero(mu.weights == 0)[0]
     _complete_zero_weight_duals(cost, u, v, zero_i, zero_j)
-    return _embed_result(lam, mu, plan, u, v, method="monotone_1d")
+    return _embed_result(lam, mu, cost, plan, u, v, method="monotone_1d")
 
 
 def _refine_duals_on_support(
@@ -465,7 +501,7 @@ def _refine_duals_on_support(
 
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     n, m = lam.spec.n_points, mu.spec.n_points
-    cost = _cost_matrix(lam.points, mu.points)
+    cost = squared_distances(lam.points, mu.points)
     a_rows = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
     a_cols = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
     a_eq = sp.vstack([a_rows, a_cols], format="csr")
@@ -479,4 +515,4 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     zero_i = np.nonzero(lam.weights == 0)[0]
     zero_j = np.nonzero(mu.weights == 0)[0]
     _complete_zero_weight_duals(cost, u, v, zero_i, zero_j)
-    return _embed_result(lam, mu, plan, u, v, method="lp_highs")
+    return _embed_result(lam, mu, cost, plan, u, v, method="lp_highs")

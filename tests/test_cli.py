@@ -292,3 +292,52 @@ class TestOtherExperiments:
         assert_csv_parses(out / "report.csv")
         header, rows = read_csv_rows(out / "report.csv")
         assert len(rows) == 2
+
+
+class TestNonConvergenceAndBadInput:
+    def test_inf_weight_exits_2_at_once(self, tmp_path, capsys):
+        import time
+
+        lam = line_measure(np.linspace(-1.0, 1.0, 11), np.full(11, 1.0 / 11), h=0.2)
+        save_measure(lam, tmp_path / "lam.csv")
+        lines = (tmp_path / "lam.csv").read_text().splitlines()
+        lines[4] = lines[4].split(",")[0] + ",inf"
+        (tmp_path / "lam.csv").write_text("\n".join(lines) + "\n")
+        save_measure(lam, tmp_path / "mu.csv")
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"file": str(tmp_path / "lam.csv")},
+                "target": {"file": str(tmp_path / "mu.csv")},
+                "solver": {"epsilon": 0.3},
+            },
+        )
+        start = time.perf_counter()
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert "finite" in capsys.readouterr().err
+
+    def test_unconverged_experiment_exits_3_and_writes_files(self, tmp_path):
+        grid = {"dim": 1, "n": 64, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
+                "target": {
+                    "grid": grid,
+                    "density": {"kind": "shifted_profile", "c0": 0.02, "c1": 0.42,
+                                "exponent": 1.0, "window_power": 2.0},
+                    "alpha": 0.5,
+                },
+                "experiment": {"R0": 0.8, "theta": 0.5},
+                "solver": {"epsilon": 0.04, "tol": 1e-8, "max_iter": 50},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "campanato", "--config", str(cfg),
+                     "--out", str(out)]) == 3
+        for name in ("report.csv", "trace.json", "radius_scan.csv"):
+            assert (out / name).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"]["ok"] is False

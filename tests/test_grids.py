@@ -195,3 +195,9 @@ class TestMeasureIO:
         spec = symmetric_grid(dim=1, n=5, lo=-1.0, hi=1.0)
         with pytest.raises(DomainError):
             GridMeasure(spec=spec, weights=np.array([1, 1, -1, 1, 1.0]), alpha=0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_weights(self, bad):
+        spec = symmetric_grid(dim=1, n=5, lo=-1.0, hi=1.0)
+        with pytest.raises(DomainError, match="finite"):
+            GridMeasure(spec=spec, weights=np.array([1, 1, bad, 1, 1.0]), alpha=0.5)

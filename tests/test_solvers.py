@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from eotlab import (
     GridMeasure,
@@ -17,6 +18,7 @@ from eotlab import (
     sinkhorn,
     symmetric_grid,
 )
+from eotlab.solvers import _epsilon_ladder
 from conftest import line_measure, plane_measure
 
 
@@ -47,6 +49,46 @@ def scan_two_atom_minimum(eps):
         options={"xatol": 1e-14},
     )
     return float(res.fun), float(res.x)
+
+
+def wavy_pair():
+    spec = symmetric_grid(dim=1, n=65, lo=-1.0, hi=1.0)
+    lam = measure_from_density(
+        spec, lambda p: 1.0 + 0.3 * np.sin(2 * p[:, 0]), alpha=0.5, normalize=True
+    )
+    mu = measure_from_density(
+        spec, lambda p: 1.0 + 0.3 * np.cos(3 * p[:, 0]), alpha=0.5, normalize=True
+    )
+    return lam, mu
+
+
+def peaked_target():
+    spec = symmetric_grid(dim=1, n=65, lo=-1.0, hi=1.0)
+    return measure_from_density(
+        spec, lambda p: np.exp(-30 * (p[:, 0] - 0.5) ** 2) + 1e-6, alpha=0.5,
+        normalize=True,
+    )
+
+
+def log_domain_reference(lam, mu, ladder, tol, check_every=10):
+    """Plain log-domain Sinkhorn on 1-d measures with positive weights, with
+    sinkhorn's stage rules; returns the normalized plan and the iterations."""
+    a, b = lam.weights / lam.total_mass, mu.weights / mu.total_mass
+    c = (lam.points[:, 0][:, None] - mu.points[:, 0][None, :]) ** 2
+    f, g, iterations = np.zeros(a.size), np.zeros(b.size), 0
+    for stage, eps in enumerate(ladder):
+        final, e2 = stage == len(ladder) - 1, eps**2
+        for it in range(1, (100_000 if final else 200) + 1):
+            f = -e2 * logsumexp((g[None, :] - c) / e2 + np.log(b)[None, :], axis=1)
+            g = -e2 * logsumexp((f[:, None] - c) / e2 + np.log(a)[:, None], axis=0)
+            iterations += 1
+            if it % check_every:
+                continue
+            plan = np.exp((f[:, None] + g[None, :] - c) / e2) * a[:, None] * b[None, :]
+            err = max(np.abs(plan.sum(1) - a).sum(), np.abs(plan.sum(0) - b).sum())
+            if err <= (tol if final else max(tol, 1e-3)):
+                break
+    return plan, iterations
 
 
 class TestSinkhorn:
@@ -96,16 +138,28 @@ class TestSinkhorn:
         np.testing.assert_allclose(pi.mass, gibbs, rtol=1e-12, atol=1e-300)
 
     def test_marginal_error_monotone_along_iterations(self):
-        spec = symmetric_grid(dim=1, n=65, lo=-1.0, hi=1.0)
-        lam = measure_from_density(
-            spec, lambda p: 1.0 + 0.3 * np.sin(2 * p[:, 0]), alpha=0.5, normalize=True
-        )
-        mu = measure_from_density(
-            spec, lambda p: 1.0 + 0.3 * np.cos(3 * p[:, 0]), alpha=0.5, normalize=True
-        )
-        res = sinkhorn(lam, mu, epsilon=0.15, tol=1e-11, warm_start=False)
-        errs = [e for _, e in res.err_history]
-        assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+        # The peaked target drives the scalings far past ABSORB_BOUND, so the
+        # second input runs through repeated absorptions.
+        lam, wavy = wavy_pair()
+        for mu, eps in ((wavy, 0.15), (peaked_target(), 0.05)):
+            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=False)
+            assert res.converged
+            errs = [e for _, e in res.err_history]
+            assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("peaked, eps, warm_start", [(True, 0.05, False),
+                                                          (False, 0.08, True)])
+    def test_matches_log_domain_reference(self, peaked, eps, warm_start):
+        lam, mu = wavy_pair()
+        if peaked:
+            mu = peaked_target()
+        res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=warm_start)
+        ladder = _epsilon_ladder(eps, 4.0) if warm_start else [eps]
+        ref, iterations = log_domain_reference(lam, mu, ladder, tol=1e-11)
+        assert res.iterations == iterations
+        plan = res.plan.mass / res.mass
+        keep = (plan > np.finfo(float).tiny) | (ref > np.finfo(float).tiny)
+        np.testing.assert_allclose(plan[keep], ref[keep], rtol=1e-10, atol=0)
 
     def test_entropy_two_routes_agree(self):
         spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
