@@ -2,7 +2,6 @@
 
 from .couplings import (
     AffineFit,
-    BallPairRegion,
     Complement,
     CompetitorRegion,
     Coupling,

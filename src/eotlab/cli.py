@@ -21,11 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .couplings import radius_scan_rows, save_coupling
-from .errors import ConfigError, DomainError, EotlabError
+from .couplings import RADIUS_SCAN_COLUMNS, radius_scan_rows, save_coupling
+from .errors import (REQUIRED, ConfigError, DomainError, EotlabError, MassMismatchError,
+                     config_value)
 from .grids import GridMeasure, make_measure
 from .regularity import (
     RegularityConfig,
+    _solve_ladder,
     campanato_iterate,
     expansion_experiment,
     long_traj_experiment,
@@ -34,10 +36,13 @@ from .regularity import (
     soft_lemma_check,
 )
 from .reports import RunManifest, write_csv, write_json
-from .scalings import apply_to_coupling, apply_to_measures, normalizing_scaling, scaling_to_json_dict
+from .scalings import apply_to_coupling, normalizing_scaling, scaling_to_json_dict
 from .solvers import entropic_cost, gibbs_identity_check, sinkhorn
 
-EXPERIMENT_NAMES = ("expansion", "longtraj", "quasimin", "onestep", "campanato", "softlemma")
+# Solver options a config may set: key -> (type, must be positive).
+SOLVER_OPTIONS = {"tol": (float, True), "max_iter": (int, True), "check_every": (int, True),
+                  "stabilize_every": (int, False), "warm_start": (bool, False)}
+THRESHOLD_KEYS = ("eps1", "delta", "c0", "beta", "fit_radius_factor", "normalization_tol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,12 +76,18 @@ def _load_config(path: str) -> tuple[str, dict]:
     return text, cfg
 
 
+def _section(cfg: dict, key: str, where: str = "") -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}{key} must be a JSON object")
+    return value
+
+
 def _marginals(cfg: dict) -> tuple[GridMeasure, GridMeasure]:
-    try:
-        source_cfg = cfg["source"]
-        target_cfg = cfg.get("target", cfg["source"])
-    except KeyError as exc:
-        raise ConfigError(f"config missing marginal spec: {exc}") from exc
+    if "source" not in cfg:
+        raise ConfigError("config missing marginal spec: 'source'")
+    source_cfg = _section(cfg, "source")
+    target_cfg = _section(cfg, "target") if "target" in cfg else source_cfg
     try:
         return make_measure(source_cfg), make_measure(target_cfg)
     except DomainError as exc:
@@ -84,32 +95,31 @@ def _marginals(cfg: dict) -> tuple[GridMeasure, GridMeasure]:
 
 
 def _solver_opts(cfg: dict) -> dict:
-    opts = dict(cfg.get("solver", {}))
-    opts.pop("epsilon", None)
-    allowed = {"tol", "max_iter", "stabilize_every", "warm_start", "check_every"}
-    unknown = set(opts) - allowed
+    solver = _section(cfg, "solver")
+    unknown = set(solver) - set(SOLVER_OPTIONS) - {"epsilon"}
     if unknown:
         raise ConfigError(f"unknown solver options: {sorted(unknown)}")
-    return opts
+    return {
+        key: config_value(solver, key, kind, positive=positive, where="solver.")
+        for key, (kind, positive) in SOLVER_OPTIONS.items()
+        if key in solver
+    }
 
 
 def _solver_epsilon(cfg: dict) -> float:
-    try:
-        return float(cfg["solver"]["epsilon"])
-    except KeyError as exc:
-        raise ConfigError("config must set solver.epsilon") from exc
+    return config_value(_section(cfg, "solver"), "epsilon", float, positive=True, where="solver.")
 
 
-def _regularity_config(exp_cfg: dict) -> RegularityConfig:
-    thresholds = dict(exp_cfg.get("thresholds", {}))
-    kwargs = {}
-    for key in ("eps1", "delta", "c0", "lam", "beta", "theta", "long_factor",
-                "fit_radius_factor", "normalization_tol"):
-        if key in thresholds:
-            kwargs[key] = float(thresholds.pop(key))
-    if thresholds:
-        raise ConfigError(f"unknown threshold keys: {sorted(thresholds)}")
-    return RegularityConfig(**kwargs)
+def _regularity_config(exp: dict) -> RegularityConfig:
+    thresholds = _section(exp, "thresholds", where="experiment.")
+    unknown = set(thresholds) - set(THRESHOLD_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown threshold keys: {sorted(unknown)}; valid: {THRESHOLD_KEYS}")
+    return RegularityConfig(**{
+        key: config_value(thresholds, key, float, where="experiment.thresholds.")
+        for key in THRESHOLD_KEYS
+        if key in thresholds
+    })
 
 
 def _max_workers() -> int:
@@ -126,50 +136,34 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text, cfg = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = Path(args.out if args.out is not None else cfg.get("output_dir", "."))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    try:
+        out_dir = Path(args.out if args.out is not None
+                       else config_value(cfg, "output_dir", str, "."))
+        seed = args.seed if args.seed is not None else config_value(cfg, "seed", int, 0)
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-        return 4
-
-    command = args.command if args.command == "solve" else f"experiment {args.name}"
-    manifest = RunManifest(command=command, config_text=text, seed=seed, version=__version__)
-    try:
+        command = args.command if args.command == "solve" else f"experiment {args.name}"
+        manifest = RunManifest(command=command, config_text=text, seed=seed, version=__version__)
         if args.command == "solve":
             code = _cmd_solve(cfg, out_dir, seed, manifest)
         else:
-            code = _cmd_experiment(args.name, cfg, out_dir, seed, manifest)
-        manifest_path = out_dir / "manifest.json"
-        manifest.write(manifest_path)
+            code = _cmd_experiment(args.name, cfg, out_dir, manifest)
+        manifest.write(out_dir / "manifest.json")
         return code
-    except ConfigError as exc:
+    except (ConfigError, MassMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OSError) as exc:
+    except (EotlabError, OSError) as exc:
         print(f"experiment error: {exc}", file=sys.stderr)
-        return 4
-    except EotlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 
 def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> int:
-    from .errors import MassMismatchError
-
     lam, mu = _marginals(cfg)
     epsilon = _solver_epsilon(cfg)
-    try:
-        res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
-    except MassMismatchError as exc:
-        raise ConfigError(str(exc)) from exc
-    plan_path = out_dir / "plan.bin"
-    save_coupling(res.plan, plan_path)
+    n_samples = config_value(cfg, "gibbs_check_samples", int, 0)
+    res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
+    save_coupling(res.plan, out_dir / "plan.bin")
     summary = {
         "epsilon": res.epsilon,
         "iterations": res.iterations,
@@ -180,7 +174,6 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
         "entropic_cost": entropic_cost(res),
         "mass": res.mass,
     }
-    n_samples = int(cfg.get("gibbs_check_samples", 0))
     if n_samples > 0 and res.converged:
         summary["gibbs_max_rel_err"] = gibbs_identity_check(res, n_samples, seed=seed)
     write_json(out_dir / "summary.json", summary)
@@ -190,196 +183,172 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
     return 0 if res.converged else 3
 
 
-def _experiment_cfg(cfg: dict) -> dict:
-    exp = cfg.get("experiment", {})
-    if not isinstance(exp, dict):
-        raise ConfigError("experiment section must be a JSON object")
-    return exp
+# ---------------------------------------------------------------------------
+# Experiments.  A runner takes (lam, mu, experiment section, config) and returns
+# (report columns, report rows, trace, converged, extra CSVs); the extra CSVs
+# map a file name to (columns, rows).
+# ---------------------------------------------------------------------------
 
 
-def _require(exp: dict, key: str):
-    if key not in exp:
-        raise ConfigError(f"experiment config missing required key: {key}")
-    return exp[key]
+def _ladder_report(result: dict, columns: list[str], slopes: dict[str, str]) -> tuple:
+    """One ``point`` row per ladder entry, then one row per fitted line; ``slopes``
+    maps each row type to the key of its (slope, intercept) pair in ``result``."""
+    rows = [dict(r, row_type="point") for r in result["rows"]]
+    for row_type, key in slopes.items():
+        reg = result[key] or (None, None)
+        rows.append({"row_type": row_type, "slope": reg[0], "intercept": reg[1]})
+    columns = columns + ["converged", "row_type", "slope", "intercept"]
+    return columns, rows, result, all(r["converged"] for r in result["rows"]), {}
 
 
-def _cmd_experiment(name: str, cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> int:
-    lam, mu = _marginals(cfg)
-    exp = _experiment_cfg(cfg)
-    workers = _max_workers()
-    solver_opts = _solver_opts(cfg)
-    extra_files: list[str] = []
+def _exp_value(exp: dict, key: str, kind: type = float, default=REQUIRED, positive=False):
+    return config_value(exp, key, kind, default, positive, where="experiment.")
 
-    if name == "expansion":
-        ladder = [float(e) for e in _require(exp, "eps_ladder")]
-        result = expansion_experiment(lam, mu, ladder, solver_opts, max_workers=workers)
-        columns = ["epsilon", "ot_eps", "ot", "gap_over_eps2", "remainder",
-                   "log_inv_eps2", "under_resolved", "converged", "row_type",
-                   "slope", "intercept"]
-        rows = [dict(r, row_type="point") for r in result["rows"]]
-        reg = result["slope"]
+
+def _radius_scan(res, lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> dict:
+    return {"radius_scan.csv": (RADIUS_SCAN_COLUMNS, radius_scan_rows(res.plan, lam, mu, radii))}
+
+
+def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
+    """Preamble of ``onestep`` and ``campanato``: thresholds, eps, R0, theta, solve."""
+    reg_cfg = _regularity_config(exp)
+    epsilon = _solver_epsilon(cfg)
+    radius = _exp_value(exp, "R0", positive=True)
+    theta = _exp_value(exp, "theta", default=0.5)
+    return reg_cfg, epsilon, radius, theta, sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
+
+
+def _run_expansion(lam, mu, exp, cfg) -> tuple:
+    ladder = _exp_value(exp, "eps_ladder", list, positive=True)
+    result = expansion_experiment(lam, mu, ladder, _solver_opts(cfg), max_workers=_max_workers())
+    columns = ["epsilon", "ot_eps", "ot", "gap_over_eps2", "remainder", "log_inv_eps2",
+               "under_resolved"]
+    return _ladder_report(result, columns, {"regression": "slope"})
+
+
+def _run_longtraj(lam, mu, exp, cfg) -> tuple:
+    ladder = _exp_value(exp, "eps_ladder", list, positive=True)
+    result = long_traj_experiment(
+        lam, mu, _exp_value(exp, "R", positive=True), ladder, _solver_opts(cfg),
+        long_factor=_exp_value(exp, "long_factor", default=7.0, positive=True),
+        max_workers=_max_workers(),
+    )
+    columns = ["epsilon", "long_energy", "long_mass", "E_5R", "energy_ratio", "mass_ratio",
+               "inv_temp"]
+    slopes = {"mass_slope": "mass_slope", "energy_slope": "energy_slope"}
+    return _ladder_report(result, columns, slopes)
+
+
+def _run_quasimin(lam, mu, exp, cfg) -> tuple:
+    ladder = _exp_value(exp, "eps_ladder", list, positive=True)
+    radius = _exp_value(exp, "R", positive=True)
+    lam_factor = _exp_value(exp, "Lambda", default=2.75)
+    rows = []
+    solves = _solve_ladder(lam, mu, ladder, _solver_opts(cfg), _max_workers())
+    for eps, res in zip(ladder, solves):
+        report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
         rows.append({
-            "row_type": "regression",
-            "slope": None if reg is None else reg[0],
-            "intercept": None if reg is None else reg[1],
-        })
-        trace = result
-        converged = all(r["converged"] for r in result["rows"])
-
-    elif name == "longtraj":
-        ladder = [float(e) for e in _require(exp, "eps_ladder")]
-        result = long_traj_experiment(
-            lam, mu, float(_require(exp, "R")), ladder, solver_opts,
-            long_factor=float(exp.get("long_factor", 7.0)), max_workers=workers,
-        )
-        columns = ["epsilon", "long_energy", "long_mass", "E_5R", "energy_ratio",
-                   "mass_ratio", "inv_temp", "converged", "row_type", "slope",
-                   "intercept"]
-        rows = [dict(r, row_type="point") for r in result["rows"]]
-        for key in ("mass_slope", "energy_slope"):
-            reg = result[key]
-            rows.append({
-                "row_type": key,
-                "slope": None if reg is None else reg[0],
-                "intercept": None if reg is None else reg[1],
-            })
-        trace = result
-        converged = all(r["converged"] for r in result["rows"])
-
-    elif name == "quasimin":
-        ladder = [float(e) for e in _require(exp, "eps_ladder")]
-        radius = float(_require(exp, "R"))
-        lam_factor = float(exp.get("Lambda", 2.75))
-        rows = []
-        for eps in ladder:
-            res = sinkhorn(lam, mu, eps, **solver_opts)
-            report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
-            rows.append({
-                "epsilon": eps,
-                "R": report.R,
-                "lhs": report.lhs,
-                "competitor_cost": report.competitor_cost,
-                "defect": report.defect,
-                "eps2_mass": report.eps2_mass,
-                "energy_2R": report.energy_2r,
-                "normalized_defect": (
-                    report.defect / report.eps2_mass if report.eps2_mass > 0 else None
-                ),
-                "degenerate": report.degenerate,
-                "converged": res.converged,
-            })
-        columns = ["epsilon", "R", "lhs", "competitor_cost", "defect", "eps2_mass",
-                   "energy_2R", "normalized_defect", "degenerate", "converged"]
-        trace = {"R": radius, "Lambda": lam_factor, "rows": rows}
-        converged = all(r["converged"] for r in rows)
-        write_csv(out_dir / "defects.csv", columns, rows)
-        extra_files.append("defects.csv")
-
-    elif name == "onestep":
-        reg_cfg = _regularity_config(exp)
-        epsilon = _solver_epsilon(cfg)
-        radius = float(_require(exp, "R0"))
-        theta = float(exp.get("theta", reg_cfg.theta))
-        res = sinkhorn(lam, mu, epsilon, **solver_opts)
-        converged = res.converged
-        s_bar = normalizing_scaling(lam, mu)
-        lam_n, mu_n = apply_to_measures(s_bar, lam, mu, windows=reg_cfg.windows)
-        pi_n = apply_to_coupling(s_bar, res.plan, windows=reg_cfg.windows)
-        out = one_step(pi_n, lam_n, mu_n, radius, theta, epsilon=epsilon, config=reg_cfg)
-        row = {
-            "R": radius,
-            "theta": theta,
-            "E_before": out.E_before,
-            "E_after": out.E_after,
-            "D_before": out.D_before,
-            "D_after": out.D_after,
-            "det_A": out.det_A,
-            "gamma": out.scaling_hat.gamma,
-            "b_norm": float(np.linalg.norm(out.scaling_hat.b)),
-            "eps_term": out.eps_term,
+            "epsilon": eps,
+            "R": report.R,
+            "lhs": report.lhs,
+            "competitor_cost": report.competitor_cost,
+            "defect": report.defect,
+            "eps2_mass": report.eps2_mass,
+            "energy_2R": report.energy_2r,
+            "normalized_defect": (
+                report.defect / report.eps2_mass if report.eps2_mass > 0 else None
+            ),
+            "degenerate": report.degenerate,
             "converged": res.converged,
-        }
-        rows = [row]
-        columns = list(row.keys())
-        trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
-                     normalizing=scaling_to_json_dict(s_bar))
-        scan = radius_scan_rows(res.plan, lam, mu,
-                                [radius, theta * radius, theta**2 * radius])
-        write_csv(out_dir / "radius_scan.csv",
-                  ["R", "E", "D", "long_energy", "long_mass", "defect_beta0"], scan)
-        extra_files.append("radius_scan.csv")
+        })
+    columns = list(rows[0])
+    trace = {"R": radius, "Lambda": lam_factor, "rows": rows}
+    converged = all(r["converged"] for r in rows)
+    return columns, rows, trace, converged, {"defects.csv": (columns, rows)}
 
-    elif name == "campanato":
-        reg_cfg = _regularity_config(exp)
-        epsilon = _solver_epsilon(cfg)
-        radius = float(_require(exp, "R0"))
-        theta = float(exp.get("theta", reg_cfg.theta))
-        max_levels = int(exp.get("max_levels", 16))
-        res = sinkhorn(lam, mu, epsilon, **solver_opts)
-        converged = res.converged
-        trace_obj = campanato_iterate(
-            res.plan, lam, mu, radius, theta, epsilon,
-            max_levels=max_levels, config=reg_cfg,
-        )
-        rows = [
-            {
-                "k": lvl.k,
-                "r": lvl.r,
-                "E": lvl.E,
-                "D": lvl.D,
-                "defect": lvl.defect,
-                "holder_lam": lvl.holder_lam,
-                "holder_mu": lvl.holder_mu,
-            }
-            for lvl in trace_obj.levels
-        ]
-        columns = ["k", "r", "E", "D", "defect", "holder_lam", "holder_mu"]
-        trace = {
-            "stop_reason": trace_obj.stop_reason,
-            "base_scaling": scaling_to_json_dict(trace_obj.base_scaling),
-            "levels": [
-                dict(
-                    rows[idx],
-                    step_scaling=(
-                        None if lvl.step_scaling is None
-                        else scaling_to_json_dict(lvl.step_scaling)
-                    ),
-                    composed=scaling_to_json_dict(lvl.composed),
-                )
-                for idx, lvl in enumerate(trace_obj.levels)
-            ],
-        }
-        scan = radius_scan_rows(res.plan, lam, mu, [lvl.r for lvl in trace_obj.levels])
-        write_csv(out_dir / "radius_scan.csv",
-                  ["R", "E", "D", "long_energy", "long_mass", "defect_beta0"], scan)
-        extra_files.append("radius_scan.csv")
 
-    elif name == "softlemma":
-        epsilon = _solver_epsilon(cfg)
-        radius = float(_require(exp, "R"))
-        rho_ladder = [float(r) for r in _require(exp, "rho_ladder")]
-        res = sinkhorn(lam, mu, epsilon, **solver_opts)
-        converged = res.converged
-        if "Delta_R" in exp:
-            delta_r = float(exp["Delta_R"])
-        else:
-            report = quasimin_defect(
-                res.plan, lam, mu, radius / 2.0,
-                float(exp.get("Lambda", 2.75)), epsilon=epsilon,
-            )
-            delta_r = max(report.defect, 0.0)
-        result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
-        rows = result["rows"]
-        columns = ["rho", "mass", "bound", "fitted_const", "energy_over_rho_pow",
-                   "rho_over_R_pow"]
-        trace = result
+def _run_onestep(lam, mu, exp, cfg) -> tuple:
+    reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
+    s_bar = normalizing_scaling(lam, mu)
+    pi_n = apply_to_coupling(s_bar, res.plan, windows=reg_cfg.windows)
+    out = one_step(pi_n, pi_n.source, pi_n.target, radius, theta, epsilon=epsilon,
+                   config=reg_cfg)
+    row = {
+        "R": radius,
+        "theta": theta,
+        "E_before": out.E_before,
+        "E_after": out.E_after,
+        "D_before": out.D_before,
+        "D_after": out.D_after,
+        "det_A": out.det_A,
+        "gamma": out.scaling_hat.gamma,
+        "b_norm": float(np.linalg.norm(out.scaling_hat.b)),
+        "eps_term": out.eps_term,
+        "converged": res.converged,
+    }
+    trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
+                 normalizing=scaling_to_json_dict(s_bar))
+    scan = _radius_scan(res, lam, mu, [radius, theta * radius, theta**2 * radius])
+    return list(row), [row], trace, res.converged, scan
 
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown experiment {name!r}; valid: {EXPERIMENT_NAMES}")
 
+def _run_campanato(lam, mu, exp, cfg) -> tuple:
+    max_levels = _exp_value(exp, "max_levels", int, default=16)
+    reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
+    cascade = campanato_iterate(
+        res.plan, lam, mu, radius, theta, epsilon, max_levels=max_levels, config=reg_cfg,
+    )
+    columns = ["k", "r", "E", "D", "defect", "holder_lam", "holder_mu"]
+    rows = [{c: getattr(lvl, c) for c in columns} for lvl in cascade.levels]
+    levels = [
+        dict(row, composed=scaling_to_json_dict(lvl.composed), step_scaling=(
+            None if lvl.step_scaling is None else scaling_to_json_dict(lvl.step_scaling)
+        ))
+        for row, lvl in zip(rows, cascade.levels)
+    ]
+    trace = {"stop_reason": cascade.stop_reason,
+             "base_scaling": scaling_to_json_dict(cascade.base_scaling), "levels": levels}
+    scan = _radius_scan(res, lam, mu, cascade.radii())
+    return columns, rows, trace, res.converged, scan
+
+
+def _run_softlemma(lam, mu, exp, cfg) -> tuple:
+    epsilon = _solver_epsilon(cfg)
+    radius = _exp_value(exp, "R", positive=True)
+    rho_ladder = _exp_value(exp, "rho_ladder", list)
+    delta_r = _exp_value(exp, "Delta_R", default=None)
+    lam_factor = _exp_value(exp, "Lambda", default=2.75)
+    res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
+    if delta_r is None:
+        report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)
+        delta_r = max(report.defect, 0.0)
+    result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
+    columns = ["rho", "mass", "bound", "fitted_const", "energy_over_rho_pow",
+               "rho_over_R_pow"]
+    return columns, result["rows"], result, res.converged, {}
+
+
+EXPERIMENTS = {
+    "expansion": _run_expansion,
+    "longtraj": _run_longtraj,
+    "quasimin": _run_quasimin,
+    "onestep": _run_onestep,
+    "campanato": _run_campanato,
+    "softlemma": _run_softlemma,
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
+
+
+def _cmd_experiment(name: str, cfg: dict, out_dir: Path, manifest: RunManifest) -> int:
+    lam, mu = _marginals(cfg)
+    columns, rows, trace, converged, extra_csvs = EXPERIMENTS[name](
+        lam, mu, _section(cfg, "experiment"), cfg
+    )
     write_csv(out_dir / "report.csv", columns, rows)
     write_json(out_dir / "trace.json", trace)
-    for fname in ["report.csv", "trace.json", *extra_files]:
+    for fname, (extra_columns, extra_rows) in extra_csvs.items():
+        write_csv(out_dir / fname, extra_columns, extra_rows)
+    for fname in ["report.csv", "trace.json", *extra_csvs]:
         manifest.add_output(out_dir / fname)
     # Files are written either way; an unconverged solve is flagged by exit 3.
     manifest.status = {"experiment": name, "ok": converged}

@@ -21,7 +21,6 @@ __all__ = [
     "HashRegion",
     "CompetitorRegion",
     "LongTrajRegion",
-    "BallPairRegion",
     "Complement",
     "check_marginals",
     "restrict",
@@ -151,19 +150,6 @@ class LongTrajRegion:
 
     def mask(self, pi: Coupling) -> np.ndarray:
         return HashRegion(self.radius).mask(pi) & (pi.dist_matrix >= self.threshold)
-
-
-@dataclass(frozen=True)
-class BallPairRegion:
-    """Pairs with |x| <= rx and |y| <= ry."""
-
-    rx: float
-    ry: float
-
-    def mask(self, pi: Coupling) -> np.ndarray:
-        return (pi.source_norms <= self.rx)[:, None] & (pi.target_norms <= self.ry)[
-            None, :
-        ]
 
 
 @dataclass(frozen=True)
@@ -356,7 +342,7 @@ def monge_coupling(
     if assignment.shape != (lam.spec.n_points,):
         raise DomainError("assignment must map every source point")
     mass = np.zeros((lam.spec.n_points, target.spec.n_points))
-    np.add.at(mass, (np.arange(assignment.size), assignment), lam.weights)
+    mass[np.arange(assignment.size), assignment] = lam.weights
     return Coupling(source=lam, target=target, mass=mass)
 
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed config reader
+that turns a malformed config value into a ConfigError."""
 
 from __future__ import annotations
+
+import math
 
 
 class EotlabError(Exception):
@@ -29,3 +32,43 @@ class AdmissibilityError(DomainError):
 
 class CertificateError(EotlabError):
     """An optimality certificate (dual feasibility / gap) failed to verify."""
+
+
+REQUIRED = object()
+_NOUNS = {int: "integer", float: "finite number", bool: "boolean", str: "string"}
+
+
+def config_value(section: dict, key: str, kind: type, default=REQUIRED,
+                 positive: bool = False, where: str = ""):
+    """Return ``section[key]`` checked as ``kind``: ``float`` (finite), ``int``
+    (integral), ``bool``, ``str``, or ``list`` (non-empty, of floats).
+    ``positive`` requires numbers > 0.  A missing key gives ``default``; with no
+    default, and for a value of the wrong type, raises ConfigError naming
+    ``where + key``."""
+    name = where + key
+    if key not in section:
+        if default is REQUIRED:
+            raise ConfigError(f"config missing required key: {name}")
+        return default
+    raw = section[key]
+    if kind is list:
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"{name} must be a non-empty list of numbers, got {raw!r}")
+        return [config_value({name: v}, name, float, positive=positive) for v in raw]
+    value = None
+    if kind in (bool, str):
+        value = raw if isinstance(raw, kind) else None
+    elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        try:
+            value = kind(raw)
+        except (OverflowError, ValueError):  # int() of inf or NaN, float() of a huge int
+            pass
+    if (
+        value is None
+        or (kind is int and value != raw)
+        or (kind is float and not math.isfinite(value))
+        or (positive and value <= 0)
+    ):
+        qualifier = "positive " if positive else ""
+        raise ConfigError(f"{name} must be a {qualifier}{_NOUNS[kind]}, got {raw!r}")
+    return value

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_value
 
 __all__ = [
     "GridSpec",
@@ -258,12 +258,12 @@ def symmetric_grid(dim: int, n: int, lo: float, hi: float) -> GridSpec:
 
 
 def _density_uniform(pts: np.ndarray, params: dict) -> np.ndarray:
-    value = float(params.get("value", 1.0))
+    value = config_value(params, "value", float, 1.0, where="density.")
     return np.full(pts.shape[0], value)
 
 
 def _density_affine(pts: np.ndarray, params: dict) -> np.ndarray:
-    intercept = float(params.get("intercept", 1.0))
+    intercept = config_value(params, "intercept", float, 1.0, where="density.")
     slope = np.atleast_1d(np.asarray(params.get("slope", 0.0), dtype=float))
     if slope.shape == (1,) and pts.shape[1] > 1:
         slope = np.repeat(slope, pts.shape[1])
@@ -271,9 +271,9 @@ def _density_affine(pts: np.ndarray, params: dict) -> np.ndarray:
 
 
 def _density_gaussian(pts: np.ndarray, params: dict) -> np.ndarray:
-    sigma = float(params.get("sigma", 0.5))
-    amplitude = float(params.get("amplitude", 1.0))
-    floor = float(params.get("floor", 0.0))
+    sigma = config_value(params, "sigma", float, 0.5, where="density.")
+    amplitude = config_value(params, "amplitude", float, 1.0, where="density.")
+    floor = config_value(params, "floor", float, 0.0, where="density.")
     center = np.atleast_1d(np.asarray(params.get("center", 0.0), dtype=float))
     if center.shape == (1,) and pts.shape[1] > 1:
         center = np.repeat(center, pts.shape[1])
@@ -282,41 +282,25 @@ def _density_gaussian(pts: np.ndarray, params: dict) -> np.ndarray:
 
 
 def _density_perturbed_uniform(pts: np.ndarray, params: dict) -> np.ndarray:
-    amplitude = float(params.get("amplitude", 0.1))
-    freq = float(params.get("freq", 1.0))
+    amplitude = config_value(params, "amplitude", float, 0.1, where="density.")
+    freq = config_value(params, "freq", float, 1.0, where="density.")
     wave = np.prod(np.cos(freq * np.pi * pts), axis=1)
     return 1.0 + amplitude * wave
 
 
-def _density_shifted_profile(pts: np.ndarray, params: dict) -> np.ndarray:
-    """Image of the unit density under x -> x + u(x) on [-1, 1], with
-    u = (c0 + c1|x|^{1+p}) * (1-x^2)^w.
+def _image_of_unit_density(
+    pts: np.ndarray, u: Callable, du: Callable, kind: str
+) -> np.ndarray:
+    """Density of the image of the unit density on [-1, 1] under the map
+    T(x) = x + u(x): 1 / T'(T^{-1}(y)), with T^{-1} found by bisection.
 
-    One-dimensional only.  The displacement vanishes at the interval ends so the
-    map sends [-1, 1] onto itself; the density of the image measure is
-    1 / T'(T^{-1}(y)), computed by bisection on the monotone map T.
+    One-dimensional only; T must be monotone, which is checked on a probe grid.
     """
     if pts.shape[1] != 1:
-        raise ConfigError("shifted_profile densities are one-dimensional")
-    c0 = float(params.get("c0", 0.0))
-    c1 = float(params.get("c1", 0.0))
-    p = float(params.get("exponent", 0.25))
-    w = float(params.get("window_power", 1.0))
-
-    def u(x: np.ndarray) -> np.ndarray:
-        return (c0 + c1 * np.abs(x) ** (1.0 + p)) * (1.0 - x**2) ** w
-
-    def du(x: np.ndarray) -> np.ndarray:
-        cusp = c1 * (1.0 + p) * np.sign(x) * np.abs(x) ** p
-        win = (1.0 - x**2) ** w
-        dwin = -2.0 * w * x * (1.0 - x**2) ** (w - 1.0)
-        return cusp * win + dwin * (c0 + c1 * np.abs(x) ** (1.0 + p))
-
+        raise ConfigError(f"{kind} densities are one-dimensional")
     probe = np.linspace(-1.0, 1.0, 4001)
     if np.min(1.0 + du(probe)) <= 1e-6:
-        raise ConfigError(
-            "shifted_profile parameters make the transport map non-monotone"
-        )
+        raise ConfigError(f"{kind} parameters make the transport map non-monotone")
     y = pts[:, 0]
     lo = np.full_like(y, -1.0)
     hi = np.full_like(y, 1.0)
@@ -329,20 +313,42 @@ def _density_shifted_profile(pts: np.ndarray, params: dict) -> np.ndarray:
     return 1.0 / (1.0 + du(x))
 
 
+def _density_shifted_profile(pts: np.ndarray, params: dict) -> np.ndarray:
+    """Image of the unit density under x -> x + u(x) on [-1, 1], with
+    u = (c0 + c1|x|^{1+p}) * (1-x^2)^w.
+
+    The displacement vanishes at the interval ends so the map sends [-1, 1]
+    onto itself.
+    """
+    c0 = config_value(params, "c0", float, 0.0, where="density.")
+    c1 = config_value(params, "c1", float, 0.0, where="density.")
+    p = config_value(params, "exponent", float, 0.25, where="density.")
+    w = config_value(params, "window_power", float, 1.0, where="density.")
+
+    def u(x: np.ndarray) -> np.ndarray:
+        return (c0 + c1 * np.abs(x) ** (1.0 + p)) * (1.0 - x**2) ** w
+
+    def du(x: np.ndarray) -> np.ndarray:
+        cusp = c1 * (1.0 + p) * np.sign(x) * np.abs(x) ** p
+        win = (1.0 - x**2) ** w
+        dwin = -2.0 * w * x * (1.0 - x**2) ** (w - 1.0)
+        return cusp * win + dwin * (c0 + c1 * np.abs(x) ** (1.0 + p))
+
+    return _image_of_unit_density(pts, u, du, "shifted_profile")
+
+
 def _density_ramp_shift(pts: np.ndarray, params: dict) -> np.ndarray:
     """Image of the unit density under an odd inward ramp displacement.
 
     u'(x) = -c * S((|x| - offset)/width) with S the cubic smoothstep, plus an
     optional centered shift c0*(1-x^2)^2.  The slope vanishes near the origin,
     so the displacement energy is carried at the ramp scale and decays when the
-    observation radius drops below it.  One-dimensional only.
+    observation radius drops below it.
     """
-    if pts.shape[1] != 1:
-        raise ConfigError("ramp_shift densities are one-dimensional")
-    c0 = float(params.get("c0", 0.0))
-    c = float(params.get("c", 0.1))
-    offset = float(params.get("offset", 0.05))
-    width = float(params.get("width", 0.3))
+    c0 = config_value(params, "c0", float, 0.0, where="density.")
+    c = config_value(params, "c", float, 0.1, where="density.")
+    offset = config_value(params, "offset", float, 0.05, where="density.")
+    width = config_value(params, "width", float, 0.3, where="density.")
 
     def smoothstep(t: np.ndarray) -> np.ndarray:
         t = np.clip(t, 0.0, 1.0)
@@ -368,19 +374,7 @@ def _density_ramp_shift(pts: np.ndarray, params: dict) -> np.ndarray:
             - c * np.sign(x) * (dshelf * win + shelf * dwin)
         )
 
-    probe = np.linspace(-1.0, 1.0, 4001)
-    if np.min(1.0 + du(probe)) <= 1e-6:
-        raise ConfigError("ramp_shift parameters make the transport map non-monotone")
-    y = pts[:, 0]
-    lo = np.full_like(y, -1.0)
-    hi = np.full_like(y, 1.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        too_low = mid + u(mid) < y
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    x = 0.5 * (lo + hi)
-    return 1.0 / (1.0 + du(x))
+    return _image_of_unit_density(pts, u, du, "ramp_shift")
 
 
 DENSITY_KINDS: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
@@ -412,23 +406,22 @@ def measure_from_density(
 def make_measure(cfg: dict) -> GridMeasure:
     """Build a GridMeasure from a config dict (analytic density or CSV file)."""
     if "file" in cfg:
+        path = config_value(cfg, "file", str)
         try:
-            return load_measure(Path(cfg["file"]))
+            return load_measure(Path(path))
         except OSError as exc:
-            raise ConfigError(f"cannot read measure file {cfg['file']}: {exc}") from exc
-    try:
-        grid_cfg = cfg["grid"]
-        density_cfg = cfg["density"]
-        alpha = float(cfg["alpha"])
-    except KeyError as exc:
-        raise ConfigError(f"marginal spec missing required key: {exc}") from exc
+            raise ConfigError(f"cannot read measure file {path}: {exc}") from exc
+    grid_cfg, density_cfg = cfg.get("grid"), cfg.get("density")
+    if not (isinstance(grid_cfg, dict) and isinstance(density_cfg, dict)):
+        raise ConfigError("marginal spec needs a 'grid' and a 'density' object")
+    alpha = config_value(cfg, "alpha", float)
     spec = symmetric_grid(
-        dim=int(grid_cfg.get("dim", 1)),
-        n=int(grid_cfg["n"]),
-        lo=float(grid_cfg.get("lo", -1.0)),
-        hi=float(grid_cfg.get("hi", 1.0)),
+        dim=config_value(grid_cfg, "dim", int, 1, where="grid."),
+        n=config_value(grid_cfg, "n", int, where="grid."),
+        lo=config_value(grid_cfg, "lo", float, -1.0, where="grid."),
+        hi=config_value(grid_cfg, "hi", float, 1.0, where="grid."),
     )
-    kind = density_cfg.get("kind")
+    kind = config_value(density_cfg, "kind", str, where="density.")
     if kind not in DENSITY_KINDS:
         raise ConfigError(
             f"unknown density kind {kind!r}; valid kinds: {sorted(DENSITY_KINDS)}"
@@ -439,7 +432,7 @@ def make_measure(cfg: dict) -> GridMeasure:
         spec,
         lambda pts: fn(pts, params),
         alpha=alpha,
-        normalize=bool(cfg.get("normalize", True)),
+        normalize=config_value(cfg, "normalize", bool, True),
     )
 
 
@@ -473,25 +466,44 @@ def save_measure(m: GridMeasure, csv_path: str | Path) -> None:
 
 
 def load_measure(csv_path: str | Path) -> GridMeasure:
-    """Read a measure written by :func:`save_measure`."""
+    """Read a measure written by :func:`save_measure`; points without a row get
+    weight 0.  A malformed sidecar or row, or an index off the grid or repeated,
+    raises ConfigError."""
     csv_path = Path(csv_path)
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         raise ConfigError(f"missing JSON sidecar for measure file: {sidecar}")
     with open(sidecar) as fh:
-        meta = json.load(fh)
-    spec = GridSpec.from_json_dict(meta)
+        try:
+            meta = json.load(fh)
+            spec = GridSpec.from_json_dict(meta)
+            alpha = float(meta["alpha"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed measure sidecar {sidecar}: {exc!r}") from exc
     weights = np.zeros(spec.n_points)
+    seen = np.zeros(spec.n_points, dtype=bool)
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         index_cols = len(header) - 1
         if index_cols != spec.dim:
             raise ConfigError(
                 f"CSV has {index_cols} index columns but the sidecar says dim={spec.dim}"
             )
-        for row in reader:
-            idx = tuple(int(v) for v in row[:index_cols])
-            flat = idx[0] if spec.dim == 1 else idx[0] * spec.extent[1] + idx[1]
-            weights[flat] = float(row[-1])
-    return GridMeasure(spec=spec, weights=weights, alpha=float(meta["alpha"]))
+        for line, row in enumerate(reader, start=2):
+            where = f"{csv_path} line {line}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: {len(row)} cells, expected {len(header)}")
+            try:
+                idx = tuple(int(v) for v in row[:index_cols])
+                weight = float(row[-1])
+            except ValueError as exc:
+                raise ConfigError(f"{where}: non-numeric cell in {row}") from exc
+            if not all(0 <= i < n for i, n in zip(idx, spec.extent)):
+                raise ConfigError(f"{where}: index {idx} outside the grid extent {spec.extent}")
+            flat = int(np.ravel_multi_index(idx, spec.extent))
+            if seen[flat]:
+                raise ConfigError(f"{where}: duplicate row for index {idx}")
+            seen[flat] = True
+            weights[flat] = weight
+    return GridMeasure(spec=spec, weights=weights, alpha=alpha)

@@ -17,13 +17,12 @@ from .couplings import (
     long_trajectory_stats,
 )
 from .errors import AdmissibilityError, DomainError, SmallnessError
-from .grids import GridMeasure, data_term, density_at, holder_seminorm
+from .grids import GridMeasure, data_term, density_at
 from .scalings import (
     DEFAULT_WINDOWS,
     Scaling,
     Windows,
     apply_to_coupling,
-    apply_to_measures,
     compose,
     normalizing_scaling,
 )
@@ -59,9 +58,6 @@ class RegularityConfig:
 
     eps1: float = 0.1
     delta: float = 0.05
-    lam: float = 2.75
-    theta: float = 0.5
-    long_factor: float = 7.0
     c0: float = 5.0
     beta: float = 0.0
     # The harmonic fit sits at one tenth of the radius at which the energy is
@@ -259,8 +255,8 @@ def one_step(
     s_hat = Scaling(A=a_mat, b=b_vec, gamma=gamma, kappa=1.0)
     s_hat.require_admissible(config.windows)
 
-    lam_hat, mu_hat = apply_to_measures(s_hat, lam, mu, windows=config.windows)
     pi_hat = apply_to_coupling(s_hat, pi, windows=config.windows)
+    lam_hat, mu_hat = pi_hat.source, pi_hat.target
     e_after = local_energy(pi_hat, theta * R)
     # Averaging radius re-derived from the transformed grids' spacings.
     d_after = data_term(lam_hat, mu_hat, theta * R).D
@@ -333,23 +329,24 @@ def campanato_iterate(
     if not (R0 > 0 and epsilon > 0):
         raise DomainError("R0 and epsilon must be positive")
     s_bar = normalizing_scaling(lam, mu)
-    lam_k, mu_k = apply_to_measures(s_bar, lam, mu, windows=config.windows)
     pi_k = apply_to_coupling(s_bar, pi, windows=config.windows)
+    lam_k, mu_k = pi_k.source, pi_k.target
 
     levels: list[CampanatoLevel] = []
     composed = s_bar
     r = R0
     stop_reason = "max_levels"
     for k in range(max_levels + 1):
+        data = data_term(lam_k, mu_k, r)
         levels.append(
             CampanatoLevel(
                 k=k,
                 r=r,
                 E=local_energy(pi_k, r),
-                D=data_term(lam_k, mu_k, r).D,
+                D=data.D,
                 defect=affine_fit(pi_k, r, beta=config.beta).defect,
-                holder_lam=holder_seminorm(lam_k, r),
-                holder_mu=holder_seminorm(mu_k, r),
+                holder_lam=data.holder_lambda,
+                holder_mu=data.holder_mu,
                 step_scaling=None,
                 composed=composed,
             )

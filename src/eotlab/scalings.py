@@ -220,8 +220,7 @@ def _deposit(
         flat = cell[:, 0]
     else:
         flat = cell[:, 0] * extent[1] + cell[:, 1]
-    new_weights = np.zeros(spec.n_points)
-    np.add.at(new_weights, flat, weights)
+    new_weights = np.bincount(flat, weights=weights, minlength=spec.n_points)
     return GridMeasure(spec=spec, weights=new_weights, alpha=alpha), flat
 
 
@@ -233,6 +232,25 @@ def _target_spacing(s: Scaling, h: float) -> float:
     return h * s.gamma * abs(s.det_A) ** (1.0 / s.dim)
 
 
+def _deposit_marginals(
+    s: Scaling, lam: GridMeasure, mu: GridMeasure
+) -> tuple[tuple[GridMeasure, np.ndarray], tuple[GridMeasure, np.ndarray]]:
+    """Deposit both pushed-forward marginals; each comes with its atoms' cells."""
+    source = _deposit(
+        transform_source_atoms(s, lam.points),
+        s.kappa * lam.weights,
+        _source_spacing(s, lam.spec.h),
+        lam.alpha,
+    )
+    target = _deposit(
+        transform_target_atoms(s, mu.points),
+        s.kappa * mu.weights,
+        _target_spacing(s, mu.spec.h),
+        mu.alpha,
+    )
+    return source, target
+
+
 def apply_to_measures(
     s: Scaling,
     lam: GridMeasure,
@@ -241,18 +259,7 @@ def apply_to_measures(
 ) -> tuple[GridMeasure, GridMeasure]:
     """Push both marginals through the rescaling and re-deposit onto fresh grids."""
     s.require_admissible(windows)
-    lam_s, _ = _deposit(
-        transform_source_atoms(s, lam.points),
-        s.kappa * lam.weights,
-        _source_spacing(s, lam.spec.h),
-        lam.alpha,
-    )
-    mu_s, _ = _deposit(
-        transform_target_atoms(s, mu.points),
-        s.kappa * mu.weights,
-        _target_spacing(s, mu.spec.h),
-        mu.alpha,
-    )
+    (lam_s, _), (mu_s, _) = _deposit_marginals(s, lam, mu)
     return lam_s, mu_s
 
 
@@ -260,22 +267,15 @@ def apply_to_coupling(
     s: Scaling, pi: Coupling, windows: Windows = DEFAULT_WINDOWS
 ) -> Coupling:
     """Transform a coupling; the result is marginal-consistent with the
-    transformed measures by construction (weights scale by kappa)."""
+    transformed measures by construction (weights scale by kappa), and its
+    ``source``/``target`` are what :func:`apply_to_measures` returns for
+    ``pi.source``/``pi.target``."""
     s.require_admissible(windows)
-    lam_s, row_cell = _deposit(
-        transform_source_atoms(s, pi.source.points),
-        s.kappa * pi.source.weights,
-        _source_spacing(s, pi.source.spec.h),
-        pi.source.alpha,
-    )
-    mu_s, col_cell = _deposit(
-        transform_target_atoms(s, pi.target.points),
-        s.kappa * pi.target.weights,
-        _target_spacing(s, pi.target.spec.h),
-        pi.target.alpha,
-    )
-    mass = np.zeros((lam_s.spec.n_points, mu_s.spec.n_points))
-    np.add.at(mass, (row_cell[:, None], col_cell[None, :]), s.kappa * pi.mass)
+    (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
+    n, m = lam_s.spec.n_points, mu_s.spec.n_points
+    cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()
+    mass = np.bincount(cell, weights=(s.kappa * pi.mass).ravel(), minlength=n * m)
+    mass = mass.reshape(n, m)
     eps = None if pi.epsilon is None else pi.epsilon * s.gamma**-0.5
     out = Coupling(source=lam_s, target=mu_s, mass=mass, epsilon=eps)
     # The deposition is exact, so any marginal violation beyond what the input

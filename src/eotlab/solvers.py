@@ -115,8 +115,9 @@ def sinkhorn(
     potentials, cost and entropy refer to the original mass scale, and the
     plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise.
     """
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    # The temperature epsilon^2 divides every potential update.
+    if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
+        raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
     mass = _require_equal_masses(lam, mu)
 
     pos_i = np.nonzero(lam.weights > 0)[0]
@@ -362,14 +363,21 @@ def _certify(
 
 
 def _embed_result(
-    lam: GridMeasure,
-    mu: GridMeasure,
-    cost: np.ndarray,
-    plan: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    method: str,
+    lam: GridMeasure, mu: GridMeasure, cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    plan_s: np.ndarray, u_s: np.ndarray, v_s: np.ndarray, method: str,
 ) -> ExactOTResult:
+    """Embed a plan and duals solved on the atoms ``rows`` x ``cols``, complete
+    the zero-weight atoms' duals, and certify against the full ``cost``."""
+    n, m = lam.spec.n_points, mu.spec.n_points
+    plan = np.zeros((n, m))
+    plan[np.ix_(rows, cols)] = plan_s
+    u = np.zeros(n)
+    v = np.zeros(m)
+    u[rows] = u_s
+    v[cols] = v_s
+    zero_i, zero_j = lam.weights == 0, mu.weights == 0
+    v[zero_j] = np.min(cost[:, zero_j] - u[:, None], axis=0)
+    u[zero_i] = np.min(cost[zero_i, :] - v[None, :], axis=1)
     gap, violation = _certify(cost, plan, u, v, lam.weights, mu.weights)
     if gap > CERT_RTOL or violation > CERT_RTOL:
         raise CertificateError(
@@ -384,15 +392,6 @@ def _embed_result(
         u=u,
         v=v,
     )
-
-
-def _complete_zero_weight_duals(
-    cost: np.ndarray, u: np.ndarray, v: np.ndarray, zero_i: np.ndarray, zero_j: np.ndarray
-) -> None:
-    if zero_j.size:
-        v[zero_j] = np.min(cost[:, zero_j] - u[:, None], axis=0)
-    if zero_i.size:
-        u[zero_i] = np.min(cost[zero_i, :] - v[None, :], axis=1)
 
 
 def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -447,18 +446,10 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
         else:
             break
 
-    n, m = lam.spec.n_points, mu.spec.n_points
-    plan = np.zeros((n, m))
-    plan[np.ix_(pos_i[order_i], pos_j[order_j])] = plan_s
-    u = np.zeros(n)
-    v = np.zeros(m)
-    u[pos_i[order_i]] = us
-    v[pos_j[order_j]] = vs
     cost = squared_distances(lam.points, mu.points)
-    zero_i = np.nonzero(lam.weights == 0)[0]
-    zero_j = np.nonzero(mu.weights == 0)[0]
-    _complete_zero_weight_duals(cost, u, v, zero_i, zero_j)
-    return _embed_result(lam, mu, cost, plan, u, v, method="monotone_1d")
+    return _embed_result(
+        lam, mu, cost, pos_i[order_i], pos_j[order_j], plan_s, us, vs, method="monotone_1d"
+    )
 
 
 def _refine_duals_on_support(
@@ -500,19 +491,20 @@ def _refine_duals_on_support(
 
 
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
-    n, m = lam.spec.n_points, mu.spec.n_points
+    """Transport LP over the positive-weight atoms; the others carry no mass."""
+    pos_i = np.nonzero(lam.weights > 0)[0]
+    pos_j = np.nonzero(mu.weights > 0)[0]
+    n, m = pos_i.size, pos_j.size
     cost = squared_distances(lam.points, mu.points)
+    cost_s = cost[np.ix_(pos_i, pos_j)]
     a_rows = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
     a_cols = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
     a_eq = sp.vstack([a_rows, a_cols], format="csr")
-    b_eq = np.concatenate([lam.weights, mu.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    b_eq = np.concatenate([lam.weights[pos_i], mu.weights[pos_j]])
+    res = linprog(cost_s.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res.status != 0:
         raise CertificateError(f"transport LP failed: {res.message}")
-    plan = np.maximum(res.x.reshape(n, m), 0.0)
+    plan_s = np.maximum(res.x.reshape(n, m), 0.0)
     marg = np.asarray(res.eqlin.marginals, dtype=float)
-    u, v = _refine_duals_on_support(cost, plan, marg[:n], marg[n:])
-    zero_i = np.nonzero(lam.weights == 0)[0]
-    zero_j = np.nonzero(mu.weights == 0)[0]
-    _complete_zero_weight_duals(cost, u, v, zero_i, zero_j)
-    return _embed_result(lam, mu, cost, plan, u, v, method="lp_highs")
+    u_s, v_s = _refine_duals_on_support(cost_s, plan_s, marg[:n], marg[n:])
+    return _embed_result(lam, mu, cost, pos_i, pos_j, plan_s, u_s, v_s, method="lp_highs")

@@ -223,7 +223,7 @@ class TestOtherExperiments:
         header, rows = read_csv_rows(out / "report.csv")
         assert len(rows) == 4  # two points + two slope rows
 
-    def test_quasimin_writes_defects_csv(self, tmp_path):
+    def test_quasimin_writes_defects_csv(self, tmp_path, monkeypatch):
         cfg = write_config(
             tmp_path,
             {
@@ -232,11 +232,17 @@ class TestOtherExperiments:
                 "solver": {"epsilon": 0.2},
             },
         )
-        out = tmp_path / "out"
-        assert main(["experiment", "quasimin", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-        assert_csv_parses(out / "report.csv")
-        assert_csv_parses(out / "defects.csv")
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("EOTLAB_THREADS", threads)
+            out = tmp_path / f"out{threads}"
+            assert main(["experiment", "quasimin", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            assert_csv_parses(out / "report.csv")
+            assert_csv_parses(out / "defects.csv")
+            outputs.append([(out / name).read_bytes()
+                            for name in ("report.csv", "defects.csv", "trace.json")])
+        assert outputs[0] == outputs[1]
 
     def test_campanato_trace_and_radius_scan(self, tmp_path):
         cfg = write_config(
@@ -341,3 +347,91 @@ class TestNonConvergenceAndBadInput:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"]["ok"] is False
+
+
+def _set(path, value):
+    """Config edit that sets the key at ``path`` (a tuple of keys) to ``value``."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _edit_csv_line(lineno, text):
+    """Measure-file edit: replace line ``lineno`` (0 is the header) or, with
+    ``lineno`` None, append ``text`` as a new row."""
+    def edit(path):
+        lines = path.read_text().splitlines()
+        if lineno is None:
+            lines.append(text)
+        else:
+            lines[lineno] = text
+        path.write_text("\n".join(lines) + "\n")
+    return edit
+
+
+BAD_CONFIGS = {
+    "epsilon_string": ("campanato", _set(("solver", "epsilon"), "abc"), "solver.epsilon"),
+    "epsilon_nan": ("campanato", _set(("solver", "epsilon"), float("nan")), "solver.epsilon"),
+    "n_string": ("quasimin", _set(("source", "grid", "n"), "x"), "grid.n"),
+    "seed_string": ("quasimin", _set(("seed",), "x"), "seed"),
+    "max_levels_string": ("campanato", _set(("experiment", "max_levels"), "x"),
+                          "experiment.max_levels"),
+    "R_string": ("quasimin", _set(("experiment", "R"), "abc"), "experiment.R"),
+    "eps_ladder_scalar": ("quasimin", _set(("experiment", "eps_ladder"), 0.5),
+                          "experiment.eps_ladder"),
+    "tol_string": ("quasimin", _set(("solver", "tol"), "abc"), "solver.tol"),
+    "max_iter_string": ("quasimin", _set(("solver", "max_iter"), "x"), "solver.max_iter"),
+    "check_every_zero": ("quasimin", _set(("solver", "check_every"), 0), "solver.check_every"),
+    "threshold_lam": ("campanato", _set(("experiment", "thresholds"), {"lam": 9}), "'lam'"),
+    "seed_negative": ("quasimin", _set(("seed",), -1), "seed"),
+    "file_not_string": ("quasimin", _set(("source",), {"file": 3}), "file"),
+    "mass_mismatch": ("campanato", _set(("target",), dict(marginal_spec(n=17), normalize=False)),
+                      "relative gap"),
+}
+BAD_MEASURE_FILES = {
+    "index_out_of_range": (_edit_csv_line(None, "11,0.1"), "index (11,)"),
+    "index_negative": (_edit_csv_line(11, "-1,0.1"), "index (-1,)"),
+    "duplicate_row": (_edit_csv_line(None, "3,0.1"), "duplicate row for index (3,)"),
+    "non_numeric_cell": (_edit_csv_line(4, "3,abc"), "non-numeric cell"),
+}
+
+
+class TestBadInputExits2:
+    """Each malformed config value or measure file exits 2 with a message that
+    names the key or the offending row, and no traceback."""
+
+    @staticmethod
+    def run(tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_config_value(self, tmp_path, capsys, case):
+        name, edit, key = BAD_CONFIGS[case]
+        experiment = (
+            {"R0": 0.8, "max_levels": 2} if name == "campanato"
+            else {"R": 0.3, "eps_ladder": [0.5]}
+        )
+        cfg = {"source": marginal_spec(n=17), "experiment": experiment,
+               "solver": {"epsilon": 0.5}}
+        edit(cfg)
+        code, err = self.run(tmp_path, capsys, ["experiment", name], cfg)
+        assert code == 2
+        assert key in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_MEASURE_FILES))
+    def test_measure_file(self, tmp_path, capsys, case):
+        edit, message = BAD_MEASURE_FILES[case]
+        lam = line_measure(np.linspace(-1.0, 1.0, 11), np.full(11, 1.0 / 11), h=0.2)
+        save_measure(lam, tmp_path / "lam.csv")
+        edit(tmp_path / "lam.csv")
+        cfg = {"source": {"file": str(tmp_path / "lam.csv")}, "solver": {"epsilon": 0.5}}
+        code, err = self.run(tmp_path, capsys, ["solve"], cfg)
+        assert code == 2
+        assert message in err

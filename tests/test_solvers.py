@@ -8,6 +8,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from eotlab import (
+    DomainError,
     GridMeasure,
     GridSpec,
     MassMismatchError,
@@ -113,6 +114,12 @@ class TestSinkhorn:
     def test_mass_mismatch_rejected(self, uniform_1d):
         with pytest.raises(MassMismatchError, match="relative gap"):
             sinkhorn(uniform_1d, uniform_1d.scaled(1.01), epsilon=0.3)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), 1e-170])
+    def test_epsilon_without_usable_square_rejected(self, uniform_1d, eps):
+        # 1e-170 is positive, but its square underflows to zero.
+        with pytest.raises(DomainError, match="epsilon"):
+            sinkhorn(uniform_1d, uniform_1d, eps)
 
     def test_symmetric_instance_gives_symmetric_plan(self):
         spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
