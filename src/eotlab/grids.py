@@ -262,21 +262,27 @@ def _density_uniform(pts: np.ndarray, params: dict) -> np.ndarray:
     return np.full(pts.shape[0], value)
 
 
+def _per_axis(params: dict, key: str, dim: int) -> np.ndarray:
+    """``params[key]`` (default 0) as one value per axis: a number, or a list of
+    1 or ``dim`` numbers."""
+    raw = params.get(key, 0.0)
+    values = config_value({key: raw if isinstance(raw, list) else [raw]}, key, list,
+                          where="density.")
+    if len(values) not in (1, dim):
+        raise ConfigError(f"density.{key} must have 1 or {dim} entries, got {raw!r}")
+    return np.resize(np.asarray(values), dim)
+
+
 def _density_affine(pts: np.ndarray, params: dict) -> np.ndarray:
     intercept = config_value(params, "intercept", float, 1.0, where="density.")
-    slope = np.atleast_1d(np.asarray(params.get("slope", 0.0), dtype=float))
-    if slope.shape == (1,) and pts.shape[1] > 1:
-        slope = np.repeat(slope, pts.shape[1])
-    return intercept + pts @ slope
+    return intercept + pts @ _per_axis(params, "slope", pts.shape[1])
 
 
 def _density_gaussian(pts: np.ndarray, params: dict) -> np.ndarray:
     sigma = config_value(params, "sigma", float, 0.5, where="density.")
     amplitude = config_value(params, "amplitude", float, 1.0, where="density.")
     floor = config_value(params, "floor", float, 0.0, where="density.")
-    center = np.atleast_1d(np.asarray(params.get("center", 0.0), dtype=float))
-    if center.shape == (1,) and pts.shape[1] > 1:
-        center = np.repeat(center, pts.shape[1])
+    center = _per_axis(params, "center", pts.shape[1])
     sq = np.sum((pts - center[None, :]) ** 2, axis=1)
     return floor + amplitude * np.exp(-sq / (2.0 * sigma**2))
 

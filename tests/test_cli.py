@@ -324,6 +324,33 @@ class TestNonConvergenceAndBadInput:
         assert time.perf_counter() - start < 1.0
         assert "finite" in capsys.readouterr().err
 
+    def test_oversized_dense_solve_exits_4_up_front(self, tmp_path, capsys):
+        import time
+        import tracemalloc
+
+        # 128 x 128 points per side: one dense n x m array would take 2 GiB.
+        grid = {"dim": 2, "n": 128, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
+                "solver": {"epsilon": 0.3},
+            },
+        )
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20
+        err = capsys.readouterr().err
+        assert "16384 x 16384" in err and "MiB" in err and "limit" in err
+
     def test_unconverged_experiment_exits_3_and_writes_files(self, tmp_path):
         grid = {"dim": 1, "n": 64, "lo": -1.0, "hi": 1.0}
         cfg = write_config(
@@ -390,6 +417,14 @@ BAD_CONFIGS = {
     "file_not_string": ("quasimin", _set(("source",), {"file": 3}), "file"),
     "mass_mismatch": ("campanato", _set(("target",), dict(marginal_spec(n=17), normalize=False)),
                       "relative gap"),
+    "slope_string": ("quasimin", _set(("source", "density"), {"kind": "affine", "slope": "x"}),
+                     "density.slope"),
+    "center_entry_string": ("quasimin", _set(("source",), dict(
+        marginal_spec(n=9, kind="gaussian", center=[0.1, "y"]), grid={"dim": 2, "n": 9})),
+        "density.center"),
+    "center_too_long": ("quasimin", _set(("source",), dict(
+        marginal_spec(n=9, kind="gaussian", center=[0.1, 0.2, 0.3]), grid={"dim": 2, "n": 9})),
+        "density.center"),
 }
 BAD_MEASURE_FILES = {
     "index_out_of_range": (_edit_csv_line(None, "11,0.1"), "index (11,)"),

@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+import scipy.sparse as sp
+from scipy.optimize import linprog, minimize_scalar
 from scipy.special import logsumexp
 
 from eotlab import (
@@ -19,7 +20,8 @@ from eotlab import (
     sinkhorn,
     symmetric_grid,
 )
-from eotlab.solvers import _epsilon_ladder
+from eotlab import solvers
+from eotlab.solvers import CERT_RTOL, _certify, _epsilon_ladder, _exact_ot_lp
 from conftest import line_measure, plane_measure
 
 
@@ -236,6 +238,38 @@ def permutation_oracle(points_x, points_y, mass_per_atom):
     return best
 
 
+def dense_reference_cost(lam, mu):
+    """Transport LP over all n*m pairs, at tight HiGHS tolerances."""
+    c = np.sum((lam.points[:, None, :] - mu.points[None, :, :]) ** 2, axis=2)
+    n, m = c.shape
+    a_eq = sp.vstack([sp.kron(sp.eye(n), np.ones((1, m))), sp.kron(np.ones((1, n)), sp.eye(m))])
+    res = linprog(c.ravel(), A_eq=a_eq, b_eq=np.concatenate([lam.weights, mu.weights]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return float(res.fun)
+
+
+def shifted_narrow_pair(n, zero_atoms):
+    """2-d Gaussian source and a translated copy of half its width as target, so
+    each atom's nearest partners are not where its mass goes.  With
+    ``zero_atoms``, every third source atom and every fourth target atom (at
+    another offset) carries no mass."""
+    spec = symmetric_grid(dim=2, n=n, lo=-1.0, hi=1.0)
+
+    def gaussian(center, sigma):
+        return lambda p: np.exp(-np.sum((p - center) ** 2, axis=1) / (2 * sigma**2))
+
+    wl = measure_from_density(spec, gaussian([0.0, 0.0], 0.6), alpha=0.5).weights.copy()
+    wm = measure_from_density(spec, gaussian([0.45, -0.3], 0.3), alpha=0.5).weights.copy()
+    if zero_atoms:
+        wl[::3] = 0.0
+        wm[1::4] = 0.0
+    return (GridMeasure(spec=spec, weights=wl / wl.sum(), alpha=0.5),
+            GridMeasure(spec=spec, weights=wm / wm.sum(), alpha=0.5))
+
+
 class TestExactOT:
     def test_single_atom_translation_cost(self):
         lam = line_measure([0.0], [1.0], h=0.5)
@@ -300,3 +334,51 @@ class TestExactOT:
     def test_mass_mismatch_rejected(self, uniform_1d):
         with pytest.raises(MassMismatchError):
             exact_ot(uniform_1d, uniform_1d.scaled(2.0))
+
+    @pytest.mark.parametrize("n", [8, 11])
+    @pytest.mark.parametrize("zero_atoms", [False, True])
+    def test_shortlist_lp_matches_dense_reference(self, monkeypatch, n, zero_atoms):
+        solves = []
+
+        def counting_linprog(*args, **kwargs):
+            solves.append(1)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "linprog", counting_linprog)
+        lam, mu = shifted_narrow_pair(n, zero_atoms)
+        res = exact_ot(lam, mu)
+        assert res.method == "lp_highs"
+        assert len(solves) > 1
+        ref = dense_reference_cost(lam, mu)
+        assert abs(res.cost - ref) <= 1e-12 * ref
+        assert res.duality_gap <= 1e-9
+        assert res.feasibility_violation <= 1e-9
+
+    def test_lp_path_matches_monotone_path_in_1d(self):
+        lam, mu = wavy_pair()
+        monotone = exact_ot(lam, mu)
+        lp = _exact_ot_lp(lam, mu)
+        assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
+        assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
+        assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
+
+    def test_certificate_rejects_plan_off_its_marginals(self):
+        lam, mu = wavy_pair()
+        res = exact_ot(lam, mu)
+        cost, plan = res.plan.cost_matrix, res.plan.mass.copy()
+        _, violation = _certify(cost, plan, res.u, res.v, lam.weights, mu.weights)
+        assert violation <= CERT_RTOL
+        # One row sum (and one column sum) off by 1e-7 of the mass.
+        i, j = np.unravel_index(np.argmax(plan), plan.shape)
+        plan[i, j] += 1e-7 * lam.total_mass
+        _, violation = _certify(cost, plan, res.u, res.v, lam.weights, mu.weights)
+        assert violation > CERT_RTOL
+
+    @pytest.mark.parametrize("solve", [lambda lam: exact_ot(lam, lam),
+                                       lambda lam: sinkhorn(lam, lam, epsilon=0.3)],
+                             ids=["exact_ot", "sinkhorn"])
+    def test_oversized_input_rejected_up_front(self, solve):
+        spec = symmetric_grid(dim=2, n=128, lo=-1.0, hi=1.0)
+        lam = GridMeasure(spec=spec, weights=np.full(spec.n_points, 1.0), alpha=0.5)
+        with pytest.raises(DomainError, match="16384 x 16384 support points needs about"):
+            solve(lam)
