@@ -18,9 +18,9 @@ from eotlab import (
     gibbs_identity_check,
     measure_from_density,
     sinkhorn,
+    solvers,
     symmetric_grid,
 )
-from eotlab import solvers
 from eotlab.solvers import CERT_RTOL, _certify, _epsilon_ladder, _exact_ot_lp
 from conftest import line_measure, plane_measure
 
