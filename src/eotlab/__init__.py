@@ -72,6 +72,7 @@ from .scalings import (
 from .solvers import (
     ExactOTResult,
     SinkhornResult,
+    SinkhornStage,
     entropic_cost,
     exact_ot,
     gibbs_identity_check,

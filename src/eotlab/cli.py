@@ -41,7 +41,7 @@ from .solvers import entropic_cost, gibbs_identity_check, sinkhorn
 
 # Solver options a config may set: key -> (type, must be positive).
 SOLVER_OPTIONS = {"tol": (float, True), "max_iter": (int, True), "check_every": (int, True),
-                  "stabilize_every": (int, False), "warm_start": (bool, False)}
+                  "warm_start": (bool, False)}
 THRESHOLD_KEYS = ("eps1", "delta", "c0", "beta", "fit_radius_factor", "normalization_tol")
 
 

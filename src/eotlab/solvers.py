@@ -20,6 +20,7 @@ from .grids import GridMeasure
 
 __all__ = [
     "SinkhornResult",
+    "SinkhornStage",
     "ExactOTResult",
     "sinkhorn",
     "exact_ot",
@@ -34,6 +35,21 @@ MASS_RTOL = 1e-12
 # (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry that underflows to zero then
 # stands for a plan entry below 1e-208, far under any marginal tolerance.
 ABSORB_BOUND = 1e50
+# Over-relaxed Sinkhorn converges for factors in (0, 2) (Lehmann et al., Optim.
+# Lett. 16, 2022); OMEGA_MAX keeps the factor off that edge, where the relaxed
+# iteration barely contracts.  A factor that a rollback halves to within
+# OMEGA_FLOOR of 1 drops to plain Sinkhorn.
+OMEGA_MAX = 1.95
+OMEGA_FLOOR = 0.05
+# Why a Sinkhorn stage stopped, and what to change when the final one did not
+# converge.
+STOP_REASONS = {
+    "converged": "",
+    "stage_cap": "raise solver.max_iter or solver.epsilon",
+    "non_finite": "check the marginals or raise solver.epsilon",
+    "stagnated": "the measured rate needs more than solver.max_iter iterations; "
+                 "raise solver.epsilon or solver.max_iter",
+}
 # Both solvers hold several n x m float arrays at once: Sinkhorn the cost, the
 # kernel and, at the end, the log plan, the plan and its embedding; exact OT
 # the full and restricted cost, the reduced costs, two plans and the
@@ -43,6 +59,19 @@ ABSORB_BOUND = 1e50
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_DENSE_ARRAYS = 5
 EXACT_OT_DENSE_ARRAYS = 8
+
+
+@dataclass
+class SinkhornStage:
+    """One epsilon stage of a Sinkhorn solve: its iterations, the relaxation
+    factor it ended with, the checks it rolled back, the marginal error it
+    exited with and why it stopped (one of STOP_REASONS)."""
+    epsilon: float
+    iterations: int
+    omega: float
+    rollbacks: int
+    marg_err: float
+    stop: str
 
 
 @dataclass
@@ -58,6 +87,7 @@ class SinkhornResult:
     converged: bool
     mass: float
     err_history: list[tuple[int, float]]
+    stages: list[SinkhornStage]
 
 
 @dataclass
@@ -110,27 +140,41 @@ def _epsilon_ladder(epsilon: float, cost_max: float) -> list[float]:
     return ladder
 
 
+def _omega_for_rate(rate: float) -> float:
+    """Optimal over-relaxation factor for a linear contraction ``rate`` per
+    plain iteration, 2 / (1 + sqrt(1 - rate)) (Thibault, Chizat, Dossal &
+    Papadakis, Algorithms 14(5), 2021), capped at OMEGA_MAX."""
+    return min(OMEGA_MAX, 2.0 / (1.0 + float(np.sqrt(max(1.0 - rate, 0.0)))))
+
+
 def sinkhorn(
     lam: GridMeasure,
     mu: GridMeasure,
     epsilon: float,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    stabilize_every: int = 1,
     warm_start: bool = True,
     check_every: int = 10,
 ) -> SinkhornResult:
-    """Sinkhorn iteration at temperature epsilon^2, in the scaling domain.
+    """Over-relaxed Sinkhorn iteration at temperature epsilon^2, in the
+    scaling domain.
 
     Each epsilon stage opens with a log-domain sweep.  The potentials (f, g)
-    are then absorbed into the kernel K = exp((f + g - c)/eps^2) * (a (x) b)
-    and the iteration runs on scalings: u = a / (K v), v = b / (K^T u).  A
-    scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or turns non-finite or
-    zero, sends that iteration through a log-domain sweep and a new kernel
-    (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).  The iterates are those of
-    log-domain Sinkhorn in other arithmetic.  A nonzero ``stabilize_every``
-    centres f and g at each absorption; the plan does not depend on it.  A
-    non-finite marginal error ends the stage at once, unconverged.
+    are then absorbed, centred, into the kernel K = exp((f + g - c)/eps^2) *
+    (a (x) b) and the iteration runs on scalings: u <- u (a / (u K v))^omega,
+    v <- v (b / (v K^T u))^omega.  A scaling that leaves (1/ABSORB_BOUND,
+    ABSORB_BOUND), or turns non-finite or zero, sends that iteration through a
+    plain log-domain sweep and a new kernel (Schmitzer, SIAM J. Sci. Comput.
+    41(3), 2019).
+
+    Every ``check_every``-th iteration is plain (omega = 1) and reads the
+    marginal error.  A stage starts plain; once two consecutive per-iteration
+    contraction rates measured at the checks agree, omega is set from the rate
+    by _omega_for_rate.  A relaxed check whose error exceeds the last accepted
+    one is rolled back to that check's state and omega - 1 is halved.  With
+    relaxation tried, two agreeing rates that project the final stage's error
+    to reach ``tol`` only after ``max_iter`` end it as stagnated; a non-finite
+    error ends a stage at once.  ``stages`` records each stage.
 
     Marginals are normalized to probability internally; the returned plan,
     potentials, cost and entropy refer to the original mass scale, and the
@@ -157,8 +201,8 @@ def sinkhorn(
     f = np.zeros(la.shape[0])
     g = np.zeros(mb.shape[0])
     iterations = 0
-    marg_err = np.inf
     err_history: list[tuple[int, float]] = []
+    stages: list[SinkhornStage] = []
     # Scratch for the log-domain sweeps; between sweeps it holds the kernel.
     work = np.empty_like(cost)
 
@@ -179,11 +223,20 @@ def sinkhorn(
         np.exp(work, out=work)
         return -eps2 * (np.log(work.sum(axis=0)) + peak)
 
+    def build_kernel(eps2: float) -> None:
+        np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
+        np.subtract(work, cost, out=work)
+        np.divide(work, eps2, out=work)
+        np.exp(work, out=work)
+        # Subnormal entries make the matrix-vector products several times
+        # slower; scaled by at most ABSORB_BOUND**2 they stay far below any
+        # marginal tolerance.
+        work[work < np.finfo(float).tiny] = 0.0
+
     def center() -> None:
-        if stabilize_every:
-            shift = float(np.mean(f))
-            f[:] -= shift
-            g[:] += shift
+        shift = float(np.mean(f))
+        f[:] -= shift
+        g[:] += shift
 
     for stage, eps in enumerate(ladder):
         final = stage == len(ladder) - 1
@@ -193,59 +246,99 @@ def sinkhorn(
         u = np.ones_like(la)
         v = np.ones_like(mb)
         in_bounds = False
+        absorptions = 0
+        # With check_every 1 every v-update is plain, so nothing is relaxed.
+        omega, tuned, rollbacks = 1.0, check_every == 1, 0
+        # The last accepted check: its error, its state, and the rate measured
+        # from the check before it.
+        accepted, saved, ref, rate = np.inf, None, None, None
+        stop, it = "stage_cap", 0
         for it in range(1, stage_iter + 1):
+            check = it % check_every == 0 or it == stage_iter
             if in_bounds:
                 u_next = la / kv
+                if omega != 1.0:
+                    u_next = u * (u_next / u) ** omega
                 ktu = work.T @ u_next
                 v_next = mb / ktu
+                # A check ends on a plain v-update: its column marginal is
+                # exact, and the error is the row error, as in plain Sinkhorn.
+                if omega != 1.0 and not check:
+                    v_next = v * (v_next / v) ** omega
                 in_bounds = _bounded(u_next) and _bounded(v_next)
                 if in_bounds:
                     u, v = u_next, v_next
                     kv = work @ v
             if not in_bounds:
-                # Redo this iteration in the log domain from the last scalings
-                # that stayed in bounds, then absorb the potentials.
+                # Redo this iteration as a plain log-domain sweep from the last
+                # scalings that stayed in bounds, then absorb the potentials.
                 g += eps2 * np.log(v)
                 f = softmin_rows(g, log_mb, eps2)
                 g = softmin_cols(f, log_la, eps2)
                 center()
-                np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
-                np.subtract(work, cost, out=work)
-                np.divide(work, eps2, out=work)
-                np.exp(work, out=work)
-                # Subnormal entries make the matrix-vector products several
-                # times slower; scaled by at most ABSORB_BOUND**2 they stay
-                # far below any marginal tolerance.
-                work[work < np.finfo(float).tiny] = 0.0
+                build_kernel(eps2)
+                absorptions += 1
                 u = np.ones_like(la)
                 v = np.ones_like(mb)
                 kv = work.sum(axis=1)
                 ktu = work.sum(axis=0)
                 in_bounds = True
             iterations += 1
-            if it % check_every == 0 or it == stage_iter:
-                err = max(
-                    float(np.sum(np.abs(u * kv - la))),
-                    float(np.sum(np.abs(v * ktu - mb))),
-                )
-                if final:
-                    if err_history and err > err_history[-1][1] + 1e-12:
-                        logger.warning(
-                            "sinkhorn marginal error increased between checks "
-                            "(%.3e -> %.3e); this indicates a bug",
-                            err_history[-1][1],
-                            err,
-                        )
-                    err_history.append((iterations, err))
-                    marg_err = err
-                # Non-finite scalings rebuild the kernel in the same iteration,
-                # so a non-finite error has already survived a re-absorption.
-                if err <= stage_tol or not np.isfinite(err):
-                    break
+            if not check:
+                continue
+            err = max(
+                float(np.sum(np.abs(u * kv - la))),
+                float(np.sum(np.abs(v * ktu - mb))),
+            )
+            if omega > 1.0 and not err <= accepted:
+                # The relaxed iterations since the last accepted check made
+                # things worse: return to that check and relax less.
+                f_saved, g_saved, u, v, kv, kept = saved
+                f, g = f_saved.copy(), g_saved.copy()
+                if kept != absorptions:
+                    build_kernel(eps2)
+                    absorptions = kept
+                rollbacks += 1
+                omega = 1.0 + 0.5 * (omega - 1.0)
+                if omega - 1.0 < OMEGA_FLOOR:
+                    omega = 1.0
+                ref, rate = (it, accepted), None
+                continue
+            if final:
+                if err_history and err > err_history[-1][1] + 1e-12:
+                    logger.warning(
+                        "sinkhorn marginal error increased between checks "
+                        "(%.3e -> %.3e); this indicates a bug",
+                        err_history[-1][1],
+                        err,
+                    )
+                err_history.append((iterations, err))
+            accepted = err
+            saved = (f.copy(), g.copy(), u, v, kv, absorptions)
+            if err <= stage_tol:
+                stop = "converged"
+                break
+            # Non-finite scalings rebuild the kernel in the same iteration, so
+            # a non-finite error has already survived a re-absorption.
+            if not np.isfinite(err):
+                stop = "non_finite"
+                break
+            if ref is not None and ref[1] > 0.0:
+                new_rate = min(1.0, (err / ref[1]) ** (1.0 / (it - ref[0])))
+                if rate is not None and abs(new_rate - rate) <= 0.1 * (1.0 - new_rate):
+                    if not tuned:
+                        omega, tuned, new_rate = _omega_for_rate(new_rate), True, None
+                    elif final and err * new_rate ** (stage_iter - it) > stage_tol:
+                        stop = "stagnated"
+                        break
+                rate = new_rate
+            ref = (it, err)
         f += eps2 * np.log(u)
         g += eps2 * np.log(v)
         center()
+        stages.append(SinkhornStage(float(eps), it, omega, rollbacks, accepted, stop))
 
+    marg_err = stages[-1].marg_err
     eps2 = epsilon * epsilon
     log_plan = (f[:, None] + g[None, :] - cost) / eps2 + log_la[:, None] + log_mb[None, :]
     plan_sub = np.exp(log_plan)
@@ -264,10 +357,13 @@ def sinkhorn(
 
     converged = marg_err <= tol
     if not converged:
+        stop = stages[-1].stop
         logger.warning(
-            "sinkhorn did not converge: marginal error %.3e after %d iterations",
+            "sinkhorn did not converge (%s): marginal error %.3e after %d iterations; %s",
+            stop,
             marg_err,
             iterations,
+            STOP_REASONS[stop],
         )
     return SinkhornResult(
         plan=Coupling(source=lam, target=mu, mass=full, epsilon=epsilon),
@@ -281,6 +377,7 @@ def sinkhorn(
         converged=converged,
         mass=mass,
         err_history=err_history,
+        stages=stages,
     )
 
 

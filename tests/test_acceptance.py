@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The full suite solves several small-epsilon transport problems and takes
-about 20 seconds on a 2-core x86 machine.
+about 5 seconds on a 2-core x86 machine.
 """
 
 import itertools

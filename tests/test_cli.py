@@ -351,6 +351,25 @@ class TestNonConvergenceAndBadInput:
         err = capsys.readouterr().err
         assert "16384 x 16384" in err and "MiB" in err and "limit" in err
 
+    def test_stagnated_solve_exits_3_at_once(self, tmp_path, caplog):
+        import time
+
+        grid = {"dim": 1, "n": 41, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
+                "target": {"grid": grid, "density": {"kind": "affine", "slope": 0.5},
+                           "alpha": 0.5},
+                "solver": {"epsilon": 1e-3, "tol": 1e-9, "warm_start": False},
+            },
+        )
+        start = time.perf_counter()
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert time.perf_counter() - start < 1.0
+        assert "stagnated" in caplog.text and "solver.epsilon" in caplog.text
+
     def test_unconverged_experiment_exits_3_and_writes_files(self, tmp_path):
         grid = {"dim": 1, "n": 64, "lo": -1.0, "hi": 1.0}
         cfg = write_config(
@@ -412,6 +431,8 @@ BAD_CONFIGS = {
     "tol_string": ("quasimin", _set(("solver", "tol"), "abc"), "solver.tol"),
     "max_iter_string": ("quasimin", _set(("solver", "max_iter"), "x"), "solver.max_iter"),
     "check_every_zero": ("quasimin", _set(("solver", "check_every"), 0), "solver.check_every"),
+    "stabilize_every_unknown": ("quasimin", _set(("solver", "stabilize_every"), 1),
+                                "'stabilize_every'"),
     "threshold_lam": ("campanato", _set(("experiment", "thresholds"), {"lam": 9}), "'lam'"),
     "seed_negative": ("quasimin", _set(("seed",), -1), "seed"),
     "file_not_string": ("quasimin", _set(("source",), {"file": 3}), "file"),

@@ -158,7 +158,9 @@ class TestSinkhorn:
 
     @pytest.mark.parametrize("peaked, eps, warm_start", [(True, 0.05, False),
                                                           (False, 0.08, True)])
-    def test_matches_log_domain_reference(self, peaked, eps, warm_start):
+    def test_matches_log_domain_reference(self, monkeypatch, peaked, eps, warm_start):
+        # With relaxation capped at 1 the iterates are plain Sinkhorn's.
+        monkeypatch.setattr(solvers, "OMEGA_MAX", 1.0)
         lam, mu = wavy_pair()
         if peaked:
             mu = peaked_target()
@@ -169,6 +171,62 @@ class TestSinkhorn:
         plan = res.plan.mass / res.mass
         keep = (plan > np.finfo(float).tiny) | (ref > np.finfo(float).tiny)
         np.testing.assert_allclose(plan[keep], ref[keep], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("peaked, eps, warm_start", [(True, 0.05, False),
+                                                          (False, 0.08, True)])
+    def test_overrelaxed_matches_log_domain_reference(self, peaked, eps, warm_start):
+        lam, mu = wavy_pair()
+        if peaked:
+            mu = peaked_target()
+        tol = 1e-11
+        res = sinkhorn(lam, mu, epsilon=eps, tol=tol, warm_start=warm_start)
+        ladder = _epsilon_ladder(eps, 4.0) if warm_start else [eps]
+        ref, iterations = log_domain_reference(lam, mu, ladder, tol=tol)
+        assert res.converged
+        assert res.iterations < iterations
+        errs = [e for _, e in res.err_history]
+        assert all(a >= b for a, b in zip(errs, errs[1:]))
+        assert np.abs(res.plan.mass / res.mass - ref).sum() <= 10 * tol
+
+    def test_rollback_keeps_errors_monotone(self, monkeypatch):
+        # omega = 3 lies outside the convergent range (0, 2): the first relaxed
+        # checks are rolled back, on the peaked input across absorptions.
+        monkeypatch.setattr(solvers, "_omega_for_rate", lambda rate: 3.0)
+        lam, wavy = wavy_pair()
+        for mu, eps in ((wavy, 0.15), (peaked_target(), 0.05)):
+            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=False)
+            assert res.converged
+            assert res.stages[-1].rollbacks >= 1
+            assert res.stages[-1].omega < 3.0
+            errs = [e for _, e in res.err_history]
+            assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+    def test_stagnated_solve_stops_early(self):
+        # epsilon is far below the grid spacing 0.05: the marginal error
+        # does not move, and plain iteration would run all of max_iter.
+        spec = symmetric_grid(dim=1, n=41, lo=-1.0, hi=1.0)
+        lam = measure_from_density(spec, lambda p: np.ones(len(p)), alpha=0.5,
+                                   normalize=True)
+        mu = measure_from_density(spec, lambda p: 1.0 + 0.5 * p[:, 0], alpha=0.5,
+                                  normalize=True)
+        res = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9, warm_start=False)
+        assert not res.converged
+        assert res.iterations <= 10_000
+        assert res.stages[-1].stop == "stagnated"
+
+    def test_stage_record(self):
+        lam, mu = wavy_pair()
+        res = sinkhorn(lam, mu, epsilon=0.08, tol=1e-11)
+        assert [s.epsilon for s in res.stages] == _epsilon_ladder(0.08, 4.0)
+        assert sum(s.iterations for s in res.stages) == res.iterations
+        assert all(s.stop == "converged" for s in res.stages)
+        assert res.stages[-1].marg_err == res.marg_err == res.err_history[-1][1]
+        capped = sinkhorn(lam, mu, epsilon=0.08, tol=1e-11, max_iter=25)
+        assert not capped.converged
+        assert capped.stages[-1].stop == "stage_cap"
+        assert capped.stages[-1].iterations == 25
+        plain = sinkhorn(lam, mu, epsilon=0.08, tol=1e-11, check_every=1)
+        assert all(s.omega == 1.0 for s in plain.stages)
 
     def test_entropy_two_routes_agree(self):
         spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
