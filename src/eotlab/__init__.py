@@ -3,10 +3,8 @@
 from .couplings import (
     AffineFit,
     Complement,
-    CompetitorRegion,
     Coupling,
     HashRegion,
-    LongTrajRegion,
     affine_fit,
     check_marginals,
     crossing_stats,

@@ -205,6 +205,14 @@ def _exp_value(exp: dict, key: str, kind: type = float, default=REQUIRED, positi
     return config_value(exp, key, kind, default, positive, where="experiment.")
 
 
+def _exp_between(exp: dict, key: str, default: float, lo: float, hi: float = np.inf) -> float:
+    """``experiment.<key>`` as a number in the open interval (lo, hi)."""
+    value = _exp_value(exp, key, default=default)
+    if not lo < value < hi:
+        raise ConfigError(f"experiment.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
+    return value
+
+
 def _radius_scan(res, lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> dict:
     return {"radius_scan.csv": (RADIUS_SCAN_COLUMNS, radius_scan_rows(res.plan, lam, mu, radii))}
 
@@ -214,7 +222,7 @@ def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
     reg_cfg = _regularity_config(exp)
     epsilon = _solver_epsilon(cfg)
     radius = _exp_value(exp, "R0", positive=True)
-    theta = _exp_value(exp, "theta", default=0.5)
+    theta = _exp_between(exp, "theta", 0.5, 0.0, 1.0)
     return reg_cfg, epsilon, radius, theta, sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
 
 
@@ -242,7 +250,7 @@ def _run_longtraj(lam, mu, exp, cfg) -> tuple:
 def _run_quasimin(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     radius = _exp_value(exp, "R", positive=True)
-    lam_factor = _exp_value(exp, "Lambda", default=2.75)
+    lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
     rows = []
     solves = _solve_ladder(lam, mu, ladder, _solver_opts(cfg), _max_workers())
     for eps, res in zip(ladder, solves):
@@ -317,7 +325,7 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
     radius = _exp_value(exp, "R", positive=True)
     rho_ladder = _exp_value(exp, "rho_ladder", list)
     delta_r = _exp_value(exp, "Delta_R", default=None)
-    lam_factor = _exp_value(exp, "Lambda", default=2.75)
+    lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
     res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
     if delta_r is None:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)

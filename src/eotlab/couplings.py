@@ -19,8 +19,6 @@ __all__ = [
     "AffineFit",
     "CrossingStats",
     "HashRegion",
-    "CompetitorRegion",
-    "LongTrajRegion",
     "Complement",
     "check_marginals",
     "restrict",
@@ -125,31 +123,24 @@ class HashRegion:
             pi.target_norms <= self.radius
         )[None, :]
 
-
-@dataclass(frozen=True)
-class CompetitorRegion:
-    """Pairs with (|x| <= R and |y| <= L*R) or (|x| <= L*R and |y| <= R)."""
-
-    radius: float
-    lam: float
-
-    def mask(self, pi: Coupling) -> np.ndarray:
-        r, lr = self.radius, self.lam * self.radius
-        sx, tx = pi.source_norms, pi.target_norms
-        return ((sx <= r)[:, None] & (tx <= lr)[None, :]) | (
-            (sx <= lr)[:, None] & (tx <= r)[None, :]
-        )
+    def row_moments(self, pi: Coupling) -> tuple[np.ndarray, ...]:
+        """(x_i, W_i, S_i, P_i) for the rows with W_i > 0: P_i is row i of the plan
+        restricted to the region, W_i = sum_j P_ij and S_i = sum_j P_ij y_j.  The
+        sums are numpy reductions in a fixed order, independent of BLAS threads."""
+        plan = np.where(self.mask(pi), pi.mass, 0.0)
+        w = plan.sum(axis=1)
+        rows = w > 0
+        plan = plan[rows]
+        s = np.einsum("ij,ja->ia", plan, pi.target_points)
+        return pi.source_points[rows], w[rows], s, plan
 
 
-@dataclass(frozen=True)
-class LongTrajRegion:
-    """Pairs in the hash region at R whose displacement is at least `threshold`."""
-
-    radius: float
-    threshold: float
-
-    def mask(self, pi: Coupling) -> np.ndarray:
-        return HashRegion(self.radius).mask(pi) & (pi.dist_matrix >= self.threshold)
+def _region_residual(plan: np.ndarray, y: np.ndarray, pred: np.ndarray) -> float:
+    """sum_ij plan_ij |y_j - pred_i|^2 in one pass over the plan, which avoids the
+    cancellation of the closed form sum w |y|^2 - theta^T rhs of a least-squares fit."""
+    return float(
+        sum(np.sum(plan * (y[:, a] - pred[:, a, None]) ** 2) for a in range(y.shape[1]))
+    )
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajS
         raise DomainError(f"radius must be positive, got {R}")
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    mask = LongTrajRegion(R, threshold).mask(pi)
+    mask = HashRegion(R).mask(pi) & (pi.dist_matrix >= threshold)
     d = pi.dim
     energy = float(np.sum(pi.cost_matrix * pi.mass, where=mask)) / R ** (d + 2)
     mass = float(np.sum(pi.mass, where=mask)) / R**d
@@ -243,30 +234,23 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
     if not r > 0:
         raise DomainError(f"radius must be positive, got {r}")
     d = pi.dim
-    mask = HashRegion(r).mask(pi)
-    ii, jj = np.nonzero(mask & (pi.mass > 0))
-    norm = r ** (d + 2 + 2 * beta)
-    if ii.size == 0:
+    x, w, s, plan = HashRegion(r).row_moments(pi)
+    if w.size == 0:
         return AffineFit(
             A=np.eye(d), b=np.zeros(d), defect=0.0, beta=beta, r=r, degenerate=True
         )
-    w = pi.mass[ii, jj]
-    x = pi.source_points[ii]
-    y = pi.target_points[jj]
-
-    # Augmented design [x, 1]; one weighted normal system shared by all output
-    # coordinates.
+    # The design [x, 1] depends on the row only: the pairwise fit has the normal
+    # equations of S_i / W_i on [x_i, 1] with weights W_i, shared by all outputs.
     z = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
-    zw = z * w[:, None]
-    gram = z.T @ zw
-    rhs = zw.T @ y
+    gram = np.einsum("i,ia,ib->ab", w, z, z)
+    rhs = np.einsum("ia,ib->ab", z, s)
+    mass = np.sum(w)
 
     ridged = False
     b_only = False
-    cond = np.linalg.cond(gram)
-    if cond > 1e12:
-        mean_x = (w @ x) / np.sum(w)
-        cov = ((x - mean_x) * w[:, None]).T @ (x - mean_x) / np.sum(w)
+    if np.linalg.cond(gram) > 1e12:
+        dx = x - np.einsum("i,ia->a", w, x) / mass
+        cov = np.einsum("i,ia,ib->ab", w, dx, dx) / mass
         if np.linalg.eigvalsh(cov).min() < 1e-12 * max(1.0, float(np.trace(cov))):
             b_only = True
         else:
@@ -275,14 +259,14 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
 
     if b_only:
         a_mat = np.zeros((d, d))
-        b_vec = (w @ y) / np.sum(w)
+        b_vec = np.sum(s, axis=0) / mass
     else:
         theta = np.linalg.solve(gram, rhs)
         a_mat = theta[:d, :].T
         b_vec = theta[d, :]
 
-    resid = y - x @ a_mat.T - b_vec[None, :]
-    defect = float(np.sum(w * np.sum(resid**2, axis=1))) / norm
+    pred = np.einsum("ab,ib->ia", a_mat, x) + b_vec
+    defect = _region_residual(plan, pi.target_points, pred) / r ** (d + 2 + 2 * beta)
     return AffineFit(
         A=a_mat, b=b_vec, defect=defect, beta=beta, r=r, ridged=ridged, b_only=b_only
     )

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import (
-    CompetitorRegion,
     Coupling,
     HashRegion,
+    _region_residual,
     affine_fit,
     local_energy,
     long_trajectory_stats,
@@ -116,6 +116,38 @@ def _hessian_from_coeffs(coeffs: np.ndarray, d: int) -> np.ndarray:
     return np.array([[2.0 * c_diag, c_off], [c_off, -2.0 * c_diag]])
 
 
+def _harmonic_from_moments(
+    x: np.ndarray, w: np.ndarray, s: np.ndarray, residual
+) -> HarmonicFit:
+    """Harmonic fit from per-row masses w_i and target moments s_i = sum_j pi_ij y_j,
+    which give the pairwise normal equations because the basis depends on x only;
+    ``residual(pred)`` returns sum_ij pi_ij |y_j - pred_i|^2 for the fitted pred_i."""
+    d = x.shape[1]
+    if w.size == 0 or np.sum(w) <= 0:
+        return HarmonicFit(
+            coeffs=np.zeros(1 if d == 1 else 4),
+            grad0=np.zeros(d),
+            hess0=np.zeros((d, d)),
+            residual=0.0,
+            degenerate=True,
+        )
+    phi = _basis_gradients(x)
+    gram = np.einsum("i,ica,icb->ab", w, phi, phi)
+    rhs = np.einsum("ica,ic->a", phi, s - w[:, None] * x)
+    ridged = False
+    if np.linalg.cond(gram) > 1e10:
+        gram = gram + 1e-12 * np.eye(gram.shape[0])
+        ridged = True
+    coeffs = np.linalg.solve(gram, rhs)
+    return HarmonicFit(
+        coeffs=coeffs,
+        grad0=coeffs[:d].copy(),
+        hess0=_hessian_from_coeffs(coeffs, d),
+        residual=residual(x + np.einsum("ica,a->ic", phi, coeffs)),
+        ridged=ridged,
+    )
+
+
 def fit_harmonic_displacement(
     x: np.ndarray, y: np.ndarray, w: np.ndarray
 ) -> HarmonicFit:
@@ -127,36 +159,8 @@ def fit_harmonic_displacement(
         x = x[:, None]
     if y.ndim == 1:
         y = y[:, None]
-    d = x.shape[1]
-    if w.size == 0 or np.sum(w) <= 0:
-        return HarmonicFit(
-            coeffs=np.zeros(1 if d == 1 else 4),
-            grad0=np.zeros(d),
-            hess0=np.zeros((d, d)),
-            residual=0.0,
-            degenerate=True,
-        )
-    phi = _basis_gradients(x)
-    nb = phi.shape[2]
-    resid = y - x
-    design = phi.reshape(-1, nb)
-    rhs_flat = resid.reshape(-1)
-    w_flat = np.repeat(w, d)
-    gram = design.T @ (design * w_flat[:, None])
-    rhs = design.T @ (w_flat * rhs_flat)
-    ridged = False
-    if np.linalg.cond(gram) > 1e10:
-        gram = gram + 1e-12 * np.eye(nb)
-        ridged = True
-    coeffs = np.linalg.solve(gram, rhs)
-    fitted = phi @ coeffs
-    residual = float(np.sum(w[:, None] * (resid - fitted) ** 2))
-    return HarmonicFit(
-        coeffs=coeffs,
-        grad0=coeffs[:d].copy(),
-        hess0=_hessian_from_coeffs(coeffs, d),
-        residual=residual,
-        ridged=ridged,
+    return _harmonic_from_moments(
+        x, w, w[:, None] * y, lambda pred: float(np.sum(w[:, None] * (y - pred) ** 2))
     )
 
 
@@ -164,10 +168,9 @@ def harmonic_fit(pi: Coupling, fit_radius: float) -> HarmonicFit:
     """Fit the displacement over the hash region at ``fit_radius``."""
     if not fit_radius > 0:
         raise DomainError(f"fit radius must be positive, got {fit_radius}")
-    mask = HashRegion(fit_radius).mask(pi) & (pi.mass > 0)
-    ii, jj = np.nonzero(mask)
-    return fit_harmonic_displacement(
-        pi.source_points[ii], pi.target_points[jj], pi.mass[ii, jj]
+    x, w, s, plan = HashRegion(fit_radius).row_moments(pi)
+    return _harmonic_from_moments(
+        x, w, s, lambda pred: _region_residual(plan, pi.target_points, pred)
     )
 
 
@@ -410,12 +413,14 @@ def quasimin_defect(
     if not R > 0:
         raise DomainError(f"radius must be positive, got {R}")
     eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
-    region = CompetitorRegion(R, lam_factor)
-    mask = region.mask(pi)
-    restricted = np.where(mask, pi.mass, 0.0)
+    # P_R: |x| <= R with |y| <= Lambda R, or |x| <= Lambda R with |y| <= R.
+    sx, ty, lr = pi.source_norms, pi.target_norms, lam_factor * R
+    in_pr = ((sx <= R)[:, None] & (ty <= lr)[None, :]) | (
+        (sx <= lr)[:, None] & (ty <= R)[None, :]
+    )
+    restricted = np.where(in_pr, pi.mass, 0.0)
     mass_pr = float(np.sum(restricted))
-    hash_mask = HashRegion(R).mask(pi)
-    lhs = float(np.sum(pi.cost_matrix * pi.mass, where=hash_mask))
+    lhs = float(np.sum(pi.cost_matrix * pi.mass, where=HashRegion(R).mask(pi)))
     eps2_mass = eps**2 * float(np.sum(pi.mass, where=HashRegion(lam_factor * R).mask(pi)))
     energy_2r = float(np.sum(pi.cost_matrix * pi.mass, where=HashRegion(2 * R).mask(pi)))
     if mass_pr <= 0:
@@ -593,8 +598,7 @@ def soft_lemma_check(
     for rho in rho_ladder:
         if not rho > 0:
             raise DomainError(f"rho must be positive, got {rho}")
-        mask = HashRegion(R - 1.0).mask(pi) & (pi.dist_matrix >= rho)
-        mass = float(np.sum(pi.mass, where=mask))
+        mass = long_trajectory_stats(pi, R - 1.0, rho).mass * (R - 1.0) ** d
         bound = delta_r * R**d / rho ** (d + 2)
         fitted = mass * rho ** (d + 2) / (delta_r * R**d) if delta_r > 0 else np.inf
         rows.append(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eotlab import GridMeasure, GridSpec, measure_from_density, symmetric_grid
+from eotlab import Coupling, GridMeasure, GridSpec, measure_from_density, symmetric_grid
 
 
 @pytest.fixture
@@ -14,6 +14,24 @@ def uniform_1d():
 def uniform_2d():
     spec = symmetric_grid(dim=2, n=11, lo=-1.0, hi=1.0)
     return measure_from_density(spec, lambda p: np.ones(p.shape[0]), alpha=0.5)
+
+
+@pytest.fixture
+def random_coupling_2d():
+    """Random 2-d coupling between grids of different shapes, with one all-zero
+    row (source point (-0.25, -0.375)) and one all-zero column (target point
+    (-0.25, -0.25))."""
+    rng = np.random.default_rng(12)
+    src = GridSpec(dim=2, h=0.25, extent=(5, 6), origin_offset=(2.0, 2.5))
+    tgt = GridSpec(dim=2, h=0.25, extent=(6, 5), origin_offset=(3.0, 2.0))
+    mass = rng.random((src.n_points, tgt.n_points))
+    mass[7, :] = 0.0
+    mass[:, 11] = 0.0
+    return Coupling(
+        source=GridMeasure(src, mass.sum(axis=1), 0.5),
+        target=GridMeasure(tgt, mass.sum(axis=0), 0.5),
+        mass=mass,
+    )
 
 
 def line_measure(xs, ws, h, alpha=0.5):

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +398,38 @@ class TestNonConvergenceAndBadInput:
         assert manifest["status"]["ok"] is False
 
 
+class TestBlasThreads:
+    def test_campanato_outputs_identical_across_blas_threads(self, tmp_path):
+        # The normalised n = 512 curved pair, with thresholds loose enough for
+        # the cascade to take harmonic steps.
+        grid = {"dim": 1, "n": 512, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(tmp_path, {
+            "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5,
+                       "normalize": True},
+            "target": {"grid": grid, "alpha": 0.5, "normalize": True,
+                       "density": {"kind": "shifted_profile", "c0": 0.02, "c1": 0.42,
+                                   "exponent": 1.0, "window_power": 2.0}},
+            "experiment": {"R0": 0.8, "theta": 0.5, "max_levels": 8,
+                           "thresholds": {"eps1": 0.5, "delta": 0.005, "c0": 3.0}},
+            "solver": {"epsilon": 0.04, "tol": 1e-8},
+        })
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"blas{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "eotlab.cli", "experiment", "campanato",
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("report.csv", "trace.json")])
+        assert len(json.loads(outputs[0][1])["levels"]) > 1
+        assert outputs[0] == outputs[1]
+
+
 def _set(path, value):
     """Config edit that sets the key at ``path`` (a tuple of keys) to ``value``."""
     def edit(cfg):
@@ -426,6 +461,8 @@ BAD_CONFIGS = {
     "max_levels_string": ("campanato", _set(("experiment", "max_levels"), "x"),
                           "experiment.max_levels"),
     "R_string": ("quasimin", _set(("experiment", "R"), "abc"), "experiment.R"),
+    "theta_above_one": ("campanato", _set(("experiment", "theta"), 1.5), "experiment.theta"),
+    "Lambda_below_one": ("quasimin", _set(("experiment", "Lambda"), 0.5), "experiment.Lambda"),
     "eps_ladder_scalar": ("quasimin", _set(("experiment", "eps_ladder"), 0.5),
                           "experiment.eps_ladder"),
     "tol_string": ("quasimin", _set(("solver", "tol"), "abc"), "solver.tol"),

@@ -89,11 +89,12 @@ class TestLocalEnergy:
         pi = monge_coupling(lam, mu, np.array([1, 0]))
         assert local_energy(pi, 1.0) == pytest.approx(0.25)
 
-    def test_matches_brute_force(self, random_coupling):
-        for R in (0.3, 0.7, 1.5):
-            assert local_energy(random_coupling, R) == pytest.approx(
-                brute_force_local_energy(random_coupling, R), rel=1e-12
-            )
+    def test_matches_brute_force(self, random_coupling, random_coupling_2d):
+        for pi in (random_coupling, random_coupling_2d):
+            for R in (0.3, 0.7, 1.5):
+                assert local_energy(pi, R) == pytest.approx(
+                    brute_force_local_energy(pi, R), rel=1e-12
+                )
 
     def test_nonpositive_radius_rejected(self, random_coupling):
         with pytest.raises(DomainError):
@@ -117,24 +118,27 @@ class TestLongTrajectories:
         stats = long_trajectory_stats(diagonal_coupling(uniform_1d), 0.5, 0.1)
         assert stats.energy == 0.0 and stats.mass == 0.0
 
-    def test_threshold_beyond_diameter_is_empty(self, random_coupling):
-        stats = long_trajectory_stats(random_coupling, 0.5, 100.0)
-        assert stats.energy == 0.0 and stats.mass == 0.0
+    def test_threshold_beyond_diameter_is_empty(self, random_coupling, random_coupling_2d):
+        for pi in (random_coupling, random_coupling_2d):
+            stats = long_trajectory_stats(pi, 0.5, 100.0)
+            assert stats.energy == 0.0 and stats.mass == 0.0
 
-    def test_zero_threshold_recovers_local_energy(self, random_coupling):
+    def test_zero_threshold_recovers_local_energy(self, random_coupling, random_coupling_2d):
         R = 0.6
-        stats = long_trajectory_stats(random_coupling, R, 0.0)
-        assert stats.energy == pytest.approx(local_energy(random_coupling, R))
-        mask = HashRegion(R).mask(random_coupling)
-        expected_mass = np.sum(random_coupling.mass, where=mask) / R
-        assert stats.mass == pytest.approx(expected_mass)
+        for pi in (random_coupling, random_coupling_2d):
+            stats = long_trajectory_stats(pi, R, 0.0)
+            assert stats.energy == pytest.approx(local_energy(pi, R))
+            mask = HashRegion(R).mask(pi)
+            expected_mass = np.sum(pi.mass, where=mask) / R**pi.dim
+            assert stats.mass == pytest.approx(expected_mass)
 
-    def test_energy_nonincreasing_in_threshold(self, random_coupling):
-        values = [
-            long_trajectory_stats(random_coupling, 0.6, t).energy
-            for t in (0.0, 0.2, 0.4, 0.8, 1.6)
-        ]
-        assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+    def test_energy_nonincreasing_in_threshold(self, random_coupling, random_coupling_2d):
+        for pi in (random_coupling, random_coupling_2d):
+            values = [
+                long_trajectory_stats(pi, 0.6, t).energy
+                for t in (0.0, 0.2, 0.4, 0.8, 1.6)
+            ]
+            assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def grid_search_affine_oracle(pi, r, beta, center_a, center_b, width, levels=6, n=11):
@@ -213,6 +217,23 @@ class TestAffineFit:
         assert fit.b_only
         assert fit.A[0, 0] == 0.0
         assert fit.b[0] == pytest.approx(0.75)
+
+    def test_2d_matches_fit_over_gathered_pairs(self, random_coupling_2d):
+        # Reference: weighted least squares over every pair of #_r, gathered
+        # with the region's mask; the zero row and column lie inside #_0.5.
+        pi = random_coupling_2d
+        for r in (0.3, 0.5, 0.8):
+            ii, jj = np.nonzero(HashRegion(r).mask(pi))
+            sw = np.sqrt(pi.mass[ii, jj])[:, None]
+            x, y = pi.source_points[ii], pi.target_points[jj]
+            z = np.concatenate([x, np.ones((ii.size, 1))], axis=1)
+            theta, *_ = np.linalg.lstsq(z * sw, y * sw, rcond=None)
+            resid = float(np.sum((sw * (y - z @ theta)) ** 2))
+            fit = affine_fit(pi, r)
+            assert not (fit.degenerate or fit.ridged or fit.b_only)
+            np.testing.assert_allclose(fit.A, theta[:2].T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fit.b, theta[2], rtol=0, atol=1e-12)
+            assert fit.defect == pytest.approx(resid / r**4, rel=1e-12)
 
     def test_translation_covariance_of_minimum(self, random_coupling):
         # On the translated coupling's own region, the re-fit minimum cannot

@@ -1,0 +1,32 @@
+"""Every exported name resolves, so ``from eotlab.<module> import *`` cannot break
+on a stale ``__all__`` entry."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import eotlab
+
+MODULES = [
+    importlib.import_module(f"eotlab.{info.name}")
+    for info in pkgutil.iter_modules(eotlab.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_all_resolves(module):
+    missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+    assert not missing
+    exec(f"from {module.__name__} import *", {})
+
+
+def test_package_names_are_exported_by_their_module():
+    for name, value in vars(eotlab).items():
+        if name.startswith("_") or isinstance(value, types.ModuleType):
+            continue
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value
+        assert name in getattr(home, "__all__", [name]), f"{name} not in {home.__name__}.__all__"

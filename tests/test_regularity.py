@@ -8,6 +8,7 @@ from eotlab import (
     DomainError,
     GridMeasure,
     GridSpec,
+    HashRegion,
     RegularityConfig,
     campanato_iterate,
     diagonal_coupling,
@@ -23,6 +24,7 @@ from eotlab import (
     soft_lemma_check,
     symmetric_grid,
 )
+from eotlab import regularity
 from eotlab.errors import SmallnessError
 from eotlab.regularity import _matrix_exp_symmetric
 from conftest import line_measure, plane_measure
@@ -105,6 +107,20 @@ class TestHarmonicFit:
         mass = float(np.sum(w))
         assert np.abs(fit.grad0 - b0).max() <= 3 * sigma / np.sqrt(mass) * 5
         assert fit.residual == pytest.approx(2 * sigma**2 * mass, rel=0.5)
+
+    def test_2d_matches_fit_over_gathered_pairs(self, random_coupling_2d):
+        # Reference: the pairwise fit on every pair of #_r, gathered with the
+        # region's mask; the zero row and column lie inside #_0.5.
+        pi = random_coupling_2d
+        for r in (0.3, 0.5, 0.8):
+            ii, jj = np.nonzero(HashRegion(r).mask(pi))
+            ref = fit_harmonic_displacement(
+                pi.source_points[ii], pi.target_points[jj], pi.mass[ii, jj]
+            )
+            fit = harmonic_fit(pi, r)
+            assert not (fit.degenerate or fit.ridged)
+            np.testing.assert_allclose(fit.coeffs, ref.coeffs, rtol=0, atol=1e-12)
+            assert fit.residual == pytest.approx(ref.residual, rel=1e-12)
 
     def test_quadratic_terms_only_reduce_residual(self):
         rng = np.random.default_rng(4)
@@ -266,6 +282,35 @@ class TestQuasiminDefect:
         )
         report = quasimin_defect(far, far.source, far.target, R=0.05)
         assert report.degenerate
+
+    def test_2d_matches_pairwise_loop(self, random_coupling_2d, monkeypatch):
+        pi = random_coupling_2d
+        R, lam_factor, eps = 0.3, 2.0, 0.1
+        solved = []
+
+        def spy(a, b):
+            solved.append((a.weights, b.weights))
+            return exact_ot(a, b)
+
+        monkeypatch.setattr(regularity, "exact_ot", spy)
+        report = quasimin_defect(pi, pi.source, pi.target, R, lam_factor, epsilon=eps)
+        n, m = pi.mass.shape
+        lhs = 0.0
+        rows, cols = np.zeros(n), np.zeros(m)
+        for i in range(n):
+            for j in range(m):
+                nx = np.linalg.norm(pi.source_points[i])
+                ny = np.linalg.norm(pi.target_points[j])
+                if nx <= R or ny <= R:
+                    lhs += np.sum((pi.source_points[i] - pi.target_points[j]) ** 2) * pi.mass[i, j]
+                if (nx <= R and ny <= lam_factor * R) or (nx <= lam_factor * R and ny <= R):
+                    rows[i] += pi.mass[i, j]
+                    cols[j] += pi.mass[i, j]
+        mass_pr = rows.sum()
+        assert report.lhs == pytest.approx(lhs, rel=1e-12)
+        ((lam_bar, mu_bar),) = solved
+        np.testing.assert_allclose(lam_bar, rows / mass_pr, rtol=1e-12, atol=1e-16)
+        np.testing.assert_allclose(mu_bar, cols / mass_pr, rtol=1e-12, atol=1e-16)
 
     def test_lambda_factor_must_exceed_one(self):
         lam = uniform_unit_density(n=33)
