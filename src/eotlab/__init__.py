@@ -7,13 +7,11 @@ from .couplings import (
     HashRegion,
     affine_fit,
     check_marginals,
-    crossing_stats,
     diagonal_coupling,
     load_coupling,
     local_energy,
     long_trajectory_stats,
     monge_coupling,
-    product_coupling,
     radius_scan_rows,
     restrict,
     save_coupling,

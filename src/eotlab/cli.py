@@ -123,11 +123,11 @@ def _regularity_config(exp: dict) -> RegularityConfig:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("EOTLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """``EOTLAB_THREADS`` as an integer >= 1; unset or empty means 1."""
+    raw = os.environ.get("EOTLAB_THREADS") or "1"
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"EOTLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,6 +210,14 @@ def _exp_between(exp: dict, key: str, default: float, lo: float, hi: float = np.
     value = _exp_value(exp, key, default=default)
     if not lo < value < hi:
         raise ConfigError(f"experiment.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
+    return value
+
+
+def _exp_nonnegative(exp: dict, key: str, kind: type, default):
+    """``experiment.<key>`` as a number >= 0, or ``default`` when missing."""
+    value = _exp_value(exp, key, kind, default)
+    if value is not None and value < 0:
+        raise ConfigError(f"experiment.{key} must be >= 0, got {value!r}")
     return value
 
 
@@ -301,7 +309,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
 
 
 def _run_campanato(lam, mu, exp, cfg) -> tuple:
-    max_levels = _exp_value(exp, "max_levels", int, default=16)
+    max_levels = _exp_nonnegative(exp, "max_levels", int, 16)
     reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
     cascade = campanato_iterate(
         res.plan, lam, mu, radius, theta, epsilon, max_levels=max_levels, config=reg_cfg,
@@ -323,8 +331,8 @@ def _run_campanato(lam, mu, exp, cfg) -> tuple:
 def _run_softlemma(lam, mu, exp, cfg) -> tuple:
     epsilon = _solver_epsilon(cfg)
     radius = _exp_value(exp, "R", positive=True)
-    rho_ladder = _exp_value(exp, "rho_ladder", list)
-    delta_r = _exp_value(exp, "Delta_R", default=None)
+    rho_ladder = _exp_value(exp, "rho_ladder", list, positive=True)
+    delta_r = _exp_nonnegative(exp, "Delta_R", float, None)
     lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
     res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
     if delta_r is None:

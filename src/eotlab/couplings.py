@@ -17,7 +17,6 @@ __all__ = [
     "MarginalReport",
     "LongTrajStats",
     "AffineFit",
-    "CrossingStats",
     "HashRegion",
     "Complement",
     "check_marginals",
@@ -25,8 +24,6 @@ __all__ = [
     "local_energy",
     "long_trajectory_stats",
     "affine_fit",
-    "crossing_stats",
-    "product_coupling",
     "diagonal_coupling",
     "monge_coupling",
     "radius_scan_rows",
@@ -272,44 +269,9 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
     )
 
 
-@dataclass(frozen=True)
-class CrossingStats:
-    crossing_energy: float
-    crossing_mass: float
-
-
-def crossing_stats(pi: Coupling, R: float) -> CrossingStats:
-    """Energy and mass of pairs whose segment [x, y] meets the sphere of radius R.
-
-    A pair is counted when min_{t in [0,1]} |(1-t)x + t y| <= R <= max(|x|, |y|).
-    """
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
-    x, y = pi.source_points, pi.target_points
-    sq_x = np.sum(x**2, axis=1)[:, None]
-    dot = x @ y.T
-    seg_sq = pi.cost_matrix
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = np.clip((sq_x - dot) / seg_sq, 0.0, 1.0)
-    t_star[seg_sq == 0.0] = 0.0
-    min_sq = sq_x + 2.0 * t_star * (dot - sq_x) + t_star**2 * seg_sq
-    np.maximum(min_sq, 0.0, out=min_sq)
-    outer = np.maximum(pi.source_norms[:, None], pi.target_norms[None, :])
-    mask = (min_sq <= R**2) & (outer >= R)
-    energy = float(np.sum(pi.cost_matrix * pi.mass, where=mask))
-    mass = float(np.sum(pi.mass, where=mask))
-    return CrossingStats(crossing_energy=energy, crossing_mass=mass)
-
-
 # ---------------------------------------------------------------------------
 # Constructors used throughout the tests and experiments
 # ---------------------------------------------------------------------------
-
-
-def product_coupling(lam: GridMeasure, mu: GridMeasure) -> Coupling:
-    """Independent coupling lam (x) mu / total mass."""
-    mass = np.outer(lam.weights, mu.weights) / lam.total_mass
-    return Coupling(source=lam, target=mu, mass=mass)
 
 
 def diagonal_coupling(lam: GridMeasure) -> Coupling:

@@ -17,7 +17,6 @@ and, when A1 and A2 do not commute, a separately tracked source-side matrix
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,10 +40,6 @@ __all__ = [
     "scaling_to_json_dict",
     "scaling_from_json_dict",
 ]
-
-logger = logging.getLogger("eotlab.scalings")
-
-_COMPOSITION_NOTE_EMITTED = False
 
 
 @dataclass(frozen=True)
@@ -149,16 +144,8 @@ def compose(s2: Scaling, s1: Scaling, windows: Windows | None = DEFAULT_WINDOWS)
     Defined by the pushforward identity on both coordinates; see the module
     docstring for the component formulas.
     """
-    global _COMPOSITION_NOTE_EMITTED
     if s1.dim != s2.dim:
         raise DomainError("scalings act in different dimensions")
-    if not _COMPOSITION_NOTE_EMITTED:
-        logger.info(
-            "scaling composition derived from the pushforward identity: "
-            "offset = b1 + A1^{-1} b2 / gamma1; source-side matrix tracked "
-            "separately when the factors do not commute"
-        )
-        _COMPOSITION_NOTE_EMITTED = True
     a_c = s2.A @ s1.A
     b_c = s1.b + np.linalg.solve(s1.A, s2.b) / s1.gamma
     gamma_c = s2.gamma * s1.gamma

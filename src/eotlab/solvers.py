@@ -530,62 +530,46 @@ def _embed_result(
     )
 
 
+def _staircase(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of the north-west-corner rule on the cumulative marginals ``ca``
+    and ``cb``: a path from (0, 0) to (n-1, m-1) that meets every row and
+    column and carries a feasible plan.  It steps down a row when the row's
+    cumulative mass is used up first (ties step down), else right."""
+    steps = np.argsort(np.concatenate([ca[:-1], cb[:-1]]), kind="stable")
+    down = steps < ca.size - 1
+    return (np.concatenate([[0], np.cumsum(down)]),
+            np.concatenate([[0], np.cumsum(~down)]))
+
+
 def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
-    pos_i = np.nonzero(lam.weights > 0)[0]
-    pos_j = np.nonzero(mu.weights > 0)[0]
-    xs = lam.points[pos_i, 0]
-    ys = mu.points[pos_j, 0]
-    order_i = np.argsort(xs, kind="stable")
-    order_j = np.argsort(ys, kind="stable")
-    xs, ys = xs[order_i], ys[order_j]
-    wa = lam.weights[pos_i][order_i].copy()
-    wb = mu.weights[pos_j][order_j].copy()
-
-    def c(i: int, j: int) -> float:
-        return (xs[i] - ys[j]) ** 2
-
-    n_s, m_s = xs.size, ys.size
-    plan_s = np.zeros((n_s, m_s))
-    us = np.zeros(n_s)
-    vs = np.zeros(m_s)
-    i = j = 0
-    a, b = wa[0], wb[0]
-    vs[0] = c(0, 0) - us[0]
-    # Leftovers below this are rounding residue of equal-mass splits; carrying
-    # them forward would thread the dual chain through spurious cells.
-    exhausted = 1e-15 * float(np.sum(wa))
-    while True:
-        t = min(a, b)
-        plan_s[i, j] += t
-        a -= t
-        b -= t
-        take_i = a <= exhausted and i + 1 < n_s
-        take_j = b <= exhausted and j + 1 < m_s
-        if take_i and take_j:
-            # Block break: both candidate chains through the adjacent cells
-            # must stay dual-feasible, so take the smaller extension.
-            via_col = c(i + 1, j) - vs[j]
-            via_row = c(i + 1, j + 1) - (c(i, j + 1) - us[i])
-            us[i + 1] = min(via_col, via_row)
-            vs[j + 1] = c(i + 1, j + 1) - us[i + 1]
-            i += 1
-            j += 1
-            a, b = wa[i], wb[j]
-        elif take_i:
-            us[i + 1] = c(i + 1, j) - vs[j]
-            i += 1
-            a = wa[i]
-        elif take_j:
-            vs[j + 1] = c(i, j + 1) - us[i]
-            j += 1
-            b = wb[j]
-        else:
-            break
-
+    """The north-west-corner staircase on the positive atoms, in grid order,
+    which on a line is sorted order, with the path's tree duals.  The
+    quadratic cost is Monge on a line, so the tree duals of any staircase are
+    feasible and its plan is optimal (Hoffman, "On simple linear programming
+    problems", 1963)."""
+    rows = np.nonzero(lam.weights > 0)[0]
+    cols = np.nonzero(mu.weights > 0)[0]
+    wa, wb = lam.weights[rows], mu.weights[cols]
+    # A path cell carries the overlap of its row's and its column's
+    # cumulative-mass intervals, empty past the smaller total.  The sums run
+    # in np.longdouble (extended precision on x86), so that an overlap, the
+    # difference of two long sums, keeps the last bits of the cell's mass.
+    ca, cb = np.cumsum(wa, dtype=np.longdouble), np.cumsum(wb, dtype=np.longdouble)
+    ri, cj = _staircase(ca, cb)
+    start_a, start_b = np.concatenate([[0.0], ca[:-1]]), np.concatenate([[0.0], cb[:-1]])
+    overlap = np.minimum(ca[ri], cb[cj]) - np.maximum(start_a[ri], start_b[cj])
+    plan_s = np.zeros((wa.size, wb.size))
+    plan_s[ri, cj] = np.maximum(overlap, 0.0)
+    # u_i + v_j = c_ij along the path: u moves only on down steps, by the cost
+    # difference of the step.
     cost = squared_distances(lam.points, mu.points)
-    return _embed_result(
-        lam, mu, cost, pos_i[order_i], pos_j[order_j], plan_s, us, vs, method="monotone_1d"
-    )
+    c_path = cost[rows[ri], cols[cj]]
+    down = np.diff(ri, prepend=0) > 0
+    u_path = np.cumsum(np.where(down, np.diff(c_path, prepend=c_path[0]), 0.0))
+    us, vs = np.empty(wa.size), np.empty(wb.size)
+    us[ri] = u_path
+    vs[cj] = c_path - u_path
+    return _embed_result(lam, mu, cost, rows, cols, plan_s, us, vs, method="monotone_1d")
 
 
 def _refine_duals_on_support(
@@ -626,17 +610,6 @@ def _refine_duals_on_support(
     return u_new, v_new
 
 
-def _staircase(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of the north-west-corner rule on the marginals ``a`` and ``b``: a
-    path from (0, 0) to (n-1, m-1) that meets every row and column and carries
-    a feasible plan.  It steps down a row when the row's cumulative mass is
-    used up first (ties step down), else right."""
-    steps = np.argsort(np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]]), kind="stable")
-    down = steps < a.size - 1
-    return (np.concatenate([[0], np.cumsum(down)]),
-            np.concatenate([[0], np.cumsum(~down)]))
-
-
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
     """Mask of the ``k`` smallest entries of each row and of each column, kept
     where they are below ``below``."""
@@ -669,7 +642,7 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     threshold = PRICE_RTOL * max(1.0, float(cost_s.max()))
 
     chosen = _smallest_per_line(cost_s, near, np.inf)
-    chosen[_staircase(wa, wb)] = True
+    chosen[_staircase(np.cumsum(wa), np.cumsum(wb))] = True
     b_eq = np.concatenate([wa, wb])
     while True:
         ii, jj = np.nonzero(chosen)

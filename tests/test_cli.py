@@ -460,6 +460,12 @@ BAD_CONFIGS = {
     "seed_string": ("quasimin", _set(("seed",), "x"), "seed"),
     "max_levels_string": ("campanato", _set(("experiment", "max_levels"), "x"),
                           "experiment.max_levels"),
+    "max_levels_negative": ("campanato", _set(("experiment", "max_levels"), -3),
+                            "experiment.max_levels"),
+    "rho_ladder_zero": ("softlemma", _set(("experiment",), {"R": 1.5, "rho_ladder": [0.0, 0.2]}),
+                        "experiment.rho_ladder"),
+    "Delta_R_negative": ("softlemma", _set(("experiment",), {
+        "R": 1.5, "rho_ladder": [0.2], "Delta_R": -0.05}), "experiment.Delta_R"),
     "R_string": ("quasimin", _set(("experiment", "R"), "abc"), "experiment.R"),
     "theta_above_one": ("campanato", _set(("experiment", "theta"), 1.5), "experiment.theta"),
     "Lambda_below_one": ("quasimin", _set(("experiment", "Lambda"), 0.5), "experiment.Lambda"),
@@ -517,6 +523,17 @@ class TestBadInputExits2:
         code, err = self.run(tmp_path, capsys, ["experiment", name], cfg)
         assert code == 2
         assert key in err
+
+    def test_thread_count(self, tmp_path, capsys, monkeypatch):
+        cfg = {"source": marginal_spec(n=17), "experiment": {"R": 0.3, "eps_ladder": [0.5]},
+               "solver": {"epsilon": 0.5}}
+        for raw in ("abc", "0", "-2"):
+            monkeypatch.setenv("EOTLAB_THREADS", raw)
+            code, err = self.run(tmp_path, capsys, ["experiment", "quasimin"], cfg)
+            assert code == 2
+            assert "EOTLAB_THREADS" in err
+        monkeypatch.setenv("EOTLAB_THREADS", "")
+        assert self.run(tmp_path, capsys, ["experiment", "quasimin"], cfg)[0] == 0
 
     @pytest.mark.parametrize("case", sorted(BAD_MEASURE_FILES))
     def test_measure_file(self, tmp_path, capsys, case):

@@ -1,4 +1,4 @@
-"""Couplings: marginal checks, regions, local energy, affine fit, crossings."""
+"""Couplings: marginal checks, regions, local energy, affine fit."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from eotlab import (
     HashRegion,
     affine_fit,
     check_marginals,
-    crossing_stats,
     diagonal_coupling,
     load_coupling,
     local_energy,
     long_trajectory_stats,
     monge_coupling,
-    product_coupling,
     restrict,
     save_coupling,
 )
@@ -45,10 +43,6 @@ def brute_force_local_energy(pi, R):
 
 
 class TestMarginals:
-    def test_product_coupling_passes(self, uniform_1d):
-        pi = product_coupling(uniform_1d, uniform_1d)
-        assert check_marginals(pi, tol=1e-12).ok
-
     def test_diagonal_passes(self, uniform_1d):
         assert check_marginals(diagonal_coupling(uniform_1d), tol=1e-15).ok
 
@@ -253,47 +247,6 @@ class TestAffineFit:
         b_shifted = fit.b[0] + shift - fit.A[0, 0] * shift
         translated_value = np.sum(w * (y2 - fit.A[0, 0] * x2 - b_shifted) ** 2) / 0.9**3
         assert affine_fit(pi2, 0.9).defect <= translated_value + 1e-10
-
-
-class TestCrossings:
-    def test_pairs_inside_ball_excluded(self):
-        lam = line_measure([0.0, 0.1], [0.5, 0.5], h=0.1)
-        pi = diagonal_coupling(lam)
-        stats = crossing_stats(pi, 1.0)
-        assert stats.crossing_mass == 0.0
-
-    def test_inside_outside_pair_included(self):
-        lam = line_measure([0.0], [1.0], h=0.5)
-        mu = line_measure([2.0], [1.0], h=0.5)
-        pi = monge_coupling(lam, mu, np.full(lam.spec.n_points, 4))
-        stats = crossing_stats(pi, 1.0)
-        assert stats.crossing_mass == pytest.approx(1.0)
-        assert stats.crossing_energy == pytest.approx(4.0)
-
-    @pytest.mark.parametrize("y2,expected", [(0.9, True), (1.1, False)])
-    def test_grazing_segment_against_dense_sampling(self, y2, expected):
-        # 2-d segment from (-2, y2) to (2, y2): closest approach |y2|.
-        from conftest import plane_measure
-
-        lam = plane_measure([[-2.0, y2]], [1.0], h=0.1)
-        mu = plane_measure([[2.0, y2]], [1.0], h=0.1)
-        i = np.argmax(lam.weights)
-        j = np.argmax(mu.weights)
-        mass = np.zeros((lam.spec.n_points, mu.spec.n_points))
-        mass[i, j] = 1.0
-        pi = Coupling(source=lam, target=mu, mass=mass)
-        stats = crossing_stats(pi, 1.0)
-        # Dense-t oracle.
-        ts = np.linspace(0.0, 1.0, 10_001)
-        seg = (1 - ts)[:, None] * np.array([-2.0, y2]) + ts[:, None] * np.array([2.0, y2])
-        sampled_min = np.linalg.norm(seg, axis=1).min()
-        oracle = sampled_min <= 1.0 <= max(np.hypot(2, y2), np.hypot(2, y2))
-        assert oracle == expected
-        assert (stats.crossing_mass > 0) == expected
-
-    def test_large_radius_gives_zero(self, random_coupling):
-        stats = crossing_stats(random_coupling, 100.0)
-        assert stats.crossing_mass == 0.0 and stats.crossing_energy == 0.0
 
 
 class TestCouplingIO:

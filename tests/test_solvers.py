@@ -413,12 +413,17 @@ class TestExactOT:
         assert res.feasibility_violation <= 1e-9
 
     def test_lp_path_matches_monotone_path_in_1d(self):
-        lam, mu = wavy_pair()
-        monotone = exact_ot(lam, mu)
-        lp = _exact_ot_lp(lam, mu)
-        assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
-        assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
-        assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
+        # Integer weights with zero-weight atoms on both sides, on grids of 9
+        # and 7 points: the cumulative masses of the positive atoms tie
+        # exactly at 2, 6 and 7.
+        tied = (line_measure(np.arange(-4, 5) * 0.25, [0, 2, 1, 3, 0, 1, 2, 0, 3], h=0.25),
+                line_measure(np.arange(-3, 4) * 0.25, [2, 0, 4, 1, 0, 5, 0], h=0.25))
+        for lam, mu in (wavy_pair(), tied):
+            monotone = exact_ot(lam, mu)
+            lp = _exact_ot_lp(lam, mu)
+            assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
+            assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
+            assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
 
     def test_certificate_rejects_plan_off_its_marginals(self):
         lam, mu = wavy_pair()
