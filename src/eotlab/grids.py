@@ -71,6 +71,12 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(self.h) ** self.dim
 
+    @property
+    def hull_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis coordinates of the first and the last grid index."""
+        off = np.asarray(self.origin_offset, dtype=float)
+        return -off * self.h, (np.asarray(self.extent) - 1 - off) * self.h
+
     @cached_property
     def points(self) -> np.ndarray:
         """All grid points as an (n_points, dim) array, row-major index order."""
@@ -178,12 +184,8 @@ def _as_point(x, dim: int) -> np.ndarray:
 
 
 def _in_hull(spec: GridSpec, x: np.ndarray) -> bool:
-    for a in range(spec.dim):
-        lo = (0 - spec.origin_offset[a]) * spec.h
-        hi = (spec.extent[a] - 1 - spec.origin_offset[a]) * spec.h
-        if not lo - 1e-12 <= x[a] <= hi + 1e-12:
-            return False
-    return True
+    lo, hi = spec.hull_bounds
+    return bool(np.all((lo - 1e-12 <= x) & (x <= hi + 1e-12)))
 
 
 def density_at(m: GridMeasure, x, r_avg: float) -> float:

@@ -461,12 +461,8 @@ def _regression_slope(xs: list[float], ys: list[float]) -> tuple[float, float] |
 
 
 def _hull_covers_ball(m: GridMeasure, radius: float) -> bool:
-    for a in range(m.dim):
-        lo = (0 - m.spec.origin_offset[a]) * m.spec.h
-        hi = (m.spec.extent[a] - 1 - m.spec.origin_offset[a]) * m.spec.h
-        if lo > -radius or hi < radius:
-            return False
-    return True
+    lo, hi = m.spec.hull_bounds
+    return not np.any((lo > -radius) | (hi < radius))
 
 
 def _solve_ladder(

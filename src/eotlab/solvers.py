@@ -51,9 +51,10 @@ STOP_REASONS = {
                  "raise solver.epsilon or solver.max_iter",
 }
 # Both solvers hold several n x m float arrays at once: Sinkhorn the cost, the
-# kernel and, at the end, the log plan, the plan and its embedding; exact OT
-# the full and restricted cost, the reduced costs, two plans and the
-# certificate's slack (peaks measured with tracemalloc: about 5 and 7.7).  An
+# kernel and, at the end, the log plan, the plan and its embedding; exact OT,
+# in its certificate, the full and restricted cost, the last reduced costs,
+# the restricted and the embedded plan, the slack and cost * plan (peaks
+# measured with tracemalloc: about 5 and 7.6-7.9 on 16x16 to 32x32).  An
 # input whose arrays would pass DENSE_BYTES_LIMIT fails up front instead of
 # running out of memory.
 DENSE_BYTES_LIMIT = 2**30
@@ -449,7 +450,10 @@ SHORTLIST_STENCIL = 3
 PRICE_RTOL = 1e-12
 # At the HiGHS defaults (1e-7) a restricted solve can return a plan 4e-8 off
 # its marginals and in cost, which the certificate and the cost both feel.
-HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# Presolve is off: on atoms of weight near 1e-12 it declared feasible
+# restricted LPs infeasible (a 14x14 gaussian of floor 0 to a uniform).
+HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+                 "presolve": False}
 
 
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -572,44 +576,6 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     return _embed_result(lam, mu, cost, rows, cols, plan_s, us, vs, method="monotone_1d")
 
 
-def _refine_duals_on_support(
-    cost: np.ndarray, plan: np.ndarray, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate exact tight equalities over the support forest, keeping the
-    LP duals as per-tree anchors."""
-    n, m = plan.shape
-    support = plan > max(1e-300, 1e-12 * float(plan.max()))
-    u_new = u.copy()
-    v_new = v.copy()
-    seen_i = np.zeros(n, dtype=bool)
-    seen_j = np.zeros(m, dtype=bool)
-    rows_of = [np.nonzero(support[:, j])[0] for j in range(m)]
-    cols_of = [np.nonzero(support[i, :])[0] for i in range(n)]
-    for root in range(n):
-        if seen_i[root] or not cols_of[root].size:
-            continue
-        seen_i[root] = True
-        frontier_i = [root]
-        frontier_j: list[int] = []
-        while frontier_i or frontier_j:
-            next_j: list[int] = []
-            for i in frontier_i:
-                for j in cols_of[i]:
-                    if not seen_j[j]:
-                        seen_j[j] = True
-                        v_new[j] = cost[i, j] - u_new[i]
-                        next_j.append(int(j))
-            next_i: list[int] = []
-            for j in next_j:
-                for i in rows_of[j]:
-                    if not seen_i[i]:
-                        seen_i[i] = True
-                        u_new[i] = cost[i, j] - v_new[j]
-                        next_i.append(int(i))
-            frontier_i, frontier_j = next_i, next_j
-    return u_new, v_new
-
-
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
     """Mask of the ``k`` smallest entries of each row and of each column, kept
     where they are below ``below``."""
@@ -626,11 +592,12 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
 
     The LP is solved on a shortlist of pairs: each atom's nearest partners and
     a north-west-corner staircase, which makes the restricted LP feasible.
-    Its duals are priced against the full cost; while some pair outside the
-    shortlist violates u_i + v_j <= c_ij, the most violated pairs of each row
-    and column join it and the LP is solved again (Gottschlich & Schuhmacher,
-    SIAM J. Imaging Sci. 7(4), 2014; Schmitzer, JMIV 56, 2016).  The exit
-    duals are dual-feasible on the full cost, so the plan is optimal there.
+    HiGHS's basis duals, tight on the plan's support to rounding, are priced
+    against the full cost; while some pair outside the shortlist violates
+    u_i + v_j <= c_ij, the most violated pairs of each row and column join it
+    and the LP is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging
+    Sci. 7(4), 2014; Schmitzer, JMIV 56, 2016).  The exit duals are
+    dual-feasible on the full cost, so the last plan is optimal there.
     """
     pos_i = np.nonzero(lam.weights > 0)[0]
     pos_j = np.nonzero(mu.weights > 0)[0]
@@ -655,14 +622,14 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
                       method="highs", options=HIGHS_OPTIONS)
         if res.status != 0:
             raise CertificateError(f"transport LP failed: {res.message}")
-        plan_s = np.zeros((n, m))
-        plan_s[ii, jj] = np.maximum(res.x, 0.0)
         marg = np.asarray(res.eqlin.marginals, dtype=float)
-        u_s, v_s = _refine_duals_on_support(cost_s, plan_s, marg[:n], marg[n:])
+        u_s, v_s = marg[:n], marg[n:]
         reduced = cost_s - u_s[:, None] - v_s[None, :]
         reduced[chosen] = np.inf
         violated = _smallest_per_line(reduced, batch, -threshold)
         if not violated.any():
             break
         chosen |= violated
+    plan_s = np.zeros((n, m))
+    plan_s[ii, jj] = np.maximum(res.x, 0.0)
     return _embed_result(lam, mu, cost, pos_i, pos_j, plan_s, u_s, v_s, method="lp_highs")

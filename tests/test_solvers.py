@@ -16,6 +16,7 @@ from eotlab import (
     entropic_cost,
     exact_ot,
     gibbs_identity_check,
+    make_measure,
     measure_from_density,
     sinkhorn,
     solvers,
@@ -213,6 +214,14 @@ class TestSinkhorn:
         assert not res.converged
         assert res.iterations <= 10_000
         assert res.stages[-1].stop == "stagnated"
+        # Warm-started, the ladder runs stages down to eps = 0.002.  Only the
+        # final stage has a stagnation stop, so the 200-iteration cap is what
+        # ends the stages below the grid spacing.
+        warm = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9)
+        capped = [s for s in warm.stages if s.stop == "stage_cap"]
+        assert capped and all(s.epsilon < spec.h and s.iterations == 200 for s in capped)
+        assert warm.stages[-1].stop == "stagnated"
+        assert warm.iterations < 2_000
 
     def test_stage_record(self):
         lam, mu = wavy_pair()
@@ -411,6 +420,26 @@ class TestExactOT:
         assert abs(res.cost - ref) <= 1e-12 * ref
         assert res.duality_gap <= 1e-9
         assert res.feasibility_violation <= 1e-9
+        # The exit duals are HiGHS's own: feasible on the full cost and tight
+        # on the plan's support, to rounding.
+        cost = res.plan.cost_matrix
+        slack = res.u[:, None] + res.v[None, :] - cost
+        assert slack.max() <= 1e-12 * max(1.0, float(cost.max()))
+        assert np.abs(slack[res.plan.mass > 0]).max() <= 1e-12
+
+    def test_tiny_weight_atoms_certify(self):
+        # The smallest source weight is 1.3e-12.  With HiGHS presolve on, a
+        # feasible restricted LP of this pair is declared infeasible.
+        grid = {"dim": 2, "n": 14, "lo": -1.0, "hi": 1.0}
+        lam = make_measure({"grid": grid, "alpha": 0.5, "normalize": True,
+                            "density": {"kind": "gaussian", "sigma": 0.2, "floor": 0.0}})
+        mu = make_measure({"grid": grid, "alpha": 0.5, "normalize": True,
+                           "density": {"kind": "uniform"}})
+        assert lam.weights.min() < 1e-11
+        res = exact_ot(lam, mu)
+        assert res.method == "lp_highs"
+        assert res.duality_gap <= CERT_RTOL
+        assert res.feasibility_violation <= CERT_RTOL
 
     def test_lp_path_matches_monotone_path_in_1d(self):
         # Integer weights with zero-weight atoms on both sides, on grids of 9
