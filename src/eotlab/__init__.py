@@ -2,7 +2,6 @@
 
 from .couplings import (
     AffineFit,
-    Complement,
     Coupling,
     HashRegion,
     affine_fit,
@@ -13,7 +12,6 @@ from .couplings import (
     long_trajectory_stats,
     monge_coupling,
     radius_scan_rows,
-    restrict,
     save_coupling,
 )
 from .errors import (

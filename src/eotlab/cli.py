@@ -190,14 +190,14 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
 # ---------------------------------------------------------------------------
 
 
-def _ladder_report(result: dict, columns: list[str], slopes: dict[str, str]) -> tuple:
+def _ladder_report(result: dict, slopes: dict[str, str]) -> tuple:
     """One ``point`` row per ladder entry, then one row per fitted line; ``slopes``
     maps each row type to the key of its (slope, intercept) pair in ``result``."""
+    columns = list(result["rows"][0]) + ["row_type", "slope", "intercept"]
     rows = [dict(r, row_type="point") for r in result["rows"]]
     for row_type, key in slopes.items():
         reg = result[key] or (None, None)
         rows.append({"row_type": row_type, "slope": reg[0], "intercept": reg[1]})
-    columns = columns + ["converged", "row_type", "slope", "intercept"]
     return columns, rows, result, all(r["converged"] for r in result["rows"]), {}
 
 
@@ -237,9 +237,7 @@ def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
 def _run_expansion(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     result = expansion_experiment(lam, mu, ladder, _solver_opts(cfg), max_workers=_max_workers())
-    columns = ["epsilon", "ot_eps", "ot", "gap_over_eps2", "remainder", "log_inv_eps2",
-               "under_resolved"]
-    return _ladder_report(result, columns, {"regression": "slope"})
+    return _ladder_report(result, {"regression": "slope"})
 
 
 def _run_longtraj(lam, mu, exp, cfg) -> tuple:
@@ -249,10 +247,7 @@ def _run_longtraj(lam, mu, exp, cfg) -> tuple:
         long_factor=_exp_value(exp, "long_factor", default=7.0, positive=True),
         max_workers=_max_workers(),
     )
-    columns = ["epsilon", "long_energy", "long_mass", "E_5R", "energy_ratio", "mass_ratio",
-               "inv_temp"]
-    slopes = {"mass_slope": "mass_slope", "energy_slope": "energy_slope"}
-    return _ladder_report(result, columns, slopes)
+    return _ladder_report(result, {"mass_slope": "mass_slope", "energy_slope": "energy_slope"})
 
 
 def _run_quasimin(lam, mu, exp, cfg) -> tuple:
@@ -339,9 +334,7 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)
         delta_r = max(report.defect, 0.0)
     result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
-    columns = ["rho", "mass", "bound", "fitted_const", "energy_over_rho_pow",
-               "rho_over_R_pow"]
-    return columns, result["rows"], result, res.converged, {}
+    return list(result["rows"][0]), result["rows"], result, res.converged, {}
 
 
 EXPERIMENTS = {

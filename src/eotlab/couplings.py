@@ -18,9 +18,7 @@ __all__ = [
     "LongTrajStats",
     "AffineFit",
     "HashRegion",
-    "Complement",
     "check_marginals",
-    "restrict",
     "local_energy",
     "long_trajectory_stats",
     "affine_fit",
@@ -140,14 +138,6 @@ def _region_residual(plan: np.ndarray, y: np.ndarray, pred: np.ndarray) -> float
     )
 
 
-@dataclass(frozen=True)
-class Complement:
-    inner: object
-
-    def mask(self, pi: Coupling) -> np.ndarray:
-        return ~self.inner.mask(pi)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -175,11 +165,6 @@ def check_marginals(pi: Coupling, tol: float = 1e-8) -> MarginalReport:
     row = float(np.max(_relative_errors(pi.mass.sum(axis=1), pi.source.weights)))
     col = float(np.max(_relative_errors(pi.mass.sum(axis=0), pi.target.weights)))
     return MarginalReport(max_row_err=row, max_col_err=col, ok=row <= tol and col <= tol)
-
-
-def restrict(pi: Coupling, region) -> np.ndarray:
-    """Entrywise mask of the coupling to a region (marginals not enforced)."""
-    return np.where(region.mask(pi), pi.mass, 0.0)
 
 
 def local_energy(pi: Coupling, R: float) -> float:
@@ -348,27 +333,32 @@ def load_coupling(
 
     When the marginal measures are not given they are reconstructed from the
     row/column sums, which is only faithful for marginal-consistent couplings.
+    A malformed header raises ConfigError.
     """
     bin_path = Path(bin_path)
     header_path = bin_path.with_suffix(".json")
     if not header_path.exists():
         raise ConfigError(f"missing JSON header for coupling dump: {header_path}")
     with open(header_path) as fh:
-        header = json.load(fh)
-    n, m = int(header["n_source"]), int(header["n_target"])
+        try:
+            header = json.load(fh)
+            n, m = int(header["n_source"]), int(header["n_target"])
+            # (spec, alpha) of each marginal that is not given.
+            grids = [None if given is not None else
+                     (GridSpec.from_json_dict(header[key]), float(header[key]["alpha"]))
+                     for given, key in ((source, "source_grid"), (target, "target_grid"))]
+            eps = header.get("epsilon")
+            eps = None if eps is None else float(eps)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed coupling header {header_path}: {exc!r}") from exc
     raw = np.fromfile(bin_path, dtype="<f8")
-    if raw.size != n * m:
+    if min(n, m) < 0 or raw.size != n * m:
         raise ConfigError(
             f"coupling dump holds {raw.size} values, expected {n}x{m}={n * m}"
         )
     mass = raw.reshape(n, m)
     if source is None:
-        spec = GridSpec.from_json_dict(header["source_grid"])
-        source = GridMeasure(spec, mass.sum(axis=1), float(header["source_grid"]["alpha"]))
+        source = GridMeasure(grids[0][0], mass.sum(axis=1), grids[0][1])
     if target is None:
-        spec = GridSpec.from_json_dict(header["target_grid"])
-        target = GridMeasure(spec, mass.sum(axis=0), float(header["target_grid"]["alpha"]))
-    eps = header.get("epsilon")
-    return Coupling(
-        source=source, target=target, mass=mass, epsilon=None if eps is None else float(eps)
-    )
+        target = GridMeasure(grids[1][0], mass.sum(axis=0), grids[1][1])
+    return Coupling(source=source, target=target, mass=mass, epsilon=eps)

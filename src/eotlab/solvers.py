@@ -50,16 +50,17 @@ STOP_REASONS = {
     "stagnated": "the measured rate needs more than solver.max_iter iterations; "
                  "raise solver.epsilon or solver.max_iter",
 }
-# Both solvers hold several n x m float arrays at once: Sinkhorn the cost, the
-# kernel and, at the end, the log plan, the plan and its embedding; exact OT,
-# in its certificate, the full and restricted cost, the last reduced costs,
-# the restricted and the embedded plan, the slack and cost * plan (peaks
-# measured with tracemalloc: about 5 and 7.6-7.9 on 16x16 to 32x32).  An
-# input whose arrays would pass DENSE_BYTES_LIMIT fails up front instead of
-# running out of memory.
+# Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
+# the cost, f + g - c, the plan and a product; exact OT the full and restricted
+# cost, the reduced costs and an index array while it prices, then the cost,
+# the plan, the slack and cost * plan in its certificate.  Peaks measured with
+# tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d n = 256/512, 2-d 16x16
+# and 20x20), exact OT 4.8-5.8 (2-d LP, 16x16 to 32x32) and 4.2 (1-d, n = 512
+# and 2048).  An input whose arrays would pass DENSE_BYTES_LIMIT fails up front
+# instead of running out of memory.
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_DENSE_ARRAYS = 5
-EXACT_OT_DENSE_ARRAYS = 8
+EXACT_OT_DENSE_ARRAYS = 6
 
 
 @dataclass
@@ -122,6 +123,28 @@ def _require_dense_size(lam: GridMeasure, mu: GridMeasure, arrays: int, what: st
             f"{what} on {n} x {m} support points needs about {need / 2**20:,.0f} MiB "
             f"of dense arrays; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB"
         )
+
+
+def _positive_atoms(lam: GridMeasure, mu: GridMeasure) -> tuple[np.ndarray, ...]:
+    """(rows, cols, wa, wb): the indices and weights of the positive-weight
+    atoms of ``lam`` and ``mu``.  The solvers work on these; the other atoms
+    carry no mass."""
+    rows = np.nonzero(lam.weights > 0)[0]
+    cols = np.nonzero(mu.weights > 0)[0]
+    return rows, cols, lam.weights[rows], mu.weights[cols]
+
+
+def _softmin(cost: np.ndarray, work: np.ndarray, pot: np.ndarray, log_w: np.ndarray,
+             eps2: float) -> np.ndarray:
+    """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j) for each row i of
+    ``cost``, stabilized by the row maximum; ``work`` is scratch of cost's shape.
+    The column sweep passes the transposed views ``cost.T`` and ``work.T``."""
+    np.subtract((pot + eps2 * log_w)[None, :], cost, out=work)
+    np.divide(work, eps2, out=work)
+    peak = work.max(axis=1)
+    np.subtract(work, peak[:, None], out=work)
+    np.exp(work, out=work)
+    return -eps2 * (np.log(work.sum(axis=1)) + peak)
 
 
 def _bounded(scaling: np.ndarray) -> bool:
@@ -187,13 +210,9 @@ def sinkhorn(
     mass = _require_equal_masses(lam, mu)
     _require_dense_size(lam, mu, SINKHORN_DENSE_ARRAYS, "sinkhorn")
 
-    pos_i = np.nonzero(lam.weights > 0)[0]
-    pos_j = np.nonzero(mu.weights > 0)[0]
-    la = lam.weights[pos_i] / lam.total_mass
-    mb = mu.weights[pos_j] / mu.total_mass
-    x = lam.points[pos_i]
-    y = mu.points[pos_j]
-    cost = squared_distances(x, y)
+    rows, cols, wa, wb = _positive_atoms(lam, mu)
+    la, mb = wa / lam.total_mass, wb / mu.total_mass
+    cost = squared_distances(lam.points[rows], mu.points[cols])
     log_la = np.log(la)
     log_mb = np.log(mb)
 
@@ -206,23 +225,6 @@ def sinkhorn(
     stages: list[SinkhornStage] = []
     # Scratch for the log-domain sweeps; between sweeps it holds the kernel.
     work = np.empty_like(cost)
-
-    def softmin_rows(pot: np.ndarray, log_w: np.ndarray, eps2: float) -> np.ndarray:
-        """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j), row-wise."""
-        np.subtract((pot + eps2 * log_w)[None, :], cost, out=work)
-        np.divide(work, eps2, out=work)
-        peak = work.max(axis=1)
-        np.subtract(work, peak[:, None], out=work)
-        np.exp(work, out=work)
-        return -eps2 * (np.log(work.sum(axis=1)) + peak)
-
-    def softmin_cols(pot: np.ndarray, log_w: np.ndarray, eps2: float) -> np.ndarray:
-        np.subtract((pot + eps2 * log_w)[:, None], cost, out=work)
-        np.divide(work, eps2, out=work)
-        peak = work.max(axis=0)
-        np.subtract(work, peak[None, :], out=work)
-        np.exp(work, out=work)
-        return -eps2 * (np.log(work.sum(axis=0)) + peak)
 
     def build_kernel(eps2: float) -> None:
         np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
@@ -274,8 +276,8 @@ def sinkhorn(
                 # Redo this iteration as a plain log-domain sweep from the last
                 # scalings that stayed in bounds, then absorb the potentials.
                 g += eps2 * np.log(v)
-                f = softmin_rows(g, log_mb, eps2)
-                g = softmin_cols(f, log_la, eps2)
+                f = _softmin(cost, work, g, log_mb, eps2)
+                g = _softmin(cost.T, work.T, f, log_la, eps2)
                 center()
                 build_kernel(eps2)
                 absorptions += 1
@@ -339,22 +341,25 @@ def sinkhorn(
         center()
         stages.append(SinkhornStage(float(eps), it, omega, rollbacks, accepted, stop))
 
+    # Free the kernel before the plan, and f + g - c once the entropy has it:
+    # at most four n x m arrays are alive at once from here on.
+    del work
     marg_err = stages[-1].marg_err
     eps2 = epsilon * epsilon
-    log_plan = (f[:, None] + g[None, :] - cost) / eps2 + log_la[:, None] + log_mb[None, :]
-    plan_sub = np.exp(log_plan)
-    del work
+    fgc = f[:, None] + g[None, :] - cost
+    plan_sub = np.exp(fgc / eps2 + log_la[:, None] + log_mb[None, :])
     primal_sub = float(np.sum(cost * plan_sub))
     # Relative entropy of the normalized plan w.r.t. the normalized product,
     # evaluated in the log domain (exact for the materialized plan).
-    entropy_sub = float(np.sum(plan_sub * (f[:, None] + g[None, :] - cost))) / eps2
+    entropy_sub = float(np.sum(plan_sub * fgc)) / eps2
+    del fgc
 
     full = np.zeros((lam.spec.n_points, mu.spec.n_points))
-    full[np.ix_(pos_i, pos_j)] = mass * plan_sub
+    full[np.ix_(rows, cols)] = mass * plan_sub
     f_full = np.zeros(lam.spec.n_points)
     g_full = np.zeros(mu.spec.n_points)
-    f_full[pos_i] = f - eps2 * np.log(mass)
-    g_full[pos_j] = g
+    f_full[rows] = f - eps2 * np.log(mass)
+    g_full[cols] = g
 
     converged = marg_err <= tol
     if not converged:
@@ -504,13 +509,15 @@ def _certify(
 
 def _embed_result(
     lam: GridMeasure, mu: GridMeasure, cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    plan_s: np.ndarray, u_s: np.ndarray, v_s: np.ndarray, method: str,
+    cells: tuple[np.ndarray, np.ndarray], masses: np.ndarray, u_s: np.ndarray,
+    v_s: np.ndarray, method: str,
 ) -> ExactOTResult:
     """Embed a plan and duals solved on the atoms ``rows`` x ``cols``, complete
-    the zero-weight atoms' duals, and certify against the full ``cost``."""
+    the zero-weight atoms' duals, and certify against the full ``cost``.  The
+    plan is ``masses`` on ``cells``, index arrays into ``rows`` and ``cols``."""
     n, m = lam.spec.n_points, mu.spec.n_points
     plan = np.zeros((n, m))
-    plan[np.ix_(rows, cols)] = plan_s
+    plan[rows[cells[0]], cols[cells[1]]] = masses
     u = np.zeros(n)
     v = np.zeros(m)
     u[rows] = u_s
@@ -551,9 +558,7 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     quadratic cost is Monge on a line, so the tree duals of any staircase are
     feasible and its plan is optimal (Hoffman, "On simple linear programming
     problems", 1963)."""
-    rows = np.nonzero(lam.weights > 0)[0]
-    cols = np.nonzero(mu.weights > 0)[0]
-    wa, wb = lam.weights[rows], mu.weights[cols]
+    rows, cols, wa, wb = _positive_atoms(lam, mu)
     # A path cell carries the overlap of its row's and its column's
     # cumulative-mass intervals, empty past the smaller total.  The sums run
     # in np.longdouble (extended precision on x86), so that an overlap, the
@@ -562,8 +567,6 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     ri, cj = _staircase(ca, cb)
     start_a, start_b = np.concatenate([[0.0], ca[:-1]]), np.concatenate([[0.0], cb[:-1]])
     overlap = np.minimum(ca[ri], cb[cj]) - np.maximum(start_a[ri], start_b[cj])
-    plan_s = np.zeros((wa.size, wb.size))
-    plan_s[ri, cj] = np.maximum(overlap, 0.0)
     # u_i + v_j = c_ij along the path: u moves only on down steps, by the cost
     # difference of the step.
     cost = squared_distances(lam.points, mu.points)
@@ -573,7 +576,8 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     us, vs = np.empty(wa.size), np.empty(wb.size)
     us[ri] = u_path
     vs[cj] = c_path - u_path
-    return _embed_result(lam, mu, cost, rows, cols, plan_s, us, vs, method="monotone_1d")
+    return _embed_result(lam, mu, cost, rows, cols, (ri, cj), np.maximum(overlap, 0.0), us, vs,
+                         method="monotone_1d")
 
 
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
@@ -599,13 +603,19 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     Sci. 7(4), 2014; Schmitzer, JMIV 56, 2016).  The exit duals are
     dual-feasible on the full cost, so the last plan is optimal there.
     """
-    pos_i = np.nonzero(lam.weights > 0)[0]
-    pos_j = np.nonzero(mu.weights > 0)[0]
-    n, m = pos_i.size, pos_j.size
-    wa, wb = lam.weights[pos_i], mu.weights[pos_j]
+    rows, cols, wa, wb = _positive_atoms(lam, mu)
     cost = squared_distances(lam.points, mu.points)
-    cost_s = cost[np.ix_(pos_i, pos_j)]
-    near, batch = SHORTLIST_STENCIL**lam.dim, lam.dim + 1
+    cells, x, u_s, v_s = _shortlist_lp(cost[np.ix_(rows, cols)], wa, wb, lam.dim)
+    return _embed_result(lam, mu, cost, rows, cols, cells, np.maximum(x, 0.0), u_s, v_s,
+                         method="lp_highs")
+
+
+def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int) -> tuple:
+    """The pricing loop of _exact_ot_lp on the positive atoms' cost ``cost_s``:
+    the shortlist's cells, the last LP's solution on them and its row and
+    column duals.  Its n x m arrays are gone when it returns."""
+    n, m = cost_s.shape
+    near, batch = SHORTLIST_STENCIL**dim, dim + 1
     threshold = PRICE_RTOL * max(1.0, float(cost_s.max()))
 
     chosen = _smallest_per_line(cost_s, near, np.inf)
@@ -630,6 +640,4 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
         if not violated.any():
             break
         chosen |= violated
-    plan_s = np.zeros((n, m))
-    plan_s[ii, jj] = np.maximum(res.x, 0.0)
-    return _embed_result(lam, mu, cost, pos_i, pos_j, plan_s, u_s, v_s, method="lp_highs")
+    return (ii, jj), res.x, u_s, v_s

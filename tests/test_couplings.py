@@ -1,11 +1,13 @@
 """Couplings: marginal checks, regions, local energy, affine fit."""
 
+import json
+
 import numpy as np
 import pytest
 
 from eotlab import (
-    Complement,
     Coupling,
+    ConfigError,
     DomainError,
     HashRegion,
     affine_fit,
@@ -15,7 +17,6 @@ from eotlab import (
     local_energy,
     long_trajectory_stats,
     monge_coupling,
-    restrict,
     save_coupling,
 )
 from conftest import line_measure
@@ -57,22 +58,6 @@ class TestMarginals:
         assert report.max_row_err == pytest.approx(1e-3 / row_mass, rel=1e-9)
 
 
-class TestRestrict:
-    def test_everything_region_is_identity(self, random_coupling):
-        out = restrict(random_coupling, HashRegion(np.inf))
-        np.testing.assert_array_equal(out, random_coupling.mass)
-
-    def test_empty_region_is_zero(self, random_coupling):
-        out = restrict(random_coupling, HashRegion(-1.0))
-        assert np.all(out == 0.0)
-
-    def test_region_and_complement_partition_mass(self, random_coupling):
-        region = HashRegion(0.5)
-        a = restrict(random_coupling, region).sum()
-        b = restrict(random_coupling, Complement(region)).sum()
-        assert a + b == pytest.approx(random_coupling.total_mass, rel=1e-14)
-
-
 class TestLocalEnergy:
     def test_diagonal_coupling_is_zero(self, uniform_1d):
         assert local_energy(diagonal_coupling(uniform_1d), 1.0) == 0.0
@@ -93,18 +78,6 @@ class TestLocalEnergy:
     def test_nonpositive_radius_rejected(self, random_coupling):
         with pytest.raises(DomainError):
             local_energy(random_coupling, 0.0)
-
-    def test_additive_over_region_partition(self, random_coupling):
-        # The unnormalized energy over #_R splits across any disjoint cover.
-        R = 0.8
-        pi = random_coupling
-        full = local_energy(pi, R) * R**3
-        cost = pi.cost_matrix
-        part_inner = np.sum(cost * restrict(pi, HashRegion(0.3)),
-                            where=HashRegion(R).mask(pi))
-        part_outer = np.sum(cost * restrict(pi, Complement(HashRegion(0.3))),
-                            where=HashRegion(R).mask(pi))
-        assert part_inner + part_outer == pytest.approx(full, rel=1e-12)
 
 
 class TestLongTrajectories:
@@ -257,3 +230,31 @@ class TestCouplingIO:
         np.testing.assert_array_equal(loaded.mass, random_coupling.mass)
         assert loaded.source.spec == random_coupling.source.spec
         assert loaded.epsilon is None
+
+    @pytest.mark.parametrize("case", ["no_n_source", "no_source_grid", "text_n_source",
+                                      "invalid_json"])
+    def test_malformed_header_raises_config_error(self, tmp_path, random_coupling, case):
+        path = tmp_path / "plan.bin"
+        save_coupling(random_coupling, path)
+        header_path = path.with_suffix(".json")
+        header = json.loads(header_path.read_text())
+        if case == "no_n_source":
+            del header["n_source"]
+        elif case == "no_source_grid":
+            del header["source_grid"]
+        elif case == "text_n_source":
+            header["n_source"] = "nine"
+        text = json.dumps(header)
+        header_path.write_text(text[:-1] if case == "invalid_json" else text)
+        with pytest.raises(ConfigError, match="malformed coupling header .*plan.json"):
+            load_coupling(path)
+
+    def test_negative_header_sizes_raise_config_error(self, tmp_path, random_coupling):
+        # -n x -m matches the dump's n * m values but names no matrix shape.
+        path = tmp_path / "plan.bin"
+        save_coupling(random_coupling, path)
+        header = json.loads(path.with_suffix(".json").read_text())
+        header["n_source"], header["n_target"] = -header["n_source"], -header["n_target"]
+        path.with_suffix(".json").write_text(json.dumps(header))
+        with pytest.raises(ConfigError, match="coupling dump holds"):
+            load_coupling(path)

@@ -1,6 +1,7 @@
 """Solvers: log-domain Sinkhorn, exact quadratic transport, Gibbs identity."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ def peaked_target():
         spec, lambda p: np.exp(-30 * (p[:, 0] - 0.5) ** 2) + 1e-6, alpha=0.5,
         normalize=True,
     )
+
+
+def curved_pair(n):
+    """Uniform source and its image under a smooth curvature displacement."""
+    grid = {"dim": 1, "n": n, "lo": -1.0, "hi": 1.0}
+    profile = {"kind": "shifted_profile", "c0": 0.02, "c1": 0.42, "exponent": 1.0,
+               "window_power": 2.0}
+    return tuple(make_measure({"grid": grid, "alpha": 0.5, "normalize": True, "density": d})
+                 for d in ({"kind": "uniform"}, profile))
 
 
 def log_domain_reference(lam, mu, ladder, tol, check_every=10):
@@ -270,6 +280,16 @@ class TestSinkhorn:
                 value = res.primal_cost + e_obj**2 * res.entropy
                 best = entropic_cost(results[e_obj])
                 assert value >= best - 1e-9
+
+    def test_non_final_stages_stop_at_loose_tolerance(self):
+        # Warm-start stages stop at max(tol, 1e-3); only the last one is held
+        # to tol.
+        lam, mu = curved_pair(128)
+        res = sinkhorn(lam, mu, epsilon=0.04, tol=1e-9)
+        assert res.converged
+        early = [s for s in res.stages[:-1] if s.stop == "converged"]
+        assert early and all(s.marg_err <= 1e-3 for s in early)
+        assert any(s.marg_err > 1e-9 for s in early)
 
 
 class TestGibbsIdentity:
@@ -474,3 +494,43 @@ class TestExactOT:
         lam = GridMeasure(spec=spec, weights=np.full(spec.n_points, 1.0), alpha=0.5)
         with pytest.raises(DomainError, match="16384 x 16384 support points needs about"):
             solve(lam)
+
+
+def zero_atom_pair_1d(n):
+    """A 1-d pair in which every 7th source and every 5th target atom has weight 0."""
+    grid = {"dim": 1, "n": n, "lo": -1.0, "hi": 1.0}
+    lam, mu = (make_measure({"grid": grid, "alpha": 0.5, "density": d}) for d in (
+        {"kind": "perturbed_uniform", "amplitude": 0.3, "freq": 2.0},
+        {"kind": "gaussian", "sigma": 0.4, "floor": 0.1}))
+    wl, wm = lam.weights.copy(), mu.weights.copy()
+    wl[::7] = 0.0
+    wm[3::5] = 0.0
+    return GridMeasure(lam.spec, wl / wl.sum(), 0.5), GridMeasure(mu.spec, wm / wm.sum(), 0.5)
+
+
+def lp_pair_2d(n):
+    grid = {"dim": 2, "n": n, "lo": -1.0, "hi": 1.0}
+    return tuple(make_measure({"grid": grid, "alpha": 0.5, "normalize": True, "density": d})
+                 for d in ({"kind": "perturbed_uniform", "amplitude": 0.2, "freq": 1.0},
+                           {"kind": "gaussian", "sigma": 0.5, "floor": 0.3}))
+
+
+@pytest.mark.parametrize("case", [
+    ("lp_highs", lambda: lp_pair_2d(16), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
+    ("monotone_1d", lambda: zero_atom_pair_1d(512), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
+    (None, lambda: curved_pair(512), lambda lam, mu: sinkhorn(lam, mu, 0.1, tol=1e-9),
+     solvers.SINKHORN_DENSE_ARRAYS),
+], ids=["exact_ot_lp_2d", "exact_ot_monotone_1d", "sinkhorn_1d"])
+def test_peak_memory_within_size_guard(case):
+    # The size guard counts n x m float arrays; the traced peak of a solve
+    # stays within the count its guard uses.
+    method, make_pair, solve, arrays = case
+    lam, mu = make_pair()
+    tracemalloc.start()
+    try:
+        res = solve(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert getattr(res, "method", None) == method
+    assert peak <= arrays * 8 * lam.spec.n_points * mu.spec.n_points
