@@ -278,22 +278,18 @@ def monge_coupling(
 
 
 def radius_scan_rows(
-    pi: Coupling,
-    lam: GridMeasure,
-    mu: GridMeasure,
-    radii: list[float],
-    long_factor: float = 7.0,
-    r_avg: float | None = None,
+    pi: Coupling, lam: GridMeasure, mu: GridMeasure, radii: list[float]
 ) -> list[dict]:
-    """Per-radius report rows with columns R,E,D,long_energy,long_mass,defect_beta0."""
+    """Per-radius report rows with columns R,E,D,long_energy,long_mass,defect_beta0;
+    a long trajectory at radius r is a displacement of at least 7r."""
     rows = []
     for r in radii:
-        stats = long_trajectory_stats(pi, r, long_factor * r)
+        stats = long_trajectory_stats(pi, r, 7.0 * r)
         rows.append(
             {
                 "R": float(r),
                 "E": local_energy(pi, r),
-                "D": data_term(lam, mu, r, r_avg).D,
+                "D": data_term(lam, mu, r).D,
                 "long_energy": stats.energy,
                 "long_mass": stats.mass,
                 "defect_beta0": affine_fit(pi, r, beta=0.0).defect,

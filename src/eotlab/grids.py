@@ -17,6 +17,7 @@ __all__ = [
     "GridSpec",
     "GridMeasure",
     "DataTermReport",
+    "averaging_radius",
     "density_at",
     "holder_seminorm",
     "data_term",
@@ -50,8 +51,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise DomainError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.h > 0:
-            raise DomainError(f"grid spacing must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise DomainError(f"grid spacing must be positive and finite, got {self.h}")
         if len(self.extent) != self.dim or len(self.origin_offset) != self.dim:
             raise DomainError("extent and origin_offset must have length dim")
         for a, (n, off) in enumerate(zip(self.extent, self.origin_offset)):
@@ -188,6 +189,11 @@ def _in_hull(spec: GridSpec, x: np.ndarray) -> bool:
     return bool(np.all((lo - 1e-12 <= x) & (x <= hi + 1e-12)))
 
 
+def averaging_radius(lam: GridMeasure, mu: GridMeasure) -> float:
+    """Radius of the origin ball averages: three spacings of the coarser grid."""
+    return 3.0 * max(lam.spec.h, mu.spec.h)
+
+
 def density_at(m: GridMeasure, x, r_avg: float) -> float:
     """Ball-averaged density at ``x``: mass of B_r(x) over its discrete volume."""
     p = _as_point(x, m.dim)
@@ -234,7 +240,7 @@ def data_term(
     if lam.alpha != mu.alpha:
         raise DomainError("measures must share the same Hölder exponent")
     if r_avg is None:
-        r_avg = 3.0 * max(lam.spec.h, mu.spec.h)
+        r_avg = averaging_radius(lam, mu)
     hl = holder_seminorm(lam, R)
     hm = holder_seminorm(mu, R)
     origin = np.zeros(lam.dim)
@@ -486,7 +492,7 @@ def load_measure(csv_path: str | Path) -> GridMeasure:
             meta = json.load(fh)
             spec = GridSpec.from_json_dict(meta)
             alpha = float(meta["alpha"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed measure sidecar {sidecar}: {exc!r}") from exc
     weights = np.zeros(spec.n_points)
     seen = np.zeros(spec.n_points, dtype=bool)

@@ -3,7 +3,6 @@ geometric-cascade iteration, quasi-minimality and long-trajectory experiments.""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .couplings import (
     long_trajectory_stats,
 )
 from .errors import AdmissibilityError, DomainError, SmallnessError
-from .grids import GridMeasure, data_term, density_at
+from .grids import GridMeasure, averaging_radius, data_term, density_at
 from .scalings import (
     DEFAULT_WINDOWS,
     Scaling,
@@ -44,8 +43,6 @@ __all__ = [
     "expansion_experiment",
     "soft_lemma_check",
 ]
-
-logger = logging.getLogger("eotlab.regularity")
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,6 @@ class OneStepOutcome:
     det_A: float
     eps_term: float
     pi_after: Coupling
-    lam_after: GridMeasure
-    mu_after: GridMeasure
 
 
 def _matrix_exp_symmetric(s: np.ndarray) -> np.ndarray:
@@ -200,31 +195,14 @@ def _matrix_exp_symmetric(s: np.ndarray) -> np.ndarray:
     return (vecs * np.exp(vals)) @ vecs.T
 
 
-def one_step(
-    pi: Coupling,
-    lam: GridMeasure,
-    mu: GridMeasure,
-    R: float,
-    theta: float,
-    epsilon: float | None = None,
-    config: RegularityConfig = DEFAULT_CONFIG,
-) -> OneStepOutcome:
-    """Harmonic fit at radius R, affine renormalization, energies re-measured
-    at theta * R.  The contraction is evaluated and recorded, never assumed.
-
-    Preconditions: both ball-averaged densities are 1 at the origin within
-    ``config.normalization_tol``, and E(R) + D(R) + eps^2/R^2 + delta is below
-    ``config.eps1`` (energies are taken at the calling radius; on a bounded
-    grid wider radii saturate the localization region).
-    """
-    if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must lie in (0, 1), got {theta}")
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
+def _improve(
+    pi: Coupling, lam: GridMeasure, mu: GridMeasure, R: float, energy: float, eps: float,
+    config: RegularityConfig,
+) -> tuple[Scaling, HarmonicFit, float, Coupling]:
+    """Improvement step at radius R given ``energy`` = E(R) + D(R): the step
+    scaling from the harmonic fit, the fit, det A and the rescaled plan."""
     d = pi.dim
-    eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
-    r_avg = 3.0 * max(lam.spec.h, mu.spec.h)
-
+    r_avg = averaging_radius(lam, mu)
     origin = np.zeros(d)
     lam0 = density_at(lam, origin, r_avg)
     mu0 = density_at(mu, origin, r_avg)
@@ -233,11 +211,7 @@ def one_step(
             f"marginals are not normalized at the origin: lam(0)={lam0:.4f}, "
             f"mu(0)={mu0:.4f}"
         )
-
-    e_before = local_energy(pi, R)
-    d_before = data_term(lam, mu, R, r_avg).D
-    eps_term = (eps / R) ** 2
-    smallness = e_before + d_before + eps_term + config.delta
+    smallness = energy + (eps / R) ** 2 + config.delta
     if smallness >= config.eps1:
         raise SmallnessError(
             f"smallness {smallness:.4f} >= eps1 {config.eps1} at radius {R}"
@@ -257,25 +231,48 @@ def one_step(
         ) from exc
     s_hat = Scaling(A=a_mat, b=b_vec, gamma=gamma, kappa=1.0)
     s_hat.require_admissible(config.windows)
+    return s_hat, fit, det_a, apply_to_coupling(s_hat, pi, windows=config.windows)
 
-    pi_hat = apply_to_coupling(s_hat, pi, windows=config.windows)
-    lam_hat, mu_hat = pi_hat.source, pi_hat.target
-    e_after = local_energy(pi_hat, theta * R)
-    # Averaging radius re-derived from the transformed grids' spacings.
-    d_after = data_term(lam_hat, mu_hat, theta * R).D
+
+def one_step(
+    pi: Coupling,
+    lam: GridMeasure,
+    mu: GridMeasure,
+    R: float,
+    theta: float,
+    epsilon: float | None = None,
+    config: RegularityConfig = DEFAULT_CONFIG,
+) -> OneStepOutcome:
+    """E and D measured at radius R, one improvement step (harmonic fit at
+    ``config.fit_radius_factor * R``, affine renormalization), and E and D
+    re-measured on the rescaled plan at theta * R.  The contraction is
+    evaluated and recorded, never assumed.
+
+    Preconditions: both ball-averaged densities are 1 at the origin within
+    ``config.normalization_tol``, and E(R) + D(R) + eps^2/R^2 + delta is below
+    ``config.eps1`` (energies are taken at the calling radius; on a bounded
+    grid wider radii saturate the localization region).  ``D_after`` averages
+    over the rescaled grids' spacings.
+    """
+    if not 0.0 < theta < 1.0:
+        raise DomainError(f"theta must lie in (0, 1), got {theta}")
+    if not R > 0:
+        raise DomainError(f"radius must be positive, got {R}")
+    eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
+    e_before = local_energy(pi, R)
+    d_before = data_term(lam, mu, R).D
+    s_hat, fit, det_a, pi_hat = _improve(pi, lam, mu, R, e_before + d_before, eps, config)
     return OneStepOutcome(
         scaling_hat=s_hat,
         theta=theta,
         E_before=e_before,
-        E_after=e_after,
+        E_after=local_energy(pi_hat, theta * R),
         D_before=d_before,
-        D_after=d_after,
+        D_after=data_term(pi_hat.source, pi_hat.target, theta * R).D,
         fit=fit,
         det_A=det_a,
-        eps_term=eps_term,
+        eps_term=(eps / R) ** 2,
         pi_after=pi_hat,
-        lam_after=lam_hat,
-        mu_after=mu_hat,
     )
 
 
@@ -322,8 +319,9 @@ def campanato_iterate(
 ) -> CampanatoTrace:
     """Iterate the one-step improvement down to the entropic length scale.
 
-    The normalizing scaling is applied first; each level composes the step
-    scaling onto the running transform and shrinks the radius by theta.  Stops
+    The normalizing scaling is applied first.  Each level measures E and D
+    once, and the improvement step reuses them; the step scaling is composed
+    onto the running transform and the radius shrinks by theta.  Stops
     at r <= c0 * epsilon, on a smallness or admissibility exit, or at
     ``max_levels``.
     """
@@ -333,44 +331,41 @@ def campanato_iterate(
         raise DomainError("R0 and epsilon must be positive")
     s_bar = normalizing_scaling(lam, mu)
     pi_k = apply_to_coupling(s_bar, pi, windows=config.windows)
-    lam_k, mu_k = pi_k.source, pi_k.target
 
     levels: list[CampanatoLevel] = []
     composed = s_bar
     r = R0
     stop_reason = "max_levels"
     for k in range(max_levels + 1):
+        lam_k, mu_k = pi_k.source, pi_k.target
         data = data_term(lam_k, mu_k, r)
-        levels.append(
-            CampanatoLevel(
-                k=k,
-                r=r,
-                E=local_energy(pi_k, r),
-                D=data.D,
-                defect=affine_fit(pi_k, r, beta=config.beta).defect,
-                holder_lam=data.holder_lambda,
-                holder_mu=data.holder_mu,
-                step_scaling=None,
-                composed=composed,
-            )
+        level = CampanatoLevel(
+            k=k,
+            r=r,
+            E=local_energy(pi_k, r),
+            D=data.D,
+            defect=affine_fit(pi_k, r, beta=config.beta).defect,
+            holder_lam=data.holder_lambda,
+            holder_mu=data.holder_mu,
+            step_scaling=None,
+            composed=composed,
         )
+        levels.append(level)
         if r <= config.c0 * epsilon:
             stop_reason = "reached_epsilon_scale"
             break
         if k == max_levels:
-            stop_reason = "max_levels"
             break
         try:
-            out = one_step(pi_k, lam_k, mu_k, r, theta, epsilon=epsilon, config=config)
+            step, _, _, pi_k = _improve(pi_k, lam_k, mu_k, r, level.E + level.D, epsilon, config)
         except SmallnessError:
             stop_reason = "smallness_violated"
             break
         except AdmissibilityError:
             stop_reason = "admissibility_exit"
             break
-        levels[-1].step_scaling = out.scaling_hat
-        composed = compose(out.scaling_hat, composed, windows=None)
-        pi_k, lam_k, mu_k = out.pi_after, out.lam_after, out.mu_after
+        level.step_scaling = step
+        composed = compose(step, composed, windows=None)
         r = theta * r
     return CampanatoTrace(levels=levels, stop_reason=stop_reason, base_scaling=s_bar)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .couplings import Coupling, check_marginals
 from .errors import AdmissibilityError, DomainError
-from .grids import GridMeasure, GridSpec, density_at
+from .grids import GridMeasure, GridSpec, averaging_radius, density_at
 
 __all__ = [
     "Windows",
@@ -278,17 +278,14 @@ def apply_to_coupling(
     return out
 
 
-def normalizing_scaling(
-    lam: GridMeasure, mu: GridMeasure, r_avg: float | None = None
-) -> Scaling:
+def normalizing_scaling(lam: GridMeasure, mu: GridMeasure) -> Scaling:
     """Scaling that sets both ball-averaged densities to 1 at the origin.
 
     kappa = 1/lam(0); gamma is the dilation factor that makes the transformed
     target density equal 1 at the origin, (mu(0)/lam(0))^{1/d} under the Q2
     convention used here.
     """
-    if r_avg is None:
-        r_avg = 3.0 * max(lam.spec.h, mu.spec.h)
+    r_avg = averaging_radius(lam, mu)
     d = lam.dim
     lam0 = density_at(lam, np.zeros(d), r_avg)
     mu0 = density_at(mu, np.zeros(d), r_avg)

@@ -453,6 +453,16 @@ def _edit_csv_line(lineno, text):
     return edit
 
 
+def _edit_sidecar(key, value):
+    """Measure-file edit: set ``key`` in the JSON sidecar to ``value``."""
+    def edit(path):
+        sidecar = path.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+    return edit
+
+
 BAD_CONFIGS = {
     "epsilon_string": ("campanato", _set(("solver", "epsilon"), "abc"), "solver.epsilon"),
     "epsilon_nan": ("campanato", _set(("solver", "epsilon"), float("nan")), "solver.epsilon"),
@@ -495,6 +505,8 @@ BAD_MEASURE_FILES = {
     "index_negative": (_edit_csv_line(11, "-1,0.1"), "index (-1,)"),
     "duplicate_row": (_edit_csv_line(None, "3,0.1"), "duplicate row for index (3,)"),
     "non_numeric_cell": (_edit_csv_line(4, "3,abc"), "non-numeric cell"),
+    "extent_infinite": (_edit_sidecar("extent", [float("inf")]), "malformed measure sidecar"),
+    "h_infinite": (_edit_sidecar("h", float("inf")), "grid spacing must be positive and finite"),
 }
 
 

@@ -10,6 +10,7 @@ from eotlab import (
     GridSpec,
     HashRegion,
     RegularityConfig,
+    apply_to_coupling,
     campanato_iterate,
     diagonal_coupling,
     exact_ot,
@@ -17,10 +18,12 @@ from eotlab import (
     fit_harmonic_displacement,
     harmonic_fit,
     long_traj_experiment,
+    make_measure,
     measure_from_density,
     monge_coupling,
     one_step,
     quasimin_defect,
+    sinkhorn,
     soft_lemma_check,
     symmetric_grid,
 )
@@ -207,7 +210,53 @@ class TestOneStep:
             one_step(pi, lam, lam, R=0.5, theta=1.0)
 
 
+def curved_plan(n=128, epsilon=0.05):
+    """Sinkhorn plan of the uniform source and the shifted_profile target, with
+    the two marginals."""
+    grid = {"dim": 1, "n": n, "lo": -1.0, "hi": 1.0}
+    profile = {"kind": "shifted_profile", "c0": 0.02, "c1": 0.42, "exponent": 1.0,
+               "window_power": 2.0}
+    lam, mu = (make_measure({"grid": grid, "alpha": 0.5, "normalize": True, "density": d})
+               for d in ({"kind": "uniform"}, profile))
+    return sinkhorn(lam, mu, epsilon, tol=1e-8).plan, lam, mu
+
+
+# Thresholds loose enough for the cascade on curved_plan() to take three steps.
+LOOSE_CONFIG = RegularityConfig(eps1=0.5, delta=0.005, c0=3.0)
+
+
 class TestCampanato:
+    def test_each_level_measured_once(self, monkeypatch):
+        pi, lam, mu = curved_plan()
+        calls = {"data_term": 0, "local_energy": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(regularity, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(regularity, name, counted)
+        trace = campanato_iterate(
+            pi, lam, mu, R0=0.8, theta=0.5, epsilon=0.05, config=LOOSE_CONFIG
+        )
+        assert sum(lvl.step_scaling is not None for lvl in trace.levels) == 3
+        assert calls == {"data_term": len(trace.levels), "local_energy": len(trace.levels)}
+
+    def test_one_step_reproduces_first_level(self):
+        pi, lam, mu = curved_plan()
+        trace = campanato_iterate(
+            pi, lam, mu, R0=0.8, theta=0.5, epsilon=0.05, config=LOOSE_CONFIG
+        )
+        pi_n = apply_to_coupling(trace.base_scaling, pi)
+        out = one_step(
+            pi_n, pi_n.source, pi_n.target, R=0.8, theta=0.5, epsilon=0.05, config=LOOSE_CONFIG
+        )
+        first, second = trace.levels[:2]
+        assert (out.E_before, out.D_before) == (first.E, first.D)
+        assert (out.E_after, out.D_after) == (second.E, second.D)
+        assert np.array_equal(out.scaling_hat.A, first.step_scaling.A)
+        assert np.array_equal(out.scaling_hat.b, first.step_scaling.b)
+        assert out.scaling_hat.gamma == first.step_scaling.gamma
+
     def test_diagonal_trace_is_flat(self):
         lam = uniform_unit_density(n=65)
         pi = diagonal_coupling(lam)
