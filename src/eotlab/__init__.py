@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     EotlabError,
     MassMismatchError,
+    SizeError,
     SmallnessError,
 )
 from .grids import (

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .couplings import RADIUS_SCAN_COLUMNS, radius_scan_rows, save_coupling
 from .errors import (REQUIRED, ConfigError, DomainError, EotlabError, MassMismatchError,
-                     config_value)
+                     SizeError, config_value)
 from .grids import GridMeasure, make_measure
 from .regularity import (
     RegularityConfig,
@@ -90,6 +90,8 @@ def _marginals(cfg: dict) -> tuple[GridMeasure, GridMeasure]:
     target_cfg = _section(cfg, "target") if "target" in cfg else source_cfg
     try:
         return make_measure(source_cfg), make_measure(target_cfg)
+    except SizeError:
+        raise  # exit 4, as for a solve refused by its size
     except DomainError as exc:
         raise ConfigError(f"invalid marginal: {exc}") from exc
 

@@ -18,6 +18,11 @@ class DomainError(EotlabError):
     """A precondition on an operation's inputs was violated."""
 
 
+class SizeError(DomainError):
+    """An input's dense arrays would pass the memory limit; raised before
+    they are allocated."""
+
+
 class MassMismatchError(DomainError):
     """Marginal total masses differ beyond tolerance."""
 

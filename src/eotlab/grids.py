@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -11,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, config_value
+from .errors import ConfigError, DomainError, SizeError, config_value
 
 __all__ = [
     "GridSpec",
@@ -27,7 +28,25 @@ __all__ = [
     "save_measure",
     "load_measure",
     "DENSITY_KINDS",
+    "DENSE_BYTES_LIMIT",
+    "SINKHORN_DENSE_ARRAYS",
+    "EXACT_OT_DENSE_ARRAYS",
+    "require_dense_size",
 ]
+
+# Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
+# the cost, f + g - c, the plan and a product; exact OT the full and restricted
+# cost, the reduced costs and an index array while it prices, then the cost,
+# the plan, the slack and cost * plan in its certificate.  Peaks measured with
+# tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d n = 256/512, 2-d 16x16
+# and 20x20), exact OT 4.4-4.8 (2-d LP, 16x16 to 32x32, the pyramid's
+# c-transforms included) and 4.2 (1-d, n = 512 and 2048).  An input whose
+# arrays would pass DENSE_BYTES_LIMIT fails up front instead of running out of
+# memory; so does a grid that no solve could take, even against the smallest
+# grid of its dimension (2^dim points).
+DENSE_BYTES_LIMIT = 2**30
+SINKHORN_DENSE_ARRAYS = 5
+EXACT_OT_DENSE_ARRAYS = 6
 
 # Pair blocks of this many rows when forming the O(n^2) Hölder sup, to cap
 # peak memory at desk scale.
@@ -63,10 +82,13 @@ class GridSpec:
                     f"origin lies outside the grid hull along axis {a}: "
                     f"offset {off} not in [0, {n - 1}]"
                 )
+        require_dense_size(self.n_points, 2**self.dim,
+                           min(SINKHORN_DENSE_ARRAYS, EXACT_OT_DENSE_ARRAYS),
+                           "the smallest solve with this grid")
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.extent))
+        return math.prod(int(n) for n in self.extent)
 
     @property
     def cell_volume(self) -> float:
@@ -175,6 +197,17 @@ class DataTermReport:
     holder_mu: float
     origin_gap: float
     D: float
+
+
+def require_dense_size(n: int, m: int, arrays: int, what: str) -> None:
+    """Raise SizeError, before anything large is allocated, when ``arrays``
+    float arrays of n x m entries would need more than DENSE_BYTES_LIMIT."""
+    need = arrays * n * m * np.dtype(float).itemsize
+    if need > DENSE_BYTES_LIMIT:
+        raise SizeError(
+            f"{what} on {n} x {m} support points needs about {need / 2**20:,.0f} MiB "
+            f"of dense arrays; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB"
+        )
 
 
 def _as_point(x, dim: int) -> np.ndarray:

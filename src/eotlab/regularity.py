@@ -3,7 +3,7 @@ geometric-cascade iteration, quasi-minimality and long-trajectory experiments.""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -540,13 +540,15 @@ def expansion_experiment(
     the reported table invariant under simultaneous mass rescaling.
     remainder(eps) = (OT_eps - OT - (d/2) eps^2 log(1/eps^2)) / eps^2; the
     reported slope regresses (OT_eps - OT)/eps^2 on log(1/eps^2) over ladder
-    points resolved by the grid (eps >= 3h).
+    points resolved by the grid (eps >= 3h).  ``exact_ot`` records the exact
+    solve's method and its LP solves.
     """
     d = lam.dim
     h = max(lam.spec.h, mu.spec.h)
     lam = lam.scaled(1.0 / lam.total_mass)
     mu = mu.scaled(1.0 / mu.total_mass)
-    ot = exact_ot(lam, mu).cost
+    exact = exact_ot(lam, mu)
+    ot = exact.cost
     rows = []
     for eps, res in zip(eps_ladder, _solve_ladder(lam, mu, eps_ladder, solver_opts, max_workers)):
         ot_eps = entropic_cost(res)
@@ -568,7 +570,8 @@ def expansion_experiment(
     reg = _regression_slope(
         [r["log_inv_eps2"] for r in included], [r["gap_over_eps2"] for r in included]
     )
-    return {"dim": d, "ot": ot, "rows": rows, "slope": reg, "reference_slope": 0.5 * d}
+    return {"dim": d, "ot": ot, "rows": rows, "slope": reg, "reference_slope": 0.5 * d,
+            "exact_ot": {"method": exact.method, "solves": [asdict(s) for s in exact.solves]}}
 
 
 def soft_lemma_check(

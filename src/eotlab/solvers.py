@@ -11,17 +11,17 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .couplings import Coupling, squared_distances
 from .errors import CertificateError, DomainError, MassMismatchError
-from .grids import GridMeasure
+from .grids import (EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS, GridMeasure,
+                    require_dense_size)
 
 __all__ = [
     "SinkhornResult",
     "SinkhornStage",
     "ExactOTResult",
+    "LPSolve",
     "sinkhorn",
     "exact_ot",
     "entropic_cost",
@@ -50,17 +50,6 @@ STOP_REASONS = {
     "stagnated": "the measured rate needs more than solver.max_iter iterations; "
                  "raise solver.epsilon or solver.max_iter",
 }
-# Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
-# the cost, f + g - c, the plan and a product; exact OT the full and restricted
-# cost, the reduced costs and an index array while it prices, then the cost,
-# the plan, the slack and cost * plan in its certificate.  Peaks measured with
-# tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d n = 256/512, 2-d 16x16
-# and 20x20), exact OT 4.8-5.8 (2-d LP, 16x16 to 32x32) and 4.2 (1-d, n = 512
-# and 2048).  An input whose arrays would pass DENSE_BYTES_LIMIT fails up front
-# instead of running out of memory.
-DENSE_BYTES_LIMIT = 2**30
-SINKHORN_DENSE_ARRAYS = 5
-EXACT_OT_DENSE_ARRAYS = 6
 
 
 @dataclass
@@ -93,6 +82,18 @@ class SinkhornResult:
 
 
 @dataclass
+class LPSolve:
+    """One solve of the shortlist LP: its pyramid level (0 is the input, each
+    level above halves the grid), the atoms n x m at that level, the pairs on
+    the shortlist, and the violated pairs that pricing its duals added to the
+    shortlist (0 on a level's last solve)."""
+    level: int
+    atoms: tuple[int, int]
+    pairs: int
+    added: int
+
+
+@dataclass
 class ExactOTResult:
     plan: Coupling
     cost: float
@@ -101,6 +102,7 @@ class ExactOTResult:
     feasibility_violation: float
     u: np.ndarray
     v: np.ndarray
+    solves: list[LPSolve]
 
 
 def _require_equal_masses(lam: GridMeasure, mu: GridMeasure) -> float:
@@ -111,18 +113,6 @@ def _require_equal_masses(lam: GridMeasure, mu: GridMeasure) -> float:
             f"marginal masses differ: relative gap {gap:.3e} exceeds {MASS_RTOL:.0e}"
         )
     return 0.5 * (ml + mm)
-
-
-def _require_dense_size(lam: GridMeasure, mu: GridMeasure, arrays: int, what: str) -> None:
-    """Raise DomainError, before anything large is allocated, when ``arrays``
-    float arrays of n x m entries would need more than DENSE_BYTES_LIMIT."""
-    n, m = lam.spec.n_points, mu.spec.n_points
-    need = arrays * n * m * np.dtype(float).itemsize
-    if need > DENSE_BYTES_LIMIT:
-        raise DomainError(
-            f"{what} on {n} x {m} support points needs about {need / 2**20:,.0f} MiB "
-            f"of dense arrays; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB"
-        )
 
 
 def _positive_atoms(lam: GridMeasure, mu: GridMeasure) -> tuple[np.ndarray, ...]:
@@ -208,7 +198,7 @@ def sinkhorn(
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
     mass = _require_equal_masses(lam, mu)
-    _require_dense_size(lam, mu, SINKHORN_DENSE_ARRAYS, "sinkhorn")
+    require_dense_size(lam.spec.n_points, mu.spec.n_points, SINKHORN_DENSE_ARRAYS, "sinkhorn")
 
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     la, mb = wa / lam.total_mass, wb / mu.total_mass
@@ -459,19 +449,31 @@ PRICE_RTOL = 1e-12
 # restricted LPs infeasible (a 14x14 gaussian of floor 0 to a uniform).
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                  "presolve": False}
+# The LP runs on a pyramid of coarsened grids once either side has more than
+# this many positive atoms; its coarsest level has at most this many per side.
+PYRAMID_ATOMS = 256
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first LP solve: importing scipy
+    takes most of eotlab's start-up time, and only the transport LP uses it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Exact quadratic transport with a dual-feasibility certificate.
 
     Dimension 1 uses the monotone coupling of the sorted supports; dimension 2
-    solves the transport LP on a shortlist of pairs, grown by pricing against
-    the full cost.  Both paths verify complementary slackness, the marginals
-    and a vanishing duality gap before returning.  An input whose dense arrays
-    would pass DENSE_BYTES_LIMIT raises DomainError up front.
+    solves the transport LP on a shortlist of pairs, coarse to fine, grown by
+    pricing against the full cost; ``solves`` records each LP solve.  Both
+    paths verify complementary slackness, the marginals and a vanishing
+    duality gap before returning.  An input whose dense arrays would pass
+    DENSE_BYTES_LIMIT raises SizeError up front.
     """
     _require_equal_masses(lam, mu)
-    _require_dense_size(lam, mu, EXACT_OT_DENSE_ARRAYS, "exact_ot")
+    require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
     if lam.dim == 1:
         try:
             return _exact_ot_monotone(lam, mu)
@@ -510,7 +512,7 @@ def _certify(
 def _embed_result(
     lam: GridMeasure, mu: GridMeasure, cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     cells: tuple[np.ndarray, np.ndarray], masses: np.ndarray, u_s: np.ndarray,
-    v_s: np.ndarray, method: str,
+    v_s: np.ndarray, method: str, solves: list[LPSolve],
 ) -> ExactOTResult:
     """Embed a plan and duals solved on the atoms ``rows`` x ``cols``, complete
     the zero-weight atoms' duals, and certify against the full ``cost``.  The
@@ -538,6 +540,7 @@ def _embed_result(
         feasibility_violation=violation,
         u=u,
         v=v,
+        solves=solves,
     )
 
 
@@ -577,7 +580,7 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     us[ri] = u_path
     vs[cj] = c_path - u_path
     return _embed_result(lam, mu, cost, rows, cols, (ri, cj), np.maximum(overlap, 0.0), us, vs,
-                         method="monotone_1d")
+                         method="monotone_1d", solves=[])
 
 
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
@@ -594,33 +597,85 @@ def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Transport LP over the positive-weight atoms; the others carry no mass.
 
-    The LP is solved on a shortlist of pairs: each atom's nearest partners and
-    a north-west-corner staircase, which makes the restricted LP feasible.
+    The LP is solved on a shortlist of pairs, coarse to fine (Merigot,
+    Comput. Graph. Forum 30(5), 2011; Schmitzer, JMIV 56, 2016).  While
+    either side has more than PYRAMID_ATOMS atoms, both are coarsened by
+    summing 2^dim blocks of cells, at the blocks' barycentres.  Each level is
+    seeded with dual-feasible (u, v): zero on the coarsest level, else the
+    coarser level's v on each atom's block, then c-transformed twice on this
+    level's cost.  Its shortlist is each row's and column's smallest reduced
+    costs c - u - v (on the coarsest level, the nearest partners) and a
+    north-west-corner staircase, which makes the restricted LP feasible.
     HiGHS's basis duals, tight on the plan's support to rounding, are priced
-    against the full cost; while some pair outside the shortlist violates
-    u_i + v_j <= c_ij, the most violated pairs of each row and column join it
-    and the LP is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging
-    Sci. 7(4), 2014; Schmitzer, JMIV 56, 2016).  The exit duals are
-    dual-feasible on the full cost, so the last plan is optimal there.
+    against the level's full cost; while some pair outside the shortlist
+    violates u_i + v_j <= c_ij, the most violated pairs of each row and column
+    join it and the LP is solved again (Gottschlich & Schuhmacher, SIAM J.
+    Imaging Sci. 7(4), 2014).  The finest level's exit duals are
+    dual-feasible on the full cost, so its last plan is optimal there.
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     cost = squared_distances(lam.points, mu.points)
-    cells, x, u_s, v_s = _shortlist_lp(cost[np.ix_(rows, cols)], wa, wb, lam.dim)
-    return _embed_result(lam, mu, cost, rows, cols, cells, np.maximum(x, 0.0), u_s, v_s,
-                         method="lp_highs")
+    # Each level holds, per side, the atoms' grid multi-indices, the grid's
+    # extent, the weights and the points; parents[l] maps the target atoms of
+    # level l to their blocks at level l + 1.
+    levels = [tuple((np.array(np.unravel_index(idx, m.spec.extent)), m.spec.extent, w,
+                     m.points[idx]) for m, idx, w in ((lam, rows, wa), (mu, cols, wb)))]
+    parents = []
+    while max(side[2].size for side in levels[-1]) > PYRAMID_ATOMS:
+        (src, _), (dst, parent) = (_coarsen(*side) for side in levels[-1])
+        levels.append((src, dst))
+        parents.append(parent)
+    solves: list[LPSolve] = []
+    for level in reversed(range(len(levels))):
+        (_, _, wa_l, xa), (_, _, wb_l, xb) = levels[level]
+        cost_l = cost[np.ix_(rows, cols)] if level == 0 else squared_distances(xa, xb)
+        if level == len(levels) - 1:
+            u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
+        else:
+            u = _c_transform(cost_l, v[parents[level]])
+            v = _c_transform(cost_l.T, u)
+        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v)
+        solves += [LPSolve(level, cost_l.shape, pairs, added) for pairs, added in rounds]
+    del cost_l
+    return _embed_result(lam, mu, cost, rows, cols, cells, np.maximum(x, 0.0), u, v,
+                         method="lp_highs", solves=solves)
 
 
-def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int) -> tuple:
-    """The pricing loop of _exact_ot_lp on the positive atoms' cost ``cost_s``:
-    the shortlist's cells, the last LP's solution on them and its row and
-    column duals.  Its n x m arrays are gone when it returns."""
+def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
+             x: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Merge the atoms at grid multi-indices ``index`` (dim x k) of a grid of
+    ``extent`` by 2^dim blocks of cells; at an odd extent the last block is
+    one cell wide.  Returns the blocks as (multi-indices, extent, weights,
+    barycentres), in grid order, and each atom's block."""
+    extent = tuple((n + 1) // 2 for n in extent)
+    keys, parent = np.unique(np.ravel_multi_index(index // 2, extent), return_inverse=True)
+    wc = np.bincount(parent, weights=w)
+    xc = np.stack([np.bincount(parent, weights=w * x[:, a]) for a in range(x.shape[1])], axis=1)
+    return (np.array(np.unravel_index(keys, extent)), extent, wc, xc / wc[:, None]), parent
+
+
+def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min_j (c_ij - v_j) for each row i of ``cost``."""
+    return np.min(cost - v[None, :], axis=1)
+
+
+def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
+                  u: np.ndarray, v: np.ndarray) -> tuple:
+    """The pricing loop of _exact_ot_lp on one level's cost ``cost_s``, seeded
+    from the dual-feasible (u, v): the shortlist's cells, the last LP's
+    solution on them, its row and column duals, and for each solve the pairs
+    on the shortlist and the violated pairs its duals added.  Its n x m arrays
+    are gone when it returns."""
+    import scipy.sparse as sp
+
     n, m = cost_s.shape
     near, batch = SHORTLIST_STENCIL**dim, dim + 1
     threshold = PRICE_RTOL * max(1.0, float(cost_s.max()))
 
-    chosen = _smallest_per_line(cost_s, near, np.inf)
+    chosen = _smallest_per_line(cost_s - u[:, None] - v[None, :], near, np.inf)
     chosen[_staircase(np.cumsum(wa), np.cumsum(wb))] = True
     b_eq = np.concatenate([wa, wb])
+    rounds = []
     while True:
         ii, jj = np.nonzero(chosen)
         k = np.arange(ii.size)
@@ -637,7 +692,8 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int) 
         reduced = cost_s - u_s[:, None] - v_s[None, :]
         reduced[chosen] = np.inf
         violated = _smallest_per_line(reduced, batch, -threshold)
-        if not violated.any():
+        rounds.append((ii.size, int(np.count_nonzero(violated))))
+        if not rounds[-1][1]:
             break
         chosen |= violated
-    return (ii, jj), res.x, u_s, v_s
+    return (ii, jj), res.x, u_s, v_s, rounds

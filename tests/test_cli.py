@@ -208,6 +208,24 @@ class TestExpansionExperiment:
         for name in ("report.csv", "trace.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_trace_records_lp_solves(self, tmp_path, monkeypatch):
+        from eotlab import solvers
+
+        # A 9x9 grid over a pyramid capped at 25 atoms: levels 1 and 0.
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 25)
+        spec = dict(marginal_spec(n=9), grid={"dim": 2, "n": 9, "lo": -1.0, "hi": 1.0})
+        target = dict(spec, density={"kind": "gaussian", "sigma": 0.5, "floor": 0.3})
+        cfg = write_config(tmp_path, {"source": spec, "target": target,
+                                      "experiment": {"eps_ladder": [0.6]}})
+        out = tmp_path / "out"
+        assert main(["experiment", "expansion", "--config", str(cfg), "--out", str(out)]) == 0
+        record = json.loads((out / "trace.json").read_text())["exact_ot"]
+        assert record["method"] == "lp_highs"
+        solves = record["solves"]
+        assert [s["level"] for s in solves][0] == 1 and solves[-1]["level"] == 0
+        assert solves[0]["atoms"] == [25, 25] and solves[-1]["atoms"] == [81, 81]
+        assert solves[-1]["added"] == 0 and all(s["pairs"] > 0 for s in solves)
+
 
 class TestOtherExperiments:
     def test_longtraj_schema(self, tmp_path):
@@ -353,6 +371,35 @@ class TestNonConvergenceAndBadInput:
         assert peak < 64 * 2**20
         err = capsys.readouterr().err
         assert "16384 x 16384" in err and "MiB" in err and "limit" in err
+
+    @pytest.mark.parametrize("where", ["config_grid", "sidecar_extent"])
+    def test_oversized_grid_exits_4_before_allocating(self, tmp_path, capsys, where):
+        import time
+        import tracemalloc
+
+        if where == "config_grid":
+            source, points = marginal_spec(n=10**15), 10**15
+        else:
+            lam = line_measure(np.linspace(-1.0, 1.0, 11), np.full(11, 1.0 / 11), h=0.2)
+            save_measure(lam, tmp_path / "lam.csv")
+            sidecar = tmp_path / "lam.json"
+            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), extent=[10**18])))
+            source, points = {"file": str(tmp_path / "lam.csv")}, 10**18
+        cfg = write_config(tmp_path, {"source": source, "solver": {"epsilon": 0.3}})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{points} x 2 support points" in err and "MiB" in err and "limit" in err
 
     def test_stagnated_solve_exits_3_at_once(self, tmp_path, caplog):
         import time

@@ -1,9 +1,13 @@
 """Every exported name resolves, so ``from eotlab.<module> import *`` cannot break
-on a stale ``__all__`` entry."""
+on a stale ``__all__`` entry; importing the package loads no scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +34,15 @@ def test_package_names_are_exported_by_their_module():
         home = importlib.import_module(value.__module__)
         assert getattr(home, name) is value
         assert name in getattr(home, "__all__", [name]), f"{name} not in {home.__name__}.__all__"
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the transport LP uses scipy, and it imports scipy on its first
+    # solve: importing the package and its CLI does not.
+    src = str(Path(eotlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, eotlab, eotlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

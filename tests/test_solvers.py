@@ -447,6 +447,56 @@ class TestExactOT:
         assert slack.max() <= 1e-12 * max(1.0, float(cost.max()))
         assert np.abs(slack[res.plan.mass > 0]).max() <= 1e-12
 
+    @staticmethod
+    def assert_matches_reference(res, lam, mu):
+        ref = dense_reference_cost(lam, mu)
+        assert res.method == "lp_highs"
+        assert abs(res.cost - ref) <= 1e-12 * ref
+        assert res.duality_gap <= CERT_RTOL
+        assert res.feasibility_violation <= CERT_RTOL
+
+    @pytest.mark.parametrize("n", [8, 11])
+    @pytest.mark.parametrize("zero_atoms", [False, True])
+    def test_pyramid_matches_dense_reference(self, monkeypatch, n, zero_atoms):
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 12)
+        lam, mu = shifted_narrow_pair(n, zero_atoms)
+        res = exact_ot(lam, mu)
+        self.assert_matches_reference(res, lam, mu)
+        levels = [s.level for s in res.solves]
+        # Coarse to fine, each level priced until no pair violates.
+        assert levels == sorted(levels, reverse=True) and levels[-1] == 0
+        assert len(set(levels)) >= 2
+        for level in set(levels):
+            assert [s.added for s in res.solves if s.level == level][-1] == 0
+        assert res.solves[0].atoms[0] <= 12 and res.solves[0].atoms[1] <= 12
+        assert res.solves[-1].atoms == (np.count_nonzero(lam.weights),
+                                        np.count_nonzero(mu.weights))
+
+    def test_pyramid_on_different_grids_with_odd_extents(self, monkeypatch):
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 10)
+        rng = np.random.default_rng(5)
+        src = GridSpec(dim=2, h=0.2, extent=(9, 7), origin_offset=(4.0, 3.0))
+        tgt = GridSpec(dim=2, h=0.15, extent=(11, 5), origin_offset=(4.5, 2.0))
+        wl, wm = rng.random(src.n_points), rng.random(tgt.n_points)
+        wl[rng.random(wl.size) < 0.2] = 0.0
+        wm[rng.random(wm.size) < 0.2] = 0.0
+        lam = GridMeasure(spec=src, weights=wl / wl.sum(), alpha=0.5)
+        mu = GridMeasure(spec=tgt, weights=wm / wm.sum(), alpha=0.5)
+        res = exact_ot(lam, mu)
+        self.assert_matches_reference(res, lam, mu)
+        assert len({s.level for s in res.solves}) >= 3
+
+    def test_fine_level_pricing_adds_pairs(self, monkeypatch):
+        # With one partner per row and column in the seed, the dual-seeded
+        # shortlist misses pairs of the fine optimum, and pricing adds them.
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 12)
+        monkeypatch.setattr(solvers, "SHORTLIST_STENCIL", 1)
+        lam, mu = shifted_narrow_pair(8, False)
+        res = exact_ot(lam, mu)
+        self.assert_matches_reference(res, lam, mu)
+        assert any(s.level == 0 and s.added > 0 for s in res.solves)
+        assert max(s.level for s in res.solves) >= 1
+
     def test_tiny_weight_atoms_certify(self):
         # The smallest source weight is 1.3e-12.  With HiGHS presolve on, a
         # feasible restricted LP of this pair is declared infeasible.
@@ -473,6 +523,18 @@ class TestExactOT:
             assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
             assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
             assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
+
+    def test_pyramid_lp_matches_monotone_path_in_1d(self):
+        # 257 and 240 positive atoms: the LP runs on blocks of two cells,
+        # then on the atoms.
+        lam, mu = zero_atom_pair_1d(300)
+        monotone = exact_ot(lam, mu)
+        lp = _exact_ot_lp(lam, mu)
+        assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
+        assert monotone.solves == []
+        assert [s.level for s in lp.solves][0] == 1 and lp.solves[-1].atoms == (257, 240)
+        assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
+        assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
 
     def test_certificate_rejects_plan_off_its_marginals(self):
         lam, mu = wavy_pair()
@@ -517,10 +579,11 @@ def lp_pair_2d(n):
 
 @pytest.mark.parametrize("case", [
     ("lp_highs", lambda: lp_pair_2d(16), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
+    ("lp_highs", lambda: lp_pair_2d(20), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
     ("monotone_1d", lambda: zero_atom_pair_1d(512), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
     (None, lambda: curved_pair(512), lambda lam, mu: sinkhorn(lam, mu, 0.1, tol=1e-9),
      solvers.SINKHORN_DENSE_ARRAYS),
-], ids=["exact_ot_lp_2d", "exact_ot_monotone_1d", "sinkhorn_1d"])
+], ids=["exact_ot_lp_2d", "exact_ot_lp_pyramid_2d", "exact_ot_monotone_1d", "sinkhorn_1d"])
 def test_peak_memory_within_size_guard(case):
     # The size guard counts n x m float arrays; the traced peak of a solve
     # stays within the count its guard uses.
