@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
         "entropy": res.entropy,
         "entropic_cost": entropic_cost(res),
         "mass": res.mass,
+        "stages": _stages(res),
     }
     if n_samples > 0 and res.converged:
         summary["gibbs_max_rel_err"] = gibbs_identity_check(res, n_samples, seed=seed)
@@ -225,6 +227,11 @@ def _exp_nonnegative(exp: dict, key: str, kind: type, default):
 
 def _radius_scan(res, lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> dict:
     return {"radius_scan.csv": (RADIUS_SCAN_COLUMNS, radius_scan_rows(res.plan, lam, mu, radii))}
+
+
+def _stages(res) -> list[dict]:
+    """The solve's epsilon stages (``SinkhornResult.stages``) as JSON objects."""
+    return [asdict(stage) for stage in res.stages]
 
 
 def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
@@ -300,7 +307,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
         "converged": res.converged,
     }
     trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
-                 normalizing=scaling_to_json_dict(s_bar))
+                 normalizing=scaling_to_json_dict(s_bar), stages=_stages(res))
     scan = _radius_scan(res, lam, mu, [radius, theta * radius, theta**2 * radius])
     return list(row), [row], trace, res.converged, scan
 
@@ -320,7 +327,8 @@ def _run_campanato(lam, mu, exp, cfg) -> tuple:
         for row, lvl in zip(rows, cascade.levels)
     ]
     trace = {"stop_reason": cascade.stop_reason,
-             "base_scaling": scaling_to_json_dict(cascade.base_scaling), "levels": levels}
+             "base_scaling": scaling_to_json_dict(cascade.base_scaling), "levels": levels,
+             "stages": _stages(res)}
     scan = _radius_scan(res, lam, mu, cascade.radii())
     return columns, rows, trace, res.converged, scan
 
@@ -336,7 +344,8 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)
         delta_r = max(report.defect, 0.0)
     result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
-    return list(result["rows"][0]), result["rows"], result, res.converged, {}
+    trace = dict(result, stages=_stages(res))
+    return list(result["rows"][0]), result["rows"], trace, res.converged, {}
 
 
 EXPERIMENTS = {

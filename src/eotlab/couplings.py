@@ -95,12 +95,6 @@ class Coupling:
         c.setflags(write=False)
         return c
 
-    @cached_property
-    def dist_matrix(self) -> np.ndarray:
-        d = np.sqrt(self.cost_matrix)
-        d.setflags(write=False)
-        return d
-
 
 # ---------------------------------------------------------------------------
 # Regions over point pairs
@@ -188,7 +182,7 @@ def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajS
         raise DomainError(f"radius must be positive, got {R}")
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    mask = HashRegion(R).mask(pi) & (pi.dist_matrix >= threshold)
+    mask = HashRegion(R).mask(pi) & (pi.cost_matrix >= threshold**2)
     d = pi.dim
     energy = float(np.sum(pi.cost_matrix * pi.mass, where=mask)) / R ** (d + 2)
     mass = float(np.sum(pi.mass, where=mask)) / R**d

@@ -289,6 +289,8 @@ def data_term(
 
 def symmetric_grid(dim: int, n: int, lo: float, hi: float) -> GridSpec:
     """Endpoint-inclusive grid with ``n`` points per axis on [lo, hi]^dim."""
+    if dim not in (1, 2):  # before (n,) * dim is built
+        raise DomainError(f"dim must be 1 or 2, got {dim}")
     if not lo < 0.0 < hi:
         raise DomainError(f"interval [{lo}, {hi}] must contain 0 in its interior")
     if n < 2:
@@ -320,7 +322,7 @@ def _density_affine(pts: np.ndarray, params: dict) -> np.ndarray:
 
 
 def _density_gaussian(pts: np.ndarray, params: dict) -> np.ndarray:
-    sigma = config_value(params, "sigma", float, 0.5, where="density.")
+    sigma = config_value(params, "sigma", float, 0.5, positive=True, where="density.")
     amplitude = config_value(params, "amplitude", float, 1.0, where="density.")
     floor = config_value(params, "floor", float, 0.0, where="density.")
     center = _per_axis(params, "center", pts.shape[1])

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import Coupling, squared_distances
-from .errors import CertificateError, DomainError, MassMismatchError
-from .grids import (EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS, GridMeasure,
-                    require_dense_size)
+from .errors import CertificateError, DomainError, MassMismatchError, SizeError
+from .grids import (DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS,
+                    GridMeasure, require_dense_size)
 
 __all__ = [
     "SinkhornResult",
@@ -32,8 +32,9 @@ logger = logging.getLogger("eotlab.solvers")
 
 MASS_RTOL = 1e-12
 # Sinkhorn scalings are absorbed into the log potentials once they leave
-# (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry that underflows to zero then
-# stands for a plan entry below 1e-208, far under any marginal tolerance.
+# (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry dropped below
+# ABSORB_BOUND * tiny then stands for a plan entry below 1e-157, far under any
+# marginal tolerance.
 ABSORB_BOUND = 1e50
 # Over-relaxed Sinkhorn converges for factors in (0, 2) (Lehmann et al., Optim.
 # Lett. 16, 2022); OMEGA_MAX keeps the factor off that edge, where the relaxed
@@ -173,22 +174,25 @@ def sinkhorn(
     """Over-relaxed Sinkhorn iteration at temperature epsilon^2, in the
     scaling domain.
 
-    Each epsilon stage opens with a log-domain sweep.  The potentials (f, g)
-    are then absorbed, centred, into the kernel K = exp((f + g - c)/eps^2) *
-    (a (x) b) and the iteration runs on scalings: u <- u (a / (u K v))^omega,
-    v <- v (b / (v K^T u))^omega.  A scaling that leaves (1/ABSORB_BOUND,
-    ABSORB_BOUND), or turns non-finite or zero, sends that iteration through a
-    plain log-domain sweep and a new kernel (Schmitzer, SIAM J. Sci. Comput.
-    41(3), 2019).
+    Each epsilon stage opens by absorbing the centred potentials (f, g) into
+    the kernel K = exp((f + g - c)/eps^2) * (a (x) b), and the iteration runs
+    on scalings: u <- u (a / (u K v))^omega, v <- v (b / (v K^T u))^omega.  A
+    scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or turns non-finite or
+    zero, sends that iteration through a plain log-domain sweep and a new
+    kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
 
     Every ``check_every``-th iteration is plain (omega = 1) and reads the
-    marginal error.  A stage starts plain; once two consecutive per-iteration
-    contraction rates measured at the checks agree, omega is set from the rate
-    by _omega_for_rate.  A relaxed check whose error exceeds the last accepted
-    one is rolled back to that check's state and omega - 1 is halved.  With
-    relaxation tried, two agreeing rates that project the final stage's error
-    to reach ``tol`` only after ``max_iter`` end it as stagnated; a non-finite
-    error ends a stage at once.  ``stages`` records each stage.
+    marginal error.  A stage starts plain.  From the second check on, each
+    check measures the per-iteration contraction rate lambda since the one
+    before; while lambda exceeds omega - 1, Young's relation theta =
+    (lambda + omega - 1)^2 / (lambda omega^2) gives the plain rate theta, and
+    omega is raised to _omega_for_rate(theta) (Hageman & Young, Applied
+    Iterative Methods, 1981, ch. 9), but never to a factor that a rollback
+    rejected in the stage.  A relaxed check whose error exceeds the last
+    accepted one is rolled back to that check's state and omega - 1 is
+    halved.  Two agreeing rates at one omega that project the final stage's
+    error to reach ``tol`` only after ``max_iter`` end it as stagnated; a
+    non-finite error ends a stage at once.  ``stages`` records each stage.
 
     Marginals are normalized to probability internally; the returned plan,
     potentials, cost and entropy refer to the original mass scale, and the
@@ -203,131 +207,160 @@ def sinkhorn(
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     la, mb = wa / lam.total_mass, wb / mu.total_mass
     cost = squared_distances(lam.points[rows], mu.points[cols])
+    cost_max = float(cost.max())
+    # f + g - c carries the rounding of the largest cost; past epsilon^2 the
+    # Gibbs factors exp((f + g - c)/epsilon^2) are noise.
+    if cost_max * np.finfo(float).eps > epsilon * epsilon:
+        raise DomainError(f"epsilon^2 = {epsilon * epsilon:.3e} is below the rounding error of "
+                          f"the largest squared distance {cost_max:.3e}; raise solver.epsilon")
     log_la = np.log(la)
     log_mb = np.log(mb)
+    n, m = cost.shape
 
-    ladder = _epsilon_ladder(epsilon, float(cost.max())) if warm_start else [epsilon]
+    ladder = _epsilon_ladder(epsilon, cost_max) if warm_start else [epsilon]
 
-    f = np.zeros(la.shape[0])
-    g = np.zeros(mb.shape[0])
+    f = np.zeros(n)
+    g = np.zeros(m)
     iterations = 0
     err_history: list[tuple[int, float]] = []
     stages: list[SinkhornStage] = []
-    # Scratch for the log-domain sweeps; between sweeps it holds the kernel.
+    # The kernel; the log-domain sweeps use it as scratch.
     work = np.empty_like(cost)
+    # The scalings u, v and their next values each share one buffer, so that
+    # one bounds test covers both; kv = K v and ktu = K^T u.
+    uv, nxt = np.empty(n + m), np.empty(n + m)
+    u, v, u_next, v_next = uv[:n], uv[n:], nxt[:n], nxt[n:]
+    kv, ktu = np.empty(n), np.empty(m)
 
     def build_kernel(eps2: float) -> None:
+        """Absorb f, g into the kernel; the scalings restart at 1."""
         np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
         np.subtract(work, cost, out=work)
         np.divide(work, eps2, out=work)
         np.exp(work, out=work)
-        # Subnormal entries make the matrix-vector products several times
-        # slower; scaled by at most ABSORB_BOUND**2 they stay far below any
-        # marginal tolerance.
-        work[work < np.finfo(float).tiny] = 0.0
+        # Subnormal products make the matrix-vector products several times
+        # slower.  Entries below tiny * ABSORB_BOUND go, so that no entry times
+        # an in-bounds scaling is subnormal.
+        work[work < np.finfo(float).tiny * ABSORB_BOUND] = 0.0
+        uv[:] = 1.0
+        np.sum(work, axis=1, out=kv)
 
     def center() -> None:
         shift = float(np.mean(f))
         f[:] -= shift
         g[:] += shift
 
+    def relax(new: np.ndarray, old: np.ndarray, omega: float) -> None:
+        """new <- old * (new / old)**omega, in place."""
+        np.divide(new, old, out=new)
+        np.power(new, omega, out=new)
+        np.multiply(new, old, out=new)
+
     for stage, eps in enumerate(ladder):
         final = stage == len(ladder) - 1
         eps2 = eps * eps
         stage_tol = tol if final else max(tol, 1e-3)
         stage_iter = max_iter if final else 200
-        u = np.ones_like(la)
-        v = np.ones_like(mb)
-        in_bounds = False
-        absorptions = 0
-        # With check_every 1 every v-update is plain, so nothing is relaxed.
-        omega, tuned, rollbacks = 1.0, check_every == 1, 0
-        # The last accepted check: its error, its state, and the rate measured
-        # from the check before it.
-        accepted, saved, ref, rate = np.inf, None, None, None
-        stop, it = "stage_cap", 0
-        for it in range(1, stage_iter + 1):
-            check = it % check_every == 0 or it == stage_iter
-            if in_bounds:
-                u_next = la / kv
+        # A scaling out of bounds, zero or non-finite sends its iteration down
+        # the log-domain path, so the floating-point warnings it raises on the
+        # way carry no news.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            build_kernel(eps2)
+            absorptions = 0
+            # omega is only ever raised below `ceiling`, the smallest factor a
+            # rollback rejected in this stage.
+            omega, ceiling, rollbacks = 1.0, np.inf, 0
+            # The last accepted check: its error, its state, and the rate
+            # measured from the check before it.
+            accepted, saved, ref, rate = np.inf, None, None, None
+            stop, it = "stage_cap", 0
+            for it in range(1, stage_iter + 1):
+                check = it % check_every == 0 or it == stage_iter
+                np.divide(la, kv, out=u_next)
                 if omega != 1.0:
-                    u_next = u * (u_next / u) ** omega
-                ktu = work.T @ u_next
-                v_next = mb / ktu
+                    relax(u_next, u, omega)
+                np.matmul(work.T, u_next, out=ktu)
+                np.divide(mb, ktu, out=v_next)
                 # A check ends on a plain v-update: its column marginal is
                 # exact, and the error is the row error, as in plain Sinkhorn.
                 if omega != 1.0 and not check:
-                    v_next = v * (v_next / v) ** omega
-                in_bounds = _bounded(u_next) and _bounded(v_next)
-                if in_bounds:
-                    u, v = u_next, v_next
-                    kv = work @ v
-            if not in_bounds:
-                # Redo this iteration as a plain log-domain sweep from the last
-                # scalings that stayed in bounds, then absorb the potentials.
-                g += eps2 * np.log(v)
-                f = _softmin(cost, work, g, log_mb, eps2)
-                g = _softmin(cost.T, work.T, f, log_la, eps2)
-                center()
-                build_kernel(eps2)
-                absorptions += 1
-                u = np.ones_like(la)
-                v = np.ones_like(mb)
-                kv = work.sum(axis=1)
-                ktu = work.sum(axis=0)
-                in_bounds = True
-            iterations += 1
-            if not check:
-                continue
-            err = max(
-                float(np.sum(np.abs(u * kv - la))),
-                float(np.sum(np.abs(v * ktu - mb))),
-            )
-            if omega > 1.0 and not err <= accepted:
-                # The relaxed iterations since the last accepted check made
-                # things worse: return to that check and relax less.
-                f_saved, g_saved, u, v, kv, kept = saved
-                f, g = f_saved.copy(), g_saved.copy()
-                if kept != absorptions:
+                    relax(v_next, v, omega)
+                if _bounded(nxt):
+                    uv[:] = nxt
+                    np.matmul(work, v, out=kv)
+                else:
+                    # Redo this iteration as a plain log-domain sweep from the
+                    # last scalings that stayed in bounds, then absorb the
+                    # potentials.
+                    g += eps2 * np.log(v)
+                    f = _softmin(cost, work, g, log_mb, eps2)
+                    g = _softmin(cost.T, work.T, f, log_la, eps2)
+                    center()
                     build_kernel(eps2)
-                    absorptions = kept
-                rollbacks += 1
-                omega = 1.0 + 0.5 * (omega - 1.0)
-                if omega - 1.0 < OMEGA_FLOOR:
-                    omega = 1.0
-                ref, rate = (it, accepted), None
-                continue
-            if final:
-                if err_history and err > err_history[-1][1] + 1e-12:
-                    logger.warning(
-                        "sinkhorn marginal error increased between checks "
-                        "(%.3e -> %.3e); this indicates a bug",
-                        err_history[-1][1],
-                        err,
-                    )
-                err_history.append((iterations, err))
-            accepted = err
-            saved = (f.copy(), g.copy(), u, v, kv, absorptions)
-            if err <= stage_tol:
-                stop = "converged"
-                break
-            # Non-finite scalings rebuild the kernel in the same iteration, so
-            # a non-finite error has already survived a re-absorption.
-            if not np.isfinite(err):
-                stop = "non_finite"
-                break
-            if ref is not None and ref[1] > 0.0:
-                new_rate = min(1.0, (err / ref[1]) ** (1.0 / (it - ref[0])))
-                if rate is not None and abs(new_rate - rate) <= 0.1 * (1.0 - new_rate):
-                    if not tuned:
-                        omega, tuned, new_rate = _omega_for_rate(new_rate), True, None
-                    elif final and err * new_rate ** (stage_iter - it) > stage_tol:
+                    np.sum(work, axis=0, out=ktu)
+                    absorptions += 1
+                iterations += 1
+                if not check:
+                    continue
+                err = max(
+                    float(np.sum(np.abs(u * kv - la))),
+                    float(np.sum(np.abs(v * ktu - mb))),
+                )
+                if omega > 1.0 and not err <= accepted:
+                    # The relaxed iterations since the last accepted check made
+                    # things worse: return to that check and relax less.
+                    f_saved, g_saved, uv_saved, kv_saved, kept = saved
+                    f, g = f_saved.copy(), g_saved.copy()
+                    if kept != absorptions:
+                        build_kernel(eps2)
+                        absorptions = kept
+                    uv[:] = uv_saved
+                    kv[:] = kv_saved
+                    rollbacks += 1
+                    ceiling = omega
+                    omega = 1.0 + 0.5 * (omega - 1.0)
+                    if omega - 1.0 < OMEGA_FLOOR:
+                        omega = 1.0
+                    ref, rate = (it, accepted), None
+                    continue
+                if final:
+                    if err_history and err > err_history[-1][1] + 1e-12:
+                        logger.warning(
+                            "sinkhorn marginal error increased between checks "
+                            "(%.3e -> %.3e); this indicates a bug",
+                            err_history[-1][1],
+                            err,
+                        )
+                    err_history.append((iterations, err))
+                accepted = err
+                saved = (f.copy(), g.copy(), uv.copy(), kv.copy(), absorptions)
+                if err <= stage_tol:
+                    stop = "converged"
+                    break
+                # Non-finite scalings rebuild the kernel in the same iteration,
+                # so a non-finite error has already survived a re-absorption.
+                if not np.isfinite(err):
+                    stop = "non_finite"
+                    break
+                if ref is not None and ref[1] > 0.0:
+                    new_rate = min(1.0, (err / ref[1]) ** (1.0 / (it - ref[0])))
+                    # Below the optimal factor the relaxed rate exceeds
+                    # omega - 1, and Young's relation recovers the plain rate
+                    # theta from it; at omega = 1 theta is the rate itself.
+                    if check_every > 1 and new_rate > omega - 1.0:
+                        theta = (new_rate + omega - 1.0) ** 2 / (new_rate * omega**2)
+                        raised = _omega_for_rate(theta)
+                        if omega < raised < ceiling:
+                            omega, new_rate = raised, None
+                    if (final and new_rate is not None and rate is not None
+                            and abs(new_rate - rate) <= 0.1 * (1.0 - new_rate)
+                            and err * new_rate ** (stage_iter - it) > stage_tol):
                         stop = "stagnated"
                         break
-                rate = new_rate
-            ref = (it, err)
-        f += eps2 * np.log(u)
-        g += eps2 * np.log(v)
+                    rate = new_rate
+                ref = (it, err)
+            f += eps2 * np.log(u)
+            g += eps2 * np.log(v)
         center()
         stages.append(SinkhornStage(float(eps), it, omega, rollbacks, accepted, stop))
 
@@ -388,7 +421,13 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
     Both sides are evaluated independently: the left from materialized plan
     entries, the right from the cost differences at temperature epsilon^2.
     Quadruples touching an underflowed (zero) entry are skipped and resampled.
+    A sample count whose batch, about 16 arrays of ``n_samples`` entries, would
+    pass DENSE_BYTES_LIMIT raises SizeError up front.
     """
+    need = 16 * n_samples * np.dtype(float).itemsize
+    if need > DENSE_BYTES_LIMIT:
+        raise SizeError(f"the Gibbs identity check on {n_samples} samples needs about "
+                        f"{need / 2**20:,.0f} MiB; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB")
     plan = res.plan.mass
     cost = res.plan.cost_matrix
     eps2 = res.epsilon**2

@@ -1,7 +1,38 @@
+import logging
+
 import numpy as np
 import pytest
 
 from eotlab import Coupling, GridMeasure, GridSpec, measure_from_density, symmetric_grid
+
+
+class _BugRecords(logging.Handler):
+    """Keeps the messages of the records that call themselves a bug."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if "indicates a bug" in message:
+            self.messages.append(message)
+
+
+@pytest.fixture(autouse=True)
+def no_solver_bug_warning():
+    """Fail a test in which eotlab.solvers logs that the marginal error
+    increased between checks, which it calls a bug: a logged warning would
+    otherwise pass silently."""
+    handler = _BugRecords()
+    logger = logging.getLogger("eotlab.solvers")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.messages:
+        pytest.fail("eotlab.solvers logged a bug: " + "; ".join(handler.messages))
 
 
 @pytest.fixture

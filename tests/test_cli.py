@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eotlab import save_measure
 from eotlab.cli import main
@@ -321,6 +322,37 @@ class TestOtherExperiments:
         assert len(rows) == 2
 
 
+class TestStageRecords:
+    """``solve``'s summary.json and each single-solve experiment's trace.json
+    carry the solve's epsilon stages."""
+
+    STAGE_KEYS = {"epsilon", "iterations", "omega", "rollbacks", "marg_err", "stop"}
+
+    @pytest.mark.parametrize("command, experiment, output", [
+        ("solve", {}, "summary.json"),
+        ("campanato", {"R0": 0.8, "max_levels": 2}, "trace.json"),
+        ("onestep", {"R0": 0.5, "thresholds": {"eps1": 0.5}}, "trace.json"),
+        ("softlemma", {"R": 1.5, "rho_ladder": [0.2, 0.4], "Delta_R": 0.05}, "trace.json"),
+    ])
+    def test_stages_recorded(self, tmp_path, command, experiment, output):
+        cfg = write_config(tmp_path, {"source": marginal_spec(n=49), "experiment": experiment,
+                                      "solver": {"epsilon": 0.15, "tol": 1e-9}})
+        argv = ["solve"] if command == "solve" else ["experiment", command]
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out / output).read_bytes())
+        assert outputs[0] == outputs[1]
+        stages = json.loads(outputs[0])["stages"]
+        assert stages and all(set(stage) == self.STAGE_KEYS for stage in stages)
+        assert stages[-1]["epsilon"] == 0.15
+        assert stages[-1]["stop"] == "converged" and stages[-1]["marg_err"] <= 1e-9
+        if command == "solve":
+            summary = json.loads(outputs[0])
+            assert sum(stage["iterations"] for stage in stages) == summary["iterations"]
+            assert stages[-1]["marg_err"] == summary["marg_err"]
+
+
 class TestNonConvergenceAndBadInput:
     def test_inf_weight_exits_2_at_once(self, tmp_path, capsys):
         import time
@@ -371,6 +403,13 @@ class TestNonConvergenceAndBadInput:
         assert peak < 64 * 2**20
         err = capsys.readouterr().err
         assert "16384 x 16384" in err and "MiB" in err and "limit" in err
+
+    def test_oversized_gibbs_sample_exits_4_before_allocating(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"source": marginal_spec(n=17), "solver": {"epsilon": 0.5},
+                                      "gibbs_check_samples": 10**18})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "1000000000000000000 samples" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("where", ["config_grid", "sidecar_extent"])
     def test_oversized_grid_exits_4_before_allocating(self, tmp_path, capsys, where):
@@ -604,3 +643,121 @@ class TestBadInputExits2:
         code, err = self.run(tmp_path, capsys, ["solve"], cfg)
         assert code == 2
         assert message in err
+
+
+# Odd values from a small grammar: wrong types, non-finite, negative, zero,
+# empty, duplicate and huge.  Huge sizes are ones that the size guard refuses
+# before allocating, so no example allocates or runs for long.
+ODD_VALUES = [
+    "abc", "", None, True, [], {}, [0.5, "x"], {"kind": "uniform"},
+    float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 0.0,
+    [0.5, 0.5], [0.4, 0.4, 0.4], 1e15, 10**15, 10**18,
+]
+# Config keys to replace: every section, the marginal specs and their parts,
+# and each solver and experiment key a command reads.
+CONFIG_PATHS = [
+    ("source",), ("target",), ("solver",), ("experiment",), ("seed",),
+    ("gibbs_check_samples",), ("output_dir",),
+    ("source", "grid"), ("source", "grid", "dim"), ("source", "grid", "n"),
+    ("source", "grid", "lo"), ("source", "grid", "hi"), ("source", "alpha"),
+    ("source", "normalize"), ("source", "density"), ("source", "density", "kind"),
+    ("source", "density", "amplitude"), ("source", "density", "freq"),
+    ("target", "grid", "n"), ("target", "density", "sigma"), ("target", "density", "floor"),
+    ("target", "density", "center"),
+    ("solver", "epsilon"), ("solver", "tol"), ("solver", "max_iter"),
+    ("solver", "warm_start"),
+    ("experiment", "R"), ("experiment", "R0"), ("experiment", "theta"),
+    ("experiment", "eps_ladder"), ("experiment", "rho_ladder"), ("experiment", "Lambda"),
+    ("experiment", "Delta_R"), ("experiment", "long_factor"), ("experiment", "max_levels"),
+    ("experiment", "thresholds"), ("experiment", "thresholds", "eps1"),
+    ("experiment", "thresholds", "c0"),
+]
+UNKNOWN_KEY_SECTIONS = [(), ("source",), ("source", "grid"), ("source", "density"),
+                        ("solver",), ("experiment",), ("experiment", "thresholds")]
+COMMANDS = [("solve",), *(("experiment", name) for name in
+                          ("expansion", "longtraj", "quasimin", "onestep", "campanato",
+                           "softlemma"))]
+
+
+def tiny_config():
+    """A valid config for every command on 9-point grids."""
+    grid = {"dim": 1, "n": 9, "lo": -2.0, "hi": 2.0}
+    return {
+        "seed": 1,
+        "source": {"grid": dict(grid), "alpha": 0.5, "normalize": True,
+                   "density": {"kind": "perturbed_uniform", "amplitude": 0.2, "freq": 1.0}},
+        "target": {"grid": dict(grid), "alpha": 0.5, "normalize": True,
+                   "density": {"kind": "gaussian", "sigma": 1.0, "floor": 0.2}},
+        "solver": {"epsilon": 0.6, "tol": 1e-6, "max_iter": 2000},
+        "experiment": {"R": 0.5, "R0": 1.0, "eps_ladder": [0.6, 0.5], "rho_ladder": [0.2, 0.4],
+                       "max_levels": 2, "thresholds": {"eps1": 0.5, "c0": 3.0}},
+    }
+
+
+def _put(cfg, path, value):
+    """Set ``path`` in ``cfg`` where every enclosing value is an object."""
+    node = cfg
+    for key in path[:-1]:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict):
+        node[path[-1]] = value
+
+
+edits = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_PATHS), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.sampled_from(UNKNOWN_KEY_SECTIONS).map(lambda s: (*s, "unknown_key")),
+              st.sampled_from(ODD_VALUES)),
+)
+# Measure-file edits: a sidecar key set to an odd value, or a row appended to
+# the CSV (duplicate, off the grid, malformed, non-finite or negative weight).
+SIDECAR_KEYS = ["dim", "h", "origin_offset", "extent", "alpha", "unknown_key"]
+ODD_ROWS = ["3,0.1", "11,0.1", "-1,0.1", "99999999999999999999,0.1", "3", "3,0.1,0.2",
+            "x,0.1", "3,abc", "4,nan", "4,inf", "4,-0.5", "4,1e308", ""]
+file_edits = st.one_of(
+    st.tuples(st.just("sidecar"), st.sampled_from(SIDECAR_KEYS), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("row"), st.sampled_from(ODD_ROWS)),
+)
+EXIT_CODES = {0, 2, 3, 4}
+
+
+class TestExitCodeProperty:
+    """Any config or measure file gets an exit code of the README contract:
+    no exception escapes ``main``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(command=st.sampled_from(COMMANDS), changes=st.lists(edits, min_size=1, max_size=3))
+    def test_config(self, tmp_path_factory, command, changes):
+        cfg = tiny_config()
+        for path, value in changes:
+            _put(cfg, path, value)
+        tmp = tmp_path_factory.mktemp("cfg")
+        path = write_config(tmp, cfg)
+        assert main([*command, "--config", str(path), "--out", str(tmp / "o")]) in EXIT_CODES
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(changes=st.lists(file_edits, min_size=1, max_size=2))
+    def test_measure_file(self, tmp_path_factory, changes):
+        tmp = tmp_path_factory.mktemp("file")
+        lam = line_measure(np.linspace(-1.0, 1.0, 11), np.full(11, 1.0 / 11), h=0.2)
+        save_measure(lam, tmp / "lam.csv")
+        for change in changes:
+            if change[0] == "sidecar":
+                _edit_sidecar(*change[1:])(tmp / "lam.csv")
+            else:
+                _edit_csv_line(None, change[1])(tmp / "lam.csv")
+        cfg = write_config(tmp, {"source": {"file": str(tmp / "lam.csv")},
+                                 "solver": {"epsilon": 0.5}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp / "o")]) in EXIT_CODES
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("target", "density", "sigma"), 0, "density.sigma"),
+        (("source", "grid", "dim"), 10**18, "dim must be 1 or 2"),
+    ], ids=["sigma_zero", "dim_huge"])
+    def test_escapes_found_exit_2(self, tmp_path, capsys, path, value, message):
+        # Two inputs the property grammar turned up: a division by zero and a
+        # MemoryError before any check.
+        cfg = tiny_config()
+        _put(cfg, path, value)
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err

@@ -134,6 +134,14 @@ class TestSinkhorn:
         with pytest.raises(DomainError, match="epsilon"):
             sinkhorn(uniform_1d, uniform_1d, eps)
 
+    def test_epsilon_below_cost_rounding_rejected(self):
+        # On a grid of spacing 2.5e14 the squared distances round by more
+        # than epsilon^2 = 0.36, so the Gibbs factors would be noise.
+        lam = measure_from_density(symmetric_grid(dim=1, n=9, lo=-1e15, hi=1e15),
+                                   lambda p: np.ones(len(p)), alpha=0.5)
+        with pytest.raises(DomainError, match="rounding error"):
+            sinkhorn(lam, lam, 0.6)
+
     def test_symmetric_instance_gives_symmetric_plan(self):
         spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
         lam = measure_from_density(
@@ -211,6 +219,46 @@ class TestSinkhorn:
             assert res.stages[-1].omega < 3.0
             errs = [e for _, e in res.err_history]
             assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+    def test_in_bounds_solve_skips_log_domain(self, monkeypatch):
+        # Each stage opens on its kernel, so a solve whose scalings stay in
+        # bounds never sweeps in the log domain; the peaked target leaves them.
+        calls = []
+        softmin = solvers._softmin
+        monkeypatch.setattr(solvers, "_softmin", lambda *args: calls.append(1) or softmin(*args))
+        lam, wavy = wavy_pair()
+        res = sinkhorn(lam, wavy, epsilon=0.08, tol=1e-11)
+        assert res.converged and calls == []
+        assert sinkhorn(lam, peaked_target(), epsilon=0.05, tol=1e-11, warm_start=False).converged
+        assert calls
+
+    def test_rollback_caps_omega(self, monkeypatch):
+        # Every estimate asks for omega = 3, outside the convergent range
+        # (0, 2).  A stage never raises omega again to a factor a rollback
+        # rejected, so after k rollbacks it ends at 1 + 2 / 2^k, or at 1.
+        monkeypatch.setattr(solvers, "_omega_for_rate", lambda rate: 3.0)
+        lam, mu = wavy_pair()
+        res = sinkhorn(lam, mu, epsilon=0.08, tol=1e-11)
+        assert res.stages[-1].rollbacks >= 1
+        for stage in res.stages:
+            assert stage.stop == "converged"
+            if stage.rollbacks:
+                halved = 1.0 + 2.0 * 0.5**stage.rollbacks
+                assert stage.omega == (1.0 if halved - 1.0 < solvers.OMEGA_FLOOR else halved)
+        errs = [e for _, e in res.err_history]
+        assert all(a >= b for a, b in zip(errs, errs[1:]))
+
+    def test_omega_keeps_adapting(self, monkeypatch):
+        # omega is set from the first measured rate and then raised from the
+        # plain rate that Young's relation recovers from the relaxed one.
+        tuned = []
+        omega_for_rate = solvers._omega_for_rate
+        monkeypatch.setattr(solvers, "_omega_for_rate",
+                            lambda rate: tuned.append(omega_for_rate(rate)) or tuned[-1])
+        lam, mu = curved_pair(128)
+        res = sinkhorn(lam, mu, epsilon=0.04, tol=1e-9, warm_start=False)
+        assert res.converged and res.stages[-1].rollbacks == 0
+        assert tuned[0] < res.stages[-1].omega <= solvers.OMEGA_MAX
 
     def test_stagnated_solve_stops_early(self):
         # epsilon is far below the grid spacing 0.05: the marginal error
