@@ -38,12 +38,12 @@ from .regularity import (
 )
 from .reports import RunManifest, write_csv, write_json
 from .scalings import apply_to_coupling, normalizing_scaling, scaling_to_json_dict
-from .solvers import entropic_cost, gibbs_identity_check, sinkhorn
+from .solvers import CHECK_EVERY_MAX, entropic_cost, gibbs_identity_check, sinkhorn
 
 # Solver options a config may set: key -> (type, must be positive).
 SOLVER_OPTIONS = {"tol": (float, True), "max_iter": (int, True), "check_every": (int, True),
                   "warm_start": (bool, False)}
-THRESHOLD_KEYS = ("eps1", "delta", "c0", "beta", "fit_radius_factor", "normalization_tol")
+THRESHOLD_KEYS = ("eps1", "delta", "c0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,11 +102,15 @@ def _solver_opts(cfg: dict) -> dict:
     unknown = set(solver) - set(SOLVER_OPTIONS) - {"epsilon"}
     if unknown:
         raise ConfigError(f"unknown solver options: {sorted(unknown)}")
-    return {
+    opts = {
         key: config_value(solver, key, kind, positive=positive, where="solver.")
         for key, (kind, positive) in SOLVER_OPTIONS.items()
         if key in solver
     }
+    if opts.get("check_every", 1) > CHECK_EVERY_MAX:
+        raise ConfigError(f"solver.check_every must be at most {CHECK_EVERY_MAX}, "
+                          f"got {solver['check_every']!r}")
+    return opts
 
 
 def _solver_epsilon(cfg: dict) -> float:
@@ -290,7 +294,7 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
 def _run_onestep(lam, mu, exp, cfg) -> tuple:
     reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
     s_bar = normalizing_scaling(lam, mu)
-    pi_n = apply_to_coupling(s_bar, res.plan, windows=reg_cfg.windows)
+    pi_n = apply_to_coupling(s_bar, res.plan)
     out = one_step(pi_n, pi_n.source, pi_n.target, radius, theta, epsilon=epsilon,
                    config=reg_cfg)
     row = {

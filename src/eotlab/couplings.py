@@ -81,14 +81,6 @@ class Coupling:
         return self.target.points
 
     @cached_property
-    def source_norms(self) -> np.ndarray:
-        return self.source.spec.point_norms
-
-    @cached_property
-    def target_norms(self) -> np.ndarray:
-        return self.target.spec.point_norms
-
-    @cached_property
     def cost_matrix(self) -> np.ndarray:
         """Squared-distance matrix |x_i - y_j|^2."""
         c = squared_distances(self.source_points, self.target_points)
@@ -103,33 +95,60 @@ class Coupling:
 
 @dataclass(frozen=True)
 class HashRegion:
-    """Pairs with |x| <= R or |y| <= R."""
+    """Pairs with |x| <= R or |y| <= R.  Every statistic of a plan over the
+    region reads the plan through these methods."""
 
     radius: float
 
-    def mask(self, pi: Coupling) -> np.ndarray:
-        return (pi.source_norms <= self.radius)[:, None] | (
-            pi.target_norms <= self.radius
-        )[None, :]
+    def __post_init__(self) -> None:
+        if not self.radius > 0:
+            raise DomainError(f"radius must be positive, got {self.radius}")
 
-    def row_moments(self, pi: Coupling) -> tuple[np.ndarray, ...]:
-        """(x_i, W_i, S_i, P_i) for the rows with W_i > 0: P_i is row i of the plan
-        restricted to the region, W_i = sum_j P_ij and S_i = sum_j P_ij y_j.  The
-        sums are numpy reductions in a fixed order, independent of BLAS threads."""
+    def mask(self, pi: Coupling, threshold: float | None = None) -> np.ndarray:
+        """The region's pairs; with ``threshold``, only those displaced by at
+        least ``threshold`` (the long trajectories)."""
+        mask = (pi.source.spec.point_norms <= self.radius)[:, None] | (
+            pi.target.spec.point_norms <= self.radius
+        )[None, :]
+        if threshold is not None:
+            mask &= pi.cost_matrix >= threshold**2
+        return mask
+
+    def energy(self, pi: Coupling, mask: np.ndarray | None = None) -> float:
+        """sum |x - y|^2 pi(x, y) over the region, or over ``mask`` from :meth:`mask`."""
+        where = self.mask(pi) if mask is None else mask
+        return float(np.sum(pi.cost_matrix * pi.mass, where=where))
+
+    def mass(self, pi: Coupling, mask: np.ndarray | None = None) -> float:
+        """pi(#_R), or the mass on ``mask`` from :meth:`mask`."""
+        return float(np.sum(pi.mass, where=self.mask(pi) if mask is None else mask))
+
+    def per_radius(self, value: float, power: float) -> float:
+        """value / R^power; DomainError when R^power is not a positive finite float."""
+        try:
+            return value / self.radius**power
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(f"radius {self.radius!r} is out of range: "
+                              f"R^{power} overflows or underflows") from None
+
+    def row_moments(self, pi: Coupling) -> tuple:
+        """(x_i, W_i, S_i, residual) for the rows with W_i > 0 of the plan P restricted
+        to the region: W_i = sum_j P_ij, S_i = sum_j P_ij y_j, and residual(pred) =
+        sum_ij P_ij |y_j - pred_i|^2 in one pass over P, which avoids the cancellation
+        of a least-squares fit's closed form.  The sums are numpy reductions in a
+        fixed order, independent of BLAS threads."""
         plan = np.where(self.mask(pi), pi.mass, 0.0)
         w = plan.sum(axis=1)
         rows = w > 0
         plan = plan[rows]
-        s = np.einsum("ij,ja->ia", plan, pi.target_points)
-        return pi.source_points[rows], w[rows], s, plan
+        y = pi.target_points
+        s = np.einsum("ij,ja->ia", plan, y)
 
+        def residual(pred: np.ndarray) -> float:
+            return float(sum(np.sum(plan * (y[:, a] - pred[:, a, None]) ** 2)
+                             for a in range(y.shape[1])))
 
-def _region_residual(plan: np.ndarray, y: np.ndarray, pred: np.ndarray) -> float:
-    """sum_ij plan_ij |y_j - pred_i|^2 in one pass over the plan, which avoids the
-    cancellation of the closed form sum w |y|^2 - theta^T rhs of a least-squares fit."""
-    return float(
-        sum(np.sum(plan * (y[:, a] - pred[:, a, None]) ** 2) for a in range(y.shape[1]))
-    )
+        return pi.source_points[rows], w[rows], s, residual
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +182,8 @@ def check_marginals(pi: Coupling, tol: float = 1e-8) -> MarginalReport:
 
 def local_energy(pi: Coupling, R: float) -> float:
     """R^{-(d+2)} times the second displacement moment over the hash region."""
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
-    mask = HashRegion(R).mask(pi)
-    total = float(np.sum(pi.cost_matrix * pi.mass, where=mask))
-    return total / R ** (pi.dim + 2)
+    region = HashRegion(R)
+    return region.per_radius(region.energy(pi), pi.dim + 2)
 
 
 @dataclass(frozen=True)
@@ -178,15 +194,12 @@ class LongTrajStats:
 
 def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajStats:
     """Normalized energy and mass of pairs in #_R with displacement >= threshold."""
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
+    region = HashRegion(R)
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    mask = HashRegion(R).mask(pi) & (pi.cost_matrix >= threshold**2)
-    d = pi.dim
-    energy = float(np.sum(pi.cost_matrix * pi.mass, where=mask)) / R ** (d + 2)
-    mass = float(np.sum(pi.mass, where=mask)) / R**d
-    return LongTrajStats(energy=energy, mass=mass)
+    long = region.mask(pi, threshold)
+    return LongTrajStats(energy=region.per_radius(region.energy(pi, long), pi.dim + 2),
+                         mass=region.per_radius(region.mass(pi, long), pi.dim))
 
 
 @dataclass(frozen=True)
@@ -207,10 +220,9 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
     The defect is the minimized value of
     sum over #_r of |y - A x - b|^2 pi(x, y), divided by r^{d+2+2*beta}.
     """
-    if not r > 0:
-        raise DomainError(f"radius must be positive, got {r}")
+    region = HashRegion(r)
     d = pi.dim
-    x, w, s, plan = HashRegion(r).row_moments(pi)
+    x, w, s, residual = region.row_moments(pi)
     if w.size == 0:
         return AffineFit(
             A=np.eye(d), b=np.zeros(d), defect=0.0, beta=beta, r=r, degenerate=True
@@ -242,7 +254,7 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
         b_vec = theta[d, :]
 
     pred = np.einsum("ab,ib->ia", a_mat, x) + b_vec
-    defect = _region_residual(plan, pi.target_points, pred) / r ** (d + 2 + 2 * beta)
+    defect = region.per_radius(residual(pred), d + 2 + 2 * beta)
     return AffineFit(
         A=a_mat, b=b_vec, defect=defect, beta=beta, r=r, ridged=ridged, b_only=b_only
     )

@@ -85,6 +85,12 @@ class GridSpec:
         require_dense_size(self.n_points, 2**self.dim,
                            min(SINKHORN_DENSE_ARRAYS, EXACT_OT_DENSE_ARRAYS),
                            "the smallest solve with this grid")
+        # Squared distances between points of two such grids, at most 4 max |x|^2, stay finite.
+        with np.errstate(over="ignore"):
+            reach = 4.0 * float(np.sum(np.max(np.abs(self.hull_bounds), axis=0) ** 2))
+        if not reach < np.inf:
+            raise DomainError(f"grid with spacing {self.h} and extent {self.extent} reaches so "
+                              "far from the origin that its squared distances overflow")
 
     @property
     def n_points(self) -> int:
@@ -443,12 +449,16 @@ def measure_from_density(
     normalize: bool = False,
 ) -> GridMeasure:
     """Build a measure with weight = density(x) * cell volume at each point."""
-    values = density(spec.points) if callable(density) else np.asarray(density, float)
-    if np.any(values < 0):
-        raise ConfigError("density takes negative values on the grid")
-    weights = values * spec.cell_volume
-    if normalize:
-        weights = weights / np.sum(weights)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = density(spec.points) if callable(density) else np.asarray(density, float)
+            if not np.all(np.isfinite(values) & (values >= 0)):
+                raise ConfigError("density takes negative or non-finite values on the grid")
+            weights = values * spec.cell_volume
+            if normalize:
+                weights = weights / np.sum(weights)
+    except OverflowError as exc:
+        raise ConfigError(f"density parameters overflow on the grid: {exc}") from exc
     return GridMeasure(spec=spec, weights=weights, alpha=alpha)
 
 

@@ -7,24 +7,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .couplings import (
-    Coupling,
-    HashRegion,
-    _region_residual,
-    affine_fit,
-    local_energy,
-    long_trajectory_stats,
-)
+from .couplings import Coupling, HashRegion, affine_fit, local_energy, long_trajectory_stats
 from .errors import AdmissibilityError, DomainError, SmallnessError
 from .grids import GridMeasure, averaging_radius, data_term, density_at
-from .scalings import (
-    DEFAULT_WINDOWS,
-    Scaling,
-    Windows,
-    apply_to_coupling,
-    compose,
-    normalizing_scaling,
-)
+from .scalings import Scaling, apply_to_coupling, compose, normalizing_scaling
 from .solvers import SinkhornResult, entropic_cost, exact_ot, sinkhorn
 
 __all__ = [
@@ -47,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegularityConfig:
-    """Exposed smallness thresholds and geometry factors.
+    """Exposed smallness thresholds.
 
     None of these have canonical values; they are experiment parameters with
     the defaults below, and every report records the values actually used.
@@ -56,15 +42,13 @@ class RegularityConfig:
     eps1: float = 0.1
     delta: float = 0.05
     c0: float = 5.0
-    beta: float = 0.0
-    # The harmonic fit sits at one tenth of the radius at which the energy is
-    # measured, mirroring the fit-over-#_1 / energy-at-10 geometry.
-    fit_radius_factor: float = 0.1
-    normalization_tol: float = 1e-2
-    windows: Windows = DEFAULT_WINDOWS
 
 
 DEFAULT_CONFIG = RegularityConfig()
+# The harmonic fit sits at one tenth of the radius at which the energy is
+# measured, mirroring the fit-over-#_1 / energy-at-10 geometry.
+FIT_RADIUS_FACTOR = 0.1
+NORMALIZATION_TOL = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +147,7 @@ def fit_harmonic_displacement(
 
 def harmonic_fit(pi: Coupling, fit_radius: float) -> HarmonicFit:
     """Fit the displacement over the hash region at ``fit_radius``."""
-    if not fit_radius > 0:
-        raise DomainError(f"fit radius must be positive, got {fit_radius}")
-    x, w, s, plan = HashRegion(fit_radius).row_moments(pi)
-    return _harmonic_from_moments(
-        x, w, s, lambda pred: _region_residual(plan, pi.target_points, pred)
-    )
+    return _harmonic_from_moments(*HashRegion(fit_radius).row_moments(pi))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +185,7 @@ def _improve(
     origin = np.zeros(d)
     lam0 = density_at(lam, origin, r_avg)
     mu0 = density_at(mu, origin, r_avg)
-    if abs(lam0 - 1.0) > config.normalization_tol or abs(mu0 - 1.0) > config.normalization_tol:
+    if abs(lam0 - 1.0) > NORMALIZATION_TOL or abs(mu0 - 1.0) > NORMALIZATION_TOL:
         raise DomainError(
             f"marginals are not normalized at the origin: lam(0)={lam0:.4f}, "
             f"mu(0)={mu0:.4f}"
@@ -217,7 +196,7 @@ def _improve(
             f"smallness {smallness:.4f} >= eps1 {config.eps1} at radius {R}"
         )
 
-    fit = harmonic_fit(pi, config.fit_radius_factor * R)
+    fit = harmonic_fit(pi, FIT_RADIUS_FACTOR * R)
     a_mat = _matrix_exp_symmetric(-fit.hess0 / 2.0)
     det_a = float(np.linalg.det(a_mat))
     if abs(det_a - 1.0) > 1e-8:
@@ -230,8 +209,8 @@ def _improve(
             f"fitted offset {b_vec.tolist()} leaves the target grid hull"
         ) from exc
     s_hat = Scaling(A=a_mat, b=b_vec, gamma=gamma, kappa=1.0)
-    s_hat.require_admissible(config.windows)
-    return s_hat, fit, det_a, apply_to_coupling(s_hat, pi, windows=config.windows)
+    s_hat.require_admissible()
+    return s_hat, fit, det_a, apply_to_coupling(s_hat, pi)
 
 
 def one_step(
@@ -244,20 +223,18 @@ def one_step(
     config: RegularityConfig = DEFAULT_CONFIG,
 ) -> OneStepOutcome:
     """E and D measured at radius R, one improvement step (harmonic fit at
-    ``config.fit_radius_factor * R``, affine renormalization), and E and D
+    ``FIT_RADIUS_FACTOR * R``, affine renormalization), and E and D
     re-measured on the rescaled plan at theta * R.  The contraction is
     evaluated and recorded, never assumed.
 
     Preconditions: both ball-averaged densities are 1 at the origin within
-    ``config.normalization_tol``, and E(R) + D(R) + eps^2/R^2 + delta is below
+    ``NORMALIZATION_TOL``, and E(R) + D(R) + eps^2/R^2 + delta is below
     ``config.eps1`` (energies are taken at the calling radius; on a bounded
     grid wider radii saturate the localization region).  ``D_after`` averages
     over the rescaled grids' spacings.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
     eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
     e_before = local_energy(pi, R)
     d_before = data_term(lam, mu, R).D
@@ -330,7 +307,7 @@ def campanato_iterate(
     if not (R0 > 0 and epsilon > 0):
         raise DomainError("R0 and epsilon must be positive")
     s_bar = normalizing_scaling(lam, mu)
-    pi_k = apply_to_coupling(s_bar, pi, windows=config.windows)
+    pi_k = apply_to_coupling(s_bar, pi)
 
     levels: list[CampanatoLevel] = []
     composed = s_bar
@@ -344,7 +321,7 @@ def campanato_iterate(
             r=r,
             E=local_energy(pi_k, r),
             D=data.D,
-            defect=affine_fit(pi_k, r, beta=config.beta).defect,
+            defect=affine_fit(pi_k, r).defect,
             holder_lam=data.holder_lambda,
             holder_mu=data.holder_mu,
             step_scaling=None,
@@ -405,19 +382,17 @@ def quasimin_defect(
     """
     if not lam_factor > 1.0:
         raise DomainError(f"competitor factor must exceed 1, got {lam_factor}")
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
     eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
     # P_R: |x| <= R with |y| <= Lambda R, or |x| <= Lambda R with |y| <= R.
-    sx, ty, lr = pi.source_norms, pi.target_norms, lam_factor * R
+    sx, ty, lr = pi.source.spec.point_norms, pi.target.spec.point_norms, lam_factor * R
     in_pr = ((sx <= R)[:, None] & (ty <= lr)[None, :]) | (
         (sx <= lr)[:, None] & (ty <= R)[None, :]
     )
     restricted = np.where(in_pr, pi.mass, 0.0)
     mass_pr = float(np.sum(restricted))
-    lhs = float(np.sum(pi.cost_matrix * pi.mass, where=HashRegion(R).mask(pi)))
-    eps2_mass = eps**2 * float(np.sum(pi.mass, where=HashRegion(lam_factor * R).mask(pi)))
-    energy_2r = float(np.sum(pi.cost_matrix * pi.mass, where=HashRegion(2 * R).mask(pi)))
+    lhs = HashRegion(R).energy(pi)
+    eps2_mass = eps**2 * HashRegion(lam_factor * R).mass(pi)
+    energy_2r = HashRegion(2 * R).energy(pi)
     if mass_pr <= 0:
         return DefectReport(
             R=R,
@@ -590,19 +565,23 @@ def soft_lemma_check(
     e_r = local_energy(pi, R)
     rows = []
     for rho in rho_ladder:
-        if not rho > 0:
-            raise DomainError(f"rho must be positive, got {rho}")
+        try:
+            rho_pow = rho ** (d + 2)
+        except OverflowError:
+            rho_pow = np.inf
+        if not 0 < rho_pow < np.inf:
+            raise DomainError(f"rho must be positive with a positive finite rho^{d + 2}, got {rho}")
         mass = long_trajectory_stats(pi, R - 1.0, rho).mass * (R - 1.0) ** d
-        bound = delta_r * R**d / rho ** (d + 2)
-        fitted = mass * rho ** (d + 2) / (delta_r * R**d) if delta_r > 0 else np.inf
+        bound = delta_r * R**d / rho_pow
+        fitted = mass * rho_pow / (delta_r * R**d) if delta_r > 0 else np.inf
         rows.append(
             {
                 "rho": float(rho),
                 "mass": mass,
                 "bound": bound,
                 "fitted_const": fitted,
-                "energy_over_rho_pow": e_r / rho ** (d + 2),
-                "rho_over_R_pow": rho ** (d + 2) / R ** (d + 2),
+                "energy_over_rho_pow": e_r / rho_pow,
+                "rho_over_R_pow": rho_pow / R ** (d + 2),
             }
         )
     return {"R": R, "delta_r": delta_r, "E_R": e_r, "rows": rows}

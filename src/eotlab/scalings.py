@@ -108,14 +108,9 @@ class Scaling:
     def det_A(self) -> float:
         return float(np.linalg.det(self.A))
 
-    def is_admissible(self, windows: Windows = DEFAULT_WINDOWS) -> bool:
-        return (
-            windows.gamma_min <= self.gamma <= windows.gamma_max
-            and windows.kappa_min <= self.kappa <= windows.kappa_max
-        )
-
     def require_admissible(self, windows: Windows = DEFAULT_WINDOWS) -> None:
-        if not self.is_admissible(windows):
+        if not (windows.gamma_min <= self.gamma <= windows.gamma_max
+                and windows.kappa_min <= self.kappa <= windows.kappa_max):
             raise AdmissibilityError(
                 f"scaling (gamma={self.gamma}, kappa={self.kappa}) outside windows "
                 f"G=[{windows.gamma_min}, {windows.gamma_max}], "
@@ -239,25 +234,20 @@ def _deposit_marginals(
 
 
 def apply_to_measures(
-    s: Scaling,
-    lam: GridMeasure,
-    mu: GridMeasure,
-    windows: Windows = DEFAULT_WINDOWS,
+    s: Scaling, lam: GridMeasure, mu: GridMeasure
 ) -> tuple[GridMeasure, GridMeasure]:
     """Push both marginals through the rescaling and re-deposit onto fresh grids."""
-    s.require_admissible(windows)
+    s.require_admissible()
     (lam_s, _), (mu_s, _) = _deposit_marginals(s, lam, mu)
     return lam_s, mu_s
 
 
-def apply_to_coupling(
-    s: Scaling, pi: Coupling, windows: Windows = DEFAULT_WINDOWS
-) -> Coupling:
+def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     """Transform a coupling; the result is marginal-consistent with the
     transformed measures by construction (weights scale by kappa), and its
     ``source``/``target`` are what :func:`apply_to_measures` returns for
     ``pi.source``/``pi.target``."""
-    s.require_admissible(windows)
+    s.require_admissible()
     (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
     n, m = lam_s.spec.n_points, mu_s.spec.n_points
     cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()

@@ -42,6 +42,8 @@ ABSORB_BOUND = 1e50
 # OMEGA_FLOOR of 1 drops to plain Sinkhorn.
 OMEGA_MAX = 1.95
 OMEGA_FLOOR = 0.05
+# Only a check can end a stage early, so the iterations between checks are bounded.
+CHECK_EVERY_MAX = 1000
 # Why a Sinkhorn stage stopped, and what to change when the final one did not
 # converge.
 STOP_REASONS = {
@@ -201,6 +203,8 @@ def sinkhorn(
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
+    if not 1 <= check_every <= CHECK_EVERY_MAX:
+        raise DomainError(f"check_every must lie in [1, {CHECK_EVERY_MAX}], got {check_every}")
     mass = _require_equal_masses(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, SINKHORN_DENSE_ARRAYS, "sinkhorn")
 
@@ -564,8 +568,8 @@ def _embed_result(
     u[rows] = u_s
     v[cols] = v_s
     zero_i, zero_j = lam.weights == 0, mu.weights == 0
-    v[zero_j] = np.min(cost[:, zero_j] - u[:, None], axis=0)
-    u[zero_i] = np.min(cost[zero_i, :] - v[None, :], axis=1)
+    v[zero_j] = _c_transform(cost[:, zero_j].T, u)
+    u[zero_i] = _c_transform(cost[zero_i], v)
     gap, violation = _certify(cost, plan, u, v, lam.weights, mu.weights)
     if gap > CERT_RTOL or violation > CERT_RTOL:
         raise CertificateError(

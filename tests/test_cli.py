@@ -573,6 +573,21 @@ BAD_CONFIGS = {
     "stabilize_every_unknown": ("quasimin", _set(("solver", "stabilize_every"), 1),
                                 "'stabilize_every'"),
     "threshold_lam": ("campanato", _set(("experiment", "thresholds"), {"lam": 9}), "'lam'"),
+    # Retired threshold keys; a beta of 1e6 or -1e6 once ended in a
+    # ZeroDivisionError or an OverflowError.
+    "threshold_beta_huge": ("campanato", _set(("experiment", "thresholds"), {"beta": 1e6}),
+                            "'beta'"),
+    "threshold_beta_negative": ("campanato", _set(("experiment", "thresholds"), {"beta": -1e6}),
+                                "'beta'"),
+    "threshold_fit_radius_factor": ("campanato", _set(("experiment", "thresholds"),
+                                                      {"fit_radius_factor": 0.1}),
+                                    "'fit_radius_factor'"),
+    "threshold_normalization_tol": ("campanato", _set(("experiment", "thresholds"),
+                                                      {"normalization_tol": 0.01}),
+                                    "'normalization_tol'"),
+    # With both at 10**18 no check was ever reached and the solve ran forever.
+    "check_every_unbounded": ("quasimin", _set(("solver",), {
+        "epsilon": 0.5, "max_iter": 10**18, "check_every": 10**18}), "solver.check_every"),
     "seed_negative": ("quasimin", _set(("seed",), -1), "seed"),
     "file_not_string": ("quasimin", _set(("source",), {"file": 3}), "file"),
     "mass_mismatch": ("campanato", _set(("target",), dict(marginal_spec(n=17), normalize=False)),
@@ -651,7 +666,7 @@ class TestBadInputExits2:
 ODD_VALUES = [
     "abc", "", None, True, [], {}, [0.5, "x"], {"kind": "uniform"},
     float("nan"), float("inf"), float("-inf"), -1, -0.5, 0, 0.0,
-    [0.5, 0.5], [0.4, 0.4, 0.4], 1e15, 10**15, 10**18,
+    [0.5, 0.5], [0.4, 0.4, 0.4], 1e15, 10**15, 10**18, 1e308, -1e308,
 ]
 # Config keys to replace: every section, the marginal specs and their parts,
 # and each solver and experiment key a command reads.
@@ -665,12 +680,12 @@ CONFIG_PATHS = [
     ("target", "grid", "n"), ("target", "density", "sigma"), ("target", "density", "floor"),
     ("target", "density", "center"),
     ("solver", "epsilon"), ("solver", "tol"), ("solver", "max_iter"),
-    ("solver", "warm_start"),
+    ("solver", "check_every"), ("solver", "warm_start"),
     ("experiment", "R"), ("experiment", "R0"), ("experiment", "theta"),
     ("experiment", "eps_ladder"), ("experiment", "rho_ladder"), ("experiment", "Lambda"),
     ("experiment", "Delta_R"), ("experiment", "long_factor"), ("experiment", "max_levels"),
     ("experiment", "thresholds"), ("experiment", "thresholds", "eps1"),
-    ("experiment", "thresholds", "c0"),
+    ("experiment", "thresholds", "delta"), ("experiment", "thresholds", "c0"),
 ]
 UNKNOWN_KEY_SECTIONS = [(), ("source",), ("source", "grid"), ("source", "density"),
                         ("solver",), ("experiment",), ("experiment", "thresholds")]
@@ -761,3 +776,26 @@ class TestExitCodeProperty:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, edits, code, message", [
+        ("solve", {("target", "density", "sigma"): 1e308}, 2, "density parameters overflow"),
+        ("solve", {("source", "density", "freq"): 1e308}, 2, "non-finite values"),
+        ("solve", {("source", "grid", "hi"): 1e308}, 2, "squared distances overflow"),
+        ("solve", {("source", "density"): {"kind": "uniform"}, ("source", "grid", "hi"): 1e308},
+         2, "squared distances overflow"),
+        ("softlemma", {("experiment", "R"): 1e308}, 4, "radius 1e+308 is out of range"),
+        ("onestep", {("experiment", "R0"): 1e308}, 4, "radius 1e+308 is out of range"),
+        ("softlemma", {("experiment", "R"): 1.5, ("experiment", "rho_ladder"): [0.2, 1e103]},
+         4, "rho must be positive"),
+    ], ids=["sigma", "freq", "hi", "hi_uniform", "softlemma_R", "onestep_R0", "rho"])
+    def test_float_range_escapes_exit_with_message(self, tmp_path, capsys, command, edits,
+                                                   code, message):
+        # Values near 1e308 once overflowed Python floats or numpy arrays.
+        cfg = tiny_config()
+        for path, value in edits.items():
+            _put(cfg, path, value)
+        cfg_path = write_config(tmp_path, cfg)
+        argv = ["solve"] if command == "solve" else ["experiment", command]
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err

@@ -79,6 +79,52 @@ class TestLocalEnergy:
         with pytest.raises(DomainError):
             local_energy(random_coupling, 0.0)
 
+    @pytest.mark.parametrize("R", [1e308, 1e-200])
+    def test_radius_whose_power_overflows_rejected(self, random_coupling, R):
+        # R^3 overflows or underflows the float range.
+        with pytest.raises(DomainError, match="out of range"):
+            local_energy(random_coupling, R)
+
+
+class TestHashRegion:
+    """The region's reads agree with masked sums over the dense plan."""
+
+    def test_reads_match_direct_sums(self, random_coupling, random_coupling_2d):
+        for pi in (random_coupling, random_coupling_2d):
+            x, y = pi.source_points, pi.target_points
+            dist2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+            for R, t in ((0.3, 0.2), (0.7, 0.5)):
+                region = HashRegion(R)
+                inside = ((np.linalg.norm(x, axis=1) <= R)[:, None]
+                          | (np.linalg.norm(y, axis=1) <= R)[None, :])
+                np.testing.assert_array_equal(region.mask(pi), inside)
+                long = region.mask(pi, t)
+                np.testing.assert_array_equal(long, inside & (dist2 >= t**2 - 1e-12))
+                assert region.energy(pi) == pytest.approx(np.sum((dist2 * pi.mass)[inside]))
+                assert region.energy(pi, long) == pytest.approx(np.sum((dist2 * pi.mass)[long]))
+                assert region.mass(pi) == pytest.approx(np.sum(pi.mass[inside]))
+                assert region.mass(pi, long) == pytest.approx(np.sum(pi.mass[long]))
+
+    def test_row_moments_and_residual(self, random_coupling_2d):
+        pi = random_coupling_2d
+        region = HashRegion(0.5)
+        plan = np.where(region.mask(pi), pi.mass, 0.0)
+        rows = plan.sum(axis=1) > 0
+        x, w, s, residual = region.row_moments(pi)
+        np.testing.assert_array_equal(x, pi.source_points[rows])
+        np.testing.assert_allclose(w, plan.sum(axis=1)[rows])
+        np.testing.assert_allclose(s, plan[rows] @ pi.target_points)
+        pred = x + 0.1
+        y = pi.target_points
+        direct = sum(plan[rows][i, j] * np.sum((y[j] - pred[i]) ** 2)
+                     for i in range(pred.shape[0]) for j in range(y.shape[0]))
+        assert residual(pred) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+    def test_nonpositive_radius_rejected(self, R):
+        with pytest.raises(DomainError, match="radius must be positive"):
+            HashRegion(R)
+
 
 class TestLongTrajectories:
     def test_diagonal_is_empty(self, uniform_1d):

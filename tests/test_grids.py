@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eotlab import (
+    ConfigError,
     DomainError,
     GridMeasure,
     GridSpec,
@@ -48,6 +49,24 @@ class TestGridSpec:
     def test_dim_restricted(self):
         with pytest.raises(DomainError):
             GridSpec(dim=3, h=0.1, extent=(4, 4, 4), origin_offset=(0.0, 0.0, 0.0))
+
+    def test_grid_whose_squared_distances_overflow_rejected(self):
+        # Points near 1e308 have squared distances beyond the float range.
+        with pytest.raises(DomainError, match="squared distances overflow"):
+            symmetric_grid(dim=1, n=9, lo=-1.0, hi=1e308)
+        symmetric_grid(dim=2, n=9, lo=-1e150, hi=1e150)
+
+
+class TestMeasureFromDensity:
+    @pytest.mark.parametrize("density", [
+        lambda p: np.cos(1e308 * np.pi * p[:, 0]),  # invalid value: cos(inf)
+        lambda p: 1.0 + 1e308 * np.exp(p[:, 0]) * 10.0,  # overflow in the array
+        lambda p: np.ones(len(p)) * np.exp(-p[:, 0] ** 2 / (2.0 * 1e308**2)),  # float overflow
+    ], ids=["cos_inf", "array_overflow", "float_overflow"])
+    def test_non_finite_density_is_a_config_error(self, density):
+        spec = symmetric_grid(dim=1, n=9, lo=-2.0, hi=2.0)
+        with pytest.raises(ConfigError, match="density"):
+            measure_from_density(spec, density, alpha=0.5)
 
 
 class TestDensityAt:

@@ -436,6 +436,13 @@ class TestLadderExperiments:
         with pytest.raises(DomainError):
             soft_lemma_check(pi, R=0.9, rho_ladder=[0.1], delta_r=0.1)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.1, 1e103, 1e308, 1e-200])
+    def test_soft_lemma_rho_power_out_of_range_rejected(self, rho):
+        # rho^3 is not a positive finite float; 1e103 passes rho^2 but not rho^3.
+        pi = diagonal_coupling(uniform_unit_density(n=33))
+        with pytest.raises(DomainError, match="rho"):
+            soft_lemma_check(pi, R=1.5, rho_ladder=[0.1, rho], delta_r=0.1)
+
     def test_soft_lemma_fitted_constant_bounded_on_entropic_plan(self):
         # The measured tail mass stays below the power-law shape at every
         # ladder point and at both resolutions; for an entropic plan the

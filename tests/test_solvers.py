@@ -134,6 +134,12 @@ class TestSinkhorn:
         with pytest.raises(DomainError, match="epsilon"):
             sinkhorn(uniform_1d, uniform_1d, eps)
 
+    @pytest.mark.parametrize("check_every", [0, solvers.CHECK_EVERY_MAX + 1, 10**18])
+    def test_check_every_out_of_range_rejected(self, uniform_1d, check_every):
+        # Only a check can end a stage, so an unbounded gap could run forever.
+        with pytest.raises(DomainError, match="check_every"):
+            sinkhorn(uniform_1d, uniform_1d, 0.5, check_every=check_every)
+
     def test_epsilon_below_cost_rounding_rejected(self):
         # On a grid of spacing 2.5e14 the squared distances round by more
         # than epsilon^2 = 0.36, so the Gibbs factors would be noise.
