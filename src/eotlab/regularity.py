@@ -424,7 +424,9 @@ def quasimin_defect(
 
 
 def _regression_slope(xs: list[float], ys: list[float]) -> tuple[float, float] | None:
-    if len(xs) < 2:
+    """(slope, intercept) of the least-squares line through the points, or
+    None unless ``xs`` holds at least two distinct values."""
+    if len(set(xs)) < 2:
         return None
     slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return float(slope), float(intercept)

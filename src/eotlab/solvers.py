@@ -508,12 +508,15 @@ def linprog(*args, **kwargs):
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Exact quadratic transport with a dual-feasibility certificate.
 
-    Dimension 1 uses the monotone coupling of the sorted supports; dimension 2
-    solves the transport LP on a shortlist of pairs, coarse to fine, grown by
-    pricing against the full cost; ``solves`` records each LP solve.  Both
-    paths verify complementary slackness, the marginals and a vanishing
-    duality gap before returning.  An input whose dense arrays would pass
-    DENSE_BYTES_LIMIT raises SizeError up front.
+    Dimension 1 uses the monotone coupling of the sorted supports and
+    certifies it in O(n + m) work, up to one binary search per atom, through
+    lower envelopes of parabolas; the returned plan is its only n x m array.
+    Dimension 2 solves the transport LP on a shortlist of pairs, coarse to
+    fine, grown by pricing against the full cost; ``solves`` records each LP
+    solve.  Both paths verify dual feasibility over all pairs, complementary
+    slackness, the marginals and a vanishing duality gap before returning.
+    An input whose dense arrays would pass DENSE_BYTES_LIMIT raises SizeError
+    up front.
     """
     _require_equal_masses(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
@@ -525,6 +528,28 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     return _exact_ot_lp(lam, mu)
 
 
+def _certificate(scale: float, excess: float, slack: np.ndarray, masses: np.ndarray,
+                 row_sums: np.ndarray, col_sums: np.ndarray, primal: float, u: np.ndarray,
+                 v: np.ndarray, wl: np.ndarray, wm: np.ndarray) -> tuple[float, float]:
+    """Return (relative duality gap, relative feasibility violation).
+
+    The violation is the largest of the dual violation ``excess`` = max_ij
+    (u_i + v_j - c_ij) and the slack u_i + v_j - c_ij on the plan's support,
+    both relative to the cost ``scale``, and the plan's row-sum and
+    column-sum errors, relative to the total mass.  ``slack`` and ``masses``
+    are aligned: the slack and the plan's mass at the same pairs.
+    """
+    scale = max(1.0, scale)
+    violation = max(0.0, excess) / scale
+    support = masses > max(1e-300, 1e-12 * float(masses.max()))
+    tight = float(np.abs(slack[support]).max()) / scale if support.any() else 0.0
+    marginal = max(float(np.abs(row_sums - wl).max()),
+                   float(np.abs(col_sums - wm).max())) / float(wl.sum())
+    dual = float(u @ wl + v @ wm)
+    gap = abs(primal - dual) / max(1.0, abs(primal))
+    return gap, max(violation, tight, marginal)
+
+
 def _certify(
     cost: np.ndarray,
     plan: np.ndarray,
@@ -533,23 +558,26 @@ def _certify(
     wl: np.ndarray,
     wm: np.ndarray,
 ) -> tuple[float, float]:
-    """Return (relative duality gap, relative feasibility violation).
-
-    The violation is the largest of the dual violation and the slack on the
-    plan's support, both relative to the cost scale, and the plan's row-sum
-    and column-sum errors, relative to the total mass.
-    """
-    scale = max(1.0, float(np.abs(cost).max()))
+    """_certificate of a dense plan against the dense ``cost``."""
     slack = u[:, None] + v[None, :] - cost
-    violation = max(0.0, float(slack.max())) / scale
-    support = plan > max(1e-300, 1e-12 * float(plan.max()))
-    tight = float(np.abs(slack[support]).max()) / scale if support.any() else 0.0
-    marginal = max(float(np.abs(plan.sum(axis=1) - wl).max()),
-                   float(np.abs(plan.sum(axis=0) - wm).max())) / float(wl.sum())
-    primal = float(np.sum(cost * plan))
-    dual = float(u @ wl + v @ wm)
-    gap = abs(primal - dual) / max(1.0, abs(primal))
-    return gap, max(violation, tight, marginal)
+    return _certificate(float(np.abs(cost).max()), float(slack.max()), slack, plan,
+                        plan.sum(axis=1), plan.sum(axis=0), float(np.sum(cost * plan)),
+                        u, v, wl, wm)
+
+
+def _result(lam: GridMeasure, mu: GridMeasure, plan: np.ndarray, primal: float,
+            certificate: tuple[float, float], u: np.ndarray, v: np.ndarray, method: str,
+            solves: list[LPSolve]) -> ExactOTResult:
+    """The ExactOTResult of a plan of cost ``primal``; CertificateError if its
+    certificate misses CERT_RTOL."""
+    gap, violation = certificate
+    if gap > CERT_RTOL or violation > CERT_RTOL:
+        raise CertificateError(
+            f"optimality certificate failed (gap {gap:.3e}, violation {violation:.3e})"
+        )
+    return ExactOTResult(plan=Coupling(source=lam, target=mu, mass=plan), cost=primal,
+                         method=method, duality_gap=gap, feasibility_violation=violation,
+                         u=u, v=v, solves=solves)
 
 
 def _embed_result(
@@ -570,21 +598,8 @@ def _embed_result(
     zero_i, zero_j = lam.weights == 0, mu.weights == 0
     v[zero_j] = _c_transform(cost[:, zero_j].T, u)
     u[zero_i] = _c_transform(cost[zero_i], v)
-    gap, violation = _certify(cost, plan, u, v, lam.weights, mu.weights)
-    if gap > CERT_RTOL or violation > CERT_RTOL:
-        raise CertificateError(
-            f"optimality certificate failed (gap {gap:.3e}, violation {violation:.3e})"
-        )
-    return ExactOTResult(
-        plan=Coupling(source=lam, target=mu, mass=plan),
-        cost=float(np.sum(cost * plan)),
-        method=method,
-        duality_gap=gap,
-        feasibility_violation=violation,
-        u=u,
-        v=v,
-        solves=solves,
-    )
+    certificate = _certify(cost, plan, u, v, lam.weights, mu.weights)
+    return _result(lam, mu, plan, float(np.sum(cost * plan)), certificate, u, v, method, solves)
 
 
 def _staircase(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -603,7 +618,13 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     which on a line is sorted order, with the path's tree duals.  The
     quadratic cost is Monge on a line, so the tree duals of any staircase are
     feasible and its plan is optimal (Hoffman, "On simple linear programming
-    problems", 1963)."""
+    problems", 1963).
+
+    The certificate is the LP path's, evaluated in O(n + m) up to one binary
+    search per atom: the cost is read on the path's cells only, and each
+    c-transform, for the zero-weight atoms' duals and for the dual violation
+    over all n x m pairs, is a lower envelope of parabolas (_c_transform_1d).
+    The plan is the only n x m array."""
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     # A path cell carries the overlap of its row's and its column's
     # cumulative-mass intervals, empty past the smaller total.  The sums run
@@ -613,17 +634,66 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     ri, cj = _staircase(ca, cb)
     start_a, start_b = np.concatenate([[0.0], ca[:-1]]), np.concatenate([[0.0], cb[:-1]])
     overlap = np.minimum(ca[ri], cb[cj]) - np.maximum(start_a[ri], start_b[cj])
+    masses = np.maximum(overlap, 0.0).astype(float)
     # u_i + v_j = c_ij along the path: u moves only on down steps, by the cost
     # difference of the step.
-    cost = squared_distances(lam.points, mu.points)
-    c_path = cost[rows[ri], cols[cj]]
+    x, y = lam.points[:, 0], mu.points[:, 0]
+    ii, jj = rows[ri], cols[cj]
+    c_path = (x[ii] - y[jj]) ** 2
     down = np.diff(ri, prepend=0) > 0
     u_path = np.cumsum(np.where(down, np.diff(c_path, prepend=c_path[0]), 0.0))
-    us, vs = np.empty(wa.size), np.empty(wb.size)
-    us[ri] = u_path
-    vs[cj] = c_path - u_path
-    return _embed_result(lam, mu, cost, rows, cols, (ri, cj), np.maximum(overlap, 0.0), us, vs,
-                         method="monotone_1d", solves=[])
+    n, m = x.size, y.size
+    u, v = np.zeros(n), np.zeros(m)
+    u[ii] = u_path
+    v[jj] = c_path - u_path
+    zero_i, zero_j = lam.weights == 0, mu.weights == 0
+    if zero_j.any():
+        v[zero_j] = _c_transform_1d(x, u, y[zero_j])
+    v_c = _c_transform_1d(y, v, x)
+    u[zero_i] = v_c[zero_i]
+
+    plan = np.zeros((n, m))
+    plan[ii, jj] = masses
+    primal = float(np.sum(c_path * masses))
+    certificate = _certificate(
+        max((x[-1] - y[0]) ** 2, (y[-1] - x[0]) ** 2), float(np.max(u - v_c)),
+        u[ii] + v[jj] - c_path, masses, np.bincount(ii, weights=masses, minlength=n),
+        np.bincount(jj, weights=masses, minlength=m), primal, u, v, lam.weights, mu.weights)
+    return _result(lam, mu, plan, primal, certificate, u, v, "monotone_1d", [])
+
+
+def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min_j ((x_i - y_j)^2 - v_j) for each x_i, for points ``y`` in ascending
+    order: the lower envelope of the parabolas, built in one stack pass over
+    ``y`` and read with one binary search per ``x_i`` (Felzenszwalb &
+    Huttenlocher, Theory Comput. 8, 2012).  _c_transform is its dense form."""
+    ys, vs = y.tolist(), v.tolist()
+    inf = np.inf
+    # The envelope's parabolas, left to right, and where each takes over.
+    hull: list[int] = []
+    starts: list[float] = []
+    for k, yk in enumerate(ys):
+        vk = vs[k]
+        s = -inf
+        while hull:
+            j = hull[-1]
+            dy = yk - ys[j]
+            # Parabola k lies below parabola j right of s; at equal points the
+            # one with the larger v lies below everywhere.
+            if dy:
+                s = 0.5 * (yk + ys[j]) - (vk - vs[j]) / (dy + dy)
+            else:
+                s = -inf if vk > vs[j] else inf
+            if s > starts[-1]:
+                break
+            hull.pop()
+            starts.pop()
+            s = -inf
+        if s < inf:
+            hull.append(k)
+            starts.append(s)
+    best = np.asarray(hull)[np.searchsorted(starts, x, side="right") - 1]
+    return (x - y[best]) ** 2 - v[best]
 
 
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:

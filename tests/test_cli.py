@@ -1,5 +1,6 @@
 """CLI: exit codes, file schemas, manifest integrity, determinism."""
 
+import copy
 import csv
 import json
 import os
@@ -208,6 +209,18 @@ class TestExpansionExperiment:
                          "--out", str(out)]) == 0
         for name in ("report.csv", "trace.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_duplicate_ladder_leaves_regression_row_empty(self, tmp_path, recwarn):
+        # Two ladder points at one epsilon determine no line.
+        cfg = write_config(tmp_path, {"source": marginal_spec(amplitude=0.1),
+                                      "experiment": {"eps_ladder": [0.5, 0.5]}})
+        out = tmp_path / "out"
+        assert main(["experiment", "expansion", "--config", str(cfg), "--out", str(out)]) == 0
+        header, rows = read_csv_rows(out / "report.csv")
+        regression = rows[-1]
+        assert regression[header.index("row_type")] == "regression"
+        assert regression[header.index("slope")] == regression[header.index("intercept")] == ""
+        assert not recwarn.list
 
     def test_trace_records_lp_solves(self, tmp_path, monkeypatch):
         from eotlab import solvers
@@ -695,7 +708,10 @@ COMMANDS = [("solve",), *(("experiment", name) for name in
 
 
 def tiny_config():
-    """A valid config for every command on 9-point grids."""
+    """A config on 9-point grids on which every command exits 0, so that an
+    edit reaches the command's statistics: the hull [-2, 2] holds the
+    long-trajectory ball of radius long_factor * R, softlemma's R exceeds 1,
+    and the smallness of onestep's first level stays below eps1."""
     grid = {"dim": 1, "n": 9, "lo": -2.0, "hi": 2.0}
     return {
         "seed": 1,
@@ -704,18 +720,20 @@ def tiny_config():
         "target": {"grid": dict(grid), "alpha": 0.5, "normalize": True,
                    "density": {"kind": "gaussian", "sigma": 1.0, "floor": 0.2}},
         "solver": {"epsilon": 0.6, "tol": 1e-6, "max_iter": 2000},
-        "experiment": {"R": 0.5, "R0": 1.0, "eps_ladder": [0.6, 0.5], "rho_ladder": [0.2, 0.4],
-                       "max_levels": 2, "thresholds": {"eps1": 0.5, "c0": 3.0}},
+        "experiment": {"R": 1.5, "R0": 2.0, "long_factor": 1.2, "eps_ladder": [0.6, 0.5],
+                       "rho_ladder": [0.2, 0.4], "max_levels": 2,
+                       "thresholds": {"eps1": 2.0, "c0": 3.0}},
     }
 
 
 def _put(cfg, path, value):
-    """Set ``path`` in ``cfg`` where every enclosing value is an object."""
+    """Set ``path`` in ``cfg`` to a copy of ``value`` where every enclosing
+    value is an object.  The copy keeps later edits out of ODD_VALUES."""
     node = cfg
     for key in path[:-1]:
         node = node.get(key) if isinstance(node, dict) else None
     if isinstance(node, dict):
-        node[path[-1]] = value
+        node[path[-1]] = copy.deepcopy(value)
 
 
 edits = st.one_of(
@@ -738,6 +756,11 @@ EXIT_CODES = {0, 2, 3, 4}
 class TestExitCodeProperty:
     """Any config or measure file gets an exit code of the README contract:
     no exception escapes ``main``."""
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[-1])
+    def test_base_config_exits_0(self, tmp_path, command):
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(command=st.sampled_from(COMMANDS), changes=st.lists(edits, min_size=1, max_size=3))

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize_scalar
 from scipy.special import logsumexp
 
 from eotlab import (
+    CertificateError,
     DomainError,
     GridMeasure,
     GridSpec,
@@ -23,7 +25,8 @@ from eotlab import (
     solvers,
     symmetric_grid,
 )
-from eotlab.solvers import CERT_RTOL, _certify, _epsilon_ladder, _exact_ot_lp
+from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _certify, _epsilon_ladder,
+                            _exact_ot_lp, _exact_ot_monotone)
 from conftest import line_measure, plane_measure
 
 
@@ -602,6 +605,29 @@ class TestExactOT:
         _, violation = _certify(cost, plan, res.u, res.v, lam.weights, mu.weights)
         assert violation > CERT_RTOL
 
+    def test_monotone_certificate_sees_raised_dual_off_the_staircase(self, monkeypatch):
+        # Raise the dual of one zero-weight target atom, which no staircase
+        # cell meets: the support slack, the marginals and the dual cost stay
+        # as they were, and only the dual violation max_i (u_i - v^c_i) over
+        # all pairs can see it.
+        lam, mu = zero_atom_pair_1d(64)
+        assert exact_ot(lam, mu).feasibility_violation <= CERT_RTOL
+        calls = []
+
+        def raise_first_zero_column(y, v, x):
+            out = _c_transform_1d(y, v, x)
+            if not calls:
+                out[0] += 1e-6
+            calls.append(x.size)
+            return out
+
+        monkeypatch.setattr(solvers, "_c_transform_1d", raise_first_zero_column)
+        with pytest.raises(CertificateError, match="violation") as err:
+            _exact_ot_monotone(lam, mu)
+        assert calls[0] == np.count_nonzero(mu.weights == 0)
+        violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
+        assert violation > CERT_RTOL
+
     @pytest.mark.parametrize("solve", [lambda lam: exact_ot(lam, lam),
                                        lambda lam: sinkhorn(lam, lam, epsilon=0.3)],
                              ids=["exact_ot", "sinkhorn"])
@@ -610,6 +636,38 @@ class TestExactOT:
         lam = GridMeasure(spec=spec, weights=np.full(spec.n_points, 1.0), alpha=0.5)
         with pytest.raises(DomainError, match="16384 x 16384 support points needs about"):
             solve(lam)
+
+
+def sorted_points(size):
+    """Points in ascending order: a grid of any spacing and origin, or
+    non-uniform points, repeats allowed."""
+    grid = st.builds(lambda h, off: (np.arange(size) - off * (size - 1)) * h,
+                     st.floats(1e-3, 10.0), st.floats(0.0, 1.0))
+    scattered = st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size).map(
+        lambda xs: np.sort(np.asarray(xs)))
+    return st.one_of(grid, scattered)
+
+
+@st.composite
+def envelope_cases(draw):
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    x, y = draw(sorted_points(n)), draw(sorted_points(m))
+    cost = (x[:, None] - y[None, :]) ** 2
+    # Duals up to the size of the largest cost, of either sign.
+    v = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    return x, y, v * max(1.0, float(cost.max())), cost
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(envelope_cases())
+def test_c_transform_1d_matches_dense(case):
+    x, y, v, cost = case
+    dense = np.min(cost - v[None, :], axis=1)
+    envelope = _c_transform_1d(y, v, x)
+    # Each entry is one of the dense terms, evaluated the same way, so it can
+    # only miss the minimum where rounding misplaces a crossing.
+    assert np.all(envelope >= dense)
+    assert np.all(envelope - dense <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
 
 
 def zero_atom_pair_1d(n):
@@ -651,3 +709,17 @@ def test_peak_memory_within_size_guard(case):
         tracemalloc.stop()
     assert getattr(res, "method", None) == method
     assert peak <= arrays * 8 * lam.spec.n_points * mu.spec.n_points
+
+
+def test_monotone_peak_memory_is_the_plan():
+    # The 1-d certificate reads the cost on the staircase's cells only, so
+    # the returned plan is its one n x m array.
+    lam, mu = zero_atom_pair_1d(512)
+    tracemalloc.start()
+    try:
+        res = exact_ot(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "monotone_1d"
+    assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
