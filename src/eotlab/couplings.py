@@ -93,10 +93,18 @@ class Coupling:
 # ---------------------------------------------------------------------------
 
 
+def _block_sum(where: np.ndarray | None, *arrays: np.ndarray) -> float:
+    """sum_ij of the entrywise product of 2-d ``arrays`` over ``where`` (None:
+    every entry), by one einsum: no temporary, and no BLAS."""
+    operands = arrays if where is None else (*arrays, where)
+    return float(np.einsum(",".join(["ij"] * len(operands)) + "->", *operands))
+
+
 @dataclass(frozen=True)
 class HashRegion:
     """Pairs with |x| <= R or |y| <= R.  Every statistic of a plan over the
-    region reads the plan through these methods."""
+    region reads the plan through these methods, and reads only the pairs in
+    the region's blocks (see :meth:`blocks`)."""
 
     radius: float
 
@@ -105,8 +113,8 @@ class HashRegion:
             raise DomainError(f"radius must be positive, got {self.radius}")
 
     def mask(self, pi: Coupling, threshold: float | None = None) -> np.ndarray:
-        """The region's pairs; with ``threshold``, only those displaced by at
-        least ``threshold`` (the long trajectories)."""
+        """The region's pairs as a dense n x m mask; with ``threshold``, only
+        those displaced by at least ``threshold`` (the long trajectories)."""
         mask = (pi.source.spec.point_norms <= self.radius)[:, None] | (
             pi.target.spec.point_norms <= self.radius
         )[None, :]
@@ -114,14 +122,54 @@ class HashRegion:
             mask &= pi.cost_matrix >= threshold**2
         return mask
 
-    def energy(self, pi: Coupling, mask: np.ndarray | None = None) -> float:
-        """sum |x - y|^2 pi(x, y) over the region, or over ``mask`` from :meth:`mask`."""
-        where = self.mask(pi) if mask is None else mask
-        return float(np.sum(pi.cost_matrix * pi.mass, where=where))
+    def blocks(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
+        """The region as at most three disjoint rectangles (rows, cols, mask),
+        in row order: the rows before the contiguous row span of {|x| <= R}
+        against the column span of {|y| <= R}, that row span against every
+        column, and the rows after it against the column span.  Rows outside
+        the span have |x| > R, so the blocks cover the region exactly on any
+        grid ordering.  ``mask`` selects the region's pairs of the block
+        (broadcastable to it; None when all of them are in it, as in d = 1,
+        where the spans are the bands); with ``threshold`` it keeps only pairs
+        displaced by at least ``threshold``."""
+        src, tgt = pi.source.spec, pi.target.spec
+        row_span, col_span = src.ball_span(self.radius), tgt.ball_span(self.radius)
+        col_band = tgt.point_norms <= self.radius
+        span_rows = src.point_norms[row_span] <= self.radius
+        row_mask = None if span_rows.all() else span_rows[:, None] | col_band[None, :]
+        span_cols = col_band[col_span]
+        col_mask = None if span_cols.all() else span_cols[None, :]
+        out = []
+        for rows, cols, mask in ((slice(0, row_span.start), col_span, col_mask),
+                                 (row_span, slice(0, tgt.n_points), row_mask),
+                                 (slice(row_span.stop, src.n_points), col_span, col_mask)):
+            if rows.stop <= rows.start or cols.stop <= cols.start:
+                continue
+            if threshold is not None:
+                long = pi.cost_matrix[rows, cols] >= threshold**2
+                mask = long if mask is None else long & mask
+                if not mask.any():
+                    continue
+            out.append((rows, cols, mask))
+        return out
 
-    def mass(self, pi: Coupling, mask: np.ndarray | None = None) -> float:
-        """pi(#_R), or the mass on ``mask`` from :meth:`mask`."""
-        return float(np.sum(pi.mass, where=self.mask(pi) if mask is None else mask))
+    def energy(self, pi: Coupling, mask: np.ndarray | None = None,
+               threshold: float | None = None) -> float:
+        """sum |x - y|^2 pi(x, y) over the region, over its pairs displaced by
+        at least ``threshold``, or over a dense ``mask`` from :meth:`mask`."""
+        if mask is not None:
+            return float(np.sum(pi.cost_matrix * pi.mass, where=mask))
+        return sum((_block_sum(where, pi.cost_matrix[rows, cols], pi.mass[rows, cols])
+                    for rows, cols, where in self.blocks(pi, threshold)), 0.0)
+
+    def mass(self, pi: Coupling, mask: np.ndarray | None = None,
+             threshold: float | None = None) -> float:
+        """pi(#_R), the mass of its pairs displaced by at least ``threshold``,
+        or the mass on a dense ``mask`` from :meth:`mask`."""
+        if mask is not None:
+            return float(np.sum(pi.mass, where=mask))
+        return sum((_block_sum(where, pi.mass[rows, cols])
+                    for rows, cols, where in self.blocks(pi, threshold)), 0.0)
 
     def per_radius(self, value: float, power: float) -> float:
         """value / R^power; DomainError when R^power is not a positive finite float."""
@@ -135,20 +183,31 @@ class HashRegion:
         """(x_i, W_i, S_i, residual) for the rows with W_i > 0 of the plan P restricted
         to the region: W_i = sum_j P_ij, S_i = sum_j P_ij y_j, and residual(pred) =
         sum_ij P_ij |y_j - pred_i|^2 in one pass over P, which avoids the cancellation
-        of a least-squares fit's closed form.  The sums are numpy reductions in a
-        fixed order, independent of BLAS threads."""
-        plan = np.where(self.mask(pi), pi.mass, 0.0)
-        w = plan.sum(axis=1)
-        rows = w > 0
-        plan = plan[rows]
+        of a least-squares fit's closed form.  The sums are numpy reductions over
+        the region's blocks in a fixed order, independent of BLAS threads."""
         y = pi.target_points
-        s = np.einsum("ij,ja->ia", plan, y)
+        n, d = pi.source_points.shape
+        w, s = np.zeros(n), np.zeros((n, d))
+        plans = []
+        for rows, cols, where in self.blocks(pi):
+            plan = pi.mass[rows, cols] if where is None else np.where(where, pi.mass[rows, cols], 0.0)
+            w[rows] = np.einsum("ij->i", plan)
+            s[rows] = np.einsum("ij,ja->ia", plan, y[cols])
+            plans.append((rows, cols, plan))
+        keep = w > 0
 
         def residual(pred: np.ndarray) -> float:
-            return float(sum(np.sum(plan * (y[:, a] - pred[:, a, None]) ** 2)
-                             for a in range(y.shape[1])))
+            # A row without region mass has P_ij = 0 on the region, so its pred is never weighed.
+            full = np.zeros((n, d))
+            full[keep] = pred
+            total = 0.0
+            for rows, cols, plan in plans:
+                for a in range(d):
+                    gap = np.subtract.outer(full[rows, a], y[cols, a])
+                    total += _block_sum(None, plan, np.square(gap, out=gap))
+            return total
 
-        return pi.source_points[rows], w[rows], s, residual
+        return pi.source_points[keep], w[keep], s[keep], residual
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +256,9 @@ def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajS
     region = HashRegion(R)
     if threshold < 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    long = region.mask(pi, threshold)
-    return LongTrajStats(energy=region.per_radius(region.energy(pi, long), pi.dim + 2),
-                         mass=region.per_radius(region.mass(pi, long), pi.dim))
+    return LongTrajStats(
+        energy=region.per_radius(region.energy(pi, threshold=threshold), pi.dim + 2),
+        mass=region.per_radius(region.mass(pi, threshold=threshold), pi.dim))
 
 
 @dataclass(frozen=True)

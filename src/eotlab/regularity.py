@@ -181,10 +181,10 @@ def _improve(
     """Improvement step at radius R given ``energy`` = E(R) + D(R): the step
     scaling from the harmonic fit, the fit, det A and the rescaled plan."""
     d = pi.dim
-    r_avg = averaging_radius(lam, mu)
+    # Read as normalizing_scaling reads them: each over its own grid's radius.
     origin = np.zeros(d)
-    lam0 = density_at(lam, origin, r_avg)
-    mu0 = density_at(mu, origin, r_avg)
+    lam0 = density_at(lam, origin, averaging_radius(lam))
+    mu0 = density_at(mu, origin, averaging_radius(mu))
     if abs(lam0 - 1.0) > NORMALIZATION_TOL or abs(mu0 - 1.0) > NORMALIZATION_TOL:
         raise DomainError(
             f"marginals are not normalized at the origin: lam(0)={lam0:.4f}, "
@@ -203,7 +203,7 @@ def _improve(
         raise DomainError(f"improvement matrix determinant {det_a} deviates from 1")
     b_vec = fit.grad0
     try:
-        gamma = density_at(mu, b_vec, r_avg) ** (1.0 / d)
+        gamma = density_at(mu, b_vec, averaging_radius(lam, mu)) ** (1.0 / d)
     except DomainError as exc:
         raise AdmissibilityError(
             f"fitted offset {b_vec.tolist()} leaves the target grid hull"
@@ -383,12 +383,15 @@ def quasimin_defect(
     if not lam_factor > 1.0:
         raise DomainError(f"competitor factor must exceed 1, got {lam_factor}")
     eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
-    # P_R: |x| <= R with |y| <= Lambda R, or |x| <= Lambda R with |y| <= R.
-    sx, ty, lr = pi.source.spec.point_norms, pi.target.spec.point_norms, lam_factor * R
+    # P_R: |x| <= R with |y| <= Lambda R, or |x| <= Lambda R with |y| <= R.  It
+    # lies in the box of the Lambda R balls' index spans.
+    lr = lam_factor * R
+    rows, cols = pi.source.spec.ball_span(lr), pi.target.spec.ball_span(lr)
+    sx, ty = pi.source.spec.point_norms[rows], pi.target.spec.point_norms[cols]
     in_pr = ((sx <= R)[:, None] & (ty <= lr)[None, :]) | (
         (sx <= lr)[:, None] & (ty <= R)[None, :]
     )
-    restricted = np.where(in_pr, pi.mass, 0.0)
+    restricted = np.where(in_pr, pi.mass[rows, cols], 0.0)
     mass_pr = float(np.sum(restricted))
     lhs = HashRegion(R).energy(pi)
     eps2_mass = eps**2 * HashRegion(lam_factor * R).mass(pi)
@@ -404,8 +407,10 @@ def quasimin_defect(
             energy_2r=energy_2r,
             degenerate=True,
         )
-    lam_bar = GridMeasure(lam.spec, restricted.sum(axis=1) / mass_pr, lam.alpha)
-    mu_bar = GridMeasure(mu.spec, restricted.sum(axis=0) / mass_pr, mu.alpha)
+    row_w, col_w = np.zeros(pi.mass.shape[0]), np.zeros(pi.mass.shape[1])
+    row_w[rows], col_w[cols] = restricted.sum(axis=1), restricted.sum(axis=0)
+    lam_bar = GridMeasure(lam.spec, row_w / mass_pr, lam.alpha)
+    mu_bar = GridMeasure(mu.spec, col_w / mass_pr, mu.alpha)
     competitor = mass_pr * exact_ot(lam_bar, mu_bar).cost
     return DefectReport(
         R=R,

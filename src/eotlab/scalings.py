@@ -273,12 +273,14 @@ def normalizing_scaling(lam: GridMeasure, mu: GridMeasure) -> Scaling:
 
     kappa = 1/lam(0); gamma is the dilation factor that makes the transformed
     target density equal 1 at the origin, (mu(0)/lam(0))^{1/d} under the Q2
-    convention used here.
+    convention used here.  Each density is averaged over its own grid's
+    ``averaging_radius``: the dilated target grid's ball then holds the images
+    of the same atoms (up to rounding at its edge), so the rescaled pair reads
+    1 there too.
     """
-    r_avg = averaging_radius(lam, mu)
     d = lam.dim
-    lam0 = density_at(lam, np.zeros(d), r_avg)
-    mu0 = density_at(mu, np.zeros(d), r_avg)
+    lam0 = density_at(lam, np.zeros(d), averaging_radius(lam))
+    mu0 = density_at(mu, np.zeros(d), averaging_radius(mu))
     if lam0 <= 0 or mu0 <= 0:
         raise DomainError("origin densities must be positive to normalize")
     return Scaling(

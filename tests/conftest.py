@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from eotlab import Coupling, GridMeasure, GridSpec, measure_from_density, symmetric_grid
 
@@ -99,3 +100,32 @@ def plane_measure(points, ws, h, alpha=0.5):
     flat = (k[:, 0] - kmin[0]) * extent[1] + (k[:, 1] - kmin[1])
     np.add.at(w, flat, ws)
     return GridMeasure(spec=spec, weights=w, alpha=alpha)
+
+
+@st.composite
+def grid_couplings(draw):
+    """A coupling of random nonnegative mass, about a third of it zero, between
+    two independently drawn grids of one dimension (1 or 2): each has its own
+    spacing and extent, and its origin at an edge of the hull, at its centre
+    or anywhere between grid points."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def spec() -> GridSpec:
+        extent = tuple(draw(st.integers(2, 30 if dim == 1 else 8)) for _ in range(dim))
+        offset = tuple(draw(st.one_of(st.sampled_from([0.0, n - 1.0, (n - 1) / 2]),
+                                      st.floats(0.0, n - 1.0)))
+                       for n in extent)
+        return GridSpec(dim=dim, h=draw(st.sampled_from([0.1, 0.25, 0.37])),
+                        extent=extent, origin_offset=offset)
+
+    src, tgt = spec(), spec()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mass = rng.random((src.n_points, tgt.n_points))
+    mass[rng.random(mass.shape) < 0.3] = 0.0
+    return Coupling(source=GridMeasure(src, np.ones(src.n_points), 0.5),
+                    target=GridMeasure(tgt, np.ones(tgt.n_points), 0.5), mass=mass)
+
+
+# Radii below every spacing (an empty band unless the origin is a grid point),
+# between spacing and hull, and beyond every hull.
+region_radii = st.one_of(st.sampled_from([1e-3, 0.05, 1e3]), st.floats(0.01, 3.0))

@@ -1,14 +1,17 @@
 """Couplings: marginal checks, regions, local energy, affine fit."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eotlab import (
     Coupling,
     ConfigError,
     DomainError,
+    GridMeasure,
     HashRegion,
     affine_fit,
     check_marginals,
@@ -18,8 +21,9 @@ from eotlab import (
     long_trajectory_stats,
     monge_coupling,
     save_coupling,
+    symmetric_grid,
 )
-from conftest import line_measure
+from conftest import grid_couplings, line_measure, region_radii
 
 
 @pytest.fixture
@@ -124,6 +128,60 @@ class TestHashRegion:
     def test_nonpositive_radius_rejected(self, R):
         with pytest.raises(DomainError, match="radius must be positive"):
             HashRegion(R)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pi=grid_couplings(), R=region_radii,
+           threshold=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 3.0)))
+    def test_blocks_cover_the_dense_mask_and_sum_alike(self, pi, R, threshold):
+        region = HashRegion(R)
+        dense = region.mask(pi, threshold)
+        covered = np.zeros(pi.mass.shape, dtype=int)
+        for rows, cols, where in region.blocks(pi, threshold):
+            block = covered[rows, cols]
+            block += np.broadcast_to(True if where is None else where, block.shape)
+        np.testing.assert_array_equal(covered, dense)  # disjoint, and exactly the region
+        energy = np.sum(pi.cost_matrix * pi.mass, where=dense)
+        mass = np.sum(pi.mass, where=dense)
+        got = region.energy(pi, threshold=threshold), region.mass(pi, threshold=threshold)
+        assert all(isinstance(v, float) for v in got)  # 0.0, not 0, on an empty region
+        assert abs(got[0] - energy) <= 1e-13 * energy
+        assert abs(got[1] - mass) <= 1e-13 * mass
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pi=grid_couplings(), R=region_radii)
+    def test_row_moments_match_the_dense_plan(self, pi, R):
+        plan = np.where(HashRegion(R).mask(pi), pi.mass, 0.0)
+        rows = plan.sum(axis=1) > 0
+        plan = plan[rows]
+        y = pi.target_points
+        x, w, s, residual = HashRegion(R).row_moments(pi)
+        np.testing.assert_array_equal(x, pi.source_points[rows])
+        np.testing.assert_allclose(w, plan.sum(axis=1), rtol=1e-13, atol=0)
+        # S_i can cancel; bound its error by the sum of |P_ij y_j|.
+        assert np.all(np.abs(s - np.einsum("ij,ja->ia", plan, y))
+                      <= 1e-13 * np.einsum("ij,ja->ia", plan, np.abs(y)))
+        pred = x + np.linspace(-0.3, 0.3, x.shape[0])[:, None]
+        direct = np.einsum("ij,ija->", plan, (y[None, :, :] - pred[:, None, :]) ** 2)
+        assert abs(residual(pred) - direct) <= 1e-13 * direct
+
+    def test_reads_stay_off_the_dense_plan(self):
+        # At R = 0.1 the region is about a fifth of the plan; every read walks
+        # it in blocks, so no call holds anything near one n x m array.
+        spec = symmetric_grid(dim=1, n=512, lo=-1.0, hi=1.0)
+        lam = GridMeasure(spec, np.full(512, 1.0 / 512), 0.5)
+        pi = Coupling(source=lam, target=lam,
+                      mass=np.random.default_rng(5).random((512, 512)) / 512**2)
+        pi.cost_matrix  # the cached cost is the plan's own, built once
+        for read in (lambda: local_energy(pi, 0.1),
+                     lambda: long_trajectory_stats(pi, 0.1, 0.7),
+                     lambda: affine_fit(pi, 0.1)):
+            tracemalloc.start()
+            try:
+                read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * 8 * 512 * 512
 
 
 class TestLongTrajectories:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eotlab import grids
 from eotlab import (
     ConfigError,
     DomainError,
@@ -136,6 +137,28 @@ class TestHolderSeminorm:
     def test_needs_two_points(self, uniform_1d):
         with pytest.raises(DomainError):
             holder_seminorm(uniform_1d, uniform_1d.spec.h / 100)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, grids._PAIR_BLOCK + 3])
+    def test_equals_the_max_over_all_ordered_pairs(self, dim, extra):
+        # Each unordered pair is formed once, in row blocks; the sup is taken
+        # over the very same ratios, so it equals the dense one exactly.
+        count = grids._PAIR_BLOCK + extra
+        extent = (count + 40,) if dim == 1 else (21, 21)
+        offset = (13.37,) if dim == 1 else (9.31, 8.77)
+        spec = GridSpec(dim=dim, h=0.1, extent=extent, origin_offset=offset)
+        norms = np.sort(spec.point_norms)
+        assert norms[count - 1] < norms[count]
+        R = float(0.5 * (norms[count - 1] + norms[count]))
+        values = 1.0 + np.random.default_rng(count + dim).random(spec.n_points)
+        m = measure_from_density(spec, values, alpha=0.5)
+        inside = spec.point_norms <= R
+        pts, dens = m.points[inside], m.densities[inside]
+        assert pts.shape[0] == count
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(dens[:, None] - dens[None, :]) / dist**m.alpha
+        assert holder_seminorm(m, R) == float(np.max(np.where(dist == 0.0, 0.0, ratio)))
 
     @given(t=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)

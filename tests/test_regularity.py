@@ -1,7 +1,11 @@
 """Regularity machinery: harmonic fit, one-step, cascade, defect experiments."""
 
+from types import SimpleNamespace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eotlab import (
     Coupling,
@@ -30,7 +34,7 @@ from eotlab import (
 from eotlab import regularity
 from eotlab.errors import SmallnessError
 from eotlab.regularity import _matrix_exp_symmetric
-from conftest import line_measure, plane_measure
+from conftest import grid_couplings, line_measure, plane_measure, region_radii
 
 
 def plane_measure_with_indices(points, ws, h, alpha=0.5):
@@ -360,6 +364,32 @@ class TestQuasiminDefect:
         ((lam_bar, mu_bar),) = solved
         np.testing.assert_allclose(lam_bar, rows / mass_pr, rtol=1e-12, atol=1e-16)
         np.testing.assert_allclose(mu_bar, cols / mass_pr, rtol=1e-12, atol=1e-16)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pi=grid_couplings(), R=region_radii, lam_factor=st.sampled_from([1.01, 2.75, 6.0]))
+    def test_competitor_marginals_match_dense_restriction(self, pi, R, lam_factor):
+        # P_R is read on the box of the Lambda R balls' index spans; its
+        # marginals and mass equal those of the dense np.where restriction.
+        sx, ty, lr = pi.source.spec.point_norms, pi.target.spec.point_norms, lam_factor * R
+        in_pr = ((sx <= R)[:, None] & (ty <= lr)[None, :]) | (
+            (sx <= lr)[:, None] & (ty <= R)[None, :])
+        restricted = np.where(in_pr, pi.mass, 0.0)
+        mass_pr = restricted.sum()
+        solved = []
+
+        def unit_cost(a, b):
+            solved.append((a.weights, b.weights))
+            return SimpleNamespace(cost=1.0)
+
+        with mock.patch.object(regularity, "exact_ot", unit_cost):
+            report = quasimin_defect(pi, pi.source, pi.target, R, lam_factor)
+        if mass_pr == 0:
+            assert report.degenerate and not solved
+            return
+        assert abs(report.competitor_cost - mass_pr) <= 1e-13 * mass_pr
+        ((lam_bar, mu_bar),) = solved
+        np.testing.assert_allclose(lam_bar, restricted.sum(axis=1) / mass_pr, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(mu_bar, restricted.sum(axis=0) / mass_pr, rtol=1e-13, atol=0)
 
     def test_lambda_factor_must_exceed_one(self):
         lam = uniform_unit_density(n=33)
