@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grids import GridMeasure, GridSpec, data_term
+from .grids import GridMeasure, GridSpec, data_term, squared_distances
 
 __all__ = [
     "Coupling",
@@ -30,17 +30,6 @@ __all__ = [
 ]
 
 RADIUS_SCAN_COLUMNS = ["R", "E", "D", "long_energy", "long_mass", "defect_beta0"]
-
-
-def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quadratic cost matrix |x_i - y_j|^2 between two (n, d) point arrays."""
-    c = (
-        np.sum(x**2, axis=1)[:, None]
-        + np.sum(y**2, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
-    np.maximum(c, 0.0, out=c)
-    return c
 
 
 @dataclass
@@ -202,9 +191,7 @@ class HashRegion:
             full[keep] = pred
             total = 0.0
             for rows, cols, plan in plans:
-                for a in range(d):
-                    gap = np.subtract.outer(full[rows, a], y[cols, a])
-                    total += _block_sum(None, plan, np.square(gap, out=gap))
+                total += _block_sum(None, plan, squared_distances(full[rows], y[cols]))
             return total
 
         return pi.source_points[keep], w[keep], s[keep], residual

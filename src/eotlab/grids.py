@@ -21,6 +21,7 @@ __all__ = [
     "averaging_radius",
     "density_at",
     "holder_seminorm",
+    "squared_distances",
     "data_term",
     "symmetric_grid",
     "make_measure",
@@ -222,6 +223,18 @@ def require_dense_size(n: int, m: int, arrays: int, what: str) -> None:
         )
 
 
+def squared_distances(x: np.ndarray, y: np.ndarray, pairwise: bool = False) -> np.ndarray:
+    """|x_i - y_j|^2 for all i, j of two (n, d) point arrays (with ``pairwise``, for
+    i = j only, in the same bits): sum_a (x_a - y_a)^2, exactly 0 at coincident points."""
+    diff = np.subtract if pairwise else np.subtract.outer
+    total = diff(x[:, 0], y[:, 0])
+    np.square(total, out=total)
+    for a in range(1, x.shape[1]):
+        gap = diff(x[:, a], y[:, a])
+        total += np.square(gap, out=gap)
+    return total
+
+
 def _as_point(x, dim: int) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.shape != (dim,):
@@ -268,8 +281,7 @@ def holder_seminorm(m: GridMeasure, R: float) -> float:
     # Each unordered pair once: a row block against the points from its own start.
     for start in range(0, n, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
-        diff = pts[start:stop, None, :] - pts[None, start:, :]
-        dist = np.linalg.norm(diff, axis=2)
+        dist = np.sqrt(squared_distances(pts[start:stop], pts[start:]))
         gap = np.abs(dens[start:stop, None] - dens[None, start:])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = gap / dist**m.alpha

@@ -189,19 +189,13 @@ def _deposit(
     # The origin must land inside the hull; pad by one cell where rounding
     # leaves it marginally outside.
     offset = -kmin - frac
-    for a in range(d):
-        if offset[a] < 0:
-            kmin[a] -= 1
-            offset[a] += 1
-        if offset[a] > (kmax[a] - kmin[a]):
-            kmax[a] += 1
+    low = offset < 0
+    kmin -= low
+    offset += low
+    kmax += offset > kmax - kmin
     extent = tuple(int(kmax[a] - kmin[a] + 1) for a in range(d))
     spec = GridSpec(dim=d, h=h_new, extent=extent, origin_offset=tuple(float(o) for o in offset))
-    cell = k - kmin[None, :]
-    if d == 1:
-        flat = cell[:, 0]
-    else:
-        flat = cell[:, 0] * extent[1] + cell[:, 1]
+    flat = np.ravel_multi_index((k - kmin[None, :]).T, extent)
     new_weights = np.bincount(flat, weights=weights, minlength=spec.n_points)
     return GridMeasure(spec=spec, weights=new_weights, alpha=alpha), flat
 
@@ -246,13 +240,19 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     """Transform a coupling; the result is marginal-consistent with the
     transformed measures by construction (weights scale by kappa), and its
     ``source``/``target`` are what :func:`apply_to_measures` returns for
-    ``pi.source``/``pi.target``."""
+    ``pi.source``/``pi.target``.  When both cell maps are runs, kappa * pi is
+    copied into one block; otherwise its entries are summed per cell."""
     s.require_admissible()
     (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
     n, m = lam_s.spec.n_points, mu_s.spec.n_points
-    cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()
-    mass = np.bincount(cell, weights=(s.kappa * pi.mass).ravel(), minlength=n * m)
-    mass = mass.reshape(n, m)
+    if all(np.array_equal(c, np.arange(c[0], c[0] + c.size)) for c in (row_cell, col_cell)):
+        mass = np.zeros((n, m))
+        block = mass[row_cell[0]:row_cell[-1] + 1, col_cell[0]:col_cell[-1] + 1]
+        np.multiply(s.kappa, pi.mass, out=block)
+    else:
+        cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()
+        mass = np.bincount(cell, weights=(s.kappa * pi.mass).ravel(),
+                           minlength=n * m).reshape(n, m)
     eps = None if pi.epsilon is None else pi.epsilon * s.gamma**-0.5
     out = Coupling(source=lam_s, target=mu_s, mass=mass, epsilon=eps)
     # The deposition is exact, so any marginal violation beyond what the input

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import Coupling, squared_distances
+from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError, SizeError
 from .grids import (DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS,
-                    GridMeasure, require_dense_size)
+                    GridMeasure, require_dense_size, squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -423,7 +423,7 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
     """Max relative log-ratio error of the two-point density identity.
 
     Both sides are evaluated independently: the left from materialized plan
-    entries, the right from the cost differences at temperature epsilon^2.
+    entries, the right from the sampled pairs' costs at temperature epsilon^2.
     Quadruples touching an underflowed (zero) entry are skipped and resampled.
     A sample count whose batch, about 16 arrays of ``n_samples`` entries, would
     pass DENSE_BYTES_LIMIT raises SizeError up front.
@@ -433,8 +433,12 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
         raise SizeError(f"the Gibbs identity check on {n_samples} samples needs about "
                         f"{need / 2**20:,.0f} MiB; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB")
     plan = res.plan.mass
-    cost = res.plan.cost_matrix
+    x, y = res.plan.source_points, res.plan.target_points
     eps2 = res.epsilon**2
+
+    def cost(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return squared_distances(x[rows], y[cols], pairwise=True)
+
     # Subnormal entries carry too few significand bits for an accurate log;
     # treat them like underflowed zeros and resample.
     positive = np.finfo(float).tiny
@@ -454,19 +458,13 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
         b = rng.integers(0, ii.size, size=batch)
         i, j = ii[a], jj[a]
         k, l = ii[b], jj[b]
-        cross1 = plan[i, l]
-        cross2 = plan[k, j]
-        valid = (cross1 > positive) & (cross2 > positive)
+        valid = (plan[i, l] > positive) & (plan[k, j] > positive)
         if not np.any(valid):
             continue
         i, j, k, l = i[valid], j[valid], k[valid], l[valid]
-        lhs = (
-            np.log(plan[i, j])
-            + np.log(plan[k, l])
-            - np.log(plan[i, l])
-            - np.log(plan[k, j])
-        )
-        rhs = -(cost[i, j] + cost[k, l] - cost[i, l] - cost[k, j]) / eps2
+        lhs = (np.log(plan[i, j]) + np.log(plan[k, l])
+               - np.log(plan[i, l]) - np.log(plan[k, j]))
+        rhs = -(cost(i, j) + cost(k, l) - cost(i, l) - cost(k, j)) / eps2
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
         accepted += int(np.count_nonzero(valid))

@@ -19,6 +19,7 @@ from eotlab import (
     load_coupling,
     local_energy,
     long_trajectory_stats,
+    measure_from_density,
     monge_coupling,
     save_coupling,
     symmetric_grid,
@@ -65,6 +66,15 @@ class TestMarginals:
 class TestLocalEnergy:
     def test_diagonal_coupling_is_zero(self, uniform_1d):
         assert local_energy(diagonal_coupling(uniform_1d), 1.0) == 0.0
+
+    @pytest.mark.parametrize("R", [0.3, 0.5, 1.0])
+    def test_diagonal_coupling_is_zero_off_centre(self, R):
+        # Each diagonal cost is the difference of a point with itself, exactly
+        # 0, wherever the grid sits; x^2 + y^2 - 2xy left up to 8.9e-16 here.
+        spec = symmetric_grid(dim=2, n=33, lo=-1.3, hi=0.7)
+        m = measure_from_density(spec, lambda p: 1.0 + 0.5 * p[:, 0] * p[:, 1], alpha=0.5,
+                                 normalize=True)
+        assert local_energy(diagonal_coupling(m), R) == 0.0
 
     def test_single_atom_value(self):
         lam = line_measure([0.0], [1.0], h=0.5)

@@ -58,6 +58,38 @@ class TestGridSpec:
         symmetric_grid(dim=2, n=9, lo=-1e150, hi=1e150)
 
 
+class TestSquaredDistances:
+    # Off-centre grids of their own spacing, so no coordinate is a rounded
+    # mirror image of another.
+    PAIRS = [
+        (GridSpec(dim=1, h=0.013, extent=(97,), origin_offset=(31.7,)),
+         GridSpec(dim=1, h=0.029, extent=(53,), origin_offset=(40.2,))),
+        (GridSpec(dim=2, h=0.071, extent=(13, 11), origin_offset=(3.3, 8.6)),
+         GridSpec(dim=2, h=0.047, extent=(9, 15), origin_offset=(7.9, 1.4))),
+    ]
+
+    @pytest.mark.parametrize("src, tgt", PAIRS, ids=["1d", "2d"])
+    def test_equals_the_sum_over_axes(self, src, tgt):
+        x, y = src.points, tgt.points
+        expected = sum((x[:, None, a] - y[None, :, a]) ** 2 for a in range(src.dim))
+        assert np.all(grids.squared_distances(x, y) == expected)
+
+    @pytest.mark.parametrize("src, tgt", PAIRS, ids=["1d", "2d"])
+    def test_pairwise_form_gives_the_same_bits(self, src, tgt):
+        x, y = src.points, tgt.points
+        rng = np.random.default_rng(src.dim)
+        i = rng.integers(0, src.n_points, size=500)
+        j = rng.integers(0, tgt.n_points, size=500)
+        pairwise = grids.squared_distances(x[i], y[j], pairwise=True)
+        assert np.all(pairwise == grids.squared_distances(x, y)[i, j])
+
+    @pytest.mark.parametrize("spec", [src for src, _ in PAIRS], ids=["1d", "2d"])
+    def test_coincident_points_give_zero(self, spec):
+        c = grids.squared_distances(spec.points, spec.points)
+        assert np.all(np.diag(c) == 0.0)
+        assert np.all(c[~np.eye(spec.n_points, dtype=bool)] > 0.0)
+
+
 class TestMeasureFromDensity:
     @pytest.mark.parametrize("density", [
         lambda p: np.cos(1e308 * np.pi * p[:, 0]),  # invalid value: cos(inf)

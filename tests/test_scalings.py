@@ -1,11 +1,14 @@
 """Rescaling group: action on atoms/measures/couplings and composition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eotlab import (
     AdmissibilityError,
     Coupling,
+    GridMeasure,
     Scaling,
     Windows,
     apply_to_coupling,
@@ -18,6 +21,7 @@ from eotlab import (
     local_energy,
     measure_from_density,
     normalizing_scaling,
+    scalings,
     symmetric_grid,
     transform_source_atoms,
     transform_target_atoms,
@@ -149,6 +153,63 @@ class TestApplyToCoupling:
         out = apply_to_coupling(s, pi)
         assert check_marginals(out, tol=1e-8).ok
         assert out.total_mass == pytest.approx(1.7 * pi.total_mass, rel=1e-12)
+
+
+def dense_deposit(s, pi):
+    """kappa * pi summed entry by entry into the cells of the transformed grids."""
+    (lam_s, row_cell), (mu_s, col_cell) = scalings._deposit_marginals(s, pi.source, pi.target)
+    ref = np.zeros((lam_s.spec.n_points, mu_s.spec.n_points))
+    np.add.at(ref, (row_cell[:, None], col_cell[None, :]), s.kappa * pi.mass)
+    return ref, row_cell, col_cell
+
+
+def is_run(cell):
+    return np.array_equal(cell, np.arange(cell[0], cell[0] + cell.size))
+
+
+class TestDeposition:
+    def test_copy_matches_the_dense_sum_in_1d(self):
+        xs = np.arange(-9, 6) * 0.125
+        mass = np.random.default_rng(11).random((xs.size, xs.size))
+        lam = line_measure(xs, mass.sum(axis=1), h=0.125)
+        mu = line_measure(xs, mass.sum(axis=0), h=0.125)
+        pi = Coupling(source=lam, target=mu, mass=mass)
+        s = Scaling(A=np.array([[1.3]]), b=np.array([0.2]), gamma=0.7, kappa=1.9)
+        ref, row_cell, col_cell = dense_deposit(s, pi)
+        assert is_run(row_cell) and is_run(col_cell)
+        assert np.array_equal(apply_to_coupling(s, pi).mass, ref)
+
+    def test_sum_matches_the_dense_sum_under_shear(self):
+        # A sheared 2-d scaling sends atoms to scattered cells, some shared,
+        # so the deposition sums per cell.
+        spec = symmetric_grid(dim=2, n=9, lo=-1.0, hi=1.0)
+        mass = np.random.default_rng(12).random((spec.n_points, spec.n_points))
+        lam = GridMeasure(spec, mass.sum(axis=1), 0.5)
+        mu = GridMeasure(spec, mass.sum(axis=0), 0.5)
+        pi = Coupling(source=lam, target=mu, mass=mass)
+        s = Scaling(A=np.array([[1.2, 0.4], [0.4, 0.9]]), b=np.array([0.1, -0.05]),
+                    gamma=1.1, kappa=0.8)
+        ref, row_cell, col_cell = dense_deposit(s, pi)
+        assert not (is_run(row_cell) and is_run(col_cell))
+        assert np.array_equal(apply_to_coupling(s, pi).mass, ref)
+
+    def test_peak_memory_of_a_1d_deposit(self):
+        # The copy path holds the new plan and the sign test's boolean mask:
+        # about 1.13 n x m float arrays (a summed deposit held 3).
+        n = 512
+        spec = symmetric_grid(dim=1, n=n, lo=-1.0, hi=1.0)
+        mass = np.random.default_rng(13).random((n, n)) / n**2
+        pi = Coupling(source=GridMeasure(spec, mass.sum(axis=1), 0.5),
+                      target=GridMeasure(spec, mass.sum(axis=0), 0.5), mass=mass)
+        s = Scaling(A=np.array([[1.1]]), b=np.array([0.05]), gamma=1.2, kappa=0.9)
+        apply_to_coupling(s, pi)  # the grids' cached points
+        tracemalloc.start()
+        try:
+            apply_to_coupling(s, pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n * n
 
 
 class TestCompose:

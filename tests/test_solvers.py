@@ -364,6 +364,30 @@ class TestGibbsIdentity:
         res = sinkhorn(lam, lam, epsilon=5.0, tol=1e-12)
         assert gibbs_identity_check(res, n_samples=100, seed=0) <= 1e-9
 
+    @pytest.mark.parametrize("dim, n", [(1, 40), (2, 7)])
+    def test_sampled_costs_match_the_dense_cost(self, dim, n):
+        # The check forms each sampled pair's cost from its points; the same
+        # rule over all pairs is the cost matrix, so the dense evaluation of
+        # the same samples gives the same value.
+        spec = symmetric_grid(dim=dim, n=n, lo=-0.9, hi=1.1)
+        lam = measure_from_density(spec, lambda p: 1.0 + 0.3 * p[:, 0], alpha=0.5,
+                                   normalize=True)
+        mu = measure_from_density(spec, lambda p: 1.2 - 0.2 * p[:, -1], alpha=0.5,
+                                  normalize=True)
+        res = sinkhorn(lam, mu, epsilon=0.4, tol=1e-11)
+        plan, cost, eps2 = res.plan.mass, res.plan.cost_matrix, res.epsilon**2
+        assert np.all(plan > np.finfo(float).tiny)  # one batch, no resampling
+        ii, jj = np.nonzero(plan)
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, ii.size, size=300)
+        b = rng.integers(0, ii.size, size=300)
+        i, j, k, l = ii[a], jj[a], ii[b], jj[b]
+        lhs = np.log(plan[i, j]) + np.log(plan[k, l]) - np.log(plan[i, l]) - np.log(plan[k, j])
+        rhs = -(cost[i, j] + cost[k, l] - cost[i, l] - cost[k, j]) / eps2
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        expected = float(np.max(np.abs(lhs - rhs) / scale))
+        assert gibbs_identity_check(res, n_samples=300, seed=7) == expected
+
     def test_single_atom_degenerate_quadruples(self):
         spec = GridSpec(dim=1, h=1.0, extent=(2,), origin_offset=(0.0,))
         lam = GridMeasure(spec=spec, weights=np.array([1.0, 0.0]), alpha=0.5)
