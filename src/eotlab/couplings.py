@@ -89,6 +89,14 @@ def _block_sum(where: np.ndarray | None, *arrays: np.ndarray) -> float:
     return float(np.einsum(",".join(["ij"] * len(operands)) + "->", *operands))
 
 
+def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
+    """The pairs of squared displacement ``cost`` displaced by at least
+    ``threshold``.  The test has a margin of 8 ulps: a pair of #_R displaced
+    by exactly 7R has both ends within 8R of the origin, so its rounded cost
+    is off by at most about 5 ulps, and it counts whatever the rounding."""
+    return cost >= threshold**2 * (1.0 - 8 * np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class HashRegion:
     """Pairs with |x| <= R or |y| <= R.  Every statistic of a plan over the
@@ -108,7 +116,7 @@ class HashRegion:
             pi.target.spec.point_norms <= self.radius
         )[None, :]
         if threshold is not None:
-            mask &= pi.cost_matrix >= threshold**2
+            mask &= _long(pi.cost_matrix, threshold)
         return mask
 
     def blocks(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
@@ -135,7 +143,7 @@ class HashRegion:
             if rows.stop <= rows.start or cols.stop <= cols.start:
                 continue
             if threshold is not None:
-                long = pi.cost_matrix[rows, cols] >= threshold**2
+                long = _long(pi.cost_matrix[rows, cols], threshold)
                 mask = long if mask is None else long & mask
                 if not mask.any():
                     continue

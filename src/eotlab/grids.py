@@ -36,20 +36,20 @@ __all__ = [
 ]
 
 # Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
-# the cost, f + g - c, the plan and a product; exact OT the full and restricted
-# cost, the reduced costs and an index array while it prices, then the cost,
-# the plan, the slack and cost * plan in its certificate.  Peaks measured with
-# tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d n = 256/512, 2-d 16x16
-# and 20x20), exact OT 4.4-4.8 (2-d LP, 16x16 to 32x32, the pyramid's
-# c-transforms included) and 4.2 (1-d, n = 512 and 2048).  An input whose
-# arrays would pass DENSE_BYTES_LIMIT fails up front instead of running out of
-# memory; so does a grid that no solve could take, even against the smallest
-# grid of its dimension (2^dim points).
+# the cost, f + g - c, the plan and a product; exact OT the positive atoms'
+# cost, the reduced costs and an index array while it prices, then the plan.
+# Peaks measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d
+# n = 256/512, 2-d 16x16 and 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to
+# 32x32, the pyramid's c-transforms included) and 1.2 (1-d, n = 512).  An
+# input whose arrays would pass DENSE_BYTES_LIMIT fails up front instead of
+# running out of memory; so does a grid that no solve could take, even against
+# the smallest grid of its dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_DENSE_ARRAYS = 5
 EXACT_OT_DENSE_ARRAYS = 6
 
-# Row blocks of this many points when forming the O(n^2) Hölder sup: each
+# Row blocks of this many points when forming the O(n^2) Hölder sup, and of
+# about its square in entries when adding an axis to squared distances: each
 # block's temporaries stay in cache.
 _PAIR_BLOCK = 128
 
@@ -104,20 +104,24 @@ class GridSpec:
     @property
     def hull_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis coordinates of the first and the last grid index."""
-        off = np.asarray(self.origin_offset, dtype=float)
-        return -off * self.h, (np.asarray(self.extent) - 1 - off) * self.h
+        return np.array([a[0] for a in self.axes]), np.array([a[-1] for a in self.axes])
+
+    @cached_property
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The coordinates along each axis, ascending; the grid is their product."""
+        axes = tuple((np.arange(n, dtype=float) - off) * self.h
+                     for n, off in zip(self.extent, self.origin_offset))
+        for a in axes:
+            a.setflags(write=False)
+        return axes
 
     @cached_property
     def points(self) -> np.ndarray:
         """All grid points as an (n_points, dim) array, row-major index order."""
-        axes = [
-            (np.arange(n, dtype=float) - off) * self.h
-            for n, off in zip(self.extent, self.origin_offset)
-        ]
         if self.dim == 1:
-            pts = axes[0][:, None]
+            pts = self.axes[0][:, None]
         else:
-            mesh = np.meshgrid(*axes, indexing="ij")
+            mesh = np.meshgrid(*self.axes, indexing="ij")
             pts = np.stack(mesh, axis=-1).reshape(-1, self.dim)
         pts.setflags(write=False)
         return pts
@@ -229,9 +233,14 @@ def squared_distances(x: np.ndarray, y: np.ndarray, pairwise: bool = False) -> n
     diff = np.subtract if pairwise else np.subtract.outer
     total = diff(x[:, 0], y[:, 0])
     np.square(total, out=total)
+    # The other axes are added in row blocks of about _PAIR_BLOCK^2 entries,
+    # so that no second n x m array is allocated.
+    step = _PAIR_BLOCK**2 if pairwise else max(1, _PAIR_BLOCK**2 // max(1, len(y)))
     for a in range(1, x.shape[1]):
-        gap = diff(x[:, a], y[:, a])
-        total += np.square(gap, out=gap)
+        for start in range(0, len(x), step):
+            rows = slice(start, start + step)
+            gap = diff(x[rows, a], (y[rows] if pairwise else y)[:, a])
+            total[rows] += np.square(gap, out=gap)
     return total
 
 

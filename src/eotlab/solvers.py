@@ -15,7 +15,7 @@ import numpy as np
 from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError, SizeError
 from .grids import (DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS,
-                    GridMeasure, require_dense_size, squared_distances)
+                    GridMeasure, GridSpec, require_dense_size, squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -506,15 +506,15 @@ def linprog(*args, **kwargs):
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Exact quadratic transport with a dual-feasibility certificate.
 
-    Dimension 1 uses the monotone coupling of the sorted supports and
-    certifies it in O(n + m) work, up to one binary search per atom, through
-    lower envelopes of parabolas; the returned plan is its only n x m array.
-    Dimension 2 solves the transport LP on a shortlist of pairs, coarse to
-    fine, grown by pricing against the full cost; ``solves`` records each LP
-    solve.  Both paths verify dual feasibility over all pairs, complementary
-    slackness, the marginals and a vanishing duality gap before returning.
-    An input whose dense arrays would pass DENSE_BYTES_LIMIT raises SizeError
-    up front.
+    Dimension 1 uses the monotone coupling of the sorted supports; the
+    returned plan is its only n x m array.  Dimension 2 solves the transport
+    LP on a shortlist of pairs, coarse to fine, grown by pricing against each
+    level's cost; ``solves`` records each LP solve.  Both paths verify dual
+    feasibility over all pairs, complementary slackness, the marginals and a
+    vanishing duality gap before returning, in one certificate that reads the
+    cost on the plan's cells and takes c-transforms over the grids through
+    lower envelopes of parabolas.  An input whose dense arrays would pass
+    DENSE_BYTES_LIMIT raises SizeError up front.
     """
     _require_equal_masses(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
@@ -526,78 +526,44 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     return _exact_ot_lp(lam, mu)
 
 
-def _certificate(scale: float, excess: float, slack: np.ndarray, masses: np.ndarray,
-                 row_sums: np.ndarray, col_sums: np.ndarray, primal: float, u: np.ndarray,
-                 v: np.ndarray, wl: np.ndarray, wm: np.ndarray) -> tuple[float, float]:
-    """Return (relative duality gap, relative feasibility violation).
+def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
+             masses: np.ndarray, c_cells: np.ndarray, u: np.ndarray, v: np.ndarray,
+             method: str, solves: list[LPSolve]) -> ExactOTResult:
+    """The ExactOTResult of the plan ``masses`` on the cells (ii, jj), whose
+    costs are ``c_cells``, with the duals ``u`` and ``v``; CertificateError if
+    its certificate misses CERT_RTOL.
 
-    The violation is the largest of the dual violation ``excess`` = max_ij
-    (u_i + v_j - c_ij) and the slack u_i + v_j - c_ij on the plan's support,
-    both relative to the cost ``scale``, and the plan's row-sum and
-    column-sum errors, relative to the total mass.  ``slack`` and ``masses``
-    are aligned: the slack and the plan's mass at the same pairs.
-    """
-    scale = max(1.0, scale)
-    violation = max(0.0, excess) / scale
+    The zero-weight atoms' duals, zero on entry, are completed by
+    c-transforms, the target's first.  The certificate is the relative
+    duality gap and the largest of: the dual violation max_ij (u_i + v_j -
+    c_ij) = max_i (u_i - v^c_i) and the slack on the plan's support, both
+    relative to the largest cost, and the plan's row-sum and column-sum
+    errors, relative to the total mass.  Only v^c reads the cost off the
+    cells, through _c_transform_grid; the dense plan is built last."""
+    zero_i, zero_j = lam.weights == 0, mu.weights == 0
+    if zero_j.any():
+        v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])
+    v_c = _c_transform_grid(mu.spec, v, lam.points)
+    u[zero_i] = v_c[zero_i]
+    (lo_x, hi_x), (lo_y, hi_y) = lam.spec.hull_bounds, mu.spec.hull_bounds
+    scale = max(1.0, float(np.sum(np.maximum(hi_x - lo_y, hi_y - lo_x) ** 2)))
     support = masses > max(1e-300, 1e-12 * float(masses.max()))
-    tight = float(np.abs(slack[support]).max()) / scale if support.any() else 0.0
-    marginal = max(float(np.abs(row_sums - wl).max()),
-                   float(np.abs(col_sums - wm).max())) / float(wl.sum())
-    dual = float(u @ wl + v @ wm)
-    gap = abs(primal - dual) / max(1.0, abs(primal))
-    return gap, max(violation, tight, marginal)
-
-
-def _certify(
-    cost: np.ndarray,
-    plan: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    wl: np.ndarray,
-    wm: np.ndarray,
-) -> tuple[float, float]:
-    """_certificate of a dense plan against the dense ``cost``."""
-    slack = u[:, None] + v[None, :] - cost
-    return _certificate(float(np.abs(cost).max()), float(slack.max()), slack, plan,
-                        plan.sum(axis=1), plan.sum(axis=0), float(np.sum(cost * plan)),
-                        u, v, wl, wm)
-
-
-def _result(lam: GridMeasure, mu: GridMeasure, plan: np.ndarray, primal: float,
-            certificate: tuple[float, float], u: np.ndarray, v: np.ndarray, method: str,
-            solves: list[LPSolve]) -> ExactOTResult:
-    """The ExactOTResult of a plan of cost ``primal``; CertificateError if its
-    certificate misses CERT_RTOL."""
-    gap, violation = certificate
+    tight = np.abs(u[ii] + v[jj] - c_cells)[support].max(initial=0.0)
+    marginal = max(float(np.abs(np.bincount(idx, weights=masses, minlength=w.size) - w).max())
+                   for idx, w in ((ii, lam.weights), (jj, mu.weights)))
+    violation = max(max(0.0, float(np.max(u - v_c)), float(tight)) / scale,
+                    marginal / lam.total_mass)
+    primal = float(np.sum(c_cells * masses))
+    gap = abs(primal - float(u @ lam.weights + v @ mu.weights)) / max(1.0, abs(primal))
     if gap > CERT_RTOL or violation > CERT_RTOL:
         raise CertificateError(
             f"optimality certificate failed (gap {gap:.3e}, violation {violation:.3e})"
         )
+    plan = np.zeros((u.size, v.size))
+    plan[ii, jj] = masses
     return ExactOTResult(plan=Coupling(source=lam, target=mu, mass=plan), cost=primal,
                          method=method, duality_gap=gap, feasibility_violation=violation,
                          u=u, v=v, solves=solves)
-
-
-def _embed_result(
-    lam: GridMeasure, mu: GridMeasure, cost: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-    cells: tuple[np.ndarray, np.ndarray], masses: np.ndarray, u_s: np.ndarray,
-    v_s: np.ndarray, method: str, solves: list[LPSolve],
-) -> ExactOTResult:
-    """Embed a plan and duals solved on the atoms ``rows`` x ``cols``, complete
-    the zero-weight atoms' duals, and certify against the full ``cost``.  The
-    plan is ``masses`` on ``cells``, index arrays into ``rows`` and ``cols``."""
-    n, m = lam.spec.n_points, mu.spec.n_points
-    plan = np.zeros((n, m))
-    plan[rows[cells[0]], cols[cells[1]]] = masses
-    u = np.zeros(n)
-    v = np.zeros(m)
-    u[rows] = u_s
-    v[cols] = v_s
-    zero_i, zero_j = lam.weights == 0, mu.weights == 0
-    v[zero_j] = _c_transform(cost[:, zero_j].T, u)
-    u[zero_i] = _c_transform(cost[zero_i], v)
-    certificate = _certify(cost, plan, u, v, lam.weights, mu.weights)
-    return _result(lam, mu, plan, float(np.sum(cost * plan)), certificate, u, v, method, solves)
 
 
 def _staircase(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -616,13 +582,8 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     which on a line is sorted order, with the path's tree duals.  The
     quadratic cost is Monge on a line, so the tree duals of any staircase are
     feasible and its plan is optimal (Hoffman, "On simple linear programming
-    problems", 1963).
-
-    The certificate is the LP path's, evaluated in O(n + m) up to one binary
-    search per atom: the cost is read on the path's cells only, and each
-    c-transform, for the zero-weight atoms' duals and for the dual violation
-    over all n x m pairs, is a lower envelope of parabolas (_c_transform_1d).
-    The plan is the only n x m array."""
+    problems", 1963).  _certify reads the cost on the path's cells only, so
+    the plan is the only n x m array."""
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     # A path cell carries the overlap of its row's and its column's
     # cumulative-mass intervals, empty past the smaller total.  The sums run
@@ -640,31 +601,17 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     c_path = (x[ii] - y[jj]) ** 2
     down = np.diff(ri, prepend=0) > 0
     u_path = np.cumsum(np.where(down, np.diff(c_path, prepend=c_path[0]), 0.0))
-    n, m = x.size, y.size
-    u, v = np.zeros(n), np.zeros(m)
+    u, v = np.zeros(x.size), np.zeros(y.size)
     u[ii] = u_path
     v[jj] = c_path - u_path
-    zero_i, zero_j = lam.weights == 0, mu.weights == 0
-    if zero_j.any():
-        v[zero_j] = _c_transform_1d(x, u, y[zero_j])
-    v_c = _c_transform_1d(y, v, x)
-    u[zero_i] = v_c[zero_i]
-
-    plan = np.zeros((n, m))
-    plan[ii, jj] = masses
-    primal = float(np.sum(c_path * masses))
-    certificate = _certificate(
-        max((x[-1] - y[0]) ** 2, (y[-1] - x[0]) ** 2), float(np.max(u - v_c)),
-        u[ii] + v[jj] - c_path, masses, np.bincount(ii, weights=masses, minlength=n),
-        np.bincount(jj, weights=masses, minlength=m), primal, u, v, lam.weights, mu.weights)
-    return _result(lam, mu, plan, primal, certificate, u, v, "monotone_1d", [])
+    return _certify(lam, mu, ii, jj, masses, c_path, u, v, "monotone_1d", [])
 
 
 def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """min_j ((x_i - y_j)^2 - v_j) for each x_i, for points ``y`` in ascending
     order: the lower envelope of the parabolas, built in one stack pass over
     ``y`` and read with one binary search per ``x_i`` (Felzenszwalb &
-    Huttenlocher, Theory Comput. 8, 2012).  _c_transform is its dense form."""
+    Huttenlocher, Theory Comput. 8, 2012)."""
     ys, vs = y.tolist(), v.tolist()
     inf = np.inf
     # The envelope's parabolas, left to right, and where each takes over.
@@ -692,6 +639,24 @@ def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
             starts.append(s)
     best = np.asarray(hull)[np.searchsorted(starts, x, side="right") - 1]
     return (x - y[best]) ** 2 - v[best]
+
+
+def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """min_j (|x_i - y_j|^2 - v_j) for each row x_i of ``x``, over the points
+    y_j of the grid ``spec``.  The cost is a sum over axes, so the minimum is
+    taken one axis at a time with _c_transform_1d: in d = 2, along each grid
+    line of the last axis at each distinct x_i1, then along the first axis."""
+    if spec.dim == 1:
+        return _c_transform_1d(spec.axes[0], v, x[:, 0])
+    first, last = spec.axes
+    x1, which = np.unique(x[:, 1], return_inverse=True)
+    # lines[p, k] = min_q ((x1_k - y_q)^2 - v_pq) along grid line p.
+    lines = np.array([_c_transform_1d(last, vp, x1) for vp in v.reshape(spec.extent)])
+    out = np.empty(len(x))
+    for k in range(x1.size):
+        at = which == k
+        out[at] = _c_transform_1d(first, -lines[:, k], x[at, 0])
+    return out
 
 
 def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
@@ -725,7 +690,6 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     dual-feasible on the full cost, so its last plan is optimal there.
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
-    cost = squared_distances(lam.points, mu.points)
     # Each level holds, per side, the atoms' grid multi-indices, the grid's
     # extent, the weights and the points; parents[l] maps the target atoms of
     # level l to their blocks at level l + 1.
@@ -739,7 +703,7 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     solves: list[LPSolve] = []
     for level in reversed(range(len(levels))):
         (_, _, wa_l, xa), (_, _, wb_l, xb) = levels[level]
-        cost_l = cost[np.ix_(rows, cols)] if level == 0 else squared_distances(xa, xb)
+        cost_l = squared_distances(xa, xb)
         if level == len(levels) - 1:
             u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
         else:
@@ -747,9 +711,12 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
             v = _c_transform(cost_l.T, u)
         cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v)
         solves += [LPSolve(level, cost_l.shape, pairs, added) for pairs, added in rounds]
+    c_cells = cost_l[cells]
     del cost_l
-    return _embed_result(lam, mu, cost, rows, cols, cells, np.maximum(x, 0.0), u, v,
-                         method="lp_highs", solves=solves)
+    u_full, v_full = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
+    u_full[rows], v_full[cols] = u, v
+    return _certify(lam, mu, rows[cells[0]], cols[cells[1]], np.maximum(x, 0.0), c_cells,
+                    u_full, v_full, "lp_highs", solves)
 
 
 def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,

@@ -221,6 +221,25 @@ class TestLongTrajectories:
             ]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("R, ties", [(0.125, 28), (1.0, 56)])
+    def test_pairs_at_the_threshold_count(self, R, ties):
+        # The grid of the onestep stage-record config, at its smallest scan
+        # radius: threshold 7 * 0.125 = 21h.  The rounded squared
+        # displacements of pairs 21 cells apart fall on either side of 0.875^2.
+        spec = symmetric_grid(dim=1, n=49, lo=-1.0, hi=1.0)
+        lam = GridMeasure(spec=spec, weights=np.full(49, 1 / 49), alpha=0.5)
+        pi = Coupling(source=lam, target=lam, mass=np.full((49, 49), 1 / 49**2))
+        region = HashRegion(R)
+        i, j = np.indices(pi.mass.shape)
+        apart = np.abs(i - j)
+        assert np.count_nonzero(region.mask(pi) & (apart == 21)) == ties
+        long = region.mask(pi, threshold=7 * 0.125)
+        assert np.array_equal(long, region.mask(pi) & (apart >= 21))
+        covered = np.zeros_like(long)
+        for rows, cols, where in region.blocks(pi, threshold=7 * 0.125):
+            covered[rows, cols] |= True if where is None else where
+        assert np.array_equal(covered, long)
+
 
 def grid_search_affine_oracle(pi, r, beta, center_a, center_b, width, levels=6, n=11):
     """Coarse-to-fine scan of the defect over (A, b); d=1 instances only."""

@@ -66,15 +66,20 @@ class TestSquaredDistances:
          GridSpec(dim=1, h=0.029, extent=(53,), origin_offset=(40.2,))),
         (GridSpec(dim=2, h=0.071, extent=(13, 11), origin_offset=(3.3, 8.6)),
          GridSpec(dim=2, h=0.047, extent=(9, 15), origin_offset=(7.9, 1.4))),
+        # 437 x 357 points: the second axis goes in in ten row blocks, the
+        # last one partial.
+        (GridSpec(dim=2, h=0.043, extent=(23, 19), origin_offset=(6.2, 11.9)),
+         GridSpec(dim=2, h=0.061, extent=(21, 17), origin_offset=(13.4, 2.7))),
     ]
+    IDS = ["1d", "2d", "2d_blocks"]
 
-    @pytest.mark.parametrize("src, tgt", PAIRS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("src, tgt", PAIRS, ids=IDS)
     def test_equals_the_sum_over_axes(self, src, tgt):
         x, y = src.points, tgt.points
         expected = sum((x[:, None, a] - y[None, :, a]) ** 2 for a in range(src.dim))
         assert np.all(grids.squared_distances(x, y) == expected)
 
-    @pytest.mark.parametrize("src, tgt", PAIRS, ids=["1d", "2d"])
+    @pytest.mark.parametrize("src, tgt", PAIRS, ids=IDS)
     def test_pairwise_form_gives_the_same_bits(self, src, tgt):
         x, y = src.points, tgt.points
         rng = np.random.default_rng(src.dim)
@@ -83,11 +88,20 @@ class TestSquaredDistances:
         pairwise = grids.squared_distances(x[i], y[j], pairwise=True)
         assert np.all(pairwise == grids.squared_distances(x, y)[i, j])
 
-    @pytest.mark.parametrize("spec", [src for src, _ in PAIRS], ids=["1d", "2d"])
+    @pytest.mark.parametrize("spec", [src for src, _ in PAIRS], ids=IDS)
     def test_coincident_points_give_zero(self, spec):
         c = grids.squared_distances(spec.points, spec.points)
         assert np.all(np.diag(c) == 0.0)
         assert np.all(c[~np.eye(spec.n_points, dtype=bool)] > 0.0)
+
+    def test_pairwise_form_past_one_block(self):
+        src, tgt = self.PAIRS[2]
+        x, y = src.points, tgt.points
+        rng = np.random.default_rng(3)
+        i = rng.integers(0, src.n_points, size=40_000)
+        j = rng.integers(0, tgt.n_points, size=40_000)
+        pairwise = grids.squared_distances(x[i], y[j], pairwise=True)
+        assert np.all(pairwise == grids.squared_distances(x, y)[i, j])
 
 
 class TestMeasureFromDensity:

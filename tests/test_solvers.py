@@ -25,8 +25,8 @@ from eotlab import (
     solvers,
     symmetric_grid,
 )
-from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _certify, _epsilon_ladder,
-                            _exact_ot_lp, _exact_ot_monotone)
+from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _c_transform_grid, _certify,
+                            _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
 from conftest import line_measure, plane_measure
 
 
@@ -620,13 +620,20 @@ class TestExactOT:
     def test_certificate_rejects_plan_off_its_marginals(self):
         lam, mu = wavy_pair()
         res = exact_ot(lam, mu)
-        cost, plan = res.plan.cost_matrix, res.plan.mass.copy()
-        _, violation = _certify(cost, plan, res.u, res.v, lam.weights, mu.weights)
-        assert violation <= CERT_RTOL
+        ii, jj = np.nonzero(res.plan.mass)
+        masses, c_cells = res.plan.mass[ii, jj], res.plan.cost_matrix[ii, jj]
+
+        def certify(masses):
+            return _certify(lam, mu, ii, jj, masses, c_cells, res.u.copy(), res.v.copy(),
+                            res.method, [])
+
+        assert certify(masses).feasibility_violation <= CERT_RTOL
         # One row sum (and one column sum) off by 1e-7 of the mass.
-        i, j = np.unravel_index(np.argmax(plan), plan.shape)
-        plan[i, j] += 1e-7 * lam.total_mass
-        _, violation = _certify(cost, plan, res.u, res.v, lam.weights, mu.weights)
+        off = masses.copy()
+        off[np.argmax(off)] += 1e-7 * lam.total_mass
+        with pytest.raises(CertificateError, match="violation") as err:
+            certify(off)
+        violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
         assert violation > CERT_RTOL
 
     def test_monotone_certificate_sees_raised_dual_off_the_staircase(self, monkeypatch):
@@ -648,6 +655,33 @@ class TestExactOT:
         monkeypatch.setattr(solvers, "_c_transform_1d", raise_first_zero_column)
         with pytest.raises(CertificateError, match="violation") as err:
             _exact_ot_monotone(lam, mu)
+        assert calls[0] == np.count_nonzero(mu.weights == 0)
+        violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
+        assert violation > CERT_RTOL
+
+    def test_lp_certificate_sees_raised_dual_off_the_plan(self, monkeypatch):
+        # The 2-d analogue: raise the completed dual of one zero-weight target
+        # atom, tight against a positive source atom, on the zero-atom pair of
+        # test_pyramid_on_different_grids_with_odd_extents.
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 10)
+        lam, mu = odd_extent_pair()
+        res = exact_ot(lam, mu)
+        assert res.feasibility_violation <= CERT_RTOL
+        j = np.flatnonzero(mu.weights == 0)[0]
+        slack = res.u + res.v[j] - res.plan.cost_matrix[:, j]
+        assert slack[lam.weights > 0].max() >= -1e-12
+        calls = []
+
+        def raise_first_zero_column(spec, v, x):
+            out = _c_transform_grid(spec, v, x)
+            if not calls:
+                out[0] += 1e-6
+            calls.append(len(x))
+            return out
+
+        monkeypatch.setattr(solvers, "_c_transform_grid", raise_first_zero_column)
+        with pytest.raises(CertificateError, match="violation") as err:
+            exact_ot(lam, mu)
         assert calls[0] == np.count_nonzero(mu.weights == 0)
         violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
         assert violation > CERT_RTOL
@@ -692,6 +726,48 @@ def test_c_transform_1d_matches_dense(case):
     # only miss the minimum where rounding misplaces a crossing.
     assert np.all(envelope >= dense)
     assert np.all(envelope - dense <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
+
+
+@st.composite
+def grid_envelope_cases(draw):
+    """Source and target grids of one dimension, each of its own spacing,
+    extent and origin, and target duals up to the size of the largest cost."""
+    dim = draw(st.sampled_from([1, 2]))
+
+    def grid():
+        extent = tuple(draw(st.integers(2, 12)) for _ in range(dim))
+        return GridSpec(dim=dim, h=draw(st.floats(1e-2, 3.0)), extent=extent,
+                        origin_offset=tuple(draw(st.floats(0.0, 1.0)) * (n - 1) for n in extent))
+
+    src, tgt = grid(), grid()
+    cost = ((src.points[:, None, :] - tgt.points[None, :, :]) ** 2).sum(axis=2)
+    v = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=tgt.n_points,
+                                 max_size=tgt.n_points)))
+    return src, tgt, v * max(1.0, float(cost.max())), cost
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(grid_envelope_cases())
+def test_c_transform_grid_matches_dense(case):
+    src, tgt, v, cost = case
+    dense = np.min(cost - v[None, :], axis=1)
+    envelope = _c_transform_grid(tgt, v, src.points)
+    # In d = 2 the per-axis terms are added in another order than the dense
+    # sum, so the two agree to rounding, within the 1-d test's tolerance.
+    assert np.all(np.abs(envelope - dense) <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
+
+
+def odd_extent_pair():
+    """2-d source and target on grids of their own spacing, odd extents and
+    origin, with about a fifth of the atoms of zero weight on each side."""
+    rng = np.random.default_rng(5)
+    src = GridSpec(dim=2, h=0.2, extent=(9, 7), origin_offset=(4.0, 3.0))
+    tgt = GridSpec(dim=2, h=0.15, extent=(11, 5), origin_offset=(4.5, 2.0))
+    wl, wm = rng.random(src.n_points), rng.random(tgt.n_points)
+    wl[rng.random(wl.size) < 0.2] = 0.0
+    wm[rng.random(wm.size) < 0.2] = 0.0
+    return (GridMeasure(spec=src, weights=wl / wl.sum(), alpha=0.5),
+            GridMeasure(spec=tgt, weights=wm / wm.sum(), alpha=0.5))
 
 
 def zero_atom_pair_1d(n):
@@ -747,3 +823,18 @@ def test_monotone_peak_memory_is_the_plan():
         tracemalloc.stop()
     assert res.method == "monotone_1d"
     assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
+
+
+def test_lp_peak_memory_holds_no_full_cost():
+    # The 2-d LP prices against each level's cost on its own positive atoms
+    # and certifies from the plan's cells, so no cost over the full grids is
+    # formed next to the pricing arrays.
+    lam, mu = lp_pair_2d(20)
+    tracemalloc.start()
+    try:
+        res = exact_ot(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "lp_highs"
+    assert peak <= 4 * 8 * lam.spec.n_points * mu.spec.n_points
