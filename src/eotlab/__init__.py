@@ -53,9 +53,7 @@ from .regularity import (
     soft_lemma_check,
 )
 from .scalings import (
-    DEFAULT_WINDOWS,
     Scaling,
-    Windows,
     apply_to_coupling,
     apply_to_measures,
     compose,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, config_value
 from .grids import GridMeasure, GridSpec, data_term, squared_distances
 
 __all__ = [
@@ -46,8 +46,9 @@ class Coupling:
         expected = (self.source.spec.n_points, self.target.spec.n_points)
         if m.shape != expected:
             raise DomainError(f"mass matrix shape {m.shape} != {expected}")
-        if np.any(m < 0):
-            raise DomainError("coupling entries must be nonnegative")
+        # One pass each, no n x m temporary; a NaN fails the first test.
+        if not (m.min() >= 0 and np.isfinite(m.max())):
+            raise DomainError("coupling entries must be finite and nonnegative")
         if self.source.dim != self.target.dim:
             raise DomainError("source and target dimensions differ")
         m.setflags(write=False)
@@ -109,16 +110,6 @@ class HashRegion:
         if not self.radius > 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
 
-    def mask(self, pi: Coupling, threshold: float | None = None) -> np.ndarray:
-        """The region's pairs as a dense n x m mask; with ``threshold``, only
-        those displaced by at least ``threshold`` (the long trajectories)."""
-        mask = (pi.source.spec.point_norms <= self.radius)[:, None] | (
-            pi.target.spec.point_norms <= self.radius
-        )[None, :]
-        if threshold is not None:
-            mask &= _long(pi.cost_matrix, threshold)
-        return mask
-
     def blocks(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
         """The region as at most three disjoint rectangles (rows, cols, mask),
         in row order: the rows before the contiguous row span of {|x| <= R}
@@ -150,21 +141,14 @@ class HashRegion:
             out.append((rows, cols, mask))
         return out
 
-    def energy(self, pi: Coupling, mask: np.ndarray | None = None,
-               threshold: float | None = None) -> float:
-        """sum |x - y|^2 pi(x, y) over the region, over its pairs displaced by
-        at least ``threshold``, or over a dense ``mask`` from :meth:`mask`."""
-        if mask is not None:
-            return float(np.sum(pi.cost_matrix * pi.mass, where=mask))
+    def energy(self, pi: Coupling, threshold: float | None = None) -> float:
+        """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced
+        by at least ``threshold``."""
         return sum((_block_sum(where, pi.cost_matrix[rows, cols], pi.mass[rows, cols])
                     for rows, cols, where in self.blocks(pi, threshold)), 0.0)
 
-    def mass(self, pi: Coupling, mask: np.ndarray | None = None,
-             threshold: float | None = None) -> float:
-        """pi(#_R), the mass of its pairs displaced by at least ``threshold``,
-        or the mass on a dense ``mask`` from :meth:`mask`."""
-        if mask is not None:
-            return float(np.sum(pi.mass, where=mask))
+    def mass(self, pi: Coupling, threshold: float | None = None) -> float:
+        """pi(#_R), or the mass of its pairs displaced by at least ``threshold``."""
         return sum((_block_sum(where, pi.mass[rows, cols])
                     for rows, cols, where in self.blocks(pi, threshold)), 0.0)
 
@@ -380,16 +364,13 @@ def save_coupling(pi: Coupling, bin_path: str | Path) -> None:
         fh.write("\n")
 
 
-def load_coupling(
-    bin_path: str | Path,
-    source: GridMeasure | None = None,
-    target: GridMeasure | None = None,
-) -> Coupling:
+def load_coupling(bin_path: str | Path) -> Coupling:
     """Read a coupling written by :func:`save_coupling`.
 
-    When the marginal measures are not given they are reconstructed from the
+    The marginal measures are rebuilt from the header's grids and the plan's
     row/column sums, which is only faithful for marginal-consistent couplings.
-    A malformed header raises ConfigError.
+    A malformed header raises ConfigError, as does a value that is not of its
+    type (sizes integers, ``alpha`` and ``epsilon`` finite numbers).
     """
     bin_path = Path(bin_path)
     header_path = bin_path.with_suffix(".json")
@@ -398,14 +379,12 @@ def load_coupling(
     with open(header_path) as fh:
         try:
             header = json.load(fh)
-            n, m = int(header["n_source"]), int(header["n_target"])
-            # (spec, alpha) of each marginal that is not given.
-            grids = [None if given is not None else
-                     (GridSpec.from_json_dict(header[key]), float(header[key]["alpha"]))
-                     for given, key in ((source, "source_grid"), (target, "target_grid"))]
-            eps = header.get("epsilon")
-            eps = None if eps is None else float(eps)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, m = (config_value(header, key, int) for key in ("n_source", "n_target"))
+            grids = [(GridSpec.from_json_dict(header[key]),
+                      config_value(header[key], "alpha", float))
+                     for key in ("source_grid", "target_grid")]
+            eps = None if header.get("epsilon") is None else config_value(header, "epsilon", float)
+        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed coupling header {header_path}: {exc!r}") from exc
     raw = np.fromfile(bin_path, dtype="<f8")
     if min(n, m) < 0 or raw.size != n * m:
@@ -413,8 +392,6 @@ def load_coupling(
             f"coupling dump holds {raw.size} values, expected {n}x{m}={n * m}"
         )
     mass = raw.reshape(n, m)
-    if source is None:
-        source = GridMeasure(grids[0][0], mass.sum(axis=1), grids[0][1])
-    if target is None:
-        target = GridMeasure(grids[1][0], mass.sum(axis=0), grids[1][1])
-    return Coupling(source=source, target=target, mass=mass, epsilon=eps)
+    (src, src_alpha), (tgt, tgt_alpha) = grids
+    return Coupling(source=GridMeasure(src, mass.sum(axis=1), src_alpha),
+                    target=GridMeasure(tgt, mass.sum(axis=0), tgt_alpha), mass=mass, epsilon=eps)

@@ -32,7 +32,7 @@ class SmallnessError(DomainError):
 
 
 class AdmissibilityError(DomainError):
-    """A rescaling left the configured admissibility windows."""
+    """A rescaling left the fixed admissibility windows."""
 
 
 class CertificateError(EotlabError):

@@ -20,6 +20,7 @@ __all__ = [
     "DataTermReport",
     "averaging_radius",
     "density_at",
+    "origin_density",
     "holder_seminorm",
     "squared_distances",
     "data_term",
@@ -148,11 +149,13 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
+        """The inverse of :meth:`to_json_dict`; ConfigError unless ``dim`` and ``extent``
+        are integers and ``h`` and ``origin_offset`` finite (none is truncated or parsed)."""
         return cls(
-            dim=int(d["dim"]),
-            h=float(d["h"]),
-            extent=tuple(int(n) for n in d["extent"]),
-            origin_offset=tuple(float(o) for o in d["origin_offset"]),
+            dim=config_value(d, "dim", int),
+            h=config_value(d, "h", float),
+            extent=tuple(config_value({"extent": n}, "extent", int) for n in d["extent"]),
+            origin_offset=tuple(config_value(d, "origin_offset", list)),
         )
 
 
@@ -276,6 +279,12 @@ def density_at(m: GridMeasure, x, r_avg: float) -> float:
     if count == 0:
         raise DomainError(f"no grid points inside the ball of radius {r_avg} at {p.tolist()}")
     return float(np.sum(m.weights[inside]) / (count * m.spec.cell_volume))
+
+
+def origin_density(m: GridMeasure) -> float:
+    """Ball-averaged density at the origin over ``averaging_radius(m)``, three
+    of the measure's own spacings: the normalisation and its check read this."""
+    return density_at(m, np.zeros(m.dim), averaging_radius(m))
 
 
 def holder_seminorm(m: GridMeasure, R: float) -> float:
@@ -565,8 +574,8 @@ def load_measure(csv_path: str | Path) -> GridMeasure:
         try:
             meta = json.load(fh)
             spec = GridSpec.from_json_dict(meta)
-            alpha = float(meta["alpha"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            alpha = config_value(meta, "alpha", float)
+        except (ConfigError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed measure sidecar {sidecar}: {exc!r}") from exc
     weights = np.zeros(spec.n_points)
     seen = np.zeros(spec.n_points, dtype=bool)

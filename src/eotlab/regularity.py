@@ -9,7 +9,7 @@ import numpy as np
 
 from .couplings import Coupling, HashRegion, affine_fit, local_energy, long_trajectory_stats
 from .errors import AdmissibilityError, DomainError, SmallnessError
-from .grids import GridMeasure, averaging_radius, data_term, density_at
+from .grids import GridMeasure, averaging_radius, data_term, density_at, origin_density
 from .scalings import Scaling, apply_to_coupling, compose, normalizing_scaling
 from .solvers import SinkhornResult, entropic_cost, exact_ot, sinkhorn
 
@@ -181,10 +181,7 @@ def _improve(
     """Improvement step at radius R given ``energy`` = E(R) + D(R): the step
     scaling from the harmonic fit, the fit, det A and the rescaled plan."""
     d = pi.dim
-    # Read as normalizing_scaling reads them: each over its own grid's radius.
-    origin = np.zeros(d)
-    lam0 = density_at(lam, origin, averaging_radius(lam))
-    mu0 = density_at(mu, origin, averaging_radius(mu))
+    lam0, mu0 = origin_density(lam), origin_density(mu)
     if abs(lam0 - 1.0) > NORMALIZATION_TOL or abs(mu0 - 1.0) > NORMALIZATION_TOL:
         raise DomainError(
             f"marginals are not normalized at the origin: lam(0)={lam0:.4f}, "
@@ -342,7 +339,7 @@ def campanato_iterate(
             stop_reason = "admissibility_exit"
             break
         level.step_scaling = step
-        composed = compose(step, composed, windows=None)
+        composed = compose(step, composed)
         r = theta * r
     return CampanatoTrace(levels=levels, stop_reason=stop_reason, base_scaling=s_bar)
 

@@ -24,11 +24,9 @@ import numpy as np
 
 from .couplings import Coupling, check_marginals
 from .errors import AdmissibilityError, DomainError
-from .grids import GridMeasure, GridSpec, averaging_radius, density_at
+from .grids import GridMeasure, GridSpec, origin_density
 
 __all__ = [
-    "Windows",
-    "DEFAULT_WINDOWS",
     "Scaling",
     "identity_scaling",
     "compose",
@@ -42,17 +40,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Windows:
-    """Compact admissibility windows for the dilation and mass factors."""
-
-    gamma_min: float = 0.5
-    gamma_max: float = 2.0
-    kappa_min: float = 0.2
-    kappa_max: float = 5.0
-
-
-DEFAULT_WINDOWS = Windows()
+# The compact admissibility windows G and K for the dilation and mass factors.
+GAMMA_WINDOW = (0.5, 2.0)
+KAPPA_WINDOW = (0.2, 5.0)
 
 
 @dataclass(frozen=True)
@@ -108,13 +98,12 @@ class Scaling:
     def det_A(self) -> float:
         return float(np.linalg.det(self.A))
 
-    def require_admissible(self, windows: Windows = DEFAULT_WINDOWS) -> None:
-        if not (windows.gamma_min <= self.gamma <= windows.gamma_max
-                and windows.kappa_min <= self.kappa <= windows.kappa_max):
+    def require_admissible(self) -> None:
+        (g_lo, g_hi), (k_lo, k_hi) = GAMMA_WINDOW, KAPPA_WINDOW
+        if not (g_lo <= self.gamma <= g_hi and k_lo <= self.kappa <= k_hi):
             raise AdmissibilityError(
                 f"scaling (gamma={self.gamma}, kappa={self.kappa}) outside windows "
-                f"G=[{windows.gamma_min}, {windows.gamma_max}], "
-                f"K=[{windows.kappa_min}, {windows.kappa_max}]"
+                f"G=[{g_lo}, {g_hi}], K=[{k_lo}, {k_hi}]"
             )
 
 
@@ -133,11 +122,12 @@ def transform_target_atoms(s: Scaling, points: np.ndarray) -> np.ndarray:
     return (pts - s.b[None, :]) @ (s.gamma * s.A).T
 
 
-def compose(s2: Scaling, s1: Scaling, windows: Windows | None = DEFAULT_WINDOWS) -> Scaling:
+def compose(s2: Scaling, s1: Scaling) -> Scaling:
     """Composite scaling: apply ``s1`` first, then ``s2``.
 
     Defined by the pushforward identity on both coordinates; see the module
-    docstring for the component formulas.
+    docstring for the component formulas.  The windows are not checked here;
+    ``apply_to_*`` check them, and so can ``.require_admissible()`` on the result.
     """
     if s1.dim != s2.dim:
         raise DomainError("scalings act in different dimensions")
@@ -156,16 +146,8 @@ def compose(s2: Scaling, s1: Scaling, windows: Windows | None = DEFAULT_WINDOWS)
         ).max() <= 1e-12 * max(1.0, float(np.abs(a_c).max()))
     except np.linalg.LinAlgError:
         plain = False
-    out = Scaling(
-        A=a_c,
-        b=b_c,
-        gamma=gamma_c,
-        kappa=kappa_c,
-        x_matrix=None if plain else x_c,
-    )
-    if windows is not None:
-        out.require_admissible(windows)
-    return out
+    return Scaling(A=a_c, b=b_c, gamma=gamma_c, kappa=kappa_c,
+                   x_matrix=None if plain else x_c)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +261,7 @@ def normalizing_scaling(lam: GridMeasure, mu: GridMeasure) -> Scaling:
     1 there too.
     """
     d = lam.dim
-    lam0 = density_at(lam, np.zeros(d), averaging_radius(lam))
-    mu0 = density_at(mu, np.zeros(d), averaging_radius(mu))
+    lam0, mu0 = origin_density(lam), origin_density(mu)
     if lam0 <= 0 or mu0 <= 0:
         raise DomainError("origin densities must be positive to normalize")
     return Scaling(

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from eotlab import Coupling, GridMeasure, GridSpec, measure_from_density, symmetric_grid
+from eotlab import (Coupling, GridMeasure, GridSpec, HashRegion, measure_from_density,
+                    symmetric_grid)
+from eotlab.couplings import _long
 
 
 class _BugRecords(logging.Handler):
@@ -64,6 +66,17 @@ def random_coupling_2d():
         target=GridMeasure(tgt, mass.sum(axis=0), 0.5),
         mass=mass,
     )
+
+
+def region_mask(region: HashRegion, pi: Coupling, threshold: float | None = None) -> np.ndarray:
+    """The dense reference for the region's block reads: its pairs as an n x m
+    mask; with ``threshold``, only those displaced by at least ``threshold``
+    (by the package's own threshold rule)."""
+    mask = ((pi.source.spec.point_norms <= region.radius)[:, None]
+            | (pi.target.spec.point_norms <= region.radius)[None, :])
+    if threshold is not None:
+        mask &= _long(pi.cost_matrix, threshold)
+    return mask
 
 
 def line_measure(xs, ws, h, alpha=0.5):

@@ -418,7 +418,7 @@ class TestCriterion9Invariants:
                 )
 
             s1, s2 = draw(), draw()
-            comp = compose(s2, s1, windows=None)
+            comp = compose(s2, s1)
             seq_x = transform_source_atoms(s2, transform_source_atoms(s1, p))
             seq_y = transform_target_atoms(s2, transform_target_atoms(s1, p))
             worst = max(

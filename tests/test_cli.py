@@ -620,7 +620,12 @@ BAD_MEASURE_FILES = {
     "duplicate_row": (_edit_csv_line(None, "3,0.1"), "duplicate row for index (3,)"),
     "non_numeric_cell": (_edit_csv_line(4, "3,abc"), "non-numeric cell"),
     "extent_infinite": (_edit_sidecar("extent", [float("inf")]), "malformed measure sidecar"),
-    "h_infinite": (_edit_sidecar("h", float("inf")), "grid spacing must be positive and finite"),
+    "h_infinite": (_edit_sidecar("h", float("inf")), "h must be a finite number, got inf"),
+    # Values that once loaded as the 11-point grid: truncated, parsed or read as 1.
+    "dim_fraction": (_edit_sidecar("dim", 1.9), "dim must be a integer, got 1.9"),
+    "extent_fraction": (_edit_sidecar("extent", [11.5]), "extent must be a integer, got 11.5"),
+    "extent_string": (_edit_sidecar("extent", ["11"]), "extent must be a integer, got '11'"),
+    "h_bool": (_edit_sidecar("h", True), "h must be a finite number, got True"),
 }
 
 

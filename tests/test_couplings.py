@@ -24,7 +24,7 @@ from eotlab import (
     save_coupling,
     symmetric_grid,
 )
-from conftest import grid_couplings, line_measure, region_radii
+from conftest import grid_couplings, line_measure, region_mask, region_radii
 
 
 @pytest.fixture
@@ -61,6 +61,16 @@ class TestMarginals:
         assert not report.ok
         row_mass = uniform_1d.weights[3]
         assert report.max_row_err == pytest.approx(1e-3 / row_mass, rel=1e-9)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, uniform_1d, bad):
+        # A NaN or +inf entry once passed the sign test, and every statistic
+        # of the plan, and its marginal budget in apply_to_coupling, read nan or inf.
+        mass = diagonal_coupling(uniform_1d).mass.copy()
+        mass[3, 5] = bad
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            Coupling(source=uniform_1d, target=uniform_1d, mass=mass)
 
 
 class TestLocalEnergy:
@@ -111,18 +121,19 @@ class TestHashRegion:
                 region = HashRegion(R)
                 inside = ((np.linalg.norm(x, axis=1) <= R)[:, None]
                           | (np.linalg.norm(y, axis=1) <= R)[None, :])
-                np.testing.assert_array_equal(region.mask(pi), inside)
-                long = region.mask(pi, t)
+                np.testing.assert_array_equal(region_mask(region, pi), inside)
+                long = region_mask(region, pi, t)
                 np.testing.assert_array_equal(long, inside & (dist2 >= t**2 - 1e-12))
                 assert region.energy(pi) == pytest.approx(np.sum((dist2 * pi.mass)[inside]))
-                assert region.energy(pi, long) == pytest.approx(np.sum((dist2 * pi.mass)[long]))
+                assert region.energy(pi, threshold=t) == pytest.approx(
+                    np.sum((dist2 * pi.mass)[long]))
                 assert region.mass(pi) == pytest.approx(np.sum(pi.mass[inside]))
-                assert region.mass(pi, long) == pytest.approx(np.sum(pi.mass[long]))
+                assert region.mass(pi, threshold=t) == pytest.approx(np.sum(pi.mass[long]))
 
     def test_row_moments_and_residual(self, random_coupling_2d):
         pi = random_coupling_2d
         region = HashRegion(0.5)
-        plan = np.where(region.mask(pi), pi.mass, 0.0)
+        plan = np.where(region_mask(region, pi), pi.mass, 0.0)
         rows = plan.sum(axis=1) > 0
         x, w, s, residual = region.row_moments(pi)
         np.testing.assert_array_equal(x, pi.source_points[rows])
@@ -144,7 +155,7 @@ class TestHashRegion:
            threshold=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 3.0)))
     def test_blocks_cover_the_dense_mask_and_sum_alike(self, pi, R, threshold):
         region = HashRegion(R)
-        dense = region.mask(pi, threshold)
+        dense = region_mask(region, pi, threshold)
         covered = np.zeros(pi.mass.shape, dtype=int)
         for rows, cols, where in region.blocks(pi, threshold):
             block = covered[rows, cols]
@@ -160,7 +171,7 @@ class TestHashRegion:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(pi=grid_couplings(), R=region_radii)
     def test_row_moments_match_the_dense_plan(self, pi, R):
-        plan = np.where(HashRegion(R).mask(pi), pi.mass, 0.0)
+        plan = np.where(region_mask(HashRegion(R), pi), pi.mass, 0.0)
         rows = plan.sum(axis=1) > 0
         plan = plan[rows]
         y = pi.target_points
@@ -209,7 +220,7 @@ class TestLongTrajectories:
         for pi in (random_coupling, random_coupling_2d):
             stats = long_trajectory_stats(pi, R, 0.0)
             assert stats.energy == pytest.approx(local_energy(pi, R))
-            mask = HashRegion(R).mask(pi)
+            mask = region_mask(HashRegion(R), pi)
             expected_mass = np.sum(pi.mass, where=mask) / R**pi.dim
             assert stats.mass == pytest.approx(expected_mass)
 
@@ -232,9 +243,9 @@ class TestLongTrajectories:
         region = HashRegion(R)
         i, j = np.indices(pi.mass.shape)
         apart = np.abs(i - j)
-        assert np.count_nonzero(region.mask(pi) & (apart == 21)) == ties
-        long = region.mask(pi, threshold=7 * 0.125)
-        assert np.array_equal(long, region.mask(pi) & (apart >= 21))
+        assert np.count_nonzero(region_mask(region, pi) & (apart == 21)) == ties
+        long = region_mask(region, pi, threshold=7 * 0.125)
+        assert np.array_equal(long, region_mask(region, pi) & (apart >= 21))
         covered = np.zeros_like(long)
         for rows, cols, where in region.blocks(pi, threshold=7 * 0.125):
             covered[rows, cols] |= True if where is None else where
@@ -243,7 +254,7 @@ class TestLongTrajectories:
 
 def grid_search_affine_oracle(pi, r, beta, center_a, center_b, width, levels=6, n=11):
     """Coarse-to-fine scan of the defect over (A, b); d=1 instances only."""
-    mask = HashRegion(r).mask(pi)
+    mask = region_mask(HashRegion(r), pi)
     ii, jj = np.nonzero(mask & (pi.mass > 0))
     w = pi.mass[ii, jj]
     x = pi.source_points[ii, 0]
@@ -323,7 +334,7 @@ class TestAffineFit:
         # with the region's mask; the zero row and column lie inside #_0.5.
         pi = random_coupling_2d
         for r in (0.3, 0.5, 0.8):
-            ii, jj = np.nonzero(HashRegion(r).mask(pi))
+            ii, jj = np.nonzero(region_mask(HashRegion(r), pi))
             sw = np.sqrt(pi.mass[ii, jj])[:, None]
             x, y = pi.source_points[ii], pi.target_points[jj]
             z = np.concatenate([x, np.ones((ii.size, 1))], axis=1)
@@ -345,7 +356,7 @@ class TestAffineFit:
         lam2 = line_measure(pi.source_points[:, 0] + shift, pi.source.weights, h=0.25)
         mu2 = line_measure(pi.target_points[:, 0] + shift, pi.target.weights, h=0.25)
         pi2 = Coupling(source=lam2, target=mu2, mass=pi.mass)
-        mask2 = HashRegion(0.9).mask(pi2)
+        mask2 = region_mask(HashRegion(0.9), pi2)
         ii, jj = np.nonzero(mask2 & (pi2.mass > 0))
         w = pi2.mass[ii, jj]
         x2 = pi2.source_points[ii, 0]
@@ -365,7 +376,8 @@ class TestCouplingIO:
         assert loaded.epsilon is None
 
     @pytest.mark.parametrize("case", ["no_n_source", "no_source_grid", "text_n_source",
-                                      "invalid_json"])
+                                      "invalid_json", "fractional_n_source", "text_epsilon",
+                                      "fractional_dim", "text_alpha"])
     def test_malformed_header_raises_config_error(self, tmp_path, random_coupling, case):
         path = tmp_path / "plan.bin"
         save_coupling(random_coupling, path)
@@ -377,6 +389,15 @@ class TestCouplingIO:
             del header["source_grid"]
         elif case == "text_n_source":
             header["n_source"] = "nine"
+        # The last four once loaded: int and float truncate and parse strings.
+        elif case == "fractional_n_source":
+            header["n_source"] = 9.5
+        elif case == "text_epsilon":
+            header["epsilon"] = "0.3"
+        elif case == "fractional_dim":
+            header["source_grid"]["dim"] = 1.9
+        elif case == "text_alpha":
+            header["target_grid"]["alpha"] = "0.5"
         text = json.dumps(header)
         header_path.write_text(text[:-1] if case == "invalid_json" else text)
         with pytest.raises(ConfigError, match="malformed coupling header .*plan.json"):

@@ -1,6 +1,8 @@
 """Every exported name resolves, so ``from eotlab.<module> import *`` cannot break
-on a stale ``__all__`` entry; importing the package loads no scipy."""
+on a stale ``__all__`` entry; every function the benchmark traces exists;
+importing the package loads no scipy."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -46,3 +48,20 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/spans.py swaps each traced function by name: a name deleted or
+    # renamed in the package would crash a traced run.  Read the lists without
+    # importing the benchmark.
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text())
+    lists = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("TRACED", "TRACED_METHODS")}
+    assert lists["TRACED"] and lists["TRACED_METHODS"]
+    missing = [(module, name) for module, name, _ in lists["TRACED"]
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    missing += [(module, f"{cls}.{name}") for module, cls, name, _ in lists["TRACED_METHODS"]
+                if not callable(getattr(getattr(importlib.import_module(module), cls, None),
+                                        name, None))]
+    assert not missing

@@ -1,5 +1,7 @@
 """Grid measures: ball-averaged density, Hölder seminorm, data term."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,3 +291,18 @@ class TestMeasureIO:
         spec = symmetric_grid(dim=1, n=5, lo=-1.0, hi=1.0)
         with pytest.raises(DomainError, match="finite"):
             GridMeasure(spec=spec, weights=np.array([1, 1, bad, 1, 1.0]), alpha=0.5)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dim", 1.9), ("dim", True), ("dim", "1"), ("extent", [11.5]), ("extent", [True]),
+        ("extent", ["11"]), ("h", "0.2"), ("h", True), ("h", float("nan")),
+        ("origin_offset", ["5"]), ("origin_offset", [float("inf")]), ("alpha", "0.5"),
+    ])
+    def test_sidecar_values_are_read_as_written(self, tmp_path, key, value):
+        # Each value once loaded (int and float truncate, parse strings and
+        # read true as 1) or failed later as a DomainError; now none is coerced.
+        spec = symmetric_grid(dim=1, n=11, lo=-1.0, hi=1.0)
+        save_measure(GridMeasure(spec, np.full(11, 1.0 / 11), 0.5), tmp_path / "m.csv")
+        sidecar = tmp_path / "m.json"
+        sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), **{key: value})))
+        with pytest.raises(ConfigError, match=f"malformed measure sidecar .*{key} must be"):
+            load_measure(tmp_path / "m.csv")

@@ -34,7 +34,7 @@ from eotlab import (
 from eotlab import regularity
 from eotlab.errors import SmallnessError
 from eotlab.regularity import _matrix_exp_symmetric
-from conftest import grid_couplings, line_measure, plane_measure, region_radii
+from conftest import grid_couplings, line_measure, plane_measure, region_mask, region_radii
 
 
 def plane_measure_with_indices(points, ws, h, alpha=0.5):
@@ -120,7 +120,7 @@ class TestHarmonicFit:
         # region's mask; the zero row and column lie inside #_0.5.
         pi = random_coupling_2d
         for r in (0.3, 0.5, 0.8):
-            ii, jj = np.nonzero(HashRegion(r).mask(pi))
+            ii, jj = np.nonzero(region_mask(HashRegion(r), pi))
             ref = fit_harmonic_displacement(
                 pi.source_points[ii], pi.target_points[jj], pi.mass[ii, jj]
             )
@@ -297,7 +297,7 @@ class TestCampanato:
             np.testing.assert_allclose(lvl.composed.b, running.b, atol=1e-12)
             assert lvl.composed.gamma == pytest.approx(running.gamma, abs=1e-12)
             if lvl.step_scaling is not None:
-                running = compose(lvl.step_scaling, running, windows=None)
+                running = compose(lvl.step_scaling, running)
 
 
 class TestQuasiminDefect:
