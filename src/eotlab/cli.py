@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -28,7 +27,6 @@ from .errors import (REQUIRED, ConfigError, DomainError, EotlabError, MassMismat
 from .grids import GridMeasure, make_measure
 from .regularity import (
     RegularityConfig,
-    _solve_ladder,
     campanato_iterate,
     expansion_experiment,
     long_traj_experiment,
@@ -127,14 +125,6 @@ def _regularity_config(exp: dict) -> RegularityConfig:
         for key in THRESHOLD_KEYS
         if key in thresholds
     })
-
-
-def _max_workers() -> int:
-    """``EOTLAB_THREADS`` as an integer >= 1; unset or empty means 1."""
-    raw = os.environ.get("EOTLAB_THREADS") or "1"
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"EOTLAB_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -249,7 +239,7 @@ def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
 
 def _run_expansion(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
-    result = expansion_experiment(lam, mu, ladder, _solver_opts(cfg), max_workers=_max_workers())
+    result = expansion_experiment(lam, mu, ladder, _solver_opts(cfg))
     return _ladder_report(result, {"regression": "slope"})
 
 
@@ -258,7 +248,6 @@ def _run_longtraj(lam, mu, exp, cfg) -> tuple:
     result = long_traj_experiment(
         lam, mu, _exp_value(exp, "R", positive=True), ladder, _solver_opts(cfg),
         long_factor=_exp_value(exp, "long_factor", default=7.0, positive=True),
-        max_workers=_max_workers(),
     )
     return _ladder_report(result, {"mass_slope": "mass_slope", "energy_slope": "energy_slope"})
 
@@ -267,11 +256,12 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     radius = _exp_value(exp, "R", positive=True)
     lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
-    rows = []
-    solves = _solve_ladder(lam, mu, ladder, _solver_opts(cfg), _max_workers())
-    for eps, res in zip(ladder, solves):
+    opts = _solver_opts(cfg)
+
+    def row(eps: float) -> dict:
+        res = sinkhorn(lam, mu, eps, **opts)
         report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
-        rows.append({
+        return {
             "epsilon": eps,
             "R": report.R,
             "lhs": report.lhs,
@@ -284,7 +274,9 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
             ),
             "degenerate": report.degenerate,
             "converged": res.converged,
-        })
+        }
+
+    rows = [row(eps) for eps in ladder]  # each solve is dropped before the next
     columns = list(rows[0])
     trace = {"R": radius, "Lambda": lam_factor, "rows": rows}
     converged = all(r["converged"] for r in rows)

@@ -245,26 +245,23 @@ class AffineFit:
     A: np.ndarray
     b: np.ndarray
     defect: float
-    beta: float
     r: float
     degenerate: bool = False
     ridged: bool = False
     b_only: bool = False
 
 
-def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
+def affine_fit(pi: Coupling, r: float) -> AffineFit:
     """Weighted least-squares fit of y ~ A x + b over the hash region at r.
 
     The defect is the minimized value of
-    sum over #_r of |y - A x - b|^2 pi(x, y), divided by r^{d+2+2*beta}.
+    sum over #_r of |y - A x - b|^2 pi(x, y), divided by r^{d+2}.
     """
     region = HashRegion(r)
     d = pi.dim
     x, w, s, residual = region.row_moments(pi)
     if w.size == 0:
-        return AffineFit(
-            A=np.eye(d), b=np.zeros(d), defect=0.0, beta=beta, r=r, degenerate=True
-        )
+        return AffineFit(A=np.eye(d), b=np.zeros(d), defect=0.0, r=r, degenerate=True)
     # The design [x, 1] depends on the row only: the pairwise fit has the normal
     # equations of S_i / W_i on [x_i, 1] with weights W_i, shared by all outputs.
     z = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
@@ -292,10 +289,8 @@ def affine_fit(pi: Coupling, r: float, beta: float = 0.0) -> AffineFit:
         b_vec = theta[d, :]
 
     pred = np.einsum("ab,ib->ia", a_mat, x) + b_vec
-    defect = region.per_radius(residual(pred), d + 2 + 2 * beta)
-    return AffineFit(
-        A=a_mat, b=b_vec, defect=defect, beta=beta, r=r, ridged=ridged, b_only=b_only
-    )
+    defect = region.per_radius(residual(pred), d + 2)
+    return AffineFit(A=a_mat, b=b_vec, defect=defect, r=r, ridged=ridged, b_only=b_only)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +331,7 @@ def radius_scan_rows(
                 "D": data_term(lam, mu, r).D,
                 "long_energy": stats.energy,
                 "long_mass": stats.mass,
-                "defect_beta0": affine_fit(pi, r, beta=0.0).defect,
+                "defect_beta0": affine_fit(pi, r).defect,
             }
         )
     return rows

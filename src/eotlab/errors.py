@@ -74,6 +74,7 @@ def config_value(section: dict, key: str, kind: type, default=REQUIRED,
         or (kind is float and not math.isfinite(value))
         or (positive and value <= 0)
     ):
-        qualifier = "positive " if positive else ""
-        raise ConfigError(f"{name} must be a {qualifier}{_NOUNS[kind]}, got {raw!r}")
+        phrase = ("positive " if positive else "") + _NOUNS[kind]
+        article = "an" if phrase[0] in "aeiou" else "a"
+        raise ConfigError(f"{name} must be {article} {phrase}, got {raw!r}")
     return value

@@ -308,19 +308,17 @@ def holder_seminorm(m: GridMeasure, R: float) -> float:
     return best
 
 
-def data_term(
-    lam: GridMeasure, mu: GridMeasure, R: float, r_avg: float | None = None
-) -> DataTermReport:
-    """Assemble R^{2a}(Hölder seminorms squared) + squared origin density gap."""
+def data_term(lam: GridMeasure, mu: GridMeasure, R: float) -> DataTermReport:
+    """Assemble R^{2a}(Hölder seminorms squared) + squared origin density gap,
+    the densities averaged over ``averaging_radius(lam, mu)``."""
     if lam.dim != mu.dim:
         raise DomainError("measures must share the same dimension")
     if lam.alpha != mu.alpha:
         raise DomainError("measures must share the same Hölder exponent")
-    if r_avg is None:
-        r_avg = averaging_radius(lam, mu)
     hl = holder_seminorm(lam, R)
     hm = holder_seminorm(mu, R)
     origin = np.zeros(lam.dim)
+    r_avg = averaging_radius(lam, mu)
     gap = abs(density_at(lam, origin, r_avg) - density_at(mu, origin, r_avg))
     d_val = R ** (2.0 * lam.alpha) * (hl**2 + hm**2) + gap**2
     return DataTermReport(R=R, holder_lambda=hl, holder_mu=hm, origin_gap=gap, D=d_val)

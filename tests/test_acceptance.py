@@ -371,7 +371,7 @@ class TestCriterion8CampanatoDecay:
             res = sinkhorn(lam, mu, eps, tol=1e-8)
             e0 = local_energy(res.plan, R0)
             d0 = data_term(lam, mu, R0).D
-            defects = [affine_fit(res.plan, r, beta=0.0).defect for r in radii]
+            defects = [affine_fit(res.plan, r).defect for r in radii]
             bounds = [(e0 + d0) + eps**2 / r**2 for r in radii]
             cs[n] = max(df / bd for df, bd in zip(defects, bounds))
             # Growth toward the smallest radius must not outpace eps^2/r^2.

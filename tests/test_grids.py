@@ -246,7 +246,7 @@ class TestDataTerm:
         lam = measure_from_density(spec, lambda p: 1.0 + p[:, 0] / 4.0, alpha=0.5)
         mu = measure_from_density(spec, lambda p: np.ones(p.shape[0]), alpha=0.5)
         R, r_avg = 1.0, 3 * spec.h
-        report = data_term(lam, mu, R, r_avg)
+        report = data_term(lam, mu, R)
 
         inside = spec.point_norms <= R
         hl = brute_force_holder(spec.points[inside], lam.densities[inside], 0.5)

@@ -1,5 +1,6 @@
 """Regularity machinery: harmonic fit, one-step, cascade, defect experiments."""
 
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -496,14 +497,25 @@ class TestLadderExperiments:
             masses = [row["mass"] for row in out["rows"]]
             assert all(a >= b for a, b in zip(masses, masses[1:]))
 
-    def test_ladder_parallelism_is_deterministic(self):
-        spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
-        lam = measure_from_density(
-            spec, lambda p: np.ones(p.shape[0]), alpha=0.5, normalize=True
-        )
-        serial = long_traj_experiment(lam, lam, R=0.1, eps_ladder=[0.4, 0.3],
-                                      max_workers=1)
-        threaded = long_traj_experiment(lam, lam, R=0.1, eps_ladder=[0.4, 0.3],
-                                        max_workers=4)
-        for a, b in zip(serial["rows"], threaded["rows"]):
-            assert a == b
+    @pytest.mark.parametrize("experiment", ["longtraj", "expansion"])
+    def test_ladder_peak_does_not_grow_with_its_length(self, experiment):
+        # Each ladder point's solve is dropped before the next one starts, so
+        # six points peak where two do.
+        n = 256
+        spec = symmetric_grid(dim=1, n=n, lo=-1.0, hi=1.0)
+        lam = measure_from_density(spec, lambda p: np.ones(p.shape[0]), alpha=0.5,
+                                   normalize=True)
+        mu = measure_from_density(spec, lambda p: 1.0 + 0.3 * p[:, 0], alpha=0.5,
+                                  normalize=True)
+        run = {"longtraj": lambda ladder: long_traj_experiment(lam, mu, 0.1, ladder),
+               "expansion": lambda ladder: expansion_experiment(lam, mu, ladder)}[experiment]
+        run([0.5])  # the grids' cached points
+        peaks = []
+        for ladder in ([0.5, 0.45], [0.5, 0.45, 0.4, 0.35, 0.3, 0.25]):
+            tracemalloc.start()
+            try:
+                run(ladder)
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * n * n))
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 0.5
