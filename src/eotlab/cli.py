@@ -36,12 +36,14 @@ from .regularity import (
 )
 from .reports import RunManifest, write_csv, write_json
 from .scalings import apply_to_coupling, normalizing_scaling, scaling_to_json_dict
-from .solvers import CHECK_EVERY_MAX, entropic_cost, gibbs_identity_check, sinkhorn
+from .solvers import entropic_cost, gibbs_identity_check, sinkhorn
 
-# Solver options a config may set: key -> (type, must be positive).
-SOLVER_OPTIONS = {"tol": (float, True), "max_iter": (int, True), "check_every": (int, True),
-                  "warm_start": (bool, False)}
+# Solver options besides epsilon, each a positive value of its type, and the
+# keys that the thresholds and experiment sections may hold.
+SOLVER_OPTIONS = {"tol": float, "max_iter": int}
 THRESHOLD_KEYS = ("eps1", "delta", "c0")
+EXPERIMENT_KEYS = ("R", "R0", "theta", "Lambda", "eps_ladder", "rho_ladder", "long_factor",
+                   "max_levels", "Delta_R", "thresholds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,10 +77,14 @@ def _load_config(path: str) -> tuple[str, dict]:
     return text, cfg
 
 
-def _section(cfg: dict, key: str, where: str = "") -> dict:
+def _section(cfg: dict, key: str, where: str = "", keys: tuple | None = None) -> dict:
+    """``cfg[key]`` as an object ({} when missing), holding only ``keys`` if given."""
     value = cfg.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{where}{key} must be a JSON object")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown {where}{key} keys: {unknown}; valid: {keys}")
     return value
 
 
@@ -96,19 +102,12 @@ def _marginals(cfg: dict) -> tuple[GridMeasure, GridMeasure]:
 
 
 def _solver_opts(cfg: dict) -> dict:
-    solver = _section(cfg, "solver")
-    unknown = set(solver) - set(SOLVER_OPTIONS) - {"epsilon"}
-    if unknown:
-        raise ConfigError(f"unknown solver options: {sorted(unknown)}")
-    opts = {
-        key: config_value(solver, key, kind, positive=positive, where="solver.")
-        for key, (kind, positive) in SOLVER_OPTIONS.items()
+    solver = _section(cfg, "solver", keys=("epsilon", *SOLVER_OPTIONS))
+    return {
+        key: config_value(solver, key, kind, positive=True, where="solver.")
+        for key, kind in SOLVER_OPTIONS.items()
         if key in solver
     }
-    if opts.get("check_every", 1) > CHECK_EVERY_MAX:
-        raise ConfigError(f"solver.check_every must be at most {CHECK_EVERY_MAX}, "
-                          f"got {solver['check_every']!r}")
-    return opts
 
 
 def _solver_epsilon(cfg: dict) -> float:
@@ -116,10 +115,7 @@ def _solver_epsilon(cfg: dict) -> float:
 
 
 def _regularity_config(exp: dict) -> RegularityConfig:
-    thresholds = _section(exp, "thresholds", where="experiment.")
-    unknown = set(thresholds) - set(THRESHOLD_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown threshold keys: {sorted(unknown)}; valid: {THRESHOLD_KEYS}")
+    thresholds = _section(exp, "thresholds", where="experiment.", keys=THRESHOLD_KEYS)
     return RegularityConfig(**{
         key: config_value(thresholds, key, float, where="experiment.thresholds.")
         for key in THRESHOLD_KEYS
@@ -358,7 +354,7 @@ EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 def _cmd_experiment(name: str, cfg: dict, out_dir: Path, manifest: RunManifest) -> int:
     lam, mu = _marginals(cfg)
     columns, rows, trace, converged, extra_csvs = EXPERIMENTS[name](
-        lam, mu, _section(cfg, "experiment"), cfg
+        lam, mu, _section(cfg, "experiment", keys=EXPERIMENT_KEYS), cfg
     )
     write_csv(out_dir / "report.csv", columns, rows)
     write_json(out_dir / "trace.json", trace)

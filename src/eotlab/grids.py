@@ -294,7 +294,7 @@ def holder_seminorm(m: GridMeasure, R: float) -> float:
     dens = m.densities[inside]
     n = pts.shape[0]
     if n < 2:
-        raise DomainError(f"fewer than 2 grid points inside B_{R}")
+        raise DomainError(f"fewer than 2 grid points inside B_{R} at grid spacing {m.spec.h:.4g}")
     best = 0.0
     # Each unordered pair once: a row block against the points from its own start.
     for start in range(0, n, _PAIR_BLOCK):

@@ -312,7 +312,11 @@ def campanato_iterate(
     stop_reason = "max_levels"
     for k in range(max_levels + 1):
         lam_k, mu_k = pi_k.source, pi_k.target
-        data = data_term(lam_k, mu_k, r)
+        try:
+            data = data_term(lam_k, mu_k, r)
+        except DomainError as exc:
+            raise DomainError(f"cascade level {k} at r = {r:.4g}: {exc}; raise thresholds.c0 "
+                              "or solver.epsilon, or refine the grid") from exc
         level = CampanatoLevel(
             k=k,
             r=r,

@@ -21,7 +21,7 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        return repr(float(value)) if np.isfinite(value) else ""
     return str(value)
 
 
@@ -34,7 +34,8 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def jsonify(obj):
-    """Recursively convert numpy containers/scalars to plain JSON values."""
+    """Recursively convert numpy containers/scalars to plain JSON values; a
+    non-finite float, which strict JSON cannot hold, becomes None (null)."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -46,7 +47,7 @@ def jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     return obj
 
 

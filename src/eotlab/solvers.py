@@ -42,8 +42,8 @@ ABSORB_BOUND = 1e50
 # OMEGA_FLOOR of 1 drops to plain Sinkhorn.
 OMEGA_MAX = 1.95
 OMEGA_FLOOR = 0.05
-# Only a check can end a stage early, so the iterations between checks are bounded.
-CHECK_EVERY_MAX = 1000
+# Every CHECK_EVERY-th iteration is a plain check that reads the marginal error.
+CHECK_EVERY = 10
 # Why a Sinkhorn stage stopped, and what to change when the final one did not
 # converge.
 STOP_REASONS = {
@@ -146,7 +146,7 @@ def _bounded(scaling: np.ndarray) -> bool:
 
 
 def _epsilon_ladder(epsilon: float, cost_max: float) -> list[float]:
-    """Geometric warm-start ladder from half the domain diameter down to epsilon."""
+    """Geometric epsilon-scaling ladder from half the domain diameter down to epsilon."""
     start = 0.5 * np.sqrt(max(cost_max, 0.0))
     ladder: list[float] = []
     e = start
@@ -170,20 +170,18 @@ def sinkhorn(
     epsilon: float,
     tol: float = 1e-9,
     max_iter: int = 100_000,
-    warm_start: bool = True,
-    check_every: int = 10,
 ) -> SinkhornResult:
     """Over-relaxed Sinkhorn iteration at temperature epsilon^2, in the
     scaling domain.
 
-    Each epsilon stage opens by absorbing the centred potentials (f, g) into
-    the kernel K = exp((f + g - c)/eps^2) * (a (x) b), and the iteration runs
-    on scalings: u <- u (a / (u K v))^omega, v <- v (b / (v K^T u))^omega.  A
-    scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or turns non-finite or
-    zero, sends that iteration through a plain log-domain sweep and a new
-    kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
+    Each stage of _epsilon_ladder opens by absorbing the centred potentials
+    (f, g) into the kernel K = exp((f + g - c)/eps^2) * (a (x) b), and the
+    iteration runs on scalings: u <- u (a / (u K v))^omega, v <- v (b / (v
+    K^T u))^omega.  A scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or
+    turns non-finite or zero, sends that iteration through a plain log-domain
+    sweep and a new kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
 
-    Every ``check_every``-th iteration is plain (omega = 1) and reads the
+    Every CHECK_EVERY-th iteration is plain (omega = 1) and reads the
     marginal error.  A stage starts plain.  From the second check on, each
     check measures the per-iteration contraction rate lambda since the one
     before; while lambda exceeds omega - 1, Young's relation theta =
@@ -203,8 +201,6 @@ def sinkhorn(
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
-    if not 1 <= check_every <= CHECK_EVERY_MAX:
-        raise DomainError(f"check_every must lie in [1, {CHECK_EVERY_MAX}], got {check_every}")
     mass = _require_equal_masses(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, SINKHORN_DENSE_ARRAYS, "sinkhorn")
 
@@ -221,7 +217,7 @@ def sinkhorn(
     log_mb = np.log(mb)
     n, m = cost.shape
 
-    ladder = _epsilon_ladder(epsilon, cost_max) if warm_start else [epsilon]
+    ladder = _epsilon_ladder(epsilon, cost_max)
 
     f = np.zeros(n)
     g = np.zeros(m)
@@ -279,7 +275,7 @@ def sinkhorn(
             accepted, saved, ref, rate = np.inf, None, None, None
             stop, it = "stage_cap", 0
             for it in range(1, stage_iter + 1):
-                check = it % check_every == 0 or it == stage_iter
+                check = it % CHECK_EVERY == 0 or it == stage_iter
                 np.divide(la, kv, out=u_next)
                 if omega != 1.0:
                     relax(u_next, u, omega)
@@ -351,7 +347,7 @@ def sinkhorn(
                     # Below the optimal factor the relaxed rate exceeds
                     # omega - 1, and Young's relation recovers the plain rate
                     # theta from it; at omega = 1 theta is the rate itself.
-                    if check_every > 1 and new_rate > omega - 1.0:
+                    if new_rate > omega - 1.0:
                         theta = (new_rate + omega - 1.0) ** 2 / (new_rate * omega**2)
                         raised = _omega_for_rate(theta)
                         if omega < raised < ceiling:
@@ -521,8 +517,8 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     if lam.dim == 1:
         try:
             return _exact_ot_monotone(lam, mu)
-        except CertificateError:
-            logger.warning("monotone certificate failed; falling back to the LP path")
+        except CertificateError as exc:
+            logger.warning("monotone path: %s; falling back to the LP path", exc)
     return _exact_ot_lp(lam, mu)
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eotlab import save_measure
-from eotlab.cli import main
+from eotlab.cli import (EXPERIMENT_KEYS, _regularity_config, _section, _solver_epsilon,
+                        _solver_opts, main)
 from conftest import line_measure
 
 
@@ -37,6 +38,14 @@ def read_csv_rows(path):
         reader = csv.reader(fh)
         header = next(reader)
         return header, list(reader)
+
+
+def strict_json(path):
+    """Parse ``path`` as strict JSON: the tokens NaN and Infinity raise."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 def assert_csv_parses(path):
@@ -348,14 +357,32 @@ class TestOtherExperiments:
         out = tmp_path / "out"
         assert main(["experiment", "softlemma", "--config", str(cfg),
                      "--out", str(out)]) == 0
-
-        def reject(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        trace = json.loads((out / "trace.json").read_text(), parse_constant=reject)
+        trace = strict_json(out / "trace.json")
         assert [row["fitted_const"] for row in trace["rows"]] == [None, None]
         header, rows = read_csv_rows(out / "report.csv")
         assert [row[header.index("fitted_const")] for row in rows] == ["", ""]
+
+    def test_softlemma_overflowing_quotients_write_null(self, tmp_path):
+        # rho^3 = 1e-315 is subnormal, so it passes as positive, but the
+        # quotients by it overflow: null and an empty cell, never Infinity.
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"grid": {"dim": 1, "n": 65, "lo": -4.0, "hi": 4.0},
+                           "density": {"kind": "uniform"}, "alpha": 0.5, "normalize": True},
+                "experiment": {"R": 2.0, "rho_ladder": [1e-105, 0.5], "Delta_R": 0.01},
+                "solver": {"epsilon": 0.5},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "softlemma", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        tiny, wide = strict_json(out / "trace.json")["rows"]
+        for key in ("bound", "energy_over_rho_pow"):
+            assert tiny[key] is None and wide[key] > 0
+        header, rows = read_csv_rows(out / "report.csv")
+        for key in ("bound", "energy_over_rho_pow"):
+            assert rows[0][header.index(key)] == "" and float(rows[1][header.index(key)]) > 0
 
 
 class TestStageRecords:
@@ -476,6 +503,27 @@ class TestNonConvergenceAndBadInput:
         assert "Traceback" not in err
         assert f"{points} x 2 support points" in err and "MiB" in err and "limit" in err
 
+    def test_cascade_below_grid_resolution_names_the_settings(self, tmp_path, capsys):
+        # The spacing 0.0625 leaves only the origin inside B_0.05, at level 4,
+        # while the cascade would run on down to r <= c0 * epsilon = 0.01.
+        grid = {"dim": 1, "n": 33, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(
+            tmp_path,
+            {
+                "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5,
+                           "normalize": True},
+                "experiment": {"R0": 0.8, "theta": 0.5, "thresholds": {"c0": 1.0}},
+                "solver": {"epsilon": 0.01},
+            },
+        )
+        assert main(["experiment", "campanato", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for part in ("level 4 at r = 0.05", "grid spacing 0.0625", "thresholds.c0",
+                     "solver.epsilon", "refine the grid"):
+            assert part in err
+
     def test_stagnated_solve_exits_3_at_once(self, tmp_path, caplog):
         import time
 
@@ -486,7 +534,7 @@ class TestNonConvergenceAndBadInput:
                 "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
                 "target": {"grid": grid, "density": {"kind": "affine", "slope": 0.5},
                            "alpha": 0.5},
-                "solver": {"epsilon": 1e-3, "tol": 1e-9, "warm_start": False},
+                "solver": {"epsilon": 1e-3, "tol": 1e-9},
             },
         )
         start = time.perf_counter()
@@ -605,7 +653,10 @@ BAD_CONFIGS = {
                           "experiment.eps_ladder"),
     "tol_string": ("quasimin", _set(("solver", "tol"), "abc"), "solver.tol"),
     "max_iter_string": ("quasimin", _set(("solver", "max_iter"), "x"), "solver.max_iter"),
-    "check_every_zero": ("quasimin", _set(("solver", "check_every"), 0), "solver.check_every"),
+    # Retired solver keys: check_every is the module constant CHECK_EVERY, and
+    # the epsilon ladder always runs.
+    "check_every_zero": ("quasimin", _set(("solver", "check_every"), 0), "'check_every'"),
+    "warm_start_retired": ("quasimin", _set(("solver", "warm_start"), False), "'warm_start'"),
     "stabilize_every_unknown": ("quasimin", _set(("solver", "stabilize_every"), 1),
                                 "'stabilize_every'"),
     "threshold_lam": ("campanato", _set(("experiment", "thresholds"), {"lam": 9}), "'lam'"),
@@ -621,9 +672,13 @@ BAD_CONFIGS = {
     "threshold_normalization_tol": ("campanato", _set(("experiment", "thresholds"),
                                                       {"normalization_tol": 0.01}),
                                     "'normalization_tol'"),
-    # With both at 10**18 no check was ever reached and the solve ran forever.
+    # With both at 10**18 no check was ever reached and the solve ran forever,
+    # before check_every was retired.
     "check_every_unbounded": ("quasimin", _set(("solver",), {
-        "epsilon": 0.5, "max_iter": 10**18, "check_every": 10**18}), "solver.check_every"),
+        "epsilon": 0.5, "max_iter": 10**18, "check_every": 10**18}), "'check_every'"),
+    # Misspelt experiment keys once ran silently at the defaults.
+    "experiment_key_typos": ("campanato", _set(("experiment",), {
+        "R0": 0.8, "thetaa": 0.9, "max_level": 2}), "'max_level', 'thetaa'"),
     "seed_negative": ("quasimin", _set(("seed",), -1), "seed"),
     "file_not_string": ("quasimin", _set(("source",), {"file": 3}), "file"),
     "mass_mismatch": ("campanato", _set(("target",), dict(marginal_spec(n=17), normalize=False)),
@@ -650,6 +705,17 @@ BAD_MEASURE_FILES = {
     "extent_string": (_edit_sidecar("extent", ["11"]), "extent must be an integer, got '11'"),
     "h_bool": (_edit_sidecar("h", True), "h must be a finite number, got True"),
 }
+
+
+def test_readme_config_example_is_accepted():
+    """The README's Config example passes the CLI's own readers of the
+    ``solver`` and ``experiment`` sections, so it lists no retired key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = json.loads(block)
+    assert _solver_epsilon(cfg) > 0
+    assert set(_solver_opts(cfg)) == set(cfg["solver"]) - {"epsilon"}
+    _regularity_config(_section(cfg, "experiment", keys=EXPERIMENT_KEYS))
 
 
 class TestBadInputExits2:

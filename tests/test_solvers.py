@@ -87,7 +87,12 @@ def curved_pair(n):
                  for d in ({"kind": "uniform"}, profile))
 
 
-def log_domain_reference(lam, mu, ladder, tol, check_every=10):
+def single_stage(monkeypatch):
+    """Make each sinkhorn call one stage at its own epsilon, without the ladder."""
+    monkeypatch.setattr(solvers, "_epsilon_ladder", lambda epsilon, cost_max: [epsilon])
+
+
+def log_domain_reference(lam, mu, ladder, tol):
     """Plain log-domain Sinkhorn on 1-d measures with positive weights, with
     sinkhorn's stage rules; returns the normalized plan and the iterations."""
     a, b = lam.weights / lam.total_mass, mu.weights / mu.total_mass
@@ -99,7 +104,7 @@ def log_domain_reference(lam, mu, ladder, tol, check_every=10):
             f = -e2 * logsumexp((g[None, :] - c) / e2 + np.log(b)[None, :], axis=1)
             g = -e2 * logsumexp((f[:, None] - c) / e2 + np.log(a)[:, None], axis=0)
             iterations += 1
-            if it % check_every:
+            if it % solvers.CHECK_EVERY:
                 continue
             plan = np.exp((f[:, None] + g[None, :] - c) / e2) * a[:, None] * b[None, :]
             err = max(np.abs(plan.sum(1) - a).sum(), np.abs(plan.sum(0) - b).sum())
@@ -137,12 +142,6 @@ class TestSinkhorn:
         with pytest.raises(DomainError, match="epsilon"):
             sinkhorn(uniform_1d, uniform_1d, eps)
 
-    @pytest.mark.parametrize("check_every", [0, solvers.CHECK_EVERY_MAX + 1, 10**18])
-    def test_check_every_out_of_range_rejected(self, uniform_1d, check_every):
-        # Only a check can end a stage, so an unbounded gap could run forever.
-        with pytest.raises(DomainError, match="check_every"):
-            sinkhorn(uniform_1d, uniform_1d, 0.5, check_every=check_every)
-
     def test_epsilon_below_cost_rounding_rejected(self):
         # On a grid of spacing 2.5e14 the squared distances round by more
         # than epsilon^2 = 0.36, so the Gibbs factors would be noise.
@@ -174,41 +173,46 @@ class TestSinkhorn:
         )
         np.testing.assert_allclose(pi.mass, gibbs, rtol=1e-12, atol=1e-300)
 
-    def test_marginal_error_monotone_along_iterations(self):
-        # The peaked target drives the scalings far past ABSORB_BOUND, so the
-        # second input runs through repeated absorptions.
+    def test_marginal_error_monotone_along_iterations(self, monkeypatch):
+        # The peaked target drives the single stage's scalings far past
+        # ABSORB_BOUND, so the second input runs through repeated absorptions.
+        single_stage(monkeypatch)
         lam, wavy = wavy_pair()
         for mu, eps in ((wavy, 0.15), (peaked_target(), 0.05)):
-            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=False)
+            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11)
             assert res.converged
             errs = [e for _, e in res.err_history]
             assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
-    @pytest.mark.parametrize("peaked, eps, warm_start", [(True, 0.05, False),
-                                                          (False, 0.08, True)])
-    def test_matches_log_domain_reference(self, monkeypatch, peaked, eps, warm_start):
+    @pytest.mark.parametrize("peaked, eps, laddered", [(True, 0.05, False),
+                                                        (False, 0.08, True)])
+    def test_matches_log_domain_reference(self, monkeypatch, peaked, eps, laddered):
         # With relaxation capped at 1 the iterates are plain Sinkhorn's.
         monkeypatch.setattr(solvers, "OMEGA_MAX", 1.0)
+        ladder = _epsilon_ladder(eps, 4.0) if laddered else [eps]
+        if not laddered:
+            single_stage(monkeypatch)
         lam, mu = wavy_pair()
         if peaked:
             mu = peaked_target()
-        res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=warm_start)
-        ladder = _epsilon_ladder(eps, 4.0) if warm_start else [eps]
+        res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11)
         ref, iterations = log_domain_reference(lam, mu, ladder, tol=1e-11)
         assert res.iterations == iterations
         plan = res.plan.mass / res.mass
         keep = (plan > np.finfo(float).tiny) | (ref > np.finfo(float).tiny)
         np.testing.assert_allclose(plan[keep], ref[keep], rtol=1e-10, atol=0)
 
-    @pytest.mark.parametrize("peaked, eps, warm_start", [(True, 0.05, False),
-                                                          (False, 0.08, True)])
-    def test_overrelaxed_matches_log_domain_reference(self, peaked, eps, warm_start):
+    @pytest.mark.parametrize("peaked, eps, laddered", [(True, 0.05, False),
+                                                        (False, 0.08, True)])
+    def test_overrelaxed_matches_log_domain_reference(self, monkeypatch, peaked, eps, laddered):
+        ladder = _epsilon_ladder(eps, 4.0) if laddered else [eps]
+        if not laddered:
+            single_stage(monkeypatch)
         lam, mu = wavy_pair()
         if peaked:
             mu = peaked_target()
         tol = 1e-11
-        res = sinkhorn(lam, mu, epsilon=eps, tol=tol, warm_start=warm_start)
-        ladder = _epsilon_ladder(eps, 4.0) if warm_start else [eps]
+        res = sinkhorn(lam, mu, epsilon=eps, tol=tol)
         ref, iterations = log_domain_reference(lam, mu, ladder, tol=tol)
         assert res.converged
         assert res.iterations < iterations
@@ -220,9 +224,10 @@ class TestSinkhorn:
         # omega = 3 lies outside the convergent range (0, 2): the first relaxed
         # checks are rolled back, on the peaked input across absorptions.
         monkeypatch.setattr(solvers, "_omega_for_rate", lambda rate: 3.0)
+        single_stage(monkeypatch)
         lam, wavy = wavy_pair()
         for mu, eps in ((wavy, 0.15), (peaked_target(), 0.05)):
-            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11, warm_start=False)
+            res = sinkhorn(lam, mu, epsilon=eps, tol=1e-11)
             assert res.converged
             assert res.stages[-1].rollbacks >= 1
             assert res.stages[-1].omega < 3.0
@@ -231,14 +236,16 @@ class TestSinkhorn:
 
     def test_in_bounds_solve_skips_log_domain(self, monkeypatch):
         # Each stage opens on its kernel, so a solve whose scalings stay in
-        # bounds never sweeps in the log domain; the peaked target leaves them.
+        # bounds never sweeps in the log domain; the peaked target, solved in
+        # one stage, leaves them.
         calls = []
         softmin = solvers._softmin
         monkeypatch.setattr(solvers, "_softmin", lambda *args: calls.append(1) or softmin(*args))
         lam, wavy = wavy_pair()
         res = sinkhorn(lam, wavy, epsilon=0.08, tol=1e-11)
         assert res.converged and calls == []
-        assert sinkhorn(lam, peaked_target(), epsilon=0.05, tol=1e-11, warm_start=False).converged
+        single_stage(monkeypatch)
+        assert sinkhorn(lam, peaked_target(), epsilon=0.05, tol=1e-11).converged
         assert calls
 
     def test_rollback_caps_omega(self, monkeypatch):
@@ -264,12 +271,13 @@ class TestSinkhorn:
         omega_for_rate = solvers._omega_for_rate
         monkeypatch.setattr(solvers, "_omega_for_rate",
                             lambda rate: tuned.append(omega_for_rate(rate)) or tuned[-1])
+        single_stage(monkeypatch)
         lam, mu = curved_pair(128)
-        res = sinkhorn(lam, mu, epsilon=0.04, tol=1e-9, warm_start=False)
+        res = sinkhorn(lam, mu, epsilon=0.04, tol=1e-9)
         assert res.converged and res.stages[-1].rollbacks == 0
         assert tuned[0] < res.stages[-1].omega <= solvers.OMEGA_MAX
 
-    def test_stagnated_solve_stops_early(self):
+    def test_stagnated_solve_stops_early(self, monkeypatch):
         # epsilon is far below the grid spacing 0.05: the marginal error
         # does not move, and plain iteration would run all of max_iter.
         spec = symmetric_grid(dim=1, n=41, lo=-1.0, hi=1.0)
@@ -277,18 +285,20 @@ class TestSinkhorn:
                                    normalize=True)
         mu = measure_from_density(spec, lambda p: 1.0 + 0.5 * p[:, 0], alpha=0.5,
                                   normalize=True)
-        res = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9, warm_start=False)
+        with monkeypatch.context() as patch:
+            single_stage(patch)
+            res = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9)
         assert not res.converged
         assert res.iterations <= 10_000
         assert res.stages[-1].stop == "stagnated"
-        # Warm-started, the ladder runs stages down to eps = 0.002.  Only the
-        # final stage has a stagnation stop, so the 200-iteration cap is what
-        # ends the stages below the grid spacing.
-        warm = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9)
-        capped = [s for s in warm.stages if s.stop == "stage_cap"]
+        # On the ladder the stages run down to eps = 0.002.  Only the final
+        # stage has a stagnation stop, so the 200-iteration cap is what ends
+        # the stages below the grid spacing.
+        laddered = sinkhorn(lam, mu, epsilon=1e-3, tol=1e-9)
+        capped = [s for s in laddered.stages if s.stop == "stage_cap"]
         assert capped and all(s.epsilon < spec.h and s.iterations == 200 for s in capped)
-        assert warm.stages[-1].stop == "stagnated"
-        assert warm.iterations < 2_000
+        assert laddered.stages[-1].stop == "stagnated"
+        assert laddered.iterations < 2_000
 
     def test_stage_record(self):
         lam, mu = wavy_pair()
@@ -301,8 +311,6 @@ class TestSinkhorn:
         assert not capped.converged
         assert capped.stages[-1].stop == "stage_cap"
         assert capped.stages[-1].iterations == 25
-        plain = sinkhorn(lam, mu, epsilon=0.08, tol=1e-11, check_every=1)
-        assert all(s.omega == 1.0 for s in plain.stages)
 
     def test_entropy_two_routes_agree(self):
         spec = symmetric_grid(dim=1, n=33, lo=-1.0, hi=1.0)
@@ -439,6 +447,17 @@ def shifted_narrow_pair(n, zero_atoms):
 
 
 class TestExactOT:
+    def test_monotone_fallback_warning_names_its_cause(self, monkeypatch, caplog, uniform_1d):
+        cause = "optimality certificate failed (gap 1.000e-03, violation 2.000e-03)"
+
+        def fail(lam, mu):
+            raise CertificateError(cause)
+
+        monkeypatch.setattr(solvers, "_exact_ot_monotone", fail)
+        res = exact_ot(uniform_1d, uniform_1d)
+        assert res.method == "lp_highs"
+        assert f"monotone path: {cause}; falling back to the LP path" in caplog.text
+
     def test_single_atom_translation_cost(self):
         lam = line_measure([0.0], [1.0], h=0.5)
         mu = line_measure([0.5], [1.0], h=0.5)
