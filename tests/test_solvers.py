@@ -2,11 +2,12 @@
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog, minimize_scalar
 from scipy.special import logsumexp
 
@@ -774,6 +775,38 @@ def test_c_transform_grid_matches_dense(case):
     # In d = 2 the per-axis terms are added in another order than the dense
     # sum, so the two agree to rounding, within the 1-d test's tolerance.
     assert np.all(np.abs(envelope - dense) <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
+
+
+@st.composite
+def lp_grid_pairs(draw):
+    """Two 2-d grid measures of up to 12 x 12 points, each on a grid of its own
+    extent, spacing and origin, with zero-weight atoms on either side and
+    equal total masses."""
+    def side():
+        extent = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+        spec = GridSpec(dim=2, h=draw(st.floats(0.05, 0.5)), extent=extent,
+                        origin_offset=tuple(draw(st.floats(0.0, 1.0)) * (n - 1) for n in extent))
+        w = np.asarray(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                                     min_size=spec.n_points, max_size=spec.n_points)))
+        assume(w.sum() > 0)
+        return GridMeasure(spec=spec, weights=w / w.sum(), alpha=0.5)
+
+    return side(), side()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=lp_grid_pairs(), pyramid=st.integers(4, 16))
+def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair, pyramid):
+    # A pyramid cap of 4 to 16 atoms sends most pairs through two or more
+    # levels, so each finer level starts from the coarser one's solution.
+    lam, mu = pair
+    with mock.patch.object(solvers, "PYRAMID_ATOMS", pyramid):
+        res = exact_ot(lam, mu)
+    ref = dense_reference_cost(lam, mu)
+    assert res.method == "lp_highs"
+    assert abs(res.cost - ref) <= 1e-12 * max(ref, np.finfo(float).tiny)
+    assert res.duality_gap <= CERT_RTOL
+    assert res.feasibility_violation <= CERT_RTOL
 
 
 def odd_extent_pair():
