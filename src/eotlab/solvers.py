@@ -485,18 +485,10 @@ PRICE_RTOL = 1e-12
 # Presolve is off: on atoms of weight near 1e-12 it declared feasible
 # restricted LPs infeasible (a 14x14 gaussian of floor 0 to a uniform).
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
-                 "presolve": False}
+                 "presolve": "off", "output_flag": False}
 # The LP runs on a pyramid of coarsened grids once either side has more than
 # this many positive atoms; its coarsest level has at most this many per side.
 PYRAMID_ATOMS = 256
-
-
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first LP solve: importing scipy
-    takes most of eotlab's start-up time, and only the transport LP uses it."""
-    from scipy.optimize import linprog as scipy_linprog
-
-    return scipy_linprog(*args, **kwargs)
 
 
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -677,35 +669,39 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     coarser level's v on each atom's block, then c-transformed twice on this
     level's cost.  Its shortlist is each row's and column's smallest reduced
     costs c - u - v (on the coarsest level, the nearest partners) and a
-    north-west-corner staircase, which makes the restricted LP feasible.
-    HiGHS's basis duals, tight on the plan's support to rounding, are priced
-    against the level's full cost; while some pair outside the shortlist
-    violates u_i + v_j <= c_ij, the most violated pairs of each row and column
-    join it and the LP is solved again (Gottschlich & Schuhmacher, SIAM J.
-    Imaging Sci. 7(4), 2014).  The finest level's exit duals are
-    dual-feasible on the full cost, so its last plan is optimal there.
+    north-west-corner staircase, which makes the restricted LP feasible.  A
+    finer level also starts from the coarser plan spread over its cells by
+    _spread, a feasible plan whose cells join the shortlist.  HiGHS's basis
+    duals, tight on the plan's support to rounding, are priced against the
+    level's full cost; while some pair outside the shortlist violates u_i +
+    v_j <= c_ij, the most violated pairs of each row and column join it and
+    the LP is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging Sci.
+    7(4), 2014).  The finest level's exit duals are dual-feasible on the full
+    cost, so its last plan is optimal there.
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     # Each level holds, per side, the atoms' grid multi-indices, the grid's
-    # extent, the weights and the points; parents[l] maps the target atoms of
-    # level l to their blocks at level l + 1.
+    # extent, the weights and the points; parents[l] maps the source and the
+    # target atoms of level l to their blocks at level l + 1.
     levels = [tuple((np.array(np.unravel_index(idx, m.spec.extent)), m.spec.extent, w,
                      m.points[idx]) for m, idx, w in ((lam, rows, wa), (mu, cols, wb)))]
     parents = []
     while max(side[2].size for side in levels[-1]) > PYRAMID_ATOMS:
-        (src, _), (dst, parent) = (_coarsen(*side) for side in levels[-1])
+        (src, parent_a), (dst, parent_b) = (_coarsen(*side) for side in levels[-1])
         levels.append((src, dst))
-        parents.append(parent)
+        parents.append((parent_a, parent_b))
     solves: list[LPSolve] = []
+    start = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
     for level in reversed(range(len(levels))):
         (_, _, wa_l, xa), (_, _, wb_l, xb) = levels[level]
         cost_l = squared_distances(xa, xb)
         if level == len(levels) - 1:
             u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
         else:
-            u = _c_transform(cost_l, v[parents[level]])
+            u = _c_transform(cost_l, v[parents[level][1]])
             v = _c_transform(cost_l.T, u)
-        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v)
+            start = _spread(cells, x, *parents[level], wa_l, wb_l)
+        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v, start)
         solves += [LPSolve(level, cost_l.shape, pairs, added) for pairs, added in rounds]
     c_cells = cost_l[cells]
     del cost_l
@@ -728,41 +724,94 @@ def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
     return (np.array(np.unravel_index(keys, extent)), extent, wc, xc / wc[:, None]), parent
 
 
+def _spread(cells: tuple[np.ndarray, np.ndarray], x: np.ndarray, parent_a: np.ndarray,
+            parent_b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The coarse plan ``x`` on the block pairs ``cells`` spread over each
+    block pair's atom pairs in proportion to the fine weights, P_ij = P_IJ
+    a_i/A_I b_j/B_J, where ``parent_a`` and ``parent_b`` map the fine atoms,
+    of weights ``wa`` and ``wb``, to their blocks.  It has the fine marginals
+    wherever the coarse plan has the coarse ones.  Returns its cells and
+    masses as coordinate lists, in coarse cell order."""
+    def blocks(parent: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+        # The atoms of block B are members[first[B]:first[B] + count[B]].
+        count = np.bincount(parent)
+        return (np.argsort(parent, kind="stable"), count, np.cumsum(count) - count,
+                np.bincount(parent, weights=w))
+
+    keep = x > 0
+    big_i, big_j, mass = cells[0][keep], cells[1][keep], x[keep]
+    (members_a, count_a, first_a, sum_a), (members_b, count_b, first_b, sum_b) = (
+        blocks(parent_a, wa), blocks(parent_b, wb))
+    # Fine cell t of coarse cell k is its (t // width)-th source atom and its
+    # (t % width)-th target atom.
+    size = count_a[big_i] * count_b[big_j]
+    k = np.repeat(np.arange(size.size), size)
+    t = np.arange(k.size) - np.repeat(np.cumsum(size) - size, size)
+    width = count_b[big_j][k]
+    ii = members_a[first_a[big_i][k] + t // width]
+    jj = members_b[first_b[big_j][k] + t % width]
+    return ii, jj, mass[k] * (wa[ii] / sum_a[big_i][k]) * (wb[jj] / sum_b[big_j][k])
+
+
 def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     """min_j (c_ij - v_j) for each row i of ``cost``."""
     return np.min(cost - v[None, :], axis=1)
 
 
 def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
-                  u: np.ndarray, v: np.ndarray) -> tuple:
+                  u: np.ndarray, v: np.ndarray, start: tuple) -> tuple:
     """The pricing loop of _exact_ot_lp on one level's cost ``cost_s``, seeded
-    from the dual-feasible (u, v): the shortlist's cells, the last LP's
-    solution on them, its row and column duals, and for each solve the pairs
-    on the shortlist and the violated pairs its duals added.  Its n x m arrays
-    are gone when it returns."""
-    import scipy.sparse as sp
+    from the dual-feasible (u, v) and started from ``start``, the cells and
+    masses of the coarser plan spread over this level (empty on the coarsest
+    level): the shortlist's cells, the last LP's solution on them, its row and
+    column duals, and for each solve the pairs on the shortlist and the
+    violated pairs its duals added.
+
+    One HiGHS model holds the level.  The marginals are its rows and the
+    shortlist its columns, the start's cells first; each pricing round appends
+    the violated pairs as columns and runs again from the last basis.  scipy's
+    HiGHS binding is imported here: importing scipy takes most of eotlab's
+    start-up time, and only the transport LP uses it.  Its n x m arrays are
+    gone when it returns."""
+    from scipy.optimize._highspy import _core as highs
 
     n, m = cost_s.shape
     near, batch = SHORTLIST_STENCIL**dim, dim + 1
     threshold = PRICE_RTOL * max(1.0, float(cost_s.max()))
+    model = highs._Highs()
+    for name, value in HIGHS_OPTIONS.items():
+        model.setOptionValue(name, value)
+    weights, empty = np.concatenate([wa, wb]), np.zeros(0, dtype=np.int32)
+    model.addRows(n + m, weights, weights, 0, empty, empty, np.zeros(0))
 
+    def add_columns(ii: np.ndarray, jj: np.ndarray) -> None:
+        k = ii.size
+        rows = np.stack([ii, n + jj], axis=1).astype(np.int32).ravel()
+        model.addCols(k, cost_s[ii, jj], np.zeros(k), np.full(k, np.inf), 2 * k,
+                      np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
+
+    si, sj, masses = start
     chosen = _smallest_per_line(cost_s - u[:, None] - v[None, :], near, np.inf)
     chosen[_staircase(np.cumsum(wa), np.cumsum(wb))] = True
-    b_eq = np.concatenate([wa, wb])
+    chosen[si, sj] = False
+    rest = np.nonzero(chosen)
+    chosen[si, sj] = True
+    ii, jj = np.concatenate([si, rest[0]]), np.concatenate([sj, rest[1]])
+    add_columns(ii, jj)
+    if masses.size:
+        solution = highs.HighsSolution()
+        solution.col_value = np.concatenate([masses, np.zeros(rest[0].size)])
+        model.setSolution(solution)
     rounds = []
     while True:
-        ii, jj = np.nonzero(chosen)
-        k = np.arange(ii.size)
-        a_eq = sp.csr_matrix(
-            (np.ones(2 * k.size), (np.concatenate([ii, n + jj]), np.concatenate([k, k]))),
-            shape=(n + m, k.size),
-        )
-        res = linprog(cost_s[ii, jj], A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options=HIGHS_OPTIONS)
-        if res.status != 0:
-            raise CertificateError(f"transport LP failed: {res.message}")
-        marg = np.asarray(res.eqlin.marginals, dtype=float)
-        u_s, v_s = marg[:n], marg[n:]
+        run = model.run()
+        status = model.getModelStatus()
+        if run == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
+            raise CertificateError(f"transport LP failed: HiGHS run status {run.name}, "
+                                   f"model status {model.modelStatusToString(status)}")
+        solution = model.getSolution()
+        duals = np.asarray(solution.row_dual)
+        u_s, v_s = duals[:n], duals[n:]
         reduced = cost_s - u_s[:, None] - v_s[None, :]
         reduced[chosen] = np.inf
         violated = _smallest_per_line(reduced, batch, -threshold)
@@ -770,4 +819,10 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         if not rounds[-1][1]:
             break
         chosen |= violated
-    return (ii, jj), res.x, u_s, v_s, rounds
+        vi, vj = np.nonzero(violated)
+        add_columns(vi, vj)
+        ii, jj = np.concatenate([ii, vi]), np.concatenate([jj, vj])
+    # In row-major order, the cost sums over the plan in the same order
+    # whatever order its columns were added in.
+    order = np.lexsort((jj, ii))
+    return (ii[order], jj[order]), np.asarray(solution.col_value)[order], u_s, v_s, rounds

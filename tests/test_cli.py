@@ -249,6 +249,24 @@ class TestExpansionExperiment:
         assert solves[0]["atoms"] == [25, 25] and solves[-1]["atoms"] == [81, 81]
         assert solves[-1]["added"] == 0 and all(s["pairs"] > 0 for s in solves)
 
+    def test_failed_lp_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
+        # A HiGHS model status other than Optimal is a failed certificate:
+        # the experiment exits 4 and names the status.
+        from scipy.optimize._highspy import _core
+
+        monkeypatch.setattr(_core._Highs, "getModelStatus",
+                            lambda self: _core.HighsModelStatus.kUnknown)
+        spec = dict(marginal_spec(n=9), grid={"dim": 2, "n": 9, "lo": -1.0, "hi": 1.0})
+        target = dict(spec, density={"kind": "gaussian", "sigma": 0.5, "floor": 0.3})
+        cfg = write_config(tmp_path, {"source": spec, "target": target,
+                                      "experiment": {"eps_ladder": [0.6]}})
+        code = main(["experiment", "expansion", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "transport LP failed" in err and "model status Unknown" in err
+        assert "Traceback" not in err
+
 
 class TestOtherExperiments:
     def test_longtraj_schema(self, tmp_path):
