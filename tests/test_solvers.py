@@ -847,6 +847,47 @@ def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair, pyramid):
     assert res.feasibility_violation <= CERT_RTOL
 
 
+@st.composite
+def sinkhorn_grid_pairs(draw):
+    """Two 2-d grid measures of 2 to 12 points per axis, each on a grid of its
+    own extent, spacing and origin, with every atom of positive weight and
+    equal total masses, and an epsilon of 0.3 to 8 of the larger spacing."""
+    def side():
+        extent = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+        spec = GridSpec(dim=2, h=draw(st.floats(0.05, 0.5)), extent=extent,
+                        origin_offset=tuple(draw(st.floats(0.0, 1.0)) * (n - 1) for n in extent))
+        w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=spec.n_points,
+                                     max_size=spec.n_points)))
+        return GridMeasure(spec=spec, weights=w / w.sum(), alpha=0.5)
+
+    lam, mu = side(), side()
+    return lam, mu, max(lam.spec.h, mu.spec.h) * draw(st.floats(0.3, 8.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=sinkhorn_grid_pairs())
+def test_sinkhorn_2d_result_consistent_on_random_pairs(case):
+    # Read from the result alone: the plan is the Gibbs form of the returned
+    # potentials, meets its marginals, and its cost and entropy give the
+    # reported entropic cost.
+    lam, mu, eps = case
+    tol = 1e-9
+    res = sinkhorn(lam, mu, eps, tol=tol)
+    plan = res.plan.mass
+    cost = res.plan.cost_matrix
+    gibbs = (np.exp((res.f[:, None] + res.g[None, :] - cost) / eps**2)
+             * lam.weights[:, None] * mu.weights[None, :])
+    assert np.abs(plan - gibbs).max() <= 1e-12 * plan.max()
+    assert res.converged and res.marg_err <= tol
+    assert max(np.abs(plan.sum(axis=1) - lam.weights).sum(),
+               np.abs(plan.sum(axis=0) - mu.weights).sum()) <= tol
+    pos = plan > 0
+    ref = lam.weights[:, None] * mu.weights[None, :]
+    direct = float(np.sum(cost * plan) + eps**2 * np.sum(plan[pos] * np.log(plan[pos] / ref[pos])))
+    assert abs(entropic_cost(res) - direct) <= 1e-12 * abs(direct)
+    assert gibbs_identity_check(res, 200) <= 1e-6
+
+
 def test_spread_matches_per_block_pair_loop():
     # The finer level's start: each coarse cell's mass spread over its block
     # pair's atom pairs in proportion to the fine weights, one cell each.
