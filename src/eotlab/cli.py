@@ -166,7 +166,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
         "entropy": res.entropy,
         "entropic_cost": entropic_cost(res),
         "mass": res.mass,
-        "stages": _stages(res),
+        "stages": _stages(res.stages),
     }
     if n_samples > 0 and res.converged:
         summary["gibbs_max_rel_err"] = gibbs_identity_check(res, n_samples, seed=seed)
@@ -186,13 +186,15 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
 
 def _ladder_report(result: dict, slopes: dict[str, str]) -> tuple:
     """One ``point`` row per ladder entry, then one row per fitted line; ``slopes``
-    maps each row type to the key of its (slope, intercept) pair in ``result``."""
+    maps each row type to the key of its (slope, intercept) pair in ``result``.
+    The trace is ``result`` with each solve's ``stages`` as JSON objects."""
     columns = list(result["rows"][0]) + ["row_type", "slope", "intercept"]
     rows = [dict(r, row_type="point") for r in result["rows"]]
     for row_type, key in slopes.items():
         reg = result[key] or (None, None)
         rows.append({"row_type": row_type, "slope": reg[0], "intercept": reg[1]})
-    return columns, rows, result, all(r["converged"] for r in result["rows"]), {}
+    trace = dict(result, stages=[_stages(stages) for stages in result["stages"]])
+    return columns, rows, trace, all(r["converged"] for r in result["rows"]), {}
 
 
 def _exp_value(exp: dict, key: str, kind: type = float, default=REQUIRED, positive=False):
@@ -219,9 +221,9 @@ def _radius_scan(res, lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> 
     return {"radius_scan.csv": (RADIUS_SCAN_COLUMNS, radius_scan_rows(res.plan, lam, mu, radii))}
 
 
-def _stages(res) -> list[dict]:
-    """The solve's epsilon stages (``SinkhornResult.stages``) as JSON objects."""
-    return [asdict(stage) for stage in res.stages]
+def _stages(stages: list) -> list[dict]:
+    """A solve's epsilon stages (``SinkhornResult.stages``) as JSON objects."""
+    return [asdict(stage) for stage in stages]
 
 
 def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
@@ -253,9 +255,11 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
     radius = _exp_value(exp, "R", positive=True)
     lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
     opts = _solver_opts(cfg)
+    stages = []
 
     def row(eps: float) -> dict:
         res = sinkhorn(lam, mu, eps, **opts)
+        stages.append(_stages(res.stages))
         report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
         return {
             "epsilon": eps,
@@ -274,7 +278,7 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
 
     rows = [row(eps) for eps in ladder]  # each solve is dropped before the next
     columns = list(rows[0])
-    trace = {"R": radius, "Lambda": lam_factor, "rows": rows}
+    trace = {"R": radius, "Lambda": lam_factor, "rows": rows, "stages": stages}
     converged = all(r["converged"] for r in rows)
     return columns, rows, trace, converged, {"defects.csv": (columns, rows)}
 
@@ -299,7 +303,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
         "converged": res.converged,
     }
     trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
-                 normalizing=scaling_to_json_dict(s_bar), stages=_stages(res))
+                 normalizing=scaling_to_json_dict(s_bar), stages=_stages(res.stages))
     scan = _radius_scan(res, lam, mu, [radius, theta * radius, theta**2 * radius])
     return list(row), [row], trace, res.converged, scan
 
@@ -320,7 +324,7 @@ def _run_campanato(lam, mu, exp, cfg) -> tuple:
     ]
     trace = {"stop_reason": cascade.stop_reason,
              "base_scaling": scaling_to_json_dict(cascade.base_scaling), "levels": levels,
-             "stages": _stages(res)}
+             "stages": _stages(res.stages)}
     scan = _radius_scan(res, lam, mu, cascade.radii())
     return columns, rows, trace, res.converged, scan
 
@@ -336,7 +340,7 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)
         delta_r = max(report.defect, 0.0)
     result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
-    trace = dict(result, stages=_stages(res))
+    trace = dict(result, stages=_stages(res.stages))
     return list(result["rows"][0]), result["rows"], trace, res.converged, {}
 
 

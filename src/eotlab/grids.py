@@ -39,8 +39,9 @@ __all__ = [
 # Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
 # the cost, f + g - c, the plan and a product; exact OT the positive atoms'
 # cost, the reduced costs and an index array while it prices, then the plan.
-# Peaks measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 (1-d
-# n = 256/512, 2-d 16x16 and 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to
+# Peaks measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 on the
+# dense kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 1.2 on the factored
+# one (2-d 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to
 # 32x32, the pyramid's c-transforms included) and 1.2 (1-d, n = 512).  An
 # input whose arrays would pass DENSE_BYTES_LIMIT fails up front instead of
 # running out of memory; so does a grid that no solve could take, even against

@@ -454,7 +454,8 @@ def long_traj_experiment(
     """Energy/mass carried by displacements >= long_factor*R inside #_{4R},
     relative to E(pi, 5R), across an epsilon ladder.
 
-    Also reports the regression slope of log(ratio) against R^2/eps^2.
+    Also reports the regression slope of log(ratio) against R^2/eps^2;
+    ``stages`` holds each solve's ``SinkhornResult.stages``.
     """
     if not R > 0:
         raise DomainError(f"radius must be positive, got {R}")
@@ -465,8 +466,11 @@ def long_traj_experiment(
                 f"{long_factor * R:g}; the threshold set is not representable"
             )
 
+    stages = []
+
     def row(eps: float) -> dict:
         res = sinkhorn(lam, mu, eps, **(solver_opts or {}))
+        stages.append(res.stages)
         stats = long_trajectory_stats(res.plan, 4.0 * R, long_factor * R)
         e5 = local_energy(res.plan, 5.0 * R)
         return {
@@ -492,6 +496,7 @@ def long_traj_experiment(
         "rows": rows,
         "mass_slope": slope_of("mass_ratio"),
         "energy_slope": slope_of("energy_ratio"),
+        "stages": stages,
     }
 
 
@@ -508,7 +513,8 @@ def expansion_experiment(
     remainder(eps) = (OT_eps - OT - (d/2) eps^2 log(1/eps^2)) / eps^2; the
     reported slope regresses (OT_eps - OT)/eps^2 on log(1/eps^2) over ladder
     points resolved by the grid (eps >= 3h).  ``exact_ot`` records the exact
-    solve's method and its LP solves.
+    solve's method and its LP solves, and ``stages`` each Sinkhorn solve's
+    ``SinkhornResult.stages``.
     """
     d = lam.dim
     h = max(lam.spec.h, mu.spec.h)
@@ -518,9 +524,11 @@ def expansion_experiment(
     ot, exact_record = exact.cost, {"method": exact.method,
                                     "solves": [asdict(s) for s in exact.solves]}
     del exact  # its plan is not read below: drop it before the Sinkhorn solves
+    stages = []
 
     def row(eps: float) -> dict:
         res = sinkhorn(lam, mu, eps, **(solver_opts or {}))
+        stages.append(res.stages)
         ot_eps = entropic_cost(res)
         log_term = np.log(eps**-2)
         gap_over_eps2 = (ot_eps - ot) / eps**2
@@ -541,7 +549,7 @@ def expansion_experiment(
         [r["log_inv_eps2"] for r in included], [r["gap_over_eps2"] for r in included]
     )
     return {"dim": d, "ot": ot, "rows": rows, "slope": reg, "reference_slope": 0.5 * d,
-            "exact_ot": exact_record}
+            "exact_ot": exact_record, "stages": stages}
 
 
 def soft_lemma_check(

@@ -34,7 +34,8 @@ MASS_RTOL = 1e-12
 # Sinkhorn scalings are absorbed into the log potentials once they leave
 # (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry dropped below
 # ABSORB_BOUND * tiny then stands for a plan entry below 1e-157, far under any
-# marginal tolerance.
+# marginal tolerance.  The factored kernel's outer factors keep to the same
+# bounds, so a dropped entry of an axis factor stands for one below 1e-57.
 ABSORB_BOUND = 1e50
 # Over-relaxed Sinkhorn converges for factors in (0, 2) (Lehmann et al., Optim.
 # Lett. 16, 2022); OMEGA_MAX keeps the factor off that edge, where the relaxed
@@ -145,6 +146,28 @@ def _bounded(scaling: np.ndarray) -> bool:
     return 1.0 / ABSORB_BOUND < scaling.min() and scaling.max() < ABSORB_BOUND
 
 
+def _separable(lam: GridMeasure, mu: GridMeasure) -> bool:
+    """True if the Sinkhorn kernel factors over the grid axes: in d = 2 with
+    every atom of both measures positive, the positive atoms are the whole
+    product grids, and c_ij is a sum of per-axis squared distances."""
+    return lam.dim == 2 and bool(np.all(lam.weights > 0) and np.all(mu.weights > 0))
+
+
+def _product_kernel(alpha: np.ndarray, beta: np.ndarray, g1: np.ndarray, g2: np.ndarray):
+    """K v and K^T u, each written into ``out``, for K = diag(alpha) (G_1 (x)
+    G_2) diag(beta): two small matrix products on the grid shapes (Solomon
+    et al., ACM TOG 34(4), 2015)."""
+    shape_a, shape_b = (g1.shape[0], g2.shape[0]), (g1.shape[1], g2.shape[1])
+
+    def k(v: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(alpha, (g1 @ (beta * v).reshape(shape_b) @ g2.T).ravel(), out=out)
+
+    def kt(u: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(beta, (g1.T @ (alpha * u).reshape(shape_a) @ g2).ravel(), out=out)
+
+    return k, kt
+
+
 def _epsilon_ladder(epsilon: float, cost_max: float) -> list[float]:
     """Geometric epsilon-scaling ladder from half the domain diameter down to epsilon."""
     start = 0.5 * np.sqrt(max(cost_max, 0.0))
@@ -180,6 +203,11 @@ def sinkhorn(
     K^T u))^omega.  A scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or
     turns non-finite or zero, sends that iteration through a plain log-domain
     sweep and a new kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
+    When _separable holds, a stage whose factors exp(f/eps^2) a and
+    exp(g/eps^2) b lie in those bounds keeps K as diag(exp(f/eps^2) a) (G_1
+    (x) G_2) diag(exp(g/eps^2) b), with G_k = exp(-(x_k - y_k)^2/eps^2) on
+    axis k, and no n x m array is formed but the plan; any other stage, and
+    every stage after an absorption, uses the dense kernel.
 
     Every CHECK_EVERY-th iteration is plain (omega = 1) and reads the
     marginal error.  A stage starts plain.  From the second check on, each
@@ -206,8 +234,25 @@ def sinkhorn(
 
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     la, mb = wa / lam.total_mass, wb / mu.total_mass
-    cost = squared_distances(lam.points[rows], mu.points[cols])
-    cost_max = float(cost.max())
+    n, m = rows.size, cols.size
+    # Per-axis squared distances, whose sums are the cost.  The cost and the
+    # dense kernel `work`, which the log-domain sweeps use as scratch, are
+    # formed once a stage needs them, and kept.
+    axis_costs = ([np.subtract.outer(x, y) ** 2 for x, y in zip(lam.spec.axes, mu.spec.axes)]
+                  if _separable(lam, mu) else None)
+    cost = work = None
+
+    def densify() -> None:
+        nonlocal cost, work
+        if cost is None:
+            cost = squared_distances(lam.points[rows], mu.points[cols])
+            work = np.empty_like(cost)
+
+    if axis_costs is None:
+        densify()
+        cost_max = float(cost.max())
+    else:
+        cost_max = float(sum(c.max() for c in axis_costs))
     # f + g - c carries the rounding of the largest cost; past epsilon^2 the
     # Gibbs factors exp((f + g - c)/epsilon^2) are noise.
     if cost_max * np.finfo(float).eps > epsilon * epsilon:
@@ -215,7 +260,6 @@ def sinkhorn(
                           f"the largest squared distance {cost_max:.3e}; raise solver.epsilon")
     log_la = np.log(la)
     log_mb = np.log(mb)
-    n, m = cost.shape
 
     ladder = _epsilon_ladder(epsilon, cost_max)
 
@@ -224,16 +268,30 @@ def sinkhorn(
     iterations = 0
     err_history: list[tuple[int, float]] = []
     stages: list[SinkhornStage] = []
-    # The kernel; the log-domain sweeps use it as scratch.
-    work = np.empty_like(cost)
     # The scalings u, v and their next values each share one buffer, so that
     # one bounds test covers both; kv = K v and ktu = K^T u.
     uv, nxt = np.empty(n + m), np.empty(n + m)
     u, v, u_next, v_next = uv[:n], uv[n:], nxt[:n], nxt[n:]
     kv, ktu = np.empty(n), np.empty(m)
+    # apply_k(v, out) and apply_kt(u, out) write K v and K^T u.
+    apply_k = apply_kt = None
+    drop = np.finfo(float).tiny * ABSORB_BOUND
 
     def build_kernel(eps2: float) -> None:
-        """Absorb f, g into the kernel; the scalings restart at 1."""
+        """Absorb f, g into the kernel, in factors while the solve has no
+        dense cost and the factors are in bounds; the scalings restart at 1."""
+        nonlocal apply_k, apply_kt
+        uv[:] = 1.0
+        if cost is None:
+            alpha, beta = np.exp(f / eps2 + log_la), np.exp(g / eps2 + log_mb)
+            if _bounded(alpha) and _bounded(beta):
+                factors = [np.exp(-c / eps2) for c in axis_costs]
+                for factor in factors:
+                    factor[factor < drop] = 0.0
+                apply_k, apply_kt = _product_kernel(alpha, beta, *factors)
+                apply_k(v, kv)  # the row sums: v is 1
+                return
+            densify()
         np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
         np.subtract(work, cost, out=work)
         np.divide(work, eps2, out=work)
@@ -241,9 +299,10 @@ def sinkhorn(
         # Subnormal products make the matrix-vector products several times
         # slower.  Entries below tiny * ABSORB_BOUND go, so that no entry times
         # an in-bounds scaling is subnormal.
-        work[work < np.finfo(float).tiny * ABSORB_BOUND] = 0.0
-        uv[:] = 1.0
+        work[work < drop] = 0.0
         np.sum(work, axis=1, out=kv)
+        apply_k = lambda x, out: np.matmul(work, x, out=out)
+        apply_kt = lambda x, out: np.matmul(work.T, x, out=out)
 
     def center() -> None:
         shift = float(np.mean(f))
@@ -279,7 +338,7 @@ def sinkhorn(
                 np.divide(la, kv, out=u_next)
                 if omega != 1.0:
                     relax(u_next, u, omega)
-                np.matmul(work.T, u_next, out=ktu)
+                apply_kt(u_next, ktu)
                 np.divide(mb, ktu, out=v_next)
                 # A check ends on a plain v-update: its column marginal is
                 # exact, and the error is the row error, as in plain Sinkhorn.
@@ -287,11 +346,12 @@ def sinkhorn(
                     relax(v_next, v, omega)
                 if _bounded(nxt):
                     uv[:] = nxt
-                    np.matmul(work, v, out=kv)
+                    apply_k(v, kv)
                 else:
                     # Redo this iteration as a plain log-domain sweep from the
                     # last scalings that stayed in bounds, then absorb the
-                    # potentials.
+                    # potentials into a dense kernel.
+                    densify()
                     g += eps2 * np.log(v)
                     f = _softmin(cost, work, g, log_mb, eps2)
                     g = _softmin(cost.T, work.T, f, log_la, eps2)
@@ -364,21 +424,36 @@ def sinkhorn(
         center()
         stages.append(SinkhornStage(float(eps), it, omega, rollbacks, accepted, stop))
 
-    # Free the kernel before the plan, and f + g - c once the entropy has it:
-    # at most four n x m arrays are alive at once from here on.
-    del work
     marg_err = stages[-1].marg_err
     eps2 = epsilon * epsilon
-    fgc = f[:, None] + g[None, :] - cost
-    plan_sub = np.exp(fgc / eps2 + log_la[:, None] + log_mb[None, :])
-    primal_sub = float(np.sum(cost * plan_sub))
-    # Relative entropy of the normalized plan w.r.t. the normalized product,
-    # evaluated in the log domain (exact for the materialized plan).
-    entropy_sub = float(np.sum(plan_sub * fgc)) / eps2
-    del fgc
-
-    full = np.zeros((lam.spec.n_points, mu.spec.n_points))
-    full[np.ix_(rows, cols)] = mass * plan_sub
+    if cost is None:
+        # The plan alpha_i (G_1 (x) G_2)_ij beta_j.  Its cost and its
+        # relative entropy (sum_ij pi_ij (f_i + g_j - c_ij)) / eps^2 are
+        # contractions of the factors on the grid shapes.
+        alpha, beta = np.exp(f / eps2 + log_la), np.exp(g / eps2 + log_mb)
+        (g1, g2), (c1, c2) = [np.exp(-c / eps2) for c in axis_costs], axis_costs
+        a_grid, b_grid = alpha.reshape(lam.spec.extent), beta.reshape(mu.spec.extent)
+        primal_sub = float(np.sum(a_grid * ((g1 * c1) @ b_grid @ g2.T
+                                            + g1 @ b_grid @ (g2 * c2).T)))
+        potentials = float(np.sum(a_grid * (f.reshape(a_grid.shape) * (g1 @ b_grid @ g2.T)
+                                             + g1 @ (g.reshape(b_grid.shape) * b_grid) @ g2.T)))
+        entropy_sub = (potentials - primal_sub) / eps2
+        full = np.kron(g1, g2)
+        full *= alpha[:, None]
+        full *= (mass * beta)[None, :]
+    else:
+        # Free the kernel before the plan, and f + g - c once the entropy has
+        # it: at most four n x m arrays are alive at once from here on.
+        del work
+        fgc = f[:, None] + g[None, :] - cost
+        plan_sub = np.exp(fgc / eps2 + log_la[:, None] + log_mb[None, :])
+        primal_sub = float(np.sum(cost * plan_sub))
+        # Relative entropy of the normalized plan w.r.t. the normalized
+        # product, evaluated in the log domain (exact for the materialized plan).
+        entropy_sub = float(np.sum(plan_sub * fgc)) / eps2
+        del fgc
+        full = np.zeros((lam.spec.n_points, mu.spec.n_points))
+        full[np.ix_(rows, cols)] = mass * plan_sub
     f_full = np.zeros(lam.spec.n_points)
     g_full = np.zeros(mu.spec.n_points)
     f_full[rows] = f - eps2 * np.log(mass)

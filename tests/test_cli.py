@@ -434,6 +434,30 @@ class TestStageRecords:
             assert stages[-1]["marg_err"] == summary["marg_err"]
 
 
+    @pytest.mark.parametrize("command, experiment", [
+        ("expansion", {}), ("longtraj", {"R": 0.1}), ("quasimin", {"R": 0.3}),
+    ])
+    def test_ladder_stages_recorded(self, tmp_path, command, experiment):
+        # One stage list per ladder solve, in trace.json only.
+        ladder = [0.3, 0.2]
+        cfg = write_config(tmp_path, {"source": marginal_spec(n=49),
+                                      "experiment": dict(experiment, eps_ladder=ladder),
+                                      "solver": {"tol": 1e-9}})
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["experiment", command, "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("trace.json", "report.csv")])
+        assert outputs[0] == outputs[1]
+        solves = json.loads(outputs[0][0])["stages"]
+        assert len(solves) == len(ladder)
+        for stages, eps in zip(solves, ladder):
+            assert stages and all(set(stage) == self.STAGE_KEYS for stage in stages)
+            assert stages[-1]["epsilon"] == eps
+            assert stages[-1]["stop"] == "converged" and stages[-1]["marg_err"] <= 1e-9
+        header, _ = read_csv_rows(tmp_path / "a" / "report.csv")
+        assert "stages" not in header
+
+
 class TestNonConvergenceAndBadInput:
     def test_inf_weight_exits_2_at_once(self, tmp_path, capsys):
         import time
@@ -616,6 +640,35 @@ class TestBlasThreads:
             outputs.append([(out / name).read_bytes() for name in ("report.csv", "trace.json")])
         assert len(json.loads(outputs[0][1])["levels"]) > 1
         assert outputs[0] == outputs[1]
+
+
+    def test_expansion_2d_outputs_identical_across_blas_threads(self, tmp_path):
+        # A 20x20 pair whose Sinkhorn solves run on the per-axis kernel
+        # factors, through matrix-matrix products.
+        grid = {"dim": 2, "n": 20, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(tmp_path, {
+            "source": {"grid": grid, "alpha": 0.5, "density": {
+                "kind": "perturbed_uniform", "amplitude": 0.2, "freq": 1.0}},
+            "target": {"grid": grid, "alpha": 0.5, "density": {
+                "kind": "gaussian", "sigma": 0.5, "floor": 0.3, "center": [0.05, -0.05]}},
+            "experiment": {"eps_ladder": [0.5, 0.4, 0.32]},
+            "solver": {"tol": 1e-9},
+        })
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for run, threads in enumerate(("1", "2", "2")):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"run{run}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "eotlab.cli", "experiment", "expansion",
+                 "--config", str(cfg), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / name).read_bytes() for name in ("report.csv", "trace.json")])
+        assert len(json.loads(outputs[0][1])["stages"]) == 3
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _set(path, value):

@@ -26,6 +26,7 @@ from eotlab import (
     solvers,
     symmetric_grid,
 )
+from eotlab.grids import squared_distances
 from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _c_transform_grid, _certify,
                             _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
 from conftest import line_measure, plane_measure
@@ -886,6 +887,131 @@ def test_sinkhorn_2d_result_consistent_on_random_pairs(case):
     direct = float(np.sum(cost * plan) + eps**2 * np.sum(plan[pos] * np.log(plan[pos] / ref[pos])))
     assert abs(entropic_cost(res) - direct) <= 1e-12 * abs(direct)
     assert gibbs_identity_check(res, 200) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=sinkhorn_grid_pairs())
+def test_separable_cost_max_is_the_dense_maximum(case):
+    # On product grids the largest squared distance is the sum of the
+    # per-axis maxima, in the same bits as the maximum of the dense cost.
+    lam, mu, eps = case
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def ladder(epsilon, cost_max):
+        seen.append(cost_max)
+        raise Stop
+
+    with mock.patch.object(solvers, "_epsilon_ladder", ladder), pytest.raises(Stop):
+        sinkhorn(lam, mu, eps)
+    assert seen == [float(squared_distances(lam.points, mu.points).max())]
+
+
+def sinkhorn_pair_2d(n):
+    grid = {"dim": 2, "n": n, "lo": -1.0, "hi": 1.0}
+    return tuple(make_measure({"grid": grid, "alpha": 0.5, "normalize": True, "density": d})
+                 for d in ({"kind": "perturbed_uniform", "amplitude": 0.2, "freq": 1.0},
+                           {"kind": "gaussian", "sigma": 0.5, "floor": 0.3,
+                            "center": [0.05, -0.05]}))
+
+
+class TestFactoredKernel:
+    """2-d Sinkhorn keeps a stage's kernel in per-axis factors when it can;
+    ``dense`` runs the same solve with the dense kernel throughout."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """The kernels the solves build, in order: "F" for factored, "D" for
+        the dense cost, "S" for a log-domain sweep."""
+        calls = []
+        for name, tag in (("_product_kernel", "F"), ("squared_distances", "D"),
+                          ("_softmin", "S")):
+            original = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *args, _f=original, _t=tag, **kw:
+                                calls.append(_t) or _f(*args, **kw))
+        return calls
+
+    @staticmethod
+    def dense(lam, mu, eps, **kw):
+        with mock.patch.object(solvers, "_separable", lambda lam, mu: False):
+            return sinkhorn(lam, mu, eps, **kw)
+
+    @staticmethod
+    def assert_same_solve(res, ref, cost_rtol):
+        assert [(s.iterations, s.stop) for s in res.stages] == [
+            (s.iterations, s.stop) for s in ref.stages]
+        assert abs(entropic_cost(res) - entropic_cost(ref)) <= cost_rtol * entropic_cost(ref)
+        assert np.abs(res.plan.mass - ref.plan.mass).max() <= 1e-12 * ref.plan.mass.max()
+
+    @pytest.mark.parametrize("eps", [0.5, 0.32])
+    def test_matches_dense_kernel(self, kernels, eps):
+        lam, mu = sinkhorn_pair_2d(20)
+        res = sinkhorn(lam, mu, eps, tol=1e-9)
+        assert kernels == ["F"] * len(res.stages)
+        ref = self.dense(lam, mu, eps, tol=1e-9)
+        assert res.converged and ref.converged
+        self.assert_same_solve(res, ref, 1e-14)
+        assert gibbs_identity_check(res, 500) <= 1e-6
+
+    def test_zero_weight_atom_runs_dense(self, kernels):
+        lam, mu = sinkhorn_pair_2d(12)
+        w = lam.weights.copy()
+        w[17] = 0.0
+        lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
+        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
+        assert "F" not in kernels
+        ref = self.dense(lam, mu, 0.32, tol=1e-9)
+        assert np.array_equal(res.plan.mass, ref.plan.mass)
+        assert entropic_cost(res) == entropic_cost(ref) and res.stages == ref.stages
+
+    def test_factors_out_of_bounds_at_opening_run_dense(self, kernels):
+        # An atom of weight 1e-60 puts exp(f/eps^2) a out of bounds at the
+        # first stage's opening, so the whole solve is dense.
+        lam, mu = sinkhorn_pair_2d(12)
+        w = lam.weights.copy()
+        w[17] = 1e-60
+        lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
+        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
+        assert kernels == ["D"]
+        ref = self.dense(lam, mu, 0.32, tol=1e-9)
+        assert np.array_equal(res.plan.mass, ref.plan.mass)
+        assert entropic_cost(res) == entropic_cost(ref) and res.stages == ref.stages
+
+    def test_small_epsilon_stages_open_dense(self, kernels):
+        # At eps = 0.02 the potentials divided by eps^2 put the factors out
+        # of bounds from the sixth stage on: those stages open on the dense
+        # kernel, with no log-domain sweep, and the solve stays dense.
+        lam, mu = sinkhorn_pair_2d(20)
+        res = sinkhorn(lam, mu, 0.02, tol=1e-9)
+        assert kernels == ["F"] * 5 + ["D"] and len(res.stages) == 7
+        ref = self.dense(lam, mu, 0.02, tol=1e-9)
+        self.assert_same_solve(res, ref, 1e-14)
+
+    def test_absorption_in_factored_stage_switches_to_dense(self, kernels, monkeypatch):
+        # With bounds of 1e3 the second stage's scalings leave them: its
+        # iteration is redone as a log-domain sweep on the dense cost, and
+        # the solve goes on with the dense kernel.
+        monkeypatch.setattr(solvers, "ABSORB_BOUND", 1e3)
+        lam, mu = sinkhorn_pair_2d(20)
+        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
+        assert kernels[:4] == ["F", "F", "D", "S"]
+        assert "F" not in kernels[2:]
+        assert res.converged and res.marg_err <= 1e-9
+        assert gibbs_identity_check(res, 500) <= 1e-6
+        self.assert_same_solve(res, self.dense(lam, mu, 0.32, tol=1e-9), 1e-14)
+
+    def test_peak_memory_is_the_plan(self):
+        # The factored solve forms no n x m array but the plan.
+        lam, mu = sinkhorn_pair_2d(20)
+        tracemalloc.start()
+        try:
+            sinkhorn(lam, mu, 0.32, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * lam.spec.n_points * mu.spec.n_points
 
 
 def test_spread_matches_per_block_pair_loop():
