@@ -15,7 +15,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +165,7 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
         "entropy": res.entropy,
         "entropic_cost": entropic_cost(res),
         "mass": res.mass,
-        "stages": _stages(res.stages),
+        "stages": res.stages,
     }
     if n_samples > 0 and res.converged:
         summary["gibbs_max_rel_err"] = gibbs_identity_check(res, n_samples, seed=seed)
@@ -186,15 +185,14 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
 
 def _ladder_report(result: dict, slopes: dict[str, str]) -> tuple:
     """One ``point`` row per ladder entry, then one row per fitted line; ``slopes``
-    maps each row type to the key of its (slope, intercept) pair in ``result``.
-    The trace is ``result`` with each solve's ``stages`` as JSON objects."""
+    maps each row type to the key of its (slope, intercept) pair in ``result``,
+    which is also the trace."""
     columns = list(result["rows"][0]) + ["row_type", "slope", "intercept"]
     rows = [dict(r, row_type="point") for r in result["rows"]]
     for row_type, key in slopes.items():
         reg = result[key] or (None, None)
         rows.append({"row_type": row_type, "slope": reg[0], "intercept": reg[1]})
-    trace = dict(result, stages=[_stages(stages) for stages in result["stages"]])
-    return columns, rows, trace, all(r["converged"] for r in result["rows"]), {}
+    return columns, rows, result, all(r["converged"] for r in result["rows"]), {}
 
 
 def _exp_value(exp: dict, key: str, kind: type = float, default=REQUIRED, positive=False):
@@ -219,11 +217,6 @@ def _exp_nonnegative(exp: dict, key: str, kind: type, default):
 
 def _radius_scan(res, lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> dict:
     return {"radius_scan.csv": (RADIUS_SCAN_COLUMNS, radius_scan_rows(res.plan, lam, mu, radii))}
-
-
-def _stages(stages: list) -> list[dict]:
-    """A solve's epsilon stages (``SinkhornResult.stages``) as JSON objects."""
-    return [asdict(stage) for stage in stages]
 
 
 def _cascade_setup(lam: GridMeasure, mu: GridMeasure, exp: dict, cfg: dict):
@@ -259,7 +252,7 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
 
     def row(eps: float) -> dict:
         res = sinkhorn(lam, mu, eps, **opts)
-        stages.append(_stages(res.stages))
+        stages.append(res.stages)
         report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
         return {
             "epsilon": eps,
@@ -303,7 +296,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
         "converged": res.converged,
     }
     trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
-                 normalizing=scaling_to_json_dict(s_bar), stages=_stages(res.stages))
+                 normalizing=scaling_to_json_dict(s_bar), stages=res.stages)
     scan = _radius_scan(res, lam, mu, [radius, theta * radius, theta**2 * radius])
     return list(row), [row], trace, res.converged, scan
 
@@ -324,7 +317,7 @@ def _run_campanato(lam, mu, exp, cfg) -> tuple:
     ]
     trace = {"stop_reason": cascade.stop_reason,
              "base_scaling": scaling_to_json_dict(cascade.base_scaling), "levels": levels,
-             "stages": _stages(res.stages)}
+             "stages": res.stages}
     scan = _radius_scan(res, lam, mu, cascade.radii())
     return columns, rows, trace, res.converged, scan
 
@@ -340,7 +333,7 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)
         delta_r = max(report.defect, 0.0)
     result = soft_lemma_check(res.plan, radius, rho_ladder, delta_r)
-    trace = dict(result, stages=_stages(res.stages))
+    trace = dict(result, stages=res.stages)
     return list(result["rows"][0]), result["rows"], trace, res.converged, {}
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, config_value
 from .grids import GridMeasure, GridSpec, data_term, squared_distances
+from .reports import write_json
 
 __all__ = [
     "Coupling",
@@ -354,9 +355,7 @@ def save_coupling(pi: Coupling, bin_path: str | Path) -> None:
         "source_grid": dict(pi.source.spec.to_json_dict(), alpha=pi.source.alpha),
         "target_grid": dict(pi.target.spec.to_json_dict(), alpha=pi.target.alpha),
     }
-    with open(bin_path.with_suffix(".json"), "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(bin_path.with_suffix(".json"), header)
 
 
 def load_coupling(bin_path: str | Path) -> Coupling:

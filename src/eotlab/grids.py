@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError, SizeError, config_value
+from .reports import write_json
 
 __all__ = [
     "GridSpec",
@@ -32,22 +33,25 @@ __all__ = [
     "DENSITY_KINDS",
     "DENSE_BYTES_LIMIT",
     "SINKHORN_DENSE_ARRAYS",
+    "SINKHORN_PLAN_ARRAYS",
     "EXACT_OT_DENSE_ARRAYS",
     "require_dense_size",
 ]
 
-# Both solvers hold several n x m float arrays at once: Sinkhorn, at its end,
-# the cost, f + g - c, the plan and a product; exact OT the positive atoms'
-# cost, the reduced costs and an index array while it prices, then the plan.
-# Peaks measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 on the
-# dense kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 1.2 on the factored
-# one (2-d 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to
-# 32x32, the pyramid's c-transforms included) and 1.2 (1-d, n = 512).  An
-# input whose arrays would pass DENSE_BYTES_LIMIT fails up front instead of
-# running out of memory; so does a grid that no solve could take, even against
-# the smallest grid of its dimension (2^dim points).
+# Both solvers hold several n x m float arrays at once: Sinkhorn on the dense
+# kernel, at its end, the cost, f + g - c, the plan and a product, and on the
+# factored kernel only the plan; exact OT the positive atoms' cost, the
+# reduced costs and an index array while it prices, then the plan.  Peaks
+# measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 on the dense
+# kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 1.19 on the factored one
+# (2-d 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to 32x32, the pyramid's
+# c-transforms included) and 1.2 (1-d, n = 512).  An input whose arrays would
+# pass DENSE_BYTES_LIMIT fails before they are allocated (Sinkhorn's dense
+# kernel when it forms the dense cost); so does a grid that no solve could
+# take, even against the smallest grid of its dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_DENSE_ARRAYS = 5
+SINKHORN_PLAN_ARRAYS = 2
 EXACT_OT_DENSE_ARRAYS = 6
 
 # Row blocks of this many points when forming the O(n^2) Hölder sup, and of
@@ -86,7 +90,7 @@ class GridSpec:
                     f"offset {off} not in [0, {n - 1}]"
                 )
         require_dense_size(self.n_points, 2**self.dim,
-                           min(SINKHORN_DENSE_ARRAYS, EXACT_OT_DENSE_ARRAYS),
+                           min(SINKHORN_PLAN_ARRAYS, EXACT_OT_DENSE_ARRAYS),
                            "the smallest solve with this grid")
         # Squared distances between points of two such grids, at most 4 max |x|^2, stay finite.
         with np.errstate(over="ignore"):
@@ -555,10 +559,7 @@ def save_measure(m: GridMeasure, csv_path: str | Path) -> None:
             n1 = m.spec.extent[1]
             for flat, w in enumerate(m.weights):
                 writer.writerow([flat // n1, flat % n1, repr(float(w))])
-    sidecar = dict(m.spec.to_json_dict(), alpha=m.alpha)
-    with open(_sidecar_path(csv_path), "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(_sidecar_path(csv_path), dict(m.spec.to_json_dict(), alpha=m.alpha))
 
 
 def load_measure(csv_path: str | Path) -> GridMeasure:

@@ -3,7 +3,7 @@ geometric-cascade iteration, quasi-minimality and long-trajectory experiments.""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -521,8 +521,7 @@ def expansion_experiment(
     lam = lam.scaled(1.0 / lam.total_mass)
     mu = mu.scaled(1.0 / mu.total_mass)
     exact = exact_ot(lam, mu)
-    ot, exact_record = exact.cost, {"method": exact.method,
-                                    "solves": [asdict(s) for s in exact.solves]}
+    ot, exact_record = exact.cost, {"method": exact.method, "solves": exact.solves}
     del exact  # its plan is not read below: drop it before the Sinkhorn solves
     stages = []
 

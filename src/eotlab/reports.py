@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 from datetime import datetime, timezone
@@ -34,8 +35,11 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def jsonify(obj):
-    """Recursively convert numpy containers/scalars to plain JSON values; a
-    non-finite float, which strict JSON cannot hold, becomes None (null)."""
+    """Recursively convert dataclass instances (through their fields) and
+    numpy containers/scalars to plain JSON values; a non-finite float, which
+    strict JSON cannot hold, becomes None (null)."""
+    if dataclasses.is_dataclass(obj):
+        return jsonify(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

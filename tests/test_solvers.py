@@ -1,6 +1,7 @@
 """Solvers: log-domain Sinkhorn, exact quadratic transport, Gibbs identity."""
 
 import itertools
+import math
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,8 @@ from eotlab import (
     solvers,
     symmetric_grid,
 )
+from eotlab import grids
+from eotlab.errors import SizeError
 from eotlab.grids import squared_distances
 from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _c_transform_grid, _certify,
                             _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
@@ -593,6 +596,47 @@ class TestExactOT:
         assert any(s.level == 0 and s.added > 0 for s in res.solves)
         assert max(s.level for s in res.solves) >= 1
 
+    def test_only_the_coarsest_level_opens_on_the_staircase(self, monkeypatch):
+        # The coarsest level's shortlist opens with the staircase's cells,
+        # which carry no masses; each finer level's opens with the coarser
+        # plan spread over its cells, which HiGHS takes as its start.
+        from scipy.optimize._highspy import _core
+
+        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 16)
+        staircases, starts = [], []
+        staircase, set_solution = solvers._staircase, _core._Highs.setSolution
+        monkeypatch.setattr(solvers, "_staircase", lambda ca, cb: staircases.append(ca.size)
+                            or staircase(ca, cb))
+        monkeypatch.setattr(_core._Highs, "setSolution", lambda self, solution: starts.append(
+            len(solution.col_value)) or set_solution(self, solution))
+        lam, mu = shifted_narrow_pair(8, False)
+        res = exact_ot(lam, mu)
+        self.assert_matches_reference(res, lam, mu)
+        levels = sorted({s.level for s in res.solves}, reverse=True)
+        assert levels == [1, 0]
+        assert staircases == [res.solves[0].atoms[0]]
+        # Each start is the first solve's shortlist head: one per finer level.
+        assert starts == [next(s.pairs for s in res.solves if s.level == 0)]
+        assert starts[0] > next(s.pairs for s in res.solves if s.level == 1)
+
+    @pytest.mark.parametrize("atom_side", ["source", "target"])
+    def test_one_positive_atom_forces_the_plan(self, atom_side):
+        # One positive atom against a uniform 30x30 partner, which the
+        # pyramid coarsens: the only feasible plan moves the atom's mass to
+        # every partner atom in proportion to its weight.
+        spec = GridSpec(dim=2, h=0.1, extent=(30, 30), origin_offset=(14.5, 14.5))
+        w = np.zeros(spec.n_points)
+        w[5] = 1.0
+        atom = GridMeasure(spec=spec, weights=w, alpha=0.5)
+        uniform = GridMeasure(spec=spec, weights=np.full(spec.n_points, 1.0 / spec.n_points),
+                              alpha=0.5)
+        lam, mu = (atom, uniform) if atom_side == "source" else (uniform, atom)
+        res = exact_ot(lam, mu)
+        expected = math.fsum(uniform.weights * np.sum((spec.points - spec.points[5]) ** 2, axis=1))
+        assert res.method == "lp_highs"
+        assert res.duality_gap <= CERT_RTOL and res.feasibility_violation <= CERT_RTOL
+        assert abs(res.cost - expected) <= 1e-12 * expected
+
     def test_tiny_weight_atoms_certify(self):
         # The smallest source weight is 1.3e-12.  With HiGHS presolve on, a
         # feasible restricted LP of this pair is declared infeasible.
@@ -1001,6 +1045,20 @@ class TestFactoredKernel:
         assert res.converged and res.marg_err <= 1e-9
         assert gibbs_identity_check(res, 500) <= 1e-6
         self.assert_same_solve(res, self.dense(lam, mu, 0.32, tol=1e-9), 1e-14)
+
+    def test_size_guard_counts_the_plan_up_front(self, monkeypatch):
+        # A limit of three n x m arrays admits the factored solve, which
+        # holds only the plan; the dense kernel's five are checked when a
+        # solve forms the dense cost, so one zero-weight atom is refused.
+        lam, mu = sinkhorn_pair_2d(20)
+        w = lam.weights.copy()
+        w[17] = 0.0
+        sparse_lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT",
+                            3 * 8 * lam.spec.n_points * mu.spec.n_points)
+        assert sinkhorn(lam, mu, 0.32, tol=1e-9).converged
+        with pytest.raises(SizeError, match="sinkhorn on 400 x 400 support points"):
+            sinkhorn(sparse_lam, mu, 0.32, tol=1e-9)
 
     def test_peak_memory_is_the_plan(self):
         # The factored solve forms no n x m array but the plan.
