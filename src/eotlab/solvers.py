@@ -90,12 +90,13 @@ class SinkhornResult:
 class LPSolve:
     """One solve of the shortlist LP: its pyramid level (0 is the input, each
     level above halves the grid), the atoms n x m at that level, the pairs on
-    the shortlist, and the violated pairs that pricing its duals added to the
-    shortlist (0 on a level's last solve)."""
+    the shortlist, the violated pairs that pricing its duals added to the
+    shortlist (0 on a level's last solve), and HiGHS's simplex iterations."""
     level: int
     atoms: tuple[int, int]
     pairs: int
     added: int
+    iterations: int
 
 
 @dataclass
@@ -745,9 +746,9 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     summing 2^dim blocks of cells, at the blocks' barycentres.  Each level is
     seeded with dual-feasible (u, v): zero on the coarsest level, else the
     coarser level's v on each atom's block, then c-transformed twice on this
-    level's cost.  Its shortlist is the cells of a start that makes the
-    restricted LP feasible, a north-west-corner staircase on the coarsest
-    level and on a finer one the coarser plan spread over its cells by
+    level's cost; HiGHS opens at them.  Its shortlist is the cells of a start
+    that makes the restricted LP feasible, a north-west-corner staircase on
+    the coarsest level and on a finer one the coarser plan's block pairs from
     _spread, then each row's and column's smallest reduced costs c - u - v
     (on the coarsest level, the nearest partners).  HiGHS's basis duals,
     tight on the plan's support to rounding, are priced against the level's
@@ -774,13 +775,13 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
         cost_l = squared_distances(xa, xb)
         if level == len(levels) - 1:
             u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
-            start = (*_staircase(np.cumsum(wa_l), np.cumsum(wb_l)), None)
+            start = _staircase(np.cumsum(wa_l), np.cumsum(wb_l))
         else:
             u = _c_transform(cost_l, v[parents[level][1]])
             v = _c_transform(cost_l.T, u)
-            start = _spread(cells, x, *parents[level], wa_l, wb_l)
+            start = _spread(cells, x, *parents[level])
         cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v, start)
-        solves += [LPSolve(level, cost_l.shape, pairs, added) for pairs, added in rounds]
+        solves += [LPSolve(level, cost_l.shape, *solve) for solve in rounds]
     c_cells = cost_l[cells]
     del cost_l
     u_full, v_full = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
@@ -803,28 +804,23 @@ def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
 
 
 def _spread(cells: tuple[np.ndarray, np.ndarray], x: np.ndarray, parent_a: np.ndarray,
-            parent_b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The coarse plan ``x`` on the block pairs ``cells`` spread over each
-    block pair's atom pairs in proportion to the fine weights, P_ij = P_IJ
-    a_i/A_I b_j/B_J: the sparse product S_a P S_b^T, S_iI = a_i/A_I, where
-    ``parent_a`` and ``parent_b`` map the fine atoms, of weights ``wa`` and
-    ``wb``, to their blocks.  It has the fine marginals wherever the coarse
-    plan has the coarse ones.  Returns its cells and masses as coordinate
-    lists, by coarse cell and then by fine cell: HiGHS took twice as long on
-    the same start in row-major order."""
+            parent_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In row-major order, the atom pairs of the block pairs that carry mass in
+    the coarse plan ``x`` on ``cells``: the nonzeros of S_a P S_b^T, S_iI = 1
+    where ``parent_a`` and ``parent_b`` map an atom to its block.  The coarse
+    plan spread over them, P_ij = P_IJ a_i/A_I b_j/B_J, has the fine
+    marginals, so the restricted LP on them is feasible."""
     from scipy import sparse
 
-    def share(parent: np.ndarray, w: np.ndarray) -> sparse.csr_array:
-        total = np.bincount(parent, weights=w)
-        return sparse.csr_array((w / total[parent], (np.arange(w.size), parent)),
-                                shape=(w.size, total.size))
+    def member(parent: np.ndarray) -> sparse.csr_array:
+        return sparse.csr_array((np.ones(parent.size), (np.arange(parent.size), parent)))
 
     # The products drop the zero sums, and so the cells that carry no mass.
-    s_a, s_b = share(parent_a, wa), share(parent_b, wb)
+    s_a, s_b = member(parent_a), member(parent_b)
     plan = sparse.csr_array((np.maximum(x, 0.0), cells), shape=(s_a.shape[1], s_b.shape[1]))
-    fine = (s_a @ plan @ s_b.T).tocoo()
-    order = np.lexsort((fine.col, fine.row, parent_b[fine.col], parent_a[fine.row]))
-    return fine.row[order], fine.col[order], fine.data[order]
+    fine = s_a @ plan @ s_b.T
+    fine.sort_indices()
+    return fine.nonzero()
 
 
 def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -836,17 +832,19 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
                   u: np.ndarray, v: np.ndarray, start: tuple) -> tuple:
     """The pricing loop of _exact_ot_lp on one level's cost ``cost_s``, seeded
     from the dual-feasible (u, v) and started from ``start``, the cells of a
-    feasible plan and its masses or None: the shortlist's cells, the last
-    LP's solution on them, its row and column duals, and for each solve the
-    pairs on the shortlist and the violated pairs its duals added.
+    feasible plan: the shortlist's cells, the last LP's solution on them, its
+    row and column duals, and for each solve the pairs on the shortlist, the
+    violated pairs its duals added and its simplex iterations.
 
     One HiGHS model holds the level.  The marginals are its rows and the
-    shortlist its columns, the start's cells first and its masses, if any,
-    HiGHS's starting solution; each pricing round appends the violated pairs
-    as columns and runs again from the last basis.  scipy's HiGHS binding is
-    imported here: importing scipy takes most of eotlab's start-up time, and
-    only the transport LP uses it.  Its n x m arrays are gone when it
-    returns."""
+    shortlist its columns, the start's cells first; each pricing round
+    appends the violated pairs and runs again from the last basis.  A
+    column costs c_ij - u_i - v_j >= 0, so the slack basis is dual-feasible
+    and the dual simplex opens at the seeds; the shift adds sum(u a) +
+    sum(v b) to every plan's cost, and the seeds plus the row duals are the
+    duals of c.  scipy's HiGHS binding is imported here: importing scipy
+    takes most of eotlab's start-up time, and only the transport LP uses it.
+    Its n x m arrays are gone when it returns."""
     from scipy.optimize._highspy import _core as highs
 
     n, m = cost_s.shape
@@ -861,20 +859,16 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
     def add_columns(ii: np.ndarray, jj: np.ndarray) -> None:
         k = ii.size
         rows = np.stack([ii, n + jj], axis=1).astype(np.int32).ravel()
-        model.addCols(k, cost_s[ii, jj], np.zeros(k), np.full(k, np.inf), 2 * k,
+        model.addCols(k, cost_s[ii, jj] - u[ii] - v[jj], np.zeros(k), np.full(k, np.inf), 2 * k,
                       np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
 
-    si, sj, masses = start
+    si, sj = start
     chosen = _smallest_per_line(cost_s - u[:, None] - v[None, :], near, np.inf)
     chosen[si, sj] = False
     rest = np.nonzero(chosen)
     chosen[si, sj] = True
     ii, jj = np.concatenate([si, rest[0]]), np.concatenate([sj, rest[1]])
     add_columns(ii, jj)
-    if masses is not None:
-        solution = highs.HighsSolution()
-        solution.col_value = np.concatenate([masses, np.zeros(rest[0].size)])
-        model.setSolution(solution)
     rounds = []
     while True:
         run = model.run()
@@ -882,15 +876,17 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         if run == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
             raise CertificateError(f"transport LP failed: HiGHS run status {run.name}, "
                                    f"model status {model.modelStatusToString(status)}")
+        iterations = model.getInfo().simplex_iteration_count
         solution = model.getSolution()
         duals = np.asarray(solution.row_dual)
-        u_s, v_s = duals[:n], duals[n:]
+        u_s, v_s = duals[:n] + u, duals[n:] + v
         reduced = cost_s - u_s[:, None] - v_s[None, :]
         reduced[chosen] = np.inf
-        violated = _smallest_per_line(reduced, batch, -threshold)
-        rounds.append((ii.size, int(np.count_nonzero(violated))))
-        if not rounds[-1][1]:
+        if reduced.min() >= -threshold:
+            rounds.append((ii.size, 0, iterations))
             break
+        violated = _smallest_per_line(reduced, batch, -threshold)
+        rounds.append((ii.size, int(np.count_nonzero(violated)), iterations))
         chosen |= violated
         vi, vj = np.nonzero(violated)
         add_columns(vi, vj)

@@ -30,8 +30,8 @@ from eotlab import (
 from eotlab import grids
 from eotlab.errors import SizeError
 from eotlab.grids import squared_distances
-from eotlab.solvers import (CERT_RTOL, _c_transform_1d, _c_transform_grid, _certify,
-                            _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
+from eotlab.solvers import (CERT_RTOL, PRICE_RTOL, _c_transform_1d, _c_transform_grid,
+                            _certify, _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
 from conftest import line_measure, plane_measure
 
 
@@ -597,27 +597,60 @@ class TestExactOT:
         assert max(s.level for s in res.solves) >= 1
 
     def test_only_the_coarsest_level_opens_on_the_staircase(self, monkeypatch):
-        # The coarsest level's shortlist opens with the staircase's cells,
-        # which carry no masses; each finer level's opens with the coarser
-        # plan spread over its cells, which HiGHS takes as its start.
+        # The coarsest level's shortlist opens with the staircase's cells;
+        # each finer level's with the cells of the coarser plan's block pairs
+        # from _spread.  Each level's columns cost c_ij - u_i - v_j at its
+        # dual-feasible seeds, so HiGHS opens dual-feasible at the seeds.
         from scipy.optimize._highspy import _core
 
         monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 16)
-        staircases, starts = [], []
-        staircase, set_solution = solvers._staircase, _core._Highs.setSolution
+        staircases, levels, columns = [], [], []
+        staircase, shortlist_lp = solvers._staircase, solvers._shortlist_lp
+        add_cols = _core._Highs.addCols
         monkeypatch.setattr(solvers, "_staircase", lambda ca, cb: staircases.append(ca.size)
                             or staircase(ca, cb))
-        monkeypatch.setattr(_core._Highs, "setSolution", lambda self, solution: starts.append(
-            len(solution.col_value)) or set_solution(self, solution))
+        monkeypatch.setattr(solvers, "_shortlist_lp", lambda cost, wa, wb, dim, u, v, start:
+                            levels.append((cost, u, v, start))
+                            or shortlist_lp(cost, wa, wb, dim, u, v, start))
+        monkeypatch.setattr(_core._Highs, "addCols", lambda self, k, costs, *rest:
+                            columns.append((self, np.array(costs), np.array(rest[4])))
+                            or add_cols(self, k, costs, *rest))
         lam, mu = shifted_narrow_pair(8, False)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
-        levels = sorted({s.level for s in res.solves}, reverse=True)
-        assert levels == [1, 0]
+        assert sorted({s.level for s in res.solves}, reverse=True) == [1, 0]
         assert staircases == [res.solves[0].atoms[0]]
-        # Each start is the first solve's shortlist head: one per finer level.
-        assert starts == [next(s.pairs for s in res.solves if s.level == 0)]
-        assert starts[0] > next(s.pairs for s in res.solves if s.level == 1)
+        # Level 0's first columns: the spread's cells first, at nonzero seeds.
+        cost, u, v, (si, sj) = levels[-1]
+        model = columns[-1][0]
+        _, costs, rows = next(call for call in columns if call[0] is model)
+        n, k = cost.shape[0], si.size
+        ii, jj = rows[0::2], rows[1::2] - n
+        assert k > next(s.pairs for s in res.solves if s.level == 1)
+        assert np.array_equal(ii[:k], si) and np.array_equal(jj[:k], sj)
+        assert min(np.abs(u).max(), np.abs(v).max()) > 0.1
+        scale = PRICE_RTOL * max(1.0, float(cost.max()))
+        assert costs.min() >= -scale
+        assert np.abs(costs - (cost[ii, jj] - u[ii] - v[jj])).max() <= scale
+
+    def test_pricing_selects_only_when_some_pair_violates(self, monkeypatch):
+        # Each level of this pair takes one solve, so _smallest_per_line runs
+        # once per level, for the seed: a round with no violated pair exits
+        # before the selection.
+        calls = []
+        smallest = solvers._smallest_per_line
+        monkeypatch.setattr(solvers, "_smallest_per_line", lambda values, k, below:
+                            calls.append(below) or smallest(values, k, below))
+        lam, mu = lp_pair_2d(20)
+        res = exact_ot(lam, mu)
+        assert [s.added for s in res.solves] == [0, 0] and len({s.level for s in res.solves}) == 2
+        assert calls == [np.inf, np.inf]
+
+    def test_solves_record_simplex_iterations(self):
+        lam, mu = lp_pair_2d(16)
+        first, second = exact_ot(lam, mu).solves, exact_ot(lam, mu).solves
+        assert all(s.iterations > 0 for s in first)
+        assert [s.iterations for s in first] == [s.iterations for s in second]
 
     @pytest.mark.parametrize("atom_side", ["source", "target"])
     def test_one_positive_atom_forces_the_plan(self, atom_side):
@@ -833,11 +866,12 @@ def test_c_transform_grid_matches_dense(case):
     assert np.all(np.abs(envelope - dense) <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
 
 
-HIGHS_NAMES = ["_Highs", "HighsSolution", "HighsSolution.col_value", "HighsSolution.row_dual",
-               "HighsModelStatus.kOptimal", "HighsStatus.kError",
+HIGHS_NAMES = ["_Highs", "HighsSolution.col_value", "HighsSolution.row_dual",
+               "HighsInfo.simplex_iteration_count", "HighsModelStatus.kOptimal",
+               "HighsStatus.kError",
                *(f"_Highs.{method}" for method in (
-                   "setOptionValue", "addRows", "addCols", "setSolution", "run",
-                   "getModelStatus", "modelStatusToString", "getSolution"))]
+                   "setOptionValue", "addRows", "addCols", "run", "getModelStatus",
+                   "modelStatusToString", "getInfo", "getSolution"))]
 
 
 def test_highs_binding_has_every_name_the_lp_uses():
@@ -1073,24 +1107,18 @@ class TestFactoredKernel:
 
 
 def test_spread_matches_per_block_pair_loop():
-    # The finer level's start: each coarse cell's mass spread over its block
-    # pair's atom pairs in proportion to the fine weights, one cell each.
+    # The finer level's start: every atom pair of each block pair that
+    # carries coarse mass, in row-major order.
     rng = np.random.default_rng(3)
     parent_a = rng.permutation(np.concatenate([np.arange(4), rng.integers(0, 4, 7)]))
     parent_b = rng.permutation(np.concatenate([np.arange(3), rng.integers(0, 3, 5)]))
-    wa, wb = rng.random(parent_a.size), rng.random(parent_b.size)
     big_i, big_j = (a.ravel() for a in np.indices((4, 3)))
     x = rng.random(big_i.size) * (rng.random(big_i.size) < 0.6)
-    ii, jj, masses = solvers._spread((big_i, big_j), x, parent_a, parent_b, wa, wb)
-    sum_a, sum_b = np.bincount(parent_a, weights=wa), np.bincount(parent_b, weights=wb)
-    expected = {}
-    for bi, bj, mass in zip(big_i, big_j, x):
-        if mass > 0:
-            for i in np.flatnonzero(parent_a == bi):
-                for j in np.flatnonzero(parent_b == bj):
-                    expected[i, j] = mass * (wa[i] / sum_a[bi]) * (wb[j] / sum_b[bj])
-    assert dict(zip(zip(ii.tolist(), jj.tolist()), masses.tolist())) == expected
-    assert ii.size == len(expected)
+    ii, jj = solvers._spread((big_i, big_j), x, parent_a, parent_b)
+    expected = sorted((i, j) for bi, bj, mass in zip(big_i, big_j, x) if mass > 0
+                      for i in np.flatnonzero(parent_a == bi).tolist()
+                      for j in np.flatnonzero(parent_b == bj).tolist())
+    assert list(zip(ii.tolist(), jj.tolist())) == expected
 
 
 def odd_extent_pair():
