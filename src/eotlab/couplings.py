@@ -64,17 +64,9 @@ class Coupling:
         return float(np.sum(self.mass))
 
     @cached_property
-    def source_points(self) -> np.ndarray:
-        return self.source.points
-
-    @cached_property
-    def target_points(self) -> np.ndarray:
-        return self.target.points
-
-    @cached_property
     def cost_matrix(self) -> np.ndarray:
         """Squared-distance matrix |x_i - y_j|^2."""
-        c = squared_distances(self.source_points, self.target_points)
+        c = squared_distances(self.source.points, self.target.points)
         c.setflags(write=False)
         return c
 
@@ -167,8 +159,8 @@ class HashRegion:
         sum_ij P_ij |y_j - pred_i|^2 in one pass over P, which avoids the cancellation
         of a least-squares fit's closed form.  The sums are numpy reductions over
         the region's blocks in a fixed order, independent of BLAS threads."""
-        y = pi.target_points
-        n, d = pi.source_points.shape
+        y = pi.target.points
+        n, d = pi.source.points.shape
         w, s = np.zeros(n), np.zeros((n, d))
         plans = []
         for rows, cols, where in self.blocks(pi):
@@ -187,7 +179,7 @@ class HashRegion:
                 total += _block_sum(None, plan, squared_distances(full[rows], y[cols]))
             return total
 
-        return pi.source_points[keep], w[keep], s[keep], residual
+        return pi.source.points[keep], w[keep], s[keep], residual
 
 
 # ---------------------------------------------------------------------------

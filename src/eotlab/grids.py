@@ -44,8 +44,8 @@ __all__ = [
 # reduced costs and an index array while it prices, then the plan.  Peaks
 # measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 on the dense
 # kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 1.19 on the factored one
-# (2-d 20x20), exact OT 3.4-3.8 (2-d LP, 16x16 to 32x32, the pyramid's
-# c-transforms included) and 1.2 (1-d, n = 512).  An input whose arrays would
+# (2-d 20x20), exact OT 4.7 on a one-level 2-d LP (16x16), 3.2-3.4 on the
+# pyramid (20x20 to 32x32) and 1.2 (1-d, n = 512).  An input whose arrays would
 # pass DENSE_BYTES_LIMIT fails before they are allocated (Sinkhorn's dense
 # kernel when it forms the dense cost); so does a grid that no solve could
 # take, even against the smallest grid of its dimension (2^dim points).

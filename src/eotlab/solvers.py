@@ -508,7 +508,7 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
         raise SizeError(f"the Gibbs identity check on {n_samples} samples needs about "
                         f"{need / 2**20:,.0f} MiB; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB")
     plan = res.plan.mass
-    x, y = res.plan.source_points, res.plan.target_points
+    x, y = res.plan.source.points, res.plan.target.points
     eps2 = res.epsilon**2
 
     def cost(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -746,10 +746,9 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     summing 2^dim blocks of cells, at the blocks' barycentres.  Each level is
     seeded with dual-feasible (u, v): zero on the coarsest level, else the
     coarser level's v on each atom's block, then c-transformed twice on this
-    level's cost; HiGHS opens at them.  Its shortlist is the cells of a start
-    that makes the restricted LP feasible, a north-west-corner staircase on
-    the coarsest level and on a finer one the coarser plan's block pairs from
-    _spread, then each row's and column's smallest reduced costs c - u - v
+    level's cost; HiGHS opens at them.  Its shortlist is the cells of the
+    level's own north-west-corner staircase, which make the restricted LP
+    feasible, then each row's and column's smallest reduced costs c - u - v
     (on the coarsest level, the nearest partners).  HiGHS's basis duals,
     tight on the plan's support to rounding, are priced against the level's
     full cost; while some pair outside the shortlist violates u_i + v_j <=
@@ -760,27 +759,25 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     # Each level holds, per side, the atoms' grid multi-indices, the grid's
-    # extent, the weights and the points; parents[l] maps the source and the
-    # target atoms of level l to their blocks at level l + 1.
+    # extent, the weights and the points; parents[l] maps the target atoms of
+    # level l to their blocks at level l + 1.
     levels = [tuple((np.array(np.unravel_index(idx, m.spec.extent)), m.spec.extent, w,
                      m.points[idx]) for m, idx, w in ((lam, rows, wa), (mu, cols, wb)))]
     parents = []
     while max(side[2].size for side in levels[-1]) > PYRAMID_ATOMS:
-        (src, parent_a), (dst, parent_b) = (_coarsen(*side) for side in levels[-1])
+        (src, _), (dst, parent_b) = (_coarsen(*side) for side in levels[-1])
         levels.append((src, dst))
-        parents.append((parent_a, parent_b))
+        parents.append(parent_b)
     solves: list[LPSolve] = []
     for level in reversed(range(len(levels))):
         (_, _, wa_l, xa), (_, _, wb_l, xb) = levels[level]
         cost_l = squared_distances(xa, xb)
         if level == len(levels) - 1:
             u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
-            start = _staircase(np.cumsum(wa_l), np.cumsum(wb_l))
         else:
-            u = _c_transform(cost_l, v[parents[level][1]])
+            u = _c_transform(cost_l, v[parents[level]])
             v = _c_transform(cost_l.T, u)
-            start = _spread(cells, x, *parents[level])
-        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v, start)
+        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v)
         solves += [LPSolve(level, cost_l.shape, *solve) for solve in rounds]
     c_cells = cost_l[cells]
     del cost_l
@@ -803,42 +800,21 @@ def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
     return (np.array(np.unravel_index(keys, extent)), extent, wc, xc / wc[:, None]), parent
 
 
-def _spread(cells: tuple[np.ndarray, np.ndarray], x: np.ndarray, parent_a: np.ndarray,
-            parent_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In row-major order, the atom pairs of the block pairs that carry mass in
-    the coarse plan ``x`` on ``cells``: the nonzeros of S_a P S_b^T, S_iI = 1
-    where ``parent_a`` and ``parent_b`` map an atom to its block.  The coarse
-    plan spread over them, P_ij = P_IJ a_i/A_I b_j/B_J, has the fine
-    marginals, so the restricted LP on them is feasible."""
-    from scipy import sparse
-
-    def member(parent: np.ndarray) -> sparse.csr_array:
-        return sparse.csr_array((np.ones(parent.size), (np.arange(parent.size), parent)))
-
-    # The products drop the zero sums, and so the cells that carry no mass.
-    s_a, s_b = member(parent_a), member(parent_b)
-    plan = sparse.csr_array((np.maximum(x, 0.0), cells), shape=(s_a.shape[1], s_b.shape[1]))
-    fine = s_a @ plan @ s_b.T
-    fine.sort_indices()
-    return fine.nonzero()
-
-
 def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     """min_j (c_ij - v_j) for each row i of ``cost``."""
     return np.min(cost - v[None, :], axis=1)
 
 
 def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
-                  u: np.ndarray, v: np.ndarray, start: tuple) -> tuple:
-    """The pricing loop of _exact_ot_lp on one level's cost ``cost_s``, seeded
-    from the dual-feasible (u, v) and started from ``start``, the cells of a
-    feasible plan: the shortlist's cells, the last LP's solution on them, its
-    row and column duals, and for each solve the pairs on the shortlist, the
-    violated pairs its duals added and its simplex iterations.
+                  u: np.ndarray, v: np.ndarray) -> tuple:
+    """The pricing loop of _exact_ot_lp on one level's cost ``cost_s`` from the
+    dual-feasible seeds (u, v): the shortlist's cells, the last LP's solution
+    on them, its row and column duals, and per solve the pairs on the
+    shortlist, the violated pairs its duals added and its simplex iterations.
 
     One HiGHS model holds the level.  The marginals are its rows and the
-    shortlist its columns, the start's cells first; each pricing round
-    appends the violated pairs and runs again from the last basis.  A
+    shortlist its columns, the level's staircase cells first; each pricing
+    round appends the violated pairs and runs again from the last basis.  A
     column costs c_ij - u_i - v_j >= 0, so the slack basis is dual-feasible
     and the dual simplex opens at the seeds; the shift adds sum(u a) +
     sum(v b) to every plan's cost, and the seeds plus the row duals are the
@@ -862,7 +838,7 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         model.addCols(k, cost_s[ii, jj] - u[ii] - v[jj], np.zeros(k), np.full(k, np.inf), 2 * k,
                       np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
 
-    si, sj = start
+    si, sj = _staircase(np.cumsum(wa), np.cumsum(wb))
     chosen = _smallest_per_line(cost_s - u[:, None] - v[None, :], near, np.inf)
     chosen[si, sj] = False
     rest = np.nonzero(chosen)

@@ -40,7 +40,7 @@ def random_coupling():
 
 def brute_force_local_energy(pi, R):
     total = 0.0
-    x, y = pi.source_points, pi.target_points
+    x, y = pi.source.points, pi.target.points
     for i in range(x.shape[0]):
         for j in range(y.shape[0]):
             if np.linalg.norm(x[i]) <= R or np.linalg.norm(y[j]) <= R:
@@ -115,7 +115,7 @@ class TestHashRegion:
 
     def test_reads_match_direct_sums(self, random_coupling, random_coupling_2d):
         for pi in (random_coupling, random_coupling_2d):
-            x, y = pi.source_points, pi.target_points
+            x, y = pi.source.points, pi.target.points
             dist2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
             for R, t in ((0.3, 0.2), (0.7, 0.5)):
                 region = HashRegion(R)
@@ -136,11 +136,11 @@ class TestHashRegion:
         plan = np.where(region_mask(region, pi), pi.mass, 0.0)
         rows = plan.sum(axis=1) > 0
         x, w, s, residual = region.row_moments(pi)
-        np.testing.assert_array_equal(x, pi.source_points[rows])
+        np.testing.assert_array_equal(x, pi.source.points[rows])
         np.testing.assert_allclose(w, plan.sum(axis=1)[rows])
-        np.testing.assert_allclose(s, plan[rows] @ pi.target_points)
+        np.testing.assert_allclose(s, plan[rows] @ pi.target.points)
         pred = x + 0.1
-        y = pi.target_points
+        y = pi.target.points
         direct = sum(plan[rows][i, j] * np.sum((y[j] - pred[i]) ** 2)
                      for i in range(pred.shape[0]) for j in range(y.shape[0]))
         assert residual(pred) == pytest.approx(direct, rel=1e-12)
@@ -174,9 +174,9 @@ class TestHashRegion:
         plan = np.where(region_mask(HashRegion(R), pi), pi.mass, 0.0)
         rows = plan.sum(axis=1) > 0
         plan = plan[rows]
-        y = pi.target_points
+        y = pi.target.points
         x, w, s, residual = HashRegion(R).row_moments(pi)
-        np.testing.assert_array_equal(x, pi.source_points[rows])
+        np.testing.assert_array_equal(x, pi.source.points[rows])
         np.testing.assert_allclose(w, plan.sum(axis=1), rtol=1e-13, atol=0)
         # S_i can cancel; bound its error by the sum of |P_ij y_j|.
         assert np.all(np.abs(s - np.einsum("ij,ja->ia", plan, y))
@@ -257,8 +257,8 @@ def grid_search_affine_oracle(pi, r, beta, center_a, center_b, width, levels=6, 
     mask = region_mask(HashRegion(r), pi)
     ii, jj = np.nonzero(mask & (pi.mass > 0))
     w = pi.mass[ii, jj]
-    x = pi.source_points[ii, 0]
-    y = pi.target_points[jj, 0]
+    x = pi.source.points[ii, 0]
+    y = pi.target.points[jj, 0]
 
     def defect(a, b):
         return np.sum(w * (y - a * x - b) ** 2) / r ** (1 + 2 + 2 * beta)
@@ -336,7 +336,7 @@ class TestAffineFit:
         for r in (0.3, 0.5, 0.8):
             ii, jj = np.nonzero(region_mask(HashRegion(r), pi))
             sw = np.sqrt(pi.mass[ii, jj])[:, None]
-            x, y = pi.source_points[ii], pi.target_points[jj]
+            x, y = pi.source.points[ii], pi.target.points[jj]
             z = np.concatenate([x, np.ones((ii.size, 1))], axis=1)
             theta, *_ = np.linalg.lstsq(z * sw, y * sw, rcond=None)
             resid = float(np.sum((sw * (y - z @ theta)) ** 2))
@@ -353,14 +353,14 @@ class TestAffineFit:
         pi = random_coupling
         fit = affine_fit(pi, 0.9)
         shift = 0.25
-        lam2 = line_measure(pi.source_points[:, 0] + shift, pi.source.weights, h=0.25)
-        mu2 = line_measure(pi.target_points[:, 0] + shift, pi.target.weights, h=0.25)
+        lam2 = line_measure(pi.source.points[:, 0] + shift, pi.source.weights, h=0.25)
+        mu2 = line_measure(pi.target.points[:, 0] + shift, pi.target.weights, h=0.25)
         pi2 = Coupling(source=lam2, target=mu2, mass=pi.mass)
         mask2 = region_mask(HashRegion(0.9), pi2)
         ii, jj = np.nonzero(mask2 & (pi2.mass > 0))
         w = pi2.mass[ii, jj]
-        x2 = pi2.source_points[ii, 0]
-        y2 = pi2.target_points[jj, 0]
+        x2 = pi2.source.points[ii, 0]
+        y2 = pi2.target.points[jj, 0]
         b_shifted = fit.b[0] + shift - fit.A[0, 0] * shift
         translated_value = np.sum(w * (y2 - fit.A[0, 0] * x2 - b_shifted) ** 2) / 0.9**3
         assert affine_fit(pi2, 0.9).defect <= translated_value + 1e-10

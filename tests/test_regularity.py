@@ -123,7 +123,7 @@ class TestHarmonicFit:
         for r in (0.3, 0.5, 0.8):
             ii, jj = np.nonzero(region_mask(HashRegion(r), pi))
             ref = fit_harmonic_displacement(
-                pi.source_points[ii], pi.target_points[jj], pi.mass[ii, jj]
+                pi.source.points[ii], pi.target.points[jj], pi.mass[ii, jj]
             )
             fit = harmonic_fit(pi, r)
             assert not (fit.degenerate or fit.ridged)
@@ -353,10 +353,10 @@ class TestQuasiminDefect:
         rows, cols = np.zeros(n), np.zeros(m)
         for i in range(n):
             for j in range(m):
-                nx = np.linalg.norm(pi.source_points[i])
-                ny = np.linalg.norm(pi.target_points[j])
+                nx = np.linalg.norm(pi.source.points[i])
+                ny = np.linalg.norm(pi.target.points[j])
                 if nx <= R or ny <= R:
-                    lhs += np.sum((pi.source_points[i] - pi.target_points[j]) ** 2) * pi.mass[i, j]
+                    lhs += np.sum((pi.source.points[i] - pi.target.points[j]) ** 2) * pi.mass[i, j]
                 if (nx <= R and ny <= lam_factor * R) or (nx <= lam_factor * R and ny <= R):
                     rows[i] += pi.mass[i, j]
                     cols[j] += pi.mass[i, j]

@@ -596,22 +596,22 @@ class TestExactOT:
         assert any(s.level == 0 and s.added > 0 for s in res.solves)
         assert max(s.level for s in res.solves) >= 1
 
-    def test_only_the_coarsest_level_opens_on_the_staircase(self, monkeypatch):
-        # The coarsest level's shortlist opens with the staircase's cells;
-        # each finer level's with the cells of the coarser plan's block pairs
-        # from _spread.  Each level's columns cost c_ij - u_i - v_j at its
-        # dual-feasible seeds, so HiGHS opens dual-feasible at the seeds.
+    def test_every_level_opens_on_its_staircase(self, monkeypatch):
+        # Each level's shortlist opens with the cells of its own north-west
+        # staircase, which make the restricted LP feasible.  Each level's
+        # columns cost c_ij - u_i - v_j at its dual-feasible seeds, so HiGHS
+        # opens dual-feasible at the seeds.
         from scipy.optimize._highspy import _core
 
         monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 16)
         staircases, levels, columns = [], [], []
         staircase, shortlist_lp = solvers._staircase, solvers._shortlist_lp
         add_cols = _core._Highs.addCols
-        monkeypatch.setattr(solvers, "_staircase", lambda ca, cb: staircases.append(ca.size)
-                            or staircase(ca, cb))
-        monkeypatch.setattr(solvers, "_shortlist_lp", lambda cost, wa, wb, dim, u, v, start:
-                            levels.append((cost, u, v, start))
-                            or shortlist_lp(cost, wa, wb, dim, u, v, start))
+        monkeypatch.setattr(solvers, "_staircase", lambda ca, cb:
+                            staircases.append(staircase(ca, cb)) or staircases[-1])
+        monkeypatch.setattr(solvers, "_shortlist_lp", lambda cost, wa, wb, dim, u, v:
+                            levels.append((cost, u.copy(), v.copy()))
+                            or shortlist_lp(cost, wa, wb, dim, u, v))
         monkeypatch.setattr(_core._Highs, "addCols", lambda self, k, costs, *rest:
                             columns.append((self, np.array(costs), np.array(rest[4])))
                             or add_cols(self, k, costs, *rest))
@@ -619,19 +619,23 @@ class TestExactOT:
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
         assert sorted({s.level for s in res.solves}, reverse=True) == [1, 0]
-        assert staircases == [res.solves[0].atoms[0]]
-        # Level 0's first columns: the spread's cells first, at nonzero seeds.
-        cost, u, v, (si, sj) = levels[-1]
-        model = columns[-1][0]
-        _, costs, rows = next(call for call in columns if call[0] is model)
-        n, k = cost.shape[0], si.size
-        ii, jj = rows[0::2], rows[1::2] - n
-        assert k > next(s.pairs for s in res.solves if s.level == 1)
-        assert np.array_equal(ii[:k], si) and np.array_equal(jj[:k], sj)
+        assert len(staircases) == len(levels) == 2
+        models = list(dict.fromkeys(call[0] for call in columns))
+        assert len(models) == len(levels)
+        for model, (cost, u, v), (si, sj) in zip(models, levels, staircases):
+            calls = [(costs, rows) for owner, costs, rows in columns if owner is model]
+            costs = np.concatenate([c for c, _ in calls])
+            rows = np.concatenate([r for _, r in calls])
+            (n, m), k = cost.shape, si.size
+            ii, jj = rows[0::2], rows[1::2] - n
+            assert k == n + m - 1
+            assert np.array_equal(ii[:k], si) and np.array_equal(jj[:k], sj)
+            scale = PRICE_RTOL * max(1.0, float(cost.max()))
+            assert costs.min() >= -scale
+            assert np.abs(costs - (cost[ii, jj] - u[ii] - v[jj])).max() <= scale
+        # Level 0 opens at the seeds from level 1, not at zero.
+        _, u, v = levels[-1]
         assert min(np.abs(u).max(), np.abs(v).max()) > 0.1
-        scale = PRICE_RTOL * max(1.0, float(cost.max()))
-        assert costs.min() >= -scale
-        assert np.abs(costs - (cost[ii, jj] - u[ii] - v[jj])).max() <= scale
 
     def test_pricing_selects_only_when_some_pair_violates(self, monkeypatch):
         # Each level of this pair takes one solve, so _smallest_per_line runs
@@ -1104,21 +1108,6 @@ class TestFactoredKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * lam.spec.n_points * mu.spec.n_points
-
-
-def test_spread_matches_per_block_pair_loop():
-    # The finer level's start: every atom pair of each block pair that
-    # carries coarse mass, in row-major order.
-    rng = np.random.default_rng(3)
-    parent_a = rng.permutation(np.concatenate([np.arange(4), rng.integers(0, 4, 7)]))
-    parent_b = rng.permutation(np.concatenate([np.arange(3), rng.integers(0, 3, 5)]))
-    big_i, big_j = (a.ravel() for a in np.indices((4, 3)))
-    x = rng.random(big_i.size) * (rng.random(big_i.size) < 0.6)
-    ii, jj = solvers._spread((big_i, big_j), x, parent_a, parent_b)
-    expected = sorted((i, j) for bi, bj, mass in zip(big_i, big_j, x) if mass > 0
-                      for i in np.flatnonzero(parent_a == bi).tolist()
-                      for j in np.flatnonzero(parent_b == bj).tolist())
-    assert list(zip(ii.tolist(), jj.tolist())) == expected
 
 
 def odd_extent_pair():
