@@ -38,17 +38,19 @@ __all__ = [
     "require_dense_size",
 ]
 
-# Both solvers hold several n x m float arrays at once: Sinkhorn on the dense
-# kernel, at its end, the cost, f + g - c, the plan and a product, and on the
-# factored kernel only the plan; exact OT the positive atoms' cost, the
-# reduced costs and an index array while it prices, then the plan.  Peaks
-# measured with tracemalloc, in n x m arrays: Sinkhorn 4.1-4.3 on the dense
-# kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 1.19 on the factored one
-# (2-d 20x20), exact OT 4.7 on a one-level 2-d LP (16x16), 3.2-3.4 on the
-# pyramid (20x20 to 32x32) and 1.2 (1-d, n = 512).  An input whose arrays would
-# pass DENSE_BYTES_LIMIT fails before they are allocated (Sinkhorn's dense
-# kernel when it forms the dense cost); so does a grid that no solve could
-# take, even against the smallest grid of its dimension (2^dim points).
+# The solvers hold n x m arrays: Sinkhorn on the dense kernel, at its end, the
+# cost, f + g - c, the plan and a product; the 2-d LP its finest level's cost
+# and a bool shortlist mask, as it reads the reduced costs in row blocks.  The
+# factored Sinkhorn and exact OT form the plan on first read.  tracemalloc
+# peaks with the plan unread, in n x m arrays: Sinkhorn 4.1-4.4 on the dense
+# kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 0.09 on the factored one
+# (2-d 20x20); exact OT 2.2 on a one-level 2-d LP (16x16), 1.3-1.6 on the
+# pyramid (32x32 to 20x20) and 0.09 in 1-d (n = 512).  EXACT_OT_DENSE_ARRAYS
+# stays 6: a smaller count admits larger grids, whose LP time is unmeasured.
+# An input whose arrays would pass DENSE_BYTES_LIMIT fails before they are
+# allocated (Sinkhorn's dense kernel when it forms the dense cost); so does a
+# grid that no solve could take, even against the smallest grid of its
+# dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_DENSE_ARRAYS = 5
 SINKHORN_PLAN_ARRAYS = 2

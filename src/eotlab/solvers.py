@@ -8,15 +8,17 @@ epsilon has the units of a distance.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError, SizeError
-from .grids import (DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS, SINKHORN_DENSE_ARRAYS,
-                    SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec, require_dense_size,
-                    squared_distances)
+from .grids import (_PAIR_BLOCK, DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS,
+                    SINKHORN_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec,
+                    require_dense_size, squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -71,8 +73,18 @@ class SinkhornStage:
 
 
 @dataclass
-class SinkhornResult:
-    plan: Coupling
+class _PlanOnRead:
+    """A solver result whose dense n x m plan ``_build_plan`` builds, from
+    what the solve holds, on first read of ``plan``; the plan is cached."""
+    _build_plan: Callable[[], Coupling] = field(repr=False, compare=False)
+
+    @cached_property
+    def plan(self) -> Coupling:
+        return self._build_plan()
+
+
+@dataclass
+class SinkhornResult(_PlanOnRead):
     f: np.ndarray
     g: np.ndarray
     epsilon: float
@@ -100,8 +112,7 @@ class LPSolve:
 
 
 @dataclass
-class ExactOTResult:
-    plan: Coupling
+class ExactOTResult(_PlanOnRead):
     cost: float
     method: str
     duality_gap: float
@@ -208,8 +219,8 @@ def sinkhorn(
     When _separable holds, a stage whose factors exp(f/eps^2) a and
     exp(g/eps^2) b lie in those bounds keeps K as diag(exp(f/eps^2) a) (G_1
     (x) G_2) diag(exp(g/eps^2) b), with G_k = exp(-(x_k - y_k)^2/eps^2) on
-    axis k, and no n x m array is formed but the plan; any other stage, and
-    every stage after an absorption, uses the dense kernel.
+    axis k, and no n x m array is formed; any other stage, and every stage
+    after an absorption, uses the dense kernel.
 
     Every CHECK_EVERY-th iteration is plain (omega = 1) and reads the
     marginal error.  A stage starts plain.  From the second check on, each
@@ -226,7 +237,8 @@ def sinkhorn(
 
     Marginals are normalized to probability internally; the returned plan,
     potentials, cost and entropy refer to the original mass scale, and the
-    plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise.
+    plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise.  A
+    factored solve forms the dense plan on first read of ``plan``.
     """
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
@@ -442,9 +454,12 @@ def sinkhorn(
         potentials = float(np.sum(a_grid * (f.reshape(a_grid.shape) * (g1 @ b_grid @ g2.T)
                                              + g1 @ (g.reshape(b_grid.shape) * b_grid) @ g2.T)))
         entropy_sub = (potentials - primal_sub) / eps2
-        full = np.kron(g1, g2)
-        full *= alpha[:, None]
-        full *= (mass * beta)[None, :]
+
+        def build_plan() -> np.ndarray:
+            full = np.kron(g1, g2)
+            full *= alpha[:, None]
+            full *= (mass * beta)[None, :]
+            return full
     else:
         # Free the kernel before the plan, and f + g - c once the entropy has
         # it: at most four n x m arrays are alive at once from here on.
@@ -458,6 +473,7 @@ def sinkhorn(
         del fgc
         full = np.zeros((lam.spec.n_points, mu.spec.n_points))
         full[np.ix_(rows, cols)] = mass * plan_sub
+        build_plan = lambda: full
     f_full = np.zeros(lam.spec.n_points)
     g_full = np.zeros(mu.spec.n_points)
     f_full[rows] = f - eps2 * np.log(mass)
@@ -474,7 +490,7 @@ def sinkhorn(
             STOP_REASONS[stop],
         )
     return SinkhornResult(
-        plan=Coupling(source=lam, target=mu, mass=full, epsilon=epsilon),
+        _build_plan=lambda: Coupling(source=lam, target=mu, mass=build_plan(), epsilon=epsilon),
         f=f_full,
         g=g_full,
         epsilon=epsilon,
@@ -573,14 +589,15 @@ PYRAMID_ATOMS = 256
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Exact quadratic transport with a dual-feasibility certificate.
 
-    Dimension 1 uses the monotone coupling of the sorted supports; the
-    returned plan is its only n x m array.  Dimension 2 solves the transport
-    LP on a shortlist of pairs, coarse to fine, grown by pricing against each
-    level's cost; ``solves`` records each LP solve.  Both paths verify dual
-    feasibility over all pairs, complementary slackness, the marginals and a
-    vanishing duality gap before returning, in one certificate that reads the
-    cost on the plan's cells and takes c-transforms over the grids through
-    lower envelopes of parabolas.  An input whose dense arrays would pass
+    Dimension 1 uses the monotone coupling of the sorted supports and forms
+    no n x m array.  Dimension 2 solves the transport LP on a shortlist of
+    pairs, coarse to fine, grown by pricing against each level's cost;
+    ``solves`` records each LP solve.  Both paths verify dual feasibility
+    over all pairs, complementary slackness, the marginals and a vanishing
+    duality gap before returning, in one certificate that reads the cost on
+    the plan's cells and takes c-transforms over the grids through lower
+    envelopes of parabolas.  The dense plan is built from its cells on first
+    read of ``plan``.  An input whose dense arrays would pass
     DENSE_BYTES_LIMIT raises SizeError up front.
     """
     _require_equal_masses(lam, mu)
@@ -606,7 +623,7 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
     c_ij) = max_i (u_i - v^c_i) and the slack on the plan's support, both
     relative to the largest cost, and the plan's row-sum and column-sum
     errors, relative to the total mass.  Only v^c reads the cost off the
-    cells, through _c_transform_grid; the dense plan is built last."""
+    cells, through _c_transform_grid."""
     zero_i, zero_j = lam.weights == 0, mu.weights == 0
     if zero_j.any():
         v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])
@@ -626,11 +643,14 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
         raise CertificateError(
             f"optimality certificate failed (gap {gap:.3e}, violation {violation:.3e})"
         )
-    plan = np.zeros((u.size, v.size))
-    plan[ii, jj] = masses
-    return ExactOTResult(plan=Coupling(source=lam, target=mu, mass=plan), cost=primal,
-                         method=method, duality_gap=gap, feasibility_violation=violation,
-                         u=u, v=v, solves=solves)
+
+    def build_plan() -> Coupling:
+        plan = np.zeros((u.size, v.size))
+        plan[ii, jj] = masses
+        return Coupling(source=lam, target=mu, mass=plan)
+
+    return ExactOTResult(_build_plan=build_plan, cost=primal, method=method, duality_gap=gap,
+                         feasibility_violation=violation, u=u, v=v, solves=solves)
 
 
 def _staircase(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -649,8 +669,7 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     which on a line is sorted order, with the path's tree duals.  The
     quadratic cost is Monge on a line, so the tree duals of any staircase are
     feasible and its plan is optimal (Hoffman, "On simple linear programming
-    problems", 1963).  _certify reads the cost on the path's cells only, so
-    the plan is the only n x m array."""
+    problems", 1963).  _certify reads the cost on the path's cells only."""
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     # A path cell carries the overlap of its row's and its column's
     # cumulative-mass intervals, empty past the smaller total.  The sums run
@@ -726,15 +745,36 @@ def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _smallest_per_line(values: np.ndarray, k: int, below: float) -> np.ndarray:
-    """Mask of the ``k`` smallest entries of each row and of each column, kept
-    where they are below ``below``."""
-    mask = np.zeros(values.shape, dtype=bool)
-    for axis in (0, 1):
-        k_axis = min(k, values.shape[axis])
-        top = np.take(np.argpartition(values, k_axis - 1, axis=axis), np.arange(k_axis), axis=axis)
-        np.put_along_axis(mask, top, True, axis=axis)
-    return mask & (values < below)
+def _reduced_blocks(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    skip: np.ndarray | None = None, axis: int = 0):
+    """(lines, block) over blocks of about _PAIR_BLOCK**2 entries of the
+    reduced costs r_ij = (c_ij - u_i) - v_j, inf on the pairs of ``skip``: the
+    rows ``lines`` of r, or with ``axis`` 1 those of r.T, from row blocks of
+    cost.T.  Both round each entry in that order, as the dense r does."""
+    c, s = (cost, skip) if axis == 0 else (cost.T, None if skip is None else skip.T)
+    step = max(1, _PAIR_BLOCK**2 // max(1, c.shape[1]))
+    for start in range(0, c.shape[0], step):
+        lines = slice(start, start + step)
+        r = c[lines] - (u[lines, None] if axis == 0 else u)
+        r -= v if axis == 0 else v[lines, None]
+        if s is not None:
+            r[s[lines]] = np.inf
+        yield lines, r
+
+
+def _smallest_per_line(cost: np.ndarray, u: np.ndarray, v: np.ndarray, k: int, below: float,
+                       skip: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the ``k`` smallest reduced costs (c_ij - u_i) - v_j of each row
+    and of each column, the pairs of ``skip`` reading inf, kept where they are
+    below ``below``."""
+    mask = np.zeros(cost.shape, dtype=bool)
+    for axis, lines_of in ((0, mask), (1, mask.T)):
+        for lines, r in _reduced_blocks(cost, u, v, skip, axis):
+            k_line = min(k, r.shape[1])
+            top = np.argpartition(r, k_line - 1, axis=1)[:, :k_line]
+            i, j = np.nonzero(np.take_along_axis(r, top, axis=1) < below)
+            lines_of[lines][i, top[i, j]] = True
+    return mask
 
 
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -801,8 +841,8 @@ def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
 
 
 def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """min_j (c_ij - v_j) for each row i of ``cost``."""
-    return np.min(cost - v[None, :], axis=1)
+    """min_j (c_ij - v_j) for each row i of ``cost``, in row blocks."""
+    return np.concatenate([r.min(axis=1) for _, r in _reduced_blocks(cost, np.zeros(len(cost)), v)])
 
 
 def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
@@ -839,7 +879,7 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
                       np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
 
     si, sj = _staircase(np.cumsum(wa), np.cumsum(wb))
-    chosen = _smallest_per_line(cost_s - u[:, None] - v[None, :], near, np.inf)
+    chosen = _smallest_per_line(cost_s, u, v, near, np.inf)
     chosen[si, sj] = False
     rest = np.nonzero(chosen)
     chosen[si, sj] = True
@@ -856,12 +896,10 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         solution = model.getSolution()
         duals = np.asarray(solution.row_dual)
         u_s, v_s = duals[:n] + u, duals[n:] + v
-        reduced = cost_s - u_s[:, None] - v_s[None, :]
-        reduced[chosen] = np.inf
-        if reduced.min() >= -threshold:
+        if min(r.min() for _, r in _reduced_blocks(cost_s, u_s, v_s, chosen)) >= -threshold:
             rounds.append((ii.size, 0, iterations))
             break
-        violated = _smallest_per_line(reduced, batch, -threshold)
+        violated = _smallest_per_line(cost_s, u_s, v_s, batch, -threshold, chosen)
         rounds.append((ii.size, int(np.count_nonzero(violated)), iterations))
         chosen |= violated
         vi, vj = np.nonzero(violated)

@@ -643,8 +643,8 @@ class TestExactOT:
         # before the selection.
         calls = []
         smallest = solvers._smallest_per_line
-        monkeypatch.setattr(solvers, "_smallest_per_line", lambda values, k, below:
-                            calls.append(below) or smallest(values, k, below))
+        monkeypatch.setattr(solvers, "_smallest_per_line", lambda cost, u, v, k, below, skip=None:
+                            calls.append(below) or smallest(cost, u, v, k, below, skip))
         lam, mu = lp_pair_2d(20)
         res = exact_ot(lam, mu)
         assert [s.added for s in res.solves] == [0, 0] and len({s.level for s in res.solves}) == 2
@@ -1109,6 +1109,32 @@ class TestFactoredKernel:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * lam.spec.n_points * mu.spec.n_points
 
+    def test_plan_is_formed_on_first_read(self):
+        # With the plan unread, the factored solve forms no n x m array.  Read,
+        # the plan is alpha_i (G_1 (x) G_2)_ij mass beta_j, which the test
+        # forms from the returned potentials (mass 1, so f and g are the
+        # solve's own) in the same operations; a second read returns it again.
+        lam, mu = sinkhorn_pair_2d(20)
+        eps2 = 0.32 * 0.32
+        tracemalloc.start()
+        try:
+            res = sinkhorn(lam, mu, 0.32, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * lam.spec.n_points * mu.spec.n_points
+        assert res.mass == 1.0
+        alpha = np.exp(res.f / eps2 + np.log(lam.weights / lam.total_mass))
+        beta = np.exp(res.g / eps2 + np.log(mu.weights / mu.total_mass))
+        g1, g2 = (np.exp(-np.subtract.outer(x, y) ** 2 / eps2)
+                  for x, y in zip(lam.spec.axes, mu.spec.axes))
+        expected = np.kron(g1, g2)
+        expected *= alpha[:, None]
+        expected *= (res.mass * beta)[None, :]
+        plan = res.plan
+        assert np.array_equal(plan.mass, expected)
+        assert res.plan is plan
+
 
 def odd_extent_pair():
     """2-d source and target on grids of their own spacing, odd extents and
@@ -1191,3 +1217,21 @@ def test_lp_peak_memory_holds_no_full_cost():
         tracemalloc.stop()
     assert res.method == "lp_highs"
     assert peak <= 4 * 8 * lam.spec.n_points * mu.spec.n_points
+
+
+def test_lp_peak_memory_with_the_plan_unread():
+    # The LP reads each level's reduced costs in row blocks, and the plan is
+    # built from its cells on first read: with the plan unread, the finest
+    # level's cost and its shortlist mask are the only n x m arrays.
+    lam, mu = lp_pair_2d(20)
+    tracemalloc.start()
+    try:
+        res = exact_ot(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "lp_highs"
+    assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
+    plan = res.plan
+    assert res.plan is plan
+    assert abs(float(np.sum(plan.mass * plan.cost_matrix)) - res.cost) <= 1e-12 * res.cost
