@@ -931,16 +931,23 @@ def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair, pyramid):
 
 
 @st.composite
-def sinkhorn_grid_pairs(draw):
+def sinkhorn_grid_pairs(draw, zero_atoms=True):
     """Two 2-d grid measures of 2 to 12 points per axis, each on a grid of its
-    own extent, spacing and origin, with every atom of positive weight and
-    equal total masses, and an epsilon of 0.3 to 8 of the larger spacing."""
+    own extent, spacing and origin, with equal total masses, and an epsilon
+    of 0.3 to 8 of the larger spacing.  Every atom has positive weight, or,
+    in about half the examples when ``zero_atoms`` holds, a fifth of each
+    side's atoms (at least one) have weight 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sparse = zero_atoms and rng.random() < 0.5
+
     def side():
         extent = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
         spec = GridSpec(dim=2, h=draw(st.floats(0.05, 0.5)), extent=extent,
                         origin_offset=tuple(draw(st.floats(0.0, 1.0)) * (n - 1) for n in extent))
         w = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=spec.n_points,
                                      max_size=spec.n_points)))
+        if sparse:
+            w[rng.choice(w.size, size=max(1, round(0.2 * w.size)), replace=False)] = 0.0
         return GridMeasure(spec=spec, weights=w / w.sum(), alpha=0.5)
 
     lam, mu = side(), side()
@@ -972,7 +979,7 @@ def test_sinkhorn_2d_result_consistent_on_random_pairs(case):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=sinkhorn_grid_pairs())
+@given(case=sinkhorn_grid_pairs(zero_atoms=False))
 def test_separable_cost_max_is_the_dense_maximum(case):
     # On product grids the largest squared distance is the sum of the
     # per-axis maxima, in the same bits as the maximum of the dense cost.
