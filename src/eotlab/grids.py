@@ -32,27 +32,25 @@ __all__ = [
     "load_measure",
     "DENSITY_KINDS",
     "DENSE_BYTES_LIMIT",
-    "SINKHORN_DENSE_ARRAYS",
     "SINKHORN_PLAN_ARRAYS",
     "EXACT_OT_DENSE_ARRAYS",
     "require_dense_size",
 ]
 
-# The solvers hold n x m arrays: Sinkhorn on the dense kernel, at its end, the
-# cost, f + g - c, the plan and a product; the 2-d LP its finest level's cost
-# and a bool shortlist mask, as it reads the reduced costs in row blocks.  The
-# factored Sinkhorn and exact OT form the plan on first read.  tracemalloc
-# peaks with the plan unread, in n x m arrays: Sinkhorn 4.1-4.4 on the dense
-# kernel (1-d n = 256/512, 2-d 16x16 and 20x20) and 0.09 on the factored one
-# (2-d 20x20); exact OT 2.2 on a one-level 2-d LP (16x16), 1.3-1.6 on the
-# pyramid (32x32 to 20x20) and 0.09 in 1-d (n = 512).  EXACT_OT_DENSE_ARRAYS
-# stays 6: a smaller count admits larger grids, whose LP time is unmeasured.
-# An input whose arrays would pass DENSE_BYTES_LIMIT fails before they are
-# allocated (Sinkhorn's dense kernel when it forms the dense cost); so does a
-# grid that no solve could take, even against the smallest grid of its
-# dimension (2^dim points).
+# The solvers hold n x m arrays: Sinkhorn in d = 1 its cost and kernel factor
+# (in d = 2 these are per axis), the 2-d LP its finest level's cost and a bool
+# shortlist mask, as it reads the reduced costs in row blocks; both form the
+# plan on first read.  tracemalloc peaks with the plan unread, in n x m
+# arrays: Sinkhorn 3.0-3.1 in 1-d (n = 256/512) and 0.03-0.08 in 2-d (20x20,
+# 32x32); exact OT 2.2 on a one-level 2-d LP (16x16), 1.3-1.6 on the pyramid
+# (32x32 to 20x20) and 0.09 in 1-d (n = 512).  Sinkhorn's guard counts the
+# plan's SINKHORN_PLAN_ARRAYS and its per-axis arrays, three n x m ones in
+# d = 1.  EXACT_OT_DENSE_ARRAYS stays 6: a smaller count admits larger grids,
+# whose LP time is unmeasured.  An input whose arrays would pass
+# DENSE_BYTES_LIMIT fails before they are allocated; so does a grid that no
+# solve could take, even against the smallest grid of its dimension (2^dim
+# points).
 DENSE_BYTES_LIMIT = 2**30
-SINKHORN_DENSE_ARRAYS = 5
 SINKHORN_PLAN_ARRAYS = 2
 EXACT_OT_DENSE_ARRAYS = 6
 

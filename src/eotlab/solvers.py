@@ -8,6 +8,7 @@ epsilon has the units of a distance.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,8 +18,8 @@ import numpy as np
 from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError, SizeError
 from .grids import (_PAIR_BLOCK, DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS,
-                    SINKHORN_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec,
-                    require_dense_size, squared_distances)
+                    SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec, require_dense_size,
+                    squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -35,10 +36,9 @@ logger = logging.getLogger("eotlab.solvers")
 
 MASS_RTOL = 1e-12
 # Sinkhorn scalings are absorbed into the log potentials once they leave
-# (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel entry dropped below
-# ABSORB_BOUND * tiny then stands for a plan entry below 1e-157, far under any
-# marginal tolerance.  The factored kernel's outer factors keep to the same
-# bounds, so a dropped entry of an axis factor stands for one below 1e-57.
+# (1/ABSORB_BOUND, ABSORB_BOUND).  A kernel factor entry dropped below
+# ABSORB_BOUND * tiny then stands for a plan entry below 1e-157 times the
+# kernel's other factors, far under any marginal tolerance.
 ABSORB_BOUND = 1e50
 # Over-relaxed Sinkhorn converges for factors in (0, 2) (Lehmann et al., Optim.
 # Lett. 16, 2022); OMEGA_MAX keeps the factor off that edge, where the relaxed
@@ -62,12 +62,14 @@ STOP_REASONS = {
 @dataclass
 class SinkhornStage:
     """One epsilon stage of a Sinkhorn solve: its iterations, the relaxation
-    factor it ended with, the checks it rolled back, the marginal error it
-    exited with and why it stopped (one of STOP_REASONS)."""
+    factor it ended with, the checks it rolled back, the absorptions its kept
+    iterates went through, the marginal error it exited with and why it
+    stopped (one of STOP_REASONS)."""
     epsilon: float
     iterations: int
     omega: float
     rollbacks: int
+    absorptions: int
     marg_err: float
     stop: str
 
@@ -134,51 +136,60 @@ def _require_equal_masses(lam: GridMeasure, mu: GridMeasure) -> float:
 
 def _positive_atoms(lam: GridMeasure, mu: GridMeasure) -> tuple[np.ndarray, ...]:
     """(rows, cols, wa, wb): the indices and weights of the positive-weight
-    atoms of ``lam`` and ``mu``.  The solvers work on these; the other atoms
+    atoms of ``lam`` and ``mu``.  Exact OT works on these; the other atoms
     carry no mass."""
     rows = np.nonzero(lam.weights > 0)[0]
     cols = np.nonzero(mu.weights > 0)[0]
     return rows, cols, lam.weights[rows], mu.weights[cols]
 
 
-def _softmin(cost: np.ndarray, work: np.ndarray, pot: np.ndarray, log_w: np.ndarray,
-             eps2: float) -> np.ndarray:
-    """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j) for each row i of
-    ``cost``, stabilized by the row maximum; ``work`` is scratch of cost's shape.
-    The column sweep passes the transposed views ``cost.T`` and ``work.T``."""
-    np.subtract((pot + eps2 * log_w)[None, :], cost, out=work)
-    np.divide(work, eps2, out=work)
-    peak = work.max(axis=1)
-    np.subtract(work, peak[:, None], out=work)
-    np.exp(work, out=work)
-    return -eps2 * (np.log(work.sum(axis=1)) + peak)
+def _softmin(axis_costs: list[np.ndarray], pot: np.ndarray, log_w: np.ndarray, eps2: float,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j) for each point i of
+    the source grid, c_ij = sum_k c_k[i_k, j_k], with ``pot`` and ``log_w`` on
+    the target grid: one log-sum-exp pass per axis, each stabilized by its
+    maximum; ``work`` is scratch for the one pass of d = 1.  The column sweep
+    passes the transposed axis costs and scratch."""
+    p = (pot + eps2 * log_w).reshape([c.shape[1] for c in axis_costs])
+    for k, c in enumerate(axis_costs):
+        terms = np.subtract(np.moveaxis(p, k, -1)[..., None, :], c, out=work)
+        np.divide(terms, eps2, out=terms)
+        peak = terms.max(axis=-1)
+        # A grid line of zero-weight atoms has peak -inf, and its sum is 0.
+        np.maximum(peak, np.finfo(float).min, out=peak)
+        np.subtract(terms, peak[..., None], out=terms)
+        np.exp(terms, out=terms)
+        p = np.moveaxis(eps2 * (np.log(terms.sum(axis=-1)) + peak), -1, k)
+    return -p.ravel()
+
+
+def _split(p: np.ndarray, extent: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The per-axis parts p_k and the residual r of ``p`` on a grid of
+    ``extent``, p = sum_k p_k(x_k) + r: part k is the mean over the other axes
+    of what the parts before it leave.  In d = 1, p_1 = p and r = 0."""
+    rest = p.reshape(extent).copy()
+    parts = []
+    for k in range(len(extent)):
+        other = tuple(a for a in range(len(extent)) if a != k)
+        parts.append(rest.mean(axis=other))
+        rest -= np.expand_dims(parts[-1], other)
+    return parts, rest.ravel()
+
+
+def _kron_matvec(factors: list[np.ndarray], x: np.ndarray, out: np.ndarray) -> None:
+    """out <- (G_1 (x) ... (x) G_d) x: one small matrix product per axis on
+    the grid shapes (Solomon et al., ACM TOG 34(4), 2015)."""
+    if len(factors) == 1:
+        np.matmul(factors[0], x, out=out)
+    else:
+        g1, g2 = factors
+        np.matmul(g1 @ x.reshape(g1.shape[1], g2.shape[1]), g2.T,
+                  out=out.reshape(g1.shape[0], g2.shape[0]))
 
 
 def _bounded(scaling: np.ndarray) -> bool:
     """True if every entry lies strictly inside (1/ABSORB_BOUND, ABSORB_BOUND)."""
     return 1.0 / ABSORB_BOUND < scaling.min() and scaling.max() < ABSORB_BOUND
-
-
-def _separable(lam: GridMeasure, mu: GridMeasure) -> bool:
-    """True if the Sinkhorn kernel factors over the grid axes: in d = 2 with
-    every atom of both measures positive, the positive atoms are the whole
-    product grids, and c_ij is a sum of per-axis squared distances."""
-    return lam.dim == 2 and bool(np.all(lam.weights > 0) and np.all(mu.weights > 0))
-
-
-def _product_kernel(alpha: np.ndarray, beta: np.ndarray, g1: np.ndarray, g2: np.ndarray):
-    """K v and K^T u, each written into ``out``, for K = diag(alpha) (G_1 (x)
-    G_2) diag(beta): two small matrix products on the grid shapes (Solomon
-    et al., ACM TOG 34(4), 2015)."""
-    shape_a, shape_b = (g1.shape[0], g2.shape[0]), (g1.shape[1], g2.shape[1])
-
-    def k(v: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(alpha, (g1 @ (beta * v).reshape(shape_b) @ g2.T).ravel(), out=out)
-
-    def kt(u: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(beta, (g1.T @ (alpha * u).reshape(shape_a) @ g2).ravel(), out=out)
-
-    return k, kt
 
 
 def _epsilon_ladder(epsilon: float, cost_max: float) -> list[float]:
@@ -208,19 +219,19 @@ def sinkhorn(
     max_iter: int = 100_000,
 ) -> SinkhornResult:
     """Over-relaxed Sinkhorn iteration at temperature epsilon^2, in the
-    scaling domain.
+    scaling domain, on a kernel kept in per-axis factors.
 
     Each stage of _epsilon_ladder opens by absorbing the centred potentials
-    (f, g) into the kernel K = exp((f + g - c)/eps^2) * (a (x) b), and the
-    iteration runs on scalings: u <- u (a / (u K v))^omega, v <- v (b / (v
-    K^T u))^omega.  A scaling that leaves (1/ABSORB_BOUND, ABSORB_BOUND), or
-    turns non-finite or zero, sends that iteration through a plain log-domain
-    sweep and a new kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
-    When _separable holds, a stage whose factors exp(f/eps^2) a and
-    exp(g/eps^2) b lie in those bounds keeps K as diag(exp(f/eps^2) a) (G_1
-    (x) G_2) diag(exp(g/eps^2) b), with G_k = exp(-(x_k - y_k)^2/eps^2) on
-    axis k, and no n x m array is formed; any other stage, and every stage
-    after an absorption, uses the dense kernel.
+    (f, g) into K = diag(alpha) (G_1 (x) ... (x) G_d) diag(beta) (Solomon et
+    al., ACM TOG 34(4), 2015): _split's per-axis parts of f and g go into the
+    factors G_k = exp((f_k + g_k - (x_k - y_k)^2)/eps^2), their residuals r
+    and s into alpha = exp(r/eps^2) a and beta = exp(s/eps^2) b, and no n x m
+    array is formed.  The iteration runs on scalings: u <- u (a / (u K
+    v))^omega and v <- v (b / (v K^T u))^omega, with a / alpha read as
+    exp(-r/eps^2), finite on zero-weight atoms.  A scaling that leaves
+    (1/ABSORB_BOUND, ABSORB_BOUND), or turns non-finite or zero, sends that
+    iteration through a plain log-domain sweep, one pass per axis, and a new
+    kernel (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).
 
     Every CHECK_EVERY-th iteration is plain (omega = 1) and reads the
     marginal error.  A stage starts plain.  From the second check on, each
@@ -237,88 +248,76 @@ def sinkhorn(
 
     Marginals are normalized to probability internally; the returned plan,
     potentials, cost and entropy refer to the original mass scale, and the
-    plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise.  A
-    factored solve forms the dense plan on first read of ``plan``.
+    plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise (f and
+    g are 0 on zero-weight atoms).  The cost and entropy are contractions of
+    the factors; the plan is formed from its exponents on first read of
+    ``plan``.  An input whose plan and per-axis arrays would pass
+    DENSE_BYTES_LIMIT raises SizeError up front.
     """
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
+    if lam.dim != mu.dim:
+        raise DomainError("source and target dimensions differ")
     mass = _require_equal_masses(lam, mu)
-    require_dense_size(lam.spec.n_points, mu.spec.n_points, SINKHORN_PLAN_ARRAYS, "sinkhorn")
+    extent_a, extent_b = lam.spec.extent, mu.spec.extent
+    n, m = lam.spec.n_points, mu.spec.n_points
+    # Per axis k the solve holds the cost c_k, the factor G_k and at times a
+    # log-domain sweep's pass over axis k: all three are n x m in d = 1.
+    per_axis = sum(2 * a * b + math.prod(extent_a[:k + 1]) * math.prod(extent_b[k:])
+                   for k, (a, b) in enumerate(zip(extent_a, extent_b)))
+    require_dense_size(n, m, SINKHORN_PLAN_ARRAYS + per_axis / (n * m), "sinkhorn")
 
-    rows, cols, wa, wb = _positive_atoms(lam, mu)
-    la, mb = wa / lam.total_mass, wb / mu.total_mass
-    n, m = rows.size, cols.size
-    # Per-axis squared distances, whose sums are the cost.  The cost and the
-    # dense kernel `work`, which the log-domain sweeps use as scratch, are
-    # formed once a stage needs them, and kept.
-    axis_costs = ([np.subtract.outer(x, y) ** 2 for x, y in zip(lam.spec.axes, mu.spec.axes)]
-                  if _separable(lam, mu) else None)
-    cost = work = None
-
-    def densify() -> None:
-        nonlocal cost, work
-        if cost is None:
-            require_dense_size(lam.spec.n_points, mu.spec.n_points, SINKHORN_DENSE_ARRAYS,
-                               "sinkhorn")
-            cost = squared_distances(lam.points[rows], mu.points[cols])
-            work = np.empty_like(cost)
-
-    if axis_costs is None:
-        densify()
-        cost_max = float(cost.max())
-    else:
-        cost_max = float(sum(c.max() for c in axis_costs))
+    axis_costs = [np.subtract.outer(x, y) ** 2 for x, y in zip(lam.spec.axes, mu.spec.axes)]
+    factors = [np.empty_like(c) for c in axis_costs]
+    factors_t = [factor.T for factor in factors]
+    cost_max = float(sum(c.max() for c in axis_costs))
     # f + g - c carries the rounding of the largest cost; past epsilon^2 the
     # Gibbs factors exp((f + g - c)/epsilon^2) are noise.
     if cost_max * np.finfo(float).eps > epsilon * epsilon:
         raise DomainError(f"epsilon^2 = {epsilon * epsilon:.3e} is below the rounding error of "
                           f"the largest squared distance {cost_max:.3e}; raise solver.epsilon")
-    log_la = np.log(la)
-    log_mb = np.log(mb)
+    la, mb = lam.weights / lam.total_mass, mu.weights / mu.total_mass
+    with np.errstate(divide="ignore"):
+        log_la, log_mb = np.log(la), np.log(mb)
+    # In d = 1 the log-domain sweeps use the factor as scratch; it is rebuilt
+    # right after.
+    work, work_t = (factors[0], factors_t[0]) if lam.dim == 1 else (None, None)
 
     ladder = _epsilon_ladder(epsilon, cost_max)
 
-    f = np.zeros(n)
-    g = np.zeros(m)
+    f, g = np.zeros(n), np.zeros(m)
     iterations = 0
     err_history: list[tuple[int, float]] = []
     stages: list[SinkhornStage] = []
     # The scalings u, v and their next values each share one buffer, so that
-    # one bounds test covers both; kv = K v and ktu = K^T u.
+    # one bounds test covers both.  kv = G (beta v) and ktu = G^T (alpha u)
+    # are K v and K^T u without their outer diagonals.
     uv, nxt = np.empty(n + m), np.empty(n + m)
     u, v, u_next, v_next = uv[:n], uv[n:], nxt[:n], nxt[n:]
     kv, ktu = np.empty(n), np.empty(m)
-    # apply_k(v, out) and apply_kt(u, out) write K v and K^T u.
-    apply_k = apply_kt = None
+    alpha = beta = inv_alpha = inv_beta = None
     drop = np.finfo(float).tiny * ABSORB_BOUND
 
     def build_kernel(eps2: float) -> None:
-        """Absorb f, g into the kernel, in factors while the solve has no
-        dense cost and the factors are in bounds; the scalings restart at 1."""
-        nonlocal apply_k, apply_kt
+        """Absorb f, g into the factors and the outer diagonals; the scalings
+        restart at 1."""
+        nonlocal alpha, beta, inv_alpha, inv_beta
         uv[:] = 1.0
-        if cost is None:
-            alpha, beta = np.exp(f / eps2 + log_la), np.exp(g / eps2 + log_mb)
-            if _bounded(alpha) and _bounded(beta):
-                factors = [np.exp(-c / eps2) for c in axis_costs]
-                for factor in factors:
-                    factor[factor < drop] = 0.0
-                apply_k, apply_kt = _product_kernel(alpha, beta, *factors)
-                apply_k(v, kv)  # the row sums: v is 1
-                return
-            densify()
-        np.add((f + eps2 * log_la)[:, None], (g + eps2 * log_mb)[None, :], out=work)
-        np.subtract(work, cost, out=work)
-        np.divide(work, eps2, out=work)
-        np.exp(work, out=work)
-        # Subnormal products make the matrix-vector products several times
-        # slower.  Entries below tiny * ABSORB_BOUND go, so that no entry times
-        # an in-bounds scaling is subnormal.
-        work[work < drop] = 0.0
-        np.sum(work, axis=1, out=kv)
-        apply_k = lambda x, out: np.matmul(work, x, out=out)
-        apply_kt = lambda x, out: np.matmul(work.T, x, out=out)
+        (f_parts, r), (g_parts, s) = _split(f, extent_a), _split(g, extent_b)
+        for factor, c, f_k, g_k in zip(factors, axis_costs, f_parts, g_parts):
+            np.add.outer(f_k, g_k, out=factor)
+            np.subtract(factor, c, out=factor)
+            np.divide(factor, eps2, out=factor)
+            np.exp(factor, out=factor)
+            # Subnormal products make the matrix products several times
+            # slower.  Entries below tiny * ABSORB_BOUND go, so that no entry
+            # times an in-bounds scaling is subnormal.
+            factor[factor < drop] = 0.0
+        alpha, beta = np.exp(r / eps2 + log_la), np.exp(s / eps2 + log_mb)
+        # a / alpha and b / beta, finite on zero-weight atoms too.
+        inv_alpha, inv_beta = np.exp(-r / eps2), np.exp(-s / eps2)
+        _kron_matvec(factors, beta, kv)  # v is 1
 
     def center() -> None:
         shift = float(np.mean(f))
@@ -351,37 +350,34 @@ def sinkhorn(
             stop, it = "stage_cap", 0
             for it in range(1, stage_iter + 1):
                 check = it % CHECK_EVERY == 0 or it == stage_iter
-                np.divide(la, kv, out=u_next)
+                np.divide(inv_alpha, kv, out=u_next)
                 if omega != 1.0:
                     relax(u_next, u, omega)
-                apply_kt(u_next, ktu)
-                np.divide(mb, ktu, out=v_next)
+                _kron_matvec(factors_t, alpha * u_next, ktu)
+                np.divide(inv_beta, ktu, out=v_next)
                 # A check ends on a plain v-update: its column marginal is
                 # exact, and the error is the row error, as in plain Sinkhorn.
                 if omega != 1.0 and not check:
                     relax(v_next, v, omega)
                 if _bounded(nxt):
                     uv[:] = nxt
-                    apply_k(v, kv)
+                    _kron_matvec(factors, beta * v, kv)
                 else:
                     # Redo this iteration as a plain log-domain sweep from the
                     # last scalings that stayed in bounds, then absorb the
-                    # potentials into a dense kernel.
-                    densify()
+                    # potentials into a new kernel.
                     g += eps2 * np.log(v)
-                    f = _softmin(cost, work, g, log_mb, eps2)
-                    g = _softmin(cost.T, work.T, f, log_la, eps2)
+                    f = _softmin(axis_costs, g, log_mb, eps2, work)
+                    g = _softmin([c.T for c in axis_costs], f, log_la, eps2, work_t)
                     center()
                     build_kernel(eps2)
-                    np.sum(work, axis=0, out=ktu)
+                    _kron_matvec(factors_t, alpha, ktu)
                     absorptions += 1
                 iterations += 1
                 if not check:
                     continue
-                err = max(
-                    float(np.sum(np.abs(u * kv - la))),
-                    float(np.sum(np.abs(v * ktu - mb))),
-                )
+                err = max(float(np.sum(np.abs(u * alpha * kv - la))),
+                          float(np.sum(np.abs(v * beta * ktu - mb))))
                 if omega > 1.0 and not err <= accepted:
                     # The relaxed iterations since the last accepted check made
                     # things worse: return to that check and relax less.
@@ -401,12 +397,9 @@ def sinkhorn(
                     continue
                 if final:
                     if err_history and err > err_history[-1][1] + 1e-12:
-                        logger.warning(
-                            "sinkhorn marginal error increased between checks "
-                            "(%.3e -> %.3e); this indicates a bug",
-                            err_history[-1][1],
-                            err,
-                        )
+                        logger.warning("sinkhorn marginal error increased between checks "
+                                       "(%.3e -> %.3e); this indicates a bug",
+                                       err_history[-1][1], err)
                     err_history.append((iterations, err))
                 accepted = err
                 saved = (f.copy(), g.copy(), uv.copy(), kv.copy(), absorptions)
@@ -438,61 +431,45 @@ def sinkhorn(
             f += eps2 * np.log(u)
             g += eps2 * np.log(v)
         center()
-        stages.append(SinkhornStage(float(eps), it, omega, rollbacks, accepted, stop))
+        stages.append(SinkhornStage(float(eps), it, omega, rollbacks, absorptions, accepted, stop))
 
     marg_err = stages[-1].marg_err
     eps2 = epsilon * epsilon
-    if cost is None:
-        # The plan alpha_i (G_1 (x) G_2)_ij beta_j.  Its cost and its
-        # relative entropy (sum_ij pi_ij (f_i + g_j - c_ij)) / eps^2 are
-        # contractions of the factors on the grid shapes.
-        alpha, beta = np.exp(f / eps2 + log_la), np.exp(g / eps2 + log_mb)
-        (g1, g2), (c1, c2) = [np.exp(-c / eps2) for c in axis_costs], axis_costs
-        a_grid, b_grid = alpha.reshape(lam.spec.extent), beta.reshape(mu.spec.extent)
-        primal_sub = float(np.sum(a_grid * ((g1 * c1) @ b_grid @ g2.T
-                                            + g1 @ b_grid @ (g2 * c2).T)))
-        potentials = float(np.sum(a_grid * (f.reshape(a_grid.shape) * (g1 @ b_grid @ g2.T)
-                                             + g1 @ (g.reshape(b_grid.shape) * b_grid) @ g2.T)))
-        entropy_sub = (potentials - primal_sub) / eps2
+    # The plan diag(alpha u) (G_1 (x) ... (x) G_d) diag(beta v) of the last
+    # iterate, whose row and column sums are au kv and bv ktu.  Its cost sums
+    # c_k over the plan for each axis k, and its relative entropy is (sum_ij
+    # pi_ij (f_i + g_j - c_ij)) / eps^2: contractions of the factors, with
+    # G_k c_k in the place of G_k for the cost of axis k.
+    au, bv = alpha * u, beta * v
+    potentials = float(np.sum(f * au * kv) + np.sum(g * bv * ktu))
+    primal_sub = 0.0
+    for k, c in enumerate(axis_costs):
+        _kron_matvec([g_a * c if a == k else g_a for a, g_a in enumerate(factors)], bv, kv)
+        primal_sub += float(np.sum(au * kv))
+    entropy_sub = (potentials - primal_sub) / eps2
 
-        def build_plan() -> np.ndarray:
-            full = np.kron(g1, g2)
-            full *= alpha[:, None]
-            full *= (mass * beta)[None, :]
-            return full
-    else:
-        # Free the kernel before the plan, and f + g - c once the entropy has
-        # it: at most four n x m arrays are alive at once from here on.
-        del work
-        fgc = f[:, None] + g[None, :] - cost
-        plan_sub = np.exp(fgc / eps2 + log_la[:, None] + log_mb[None, :])
-        primal_sub = float(np.sum(cost * plan_sub))
-        # Relative entropy of the normalized plan w.r.t. the normalized
-        # product, evaluated in the log domain (exact for the materialized plan).
-        entropy_sub = float(np.sum(plan_sub * fgc)) / eps2
-        del fgc
-        full = np.zeros((lam.spec.n_points, mu.spec.n_points))
-        full[np.ix_(rows, cols)] = mass * plan_sub
-        build_plan = lambda: full
-    f_full = np.zeros(lam.spec.n_points)
-    g_full = np.zeros(mu.spec.n_points)
-    f_full[rows] = f - eps2 * np.log(mass)
-    g_full[cols] = g
+    def build_plan() -> np.ndarray:
+        # mass exp((f_i + g_j - c_ij)/eps^2 + log a_i + log b_j) in one buffer.
+        plan = squared_distances(lam.points, mu.points)
+        np.subtract(f[:, None], plan, out=plan)
+        plan += g[None, :]
+        plan /= eps2
+        plan += log_la[:, None]
+        plan += log_mb[None, :]
+        np.exp(plan, out=plan)
+        plan *= mass
+        return plan
+
 
     converged = marg_err <= tol
     if not converged:
         stop = stages[-1].stop
-        logger.warning(
-            "sinkhorn did not converge (%s): marginal error %.3e after %d iterations; %s",
-            stop,
-            marg_err,
-            iterations,
-            STOP_REASONS[stop],
-        )
+        logger.warning("sinkhorn did not converge (%s): marginal error %.3e after %d "
+                       "iterations; %s", stop, marg_err, iterations, STOP_REASONS[stop])
     return SinkhornResult(
         _build_plan=lambda: Coupling(source=lam, target=mu, mass=build_plan(), epsilon=epsilon),
-        f=f_full,
-        g=g_full,
+        f=np.where(lam.weights > 0, f - eps2 * np.log(mass), 0.0),
+        g=np.where(mu.weights > 0, g, 0.0),
         epsilon=epsilon,
         iterations=iterations,
         marg_err=marg_err,

@@ -407,7 +407,8 @@ class TestStageRecords:
     """``solve``'s summary.json and each single-solve experiment's trace.json
     carry the solve's epsilon stages."""
 
-    STAGE_KEYS = {"epsilon", "iterations", "omega", "rollbacks", "marg_err", "stop"}
+    STAGE_KEYS = {"epsilon", "iterations", "omega", "rollbacks", "absorptions", "marg_err",
+                  "stop"}
 
     @pytest.mark.parametrize("command, experiment, output", [
         ("solve", {}, "summary.json"),

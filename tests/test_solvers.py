@@ -97,21 +97,24 @@ def single_stage(monkeypatch):
     monkeypatch.setattr(solvers, "_epsilon_ladder", lambda epsilon, cost_max: [epsilon])
 
 
-def log_domain_reference(lam, mu, ladder, tol):
-    """Plain log-domain Sinkhorn on 1-d measures with positive weights, with
-    sinkhorn's stage rules; returns the normalized plan and the iterations."""
+def log_domain_reference(lam, mu, ladder, tol, max_iter=100_000):
+    """Plain log-domain Sinkhorn on the dense cost, with sinkhorn's stage
+    rules and ``max_iter``; returns the normalized plan and the iterations."""
     a, b = lam.weights / lam.total_mass, mu.weights / mu.total_mass
-    c = (lam.points[:, 0][:, None] - mu.points[:, 0][None, :]) ** 2
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+    c = squared_distances(lam.points, mu.points)
     f, g, iterations = np.zeros(a.size), np.zeros(b.size), 0
     for stage, eps in enumerate(ladder):
         final, e2 = stage == len(ladder) - 1, eps**2
-        for it in range(1, (100_000 if final else 200) + 1):
-            f = -e2 * logsumexp((g[None, :] - c) / e2 + np.log(b)[None, :], axis=1)
-            g = -e2 * logsumexp((f[:, None] - c) / e2 + np.log(a)[:, None], axis=0)
+        stage_iter = max_iter if final else 200
+        for it in range(1, stage_iter + 1):
+            f = -e2 * logsumexp((g[None, :] - c) / e2 + log_b[None, :], axis=1)
+            g = -e2 * logsumexp((f[:, None] - c) / e2 + log_a[:, None], axis=0)
             iterations += 1
-            if it % solvers.CHECK_EVERY:
+            if it % solvers.CHECK_EVERY and it < stage_iter:
                 continue
-            plan = np.exp((f[:, None] + g[None, :] - c) / e2) * a[:, None] * b[None, :]
+            plan = np.exp((f[:, None] + g[None, :] - c) / e2 + log_a[:, None] + log_b[None, :])
             err = max(np.abs(plan.sum(1) - a).sum(), np.abs(plan.sum(0) - b).sum())
             if err <= (tol if final else max(tol, 1e-3)):
                 break
@@ -146,6 +149,11 @@ class TestSinkhorn:
         # 1e-170 is positive, but its square underflows to zero.
         with pytest.raises(DomainError, match="epsilon"):
             sinkhorn(uniform_1d, uniform_1d, eps)
+
+    def test_dimension_mismatch_rejected(self, uniform_1d, uniform_2d):
+        # The kernel has one factor per axis, so the two grids must share them.
+        with pytest.raises(DomainError, match="dimensions differ"):
+            sinkhorn(uniform_1d, uniform_2d, 0.3)
 
     def test_epsilon_below_cost_rounding_rejected(self):
         # On a grid of spacing 2.5e14 the squared distances round by more
@@ -369,6 +377,16 @@ class TestGibbsIdentity:
             spec, lambda p: 1.0 + 0.2 * np.sin(3 * p[:, 0]), alpha=0.5, normalize=True
         )
         res = sinkhorn(lam, lam, epsilon=0.12, tol=1e-11)
+        assert gibbs_identity_check(res, n_samples=2000, seed=1) <= 1e-6
+
+    @pytest.mark.parametrize("n", [32, 48])
+    def test_converged_2d_plan_satisfies_identity(self, n):
+        # On the size pair at eps 0.05, a plan formed as the product of the
+        # solve's untruncated factors missed the bar by up to three orders
+        # of magnitude.
+        lam, mu = sinkhorn_pair_2d(n)
+        res = sinkhorn(lam, mu, epsilon=0.05, tol=1e-9)
+        assert res.converged
         assert gibbs_identity_check(res, n_samples=2000, seed=1) <= 1e-6
 
     def test_product_plan_with_flat_potentials(self):
@@ -931,14 +949,14 @@ def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair, pyramid):
 
 
 @st.composite
-def sinkhorn_grid_pairs(draw, zero_atoms=True):
+def sinkhorn_grid_pairs(draw):
     """Two 2-d grid measures of 2 to 12 points per axis, each on a grid of its
     own extent, spacing and origin, with equal total masses, and an epsilon
     of 0.3 to 8 of the larger spacing.  Every atom has positive weight, or,
-    in about half the examples when ``zero_atoms`` holds, a fifth of each
-    side's atoms (at least one) have weight 0."""
+    in about a third of the examples, a fifth of each side's atoms (at least
+    one) have weight 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sparse = zero_atoms and rng.random() < 0.5
+    sparse = rng.random() < 0.5
 
     def side():
         extent = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
@@ -979,10 +997,11 @@ def test_sinkhorn_2d_result_consistent_on_random_pairs(case):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=sinkhorn_grid_pairs(zero_atoms=False))
+@given(case=sinkhorn_grid_pairs())
 def test_separable_cost_max_is_the_dense_maximum(case):
     # On product grids the largest squared distance is the sum of the
-    # per-axis maxima, in the same bits as the maximum of the dense cost.
+    # per-axis maxima, in the same bits as the maximum of the dense cost;
+    # the solve reads it over the whole grids, zero-weight atoms included.
     lam, mu, eps = case
     seen = []
 
@@ -1007,106 +1026,111 @@ def sinkhorn_pair_2d(n):
 
 
 class TestFactoredKernel:
-    """2-d Sinkhorn keeps a stage's kernel in per-axis factors when it can;
-    ``dense`` runs the same solve with the dense kernel throughout."""
+    """Sinkhorn keeps every stage's kernel in per-axis factors, at any
+    epsilon and with zero-weight atoms; ``log_domain_reference`` is the
+    same solve on the dense cost."""
 
     @pytest.fixture
-    def kernels(self, monkeypatch):
-        """The kernels the solves build, in order: "F" for factored, "D" for
-        the dense cost, "S" for a log-domain sweep."""
+    def cost_reads(self, monkeypatch):
+        """The calls to squared_distances, the dense cost, that solves make."""
         calls = []
-        for name, tag in (("_product_kernel", "F"), ("squared_distances", "D"),
-                          ("_softmin", "S")):
-            original = getattr(solvers, name)
-            monkeypatch.setattr(solvers, name, lambda *args, _f=original, _t=tag, **kw:
-                                calls.append(_t) or _f(*args, **kw))
+        original = solvers.squared_distances
+        monkeypatch.setattr(solvers, "squared_distances",
+                            lambda *args, **kw: calls.append(args) or original(*args, **kw))
         return calls
 
     @staticmethod
-    def dense(lam, mu, eps, **kw):
-        with mock.patch.object(solvers, "_separable", lambda lam, mu: False):
-            return sinkhorn(lam, mu, eps, **kw)
-
-    @staticmethod
-    def assert_same_solve(res, ref, cost_rtol):
-        assert [(s.iterations, s.stop) for s in res.stages] == [
-            (s.iterations, s.stop) for s in ref.stages]
-        assert abs(entropic_cost(res) - entropic_cost(ref)) <= cost_rtol * entropic_cost(ref)
-        assert np.abs(res.plan.mass - ref.plan.mass).max() <= 1e-12 * ref.plan.mass.max()
+    def assert_matches_reference(lam, mu, eps, monkeypatch, cost_reads, max_iter=100_000):
+        # With relaxation capped at 1 the iterates are plain Sinkhorn's.
+        monkeypatch.setattr(solvers, "OMEGA_MAX", 1.0)
+        res = sinkhorn(lam, mu, eps, tol=1e-9, max_iter=max_iter)
+        assert cost_reads == []
+        ladder = solvers._epsilon_ladder(eps, float(squared_distances(lam.points,
+                                                                      mu.points).max()))
+        ref, iterations = log_domain_reference(lam, mu, ladder, 1e-9, max_iter)
+        assert res.iterations == iterations
+        plan = res.plan.mass / res.mass
+        keep = (plan > np.finfo(float).tiny) | (ref > np.finfo(float).tiny)
+        np.testing.assert_allclose(plan[keep], ref[keep], rtol=1e-9, atol=0)
+        return res
 
     @pytest.mark.parametrize("eps", [0.5, 0.32])
-    def test_matches_dense_kernel(self, kernels, eps):
+    def test_matches_dense_kernel(self, cost_reads, monkeypatch, eps):
         lam, mu = sinkhorn_pair_2d(20)
-        res = sinkhorn(lam, mu, eps, tol=1e-9)
-        assert kernels == ["F"] * len(res.stages)
-        ref = self.dense(lam, mu, eps, tol=1e-9)
-        assert res.converged and ref.converged
-        self.assert_same_solve(res, ref, 1e-14)
+        res = self.assert_matches_reference(lam, mu, eps, monkeypatch, cost_reads)
+        assert res.converged
         assert gibbs_identity_check(res, 500) <= 1e-6
 
-    def test_zero_weight_atom_runs_dense(self, kernels):
+    @pytest.mark.parametrize("weight", [0.0, 1e-60])
+    def test_extreme_weight_atom_runs_factored(self, cost_reads, monkeypatch, weight):
+        # A zero-weight atom has alpha 0, and an atom of weight 1e-60 an
+        # alpha far below 1/ABSORB_BOUND: neither bounds the iteration.
         lam, mu = sinkhorn_pair_2d(12)
         w = lam.weights.copy()
-        w[17] = 0.0
+        w[17] = weight
         lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
-        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
-        assert "F" not in kernels
-        ref = self.dense(lam, mu, 0.32, tol=1e-9)
-        assert np.array_equal(res.plan.mass, ref.plan.mass)
-        assert entropic_cost(res) == entropic_cost(ref) and res.stages == ref.stages
+        res = self.assert_matches_reference(lam, mu, 0.32, monkeypatch, cost_reads)
+        assert res.converged and res.plan.mass[17].sum() <= 1e-55
 
-    def test_factors_out_of_bounds_at_opening_run_dense(self, kernels):
-        # An atom of weight 1e-60 puts exp(f/eps^2) a out of bounds at the
-        # first stage's opening, so the whole solve is dense.
-        lam, mu = sinkhorn_pair_2d(12)
-        w = lam.weights.copy()
-        w[17] = 1e-60
-        lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
-        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
-        assert kernels == ["D"]
-        ref = self.dense(lam, mu, 0.32, tol=1e-9)
-        assert np.array_equal(res.plan.mass, ref.plan.mass)
-        assert entropic_cost(res) == entropic_cost(ref) and res.stages == ref.stages
-
-    def test_small_epsilon_stages_open_dense(self, kernels):
-        # At eps = 0.02 the potentials divided by eps^2 put the factors out
-        # of bounds from the sixth stage on: those stages open on the dense
-        # kernel, with no log-domain sweep, and the solve stays dense.
+    def test_small_epsilon_stages_stay_factored(self, cost_reads, monkeypatch):
+        # At eps = 0.02 the potentials over eps^2 span hundreds of units, but
+        # their per-axis parts go into the factors: every stage of the
+        # ladder stays factored.  A single stage at that epsilon, opened from
+        # f = g = 0, takes the reference's first 40 plain iterations.
         lam, mu = sinkhorn_pair_2d(20)
-        res = sinkhorn(lam, mu, 0.02, tol=1e-9)
-        assert kernels == ["F"] * 5 + ["D"] and len(res.stages) == 7
-        ref = self.dense(lam, mu, 0.02, tol=1e-9)
-        self.assert_same_solve(res, ref, 1e-14)
+        assert len(sinkhorn(lam, mu, 0.02, tol=1e-9).stages) == 7
+        assert cost_reads == []
+        single_stage(monkeypatch)
+        res = self.assert_matches_reference(lam, mu, 0.02, monkeypatch, cost_reads, max_iter=40)
+        assert res.stages[0].stop == "stage_cap"
 
-    def test_absorption_in_factored_stage_switches_to_dense(self, kernels, monkeypatch):
-        # With bounds of 1e3 the second stage's scalings leave them: its
-        # iteration is redone as a log-domain sweep on the dense cost, and
-        # the solve goes on with the dense kernel.
+    def test_absorption_stays_factored(self, cost_reads, monkeypatch):
+        # With bounds of 1e3 the scalings leave them: each such iteration is
+        # redone as a log-domain sweep, one pass per axis, and the solve
+        # goes on with new factors.
         monkeypatch.setattr(solvers, "ABSORB_BOUND", 1e3)
         lam, mu = sinkhorn_pair_2d(20)
-        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
-        assert kernels[:4] == ["F", "F", "D", "S"]
-        assert "F" not in kernels[2:]
+        res = self.assert_matches_reference(lam, mu, 0.32, monkeypatch, cost_reads)
+        assert sum(s.absorptions for s in res.stages) >= 1
         assert res.converged and res.marg_err <= 1e-9
         assert gibbs_identity_check(res, 500) <= 1e-6
-        self.assert_same_solve(res, self.dense(lam, mu, 0.32, tol=1e-9), 1e-14)
 
     def test_size_guard_counts_the_plan_up_front(self, monkeypatch):
-        # A limit of three n x m arrays admits the factored solve, which
-        # holds only the plan; the dense kernel's five are checked when a
-        # solve forms the dense cost, so one zero-weight atom is refused.
+        # The guard counts the plan's two n x m arrays and the small per-axis
+        # arrays, zero-weight atoms or not: three n x m arrays admit both
+        # solves, two refuse both before the first allocation.
         lam, mu = sinkhorn_pair_2d(20)
         w = lam.weights.copy()
         w[17] = 0.0
         sparse_lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
-        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT",
-                            3 * 8 * lam.spec.n_points * mu.spec.n_points)
+        n_m = lam.spec.n_points * mu.spec.n_points
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", 3 * 8 * n_m)
         assert sinkhorn(lam, mu, 0.32, tol=1e-9).converged
-        with pytest.raises(SizeError, match="sinkhorn on 400 x 400 support points"):
-            sinkhorn(sparse_lam, mu, 0.32, tol=1e-9)
+        assert sinkhorn(sparse_lam, mu, 0.32, tol=1e-9).converged
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", 2 * 8 * n_m)
+        for source in (lam, sparse_lam):
+            with pytest.raises(SizeError, match="sinkhorn on 400 x 400 support points"):
+                sinkhorn(source, mu, 0.32, tol=1e-9)
+
+    def test_size_guard_admits_a_90x90_grid(self):
+        # At the default limit a 90 x 90 pair with zero-weight atoms passes
+        # the guard; the solve is stopped as it reads the ladder.
+        lam, mu = sinkhorn_pair_2d(90)
+        w = lam.weights.copy()
+        w[::5] = 0.0
+        lam = GridMeasure(lam.spec, w / w.sum(), 0.5)
+
+        class Stop(Exception):
+            pass
+
+        def ladder(epsilon, cost_max):
+            raise Stop
+
+        with mock.patch.object(solvers, "_epsilon_ladder", ladder), pytest.raises(Stop):
+            sinkhorn(lam, mu, 0.1)
 
     def test_peak_memory_is_the_plan(self):
-        # The factored solve forms no n x m array but the plan.
+        # A 2-d solve forms no n x m array.
         lam, mu = sinkhorn_pair_2d(20)
         tracemalloc.start()
         try:
@@ -1116,11 +1140,12 @@ class TestFactoredKernel:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * lam.spec.n_points * mu.spec.n_points
 
-    def test_plan_is_formed_on_first_read(self):
-        # With the plan unread, the factored solve forms no n x m array.  Read,
-        # the plan is alpha_i (G_1 (x) G_2)_ij mass beta_j, which the test
-        # forms from the returned potentials (mass 1, so f and g are the
-        # solve's own) in the same operations; a second read returns it again.
+    def test_plan_is_formed_on_first_read(self, cost_reads):
+        # With the plan unread, the solve forms no n x m array and no dense
+        # cost.  Read, the plan is exp((f_i + g_j - c_ij)/eps^2 + log a_i +
+        # log b_j) mass, which the test forms from the returned potentials
+        # (mass 1, so f and g are the solve's own) in the same operations; a
+        # second read returns it again.
         lam, mu = sinkhorn_pair_2d(20)
         eps2 = 0.32 * 0.32
         tracemalloc.start()
@@ -1130,17 +1155,18 @@ class TestFactoredKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 0.5 * 8 * lam.spec.n_points * mu.spec.n_points
-        assert res.mass == 1.0
-        alpha = np.exp(res.f / eps2 + np.log(lam.weights / lam.total_mass))
-        beta = np.exp(res.g / eps2 + np.log(mu.weights / mu.total_mass))
-        g1, g2 = (np.exp(-np.subtract.outer(x, y) ** 2 / eps2)
-                  for x, y in zip(lam.spec.axes, mu.spec.axes))
-        expected = np.kron(g1, g2)
-        expected *= alpha[:, None]
-        expected *= (res.mass * beta)[None, :]
+        assert res.mass == 1.0 and cost_reads == []
+        expected = squared_distances(lam.points, mu.points)
+        np.subtract(res.f[:, None], expected, out=expected)
+        expected += res.g[None, :]
+        expected /= eps2
+        expected += np.log(lam.weights / lam.total_mass)[:, None]
+        expected += np.log(mu.weights / mu.total_mass)[None, :]
+        np.exp(expected, out=expected)
+        expected *= res.mass
         plan = res.plan
         assert np.array_equal(plan.mass, expected)
-        assert res.plan is plan
+        assert res.plan is plan and len(cost_reads) == 1
 
 
 def odd_extent_pair():
@@ -1179,8 +1205,10 @@ def lp_pair_2d(n):
     ("lp_highs", lambda: lp_pair_2d(16), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
     ("lp_highs", lambda: lp_pair_2d(20), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
     ("monotone_1d", lambda: zero_atom_pair_1d(512), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
+    # In d = 1 the Sinkhorn guard counts the plan's arrays and three n x m
+    # arrays per axis: the cost, the factor and a log-domain sweep's pass.
     (None, lambda: curved_pair(512), lambda lam, mu: sinkhorn(lam, mu, 0.1, tol=1e-9),
-     solvers.SINKHORN_DENSE_ARRAYS),
+     solvers.SINKHORN_PLAN_ARRAYS + 3),
 ], ids=["exact_ot_lp_2d", "exact_ot_lp_pyramid_2d", "exact_ot_monotone_1d", "sinkhorn_1d"])
 def test_peak_memory_within_size_guard(case):
     # The size guard counts n x m float arrays; the traced peak of a solve
