@@ -32,6 +32,7 @@ from .regularity import (
     one_step,
     quasimin_defect,
     soft_lemma_check,
+    solve_ladder,
 )
 from .reports import RunManifest, write_csv, write_json
 from .scalings import apply_to_coupling, normalizing_scaling, scaling_to_json_dict
@@ -247,12 +248,8 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     radius = _exp_value(exp, "R", positive=True)
     lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
-    opts = _solver_opts(cfg)
-    stages = []
 
-    def row(eps: float) -> dict:
-        res = sinkhorn(lam, mu, eps, **opts)
-        stages.append(res.stages)
+    def row(eps: float, res) -> dict:
         report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
         return {
             "epsilon": eps,
@@ -266,10 +263,9 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
                 report.defect / report.eps2_mass if report.eps2_mass > 0 else None
             ),
             "degenerate": report.degenerate,
-            "converged": res.converged,
         }
 
-    rows = [row(eps) for eps in ladder]  # each solve is dropped before the next
+    rows, stages = solve_ladder(lam, mu, ladder, _solver_opts(cfg), row)
     columns = list(rows[0])
     trace = {"R": radius, "Lambda": lam_factor, "rows": rows, "stages": stages}
     converged = all(r["converged"] for r in rows)

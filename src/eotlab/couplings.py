@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -339,13 +339,13 @@ def save_coupling(pi: Coupling, bin_path: str | Path) -> None:
     """Row-major little-endian float64 dump plus a JSON header sidecar."""
     bin_path = Path(bin_path)
     with open(bin_path, "wb") as fh:
-        fh.write(pi.mass.astype("<f8").tobytes(order="C"))
+        pi.mass.astype("<f8", copy=False).tofile(fh)
     header = {
         "n_source": pi.source.spec.n_points,
         "n_target": pi.target.spec.n_points,
         "epsilon": pi.epsilon,
-        "source_grid": dict(pi.source.spec.to_json_dict(), alpha=pi.source.alpha),
-        "target_grid": dict(pi.target.spec.to_json_dict(), alpha=pi.target.alpha),
+        "source_grid": dict(asdict(pi.source.spec), alpha=pi.source.alpha),
+        "target_grid": dict(asdict(pi.target.spec), alpha=pi.target.alpha),
     }
     write_json(bin_path.with_suffix(".json"), header)
 

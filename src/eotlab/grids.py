@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -124,11 +124,7 @@ class GridSpec:
     @cached_property
     def points(self) -> np.ndarray:
         """All grid points as an (n_points, dim) array, row-major index order."""
-        if self.dim == 1:
-            pts = self.axes[0][:, None]
-        else:
-            mesh = np.meshgrid(*self.axes, indexing="ij")
-            pts = np.stack(mesh, axis=-1).reshape(-1, self.dim)
+        pts = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         pts.setflags(write=False)
         return pts
 
@@ -144,17 +140,9 @@ class GridSpec:
         hits = np.flatnonzero(self.point_norms <= radius)
         return slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "h": self.h,
-            "extent": list(self.extent),
-            "origin_offset": list(self.origin_offset),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        """The inverse of :meth:`to_json_dict`; ConfigError unless ``dim`` and ``extent``
+        """The spec of ``dataclasses.asdict(spec)``; ConfigError unless ``dim`` and ``extent``
         are integers and ``h`` and ``origin_offset`` finite (none is truncated or parsed)."""
         return cls(
             dim=config_value(d, "dim", int),
@@ -546,20 +534,15 @@ def _sidecar_path(csv_path: Path) -> Path:
 
 
 def save_measure(m: GridMeasure, csv_path: str | Path) -> None:
-    """Write weights as CSV (header index_0[,index_1],weight) plus a JSON sidecar."""
+    """Write weights as CSV (header index_0, ..., weight) plus a JSON sidecar."""
     csv_path = Path(csv_path)
-    header = ["index_0", "weight"] if m.dim == 1 else ["index_0", "index_1", "weight"]
+    index = np.unravel_index(np.arange(m.spec.n_points), m.spec.extent)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        if m.dim == 1:
-            for i, w in enumerate(m.weights):
-                writer.writerow([i, repr(float(w))])
-        else:
-            n1 = m.spec.extent[1]
-            for flat, w in enumerate(m.weights):
-                writer.writerow([flat // n1, flat % n1, repr(float(w))])
-    write_json(_sidecar_path(csv_path), dict(m.spec.to_json_dict(), alpha=m.alpha))
+        writer.writerow([f"index_{a}" for a in range(m.dim)] + ["weight"])
+        for *idx, w in zip(*(i.tolist() for i in index), m.weights.tolist()):
+            writer.writerow([*idx, repr(w)])
+    write_json(_sidecar_path(csv_path), dict(asdict(m.spec), alpha=m.alpha))
 
 
 def load_measure(csv_path: str | Path) -> GridMeasure:

@@ -4,6 +4,7 @@ geometric-cascade iteration, quasi-minimality and long-trajectory experiments.""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .couplings import Coupling, HashRegion, affine_fit, local_energy, long_traj
 from .errors import AdmissibilityError, DomainError, SmallnessError
 from .grids import GridMeasure, averaging_radius, data_term, density_at, origin_density
 from .scalings import Scaling, apply_to_coupling, compose, normalizing_scaling
-from .solvers import entropic_cost, exact_ot, sinkhorn
+from .solvers import SinkhornResult, entropic_cost, exact_ot, sinkhorn
 
 __all__ = [
     "RegularityConfig",
@@ -28,6 +29,7 @@ __all__ = [
     "long_traj_experiment",
     "expansion_experiment",
     "soft_lemma_check",
+    "solve_ladder",
 ]
 
 
@@ -397,31 +399,19 @@ def quasimin_defect(
     lhs = HashRegion(R).energy(pi)
     eps2_mass = eps**2 * HashRegion(lam_factor * R).mass(pi)
     energy_2r = HashRegion(2 * R).energy(pi)
-    if mass_pr <= 0:
-        return DefectReport(
-            R=R,
-            lam_factor=lam_factor,
-            lhs=0.0,
-            competitor_cost=0.0,
-            defect=0.0,
-            eps2_mass=eps2_mass,
-            energy_2r=energy_2r,
-            degenerate=True,
-        )
-    row_w, col_w = np.zeros(pi.mass.shape[0]), np.zeros(pi.mass.shape[1])
-    row_w[rows], col_w[cols] = restricted.sum(axis=1), restricted.sum(axis=0)
-    lam_bar = GridMeasure(lam.spec, row_w / mass_pr, lam.alpha)
-    mu_bar = GridMeasure(mu.spec, col_w / mass_pr, mu.alpha)
-    competitor = mass_pr * exact_ot(lam_bar, mu_bar).cost
-    return DefectReport(
-        R=R,
-        lam_factor=lam_factor,
-        lhs=lhs,
-        competitor_cost=competitor,
-        defect=lhs - competitor,
-        eps2_mass=eps2_mass,
-        energy_2r=energy_2r,
-    )
+    # A plan with no mass on P_R has no competitor: its report reads zeros.
+    degenerate = mass_pr <= 0
+    if degenerate:
+        lhs = competitor = 0.0
+    else:
+        row_w, col_w = np.zeros(pi.mass.shape[0]), np.zeros(pi.mass.shape[1])
+        row_w[rows], col_w[cols] = restricted.sum(axis=1), restricted.sum(axis=0)
+        lam_bar = GridMeasure(lam.spec, row_w / mass_pr, lam.alpha)
+        mu_bar = GridMeasure(mu.spec, col_w / mass_pr, mu.alpha)
+        competitor = mass_pr * exact_ot(lam_bar, mu_bar).cost
+    return DefectReport(R=R, lam_factor=lam_factor, lhs=lhs, competitor_cost=competitor,
+                        defect=lhs - competitor, eps2_mass=eps2_mass, energy_2r=energy_2r,
+                        degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +426,21 @@ def _regression_slope(xs: list[float], ys: list[float]) -> tuple[float, float] |
         return None
     slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return float(slope), float(intercept)
+
+
+def solve_ladder(lam: GridMeasure, mu: GridMeasure, eps_ladder: list[float],
+                 solver_opts: dict | None, row: Callable[[float, SinkhornResult], dict]
+                 ) -> tuple[list[dict], list]:
+    """One Sinkhorn solve per epsilon, each dropped before the next so that one
+    plan at most is held: the rows ``row(eps, res)``, each with the solve's
+    ``converged`` appended, and each solve's ``stages``."""
+    rows, stages = [], []
+    for eps in eps_ladder:
+        res = sinkhorn(lam, mu, eps, **(solver_opts or {}))
+        stages.append(res.stages)
+        rows.append(dict(row(eps, res), converged=res.converged))
+        del res
+    return rows, stages
 
 
 def _hull_covers_ball(m: GridMeasure, radius: float) -> bool:
@@ -466,11 +471,7 @@ def long_traj_experiment(
                 f"{long_factor * R:g}; the threshold set is not representable"
             )
 
-    stages = []
-
-    def row(eps: float) -> dict:
-        res = sinkhorn(lam, mu, eps, **(solver_opts or {}))
-        stages.append(res.stages)
+    def row(eps: float, res: SinkhornResult) -> dict:
         stats = long_trajectory_stats(res.plan, 4.0 * R, long_factor * R)
         e5 = local_energy(res.plan, 5.0 * R)
         return {
@@ -481,10 +482,9 @@ def long_traj_experiment(
             "energy_ratio": stats.energy / e5 if e5 > 0 else 0.0,
             "mass_ratio": stats.mass / e5 if e5 > 0 else 0.0,
             "inv_temp": (R / eps) ** 2,
-            "converged": res.converged,
         }
 
-    rows = [row(eps) for eps in eps_ladder]  # each solve is dropped before the next
+    rows, stages = solve_ladder(lam, mu, eps_ladder, solver_opts, row)
 
     def slope_of(key: str):
         pts = [(r["inv_temp"], np.log(r[key])) for r in rows if r[key] > 0]
@@ -523,11 +523,8 @@ def expansion_experiment(
     exact = exact_ot(lam, mu)
     ot, exact_record = exact.cost, {"method": exact.method, "solves": exact.solves}
     del exact  # its plan is not read below: drop it before the Sinkhorn solves
-    stages = []
 
-    def row(eps: float) -> dict:
-        res = sinkhorn(lam, mu, eps, **(solver_opts or {}))
-        stages.append(res.stages)
+    def row(eps: float, res: SinkhornResult) -> dict:
         ot_eps = entropic_cost(res)
         log_term = np.log(eps**-2)
         gap_over_eps2 = (ot_eps - ot) / eps**2
@@ -539,10 +536,9 @@ def expansion_experiment(
             "remainder": gap_over_eps2 - 0.5 * d * log_term,
             "log_inv_eps2": float(log_term),
             "under_resolved": bool(eps < 3.0 * h),
-            "converged": res.converged,
         }
 
-    rows = [row(eps) for eps in eps_ladder]  # each solve is dropped before the next
+    rows, stages = solve_ladder(lam, mu, eps_ladder, solver_opts, row)
     included = [r for r in rows if not r["under_resolved"]]
     reg = _regression_slope(
         [r["log_inv_eps2"] for r in included], [r["gap_over_eps2"] for r in included]

@@ -15,15 +15,13 @@ __all__ = ["write_csv", "write_json", "jsonify", "RunManifest"]
 
 
 def _format_cell(value) -> str:
+    """``jsonify(value)`` as CSV spells it: true/false, empty for None, repr for a float."""
+    value = jsonify(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value)) if np.isfinite(value) else ""
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:

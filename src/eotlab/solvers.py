@@ -124,7 +124,11 @@ class ExactOTResult(_PlanOnRead):
     solves: list[LPSolve]
 
 
-def _require_equal_masses(lam: GridMeasure, mu: GridMeasure) -> float:
+def _require_pair(lam: GridMeasure, mu: GridMeasure) -> float:
+    """The mean total mass of a transport pair; DomainError unless the two
+    measures share a dimension, MassMismatchError unless their masses agree."""
+    if lam.dim != mu.dim:
+        raise DomainError("source and target dimensions differ")
     ml, mm = lam.total_mass, mu.total_mass
     gap = abs(ml - mm) / max(ml, mm)
     if gap > MASS_RTOL:
@@ -143,16 +147,15 @@ def _positive_atoms(lam: GridMeasure, mu: GridMeasure) -> tuple[np.ndarray, ...]
     return rows, cols, lam.weights[rows], mu.weights[cols]
 
 
-def _softmin(axis_costs: list[np.ndarray], pot: np.ndarray, log_w: np.ndarray, eps2: float,
-             work: np.ndarray | None = None) -> np.ndarray:
+def _softmin(axis_costs: list[np.ndarray], pot: np.ndarray, log_w: np.ndarray,
+             eps2: float) -> np.ndarray:
     """-eps2 * log sum_j exp((pot_j - c_ij)/eps2 + log_w_j) for each point i of
     the source grid, c_ij = sum_k c_k[i_k, j_k], with ``pot`` and ``log_w`` on
     the target grid: one log-sum-exp pass per axis, each stabilized by its
-    maximum; ``work`` is scratch for the one pass of d = 1.  The column sweep
-    passes the transposed axis costs and scratch."""
+    maximum.  The column sweep passes the transposed axis costs."""
     p = (pot + eps2 * log_w).reshape([c.shape[1] for c in axis_costs])
     for k, c in enumerate(axis_costs):
-        terms = np.subtract(np.moveaxis(p, k, -1)[..., None, :], c, out=work)
+        terms = np.subtract(np.moveaxis(p, k, -1)[..., None, :], c)
         np.divide(terms, eps2, out=terms)
         peak = terms.max(axis=-1)
         # A grid line of zero-weight atoms has peak -inf, and its sum is 0.
@@ -257,9 +260,7 @@ def sinkhorn(
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
-    if lam.dim != mu.dim:
-        raise DomainError("source and target dimensions differ")
-    mass = _require_equal_masses(lam, mu)
+    mass = _require_pair(lam, mu)
     extent_a, extent_b = lam.spec.extent, mu.spec.extent
     n, m = lam.spec.n_points, mu.spec.n_points
     # Per axis k the solve holds the cost c_k, the factor G_k and at times a
@@ -280,9 +281,6 @@ def sinkhorn(
     la, mb = lam.weights / lam.total_mass, mu.weights / mu.total_mass
     with np.errstate(divide="ignore"):
         log_la, log_mb = np.log(la), np.log(mb)
-    # In d = 1 the log-domain sweeps use the factor as scratch; it is rebuilt
-    # right after.
-    work, work_t = (factors[0], factors_t[0]) if lam.dim == 1 else (None, None)
 
     ladder = _epsilon_ladder(epsilon, cost_max)
 
@@ -367,8 +365,8 @@ def sinkhorn(
                     # last scalings that stayed in bounds, then absorb the
                     # potentials into a new kernel.
                     g += eps2 * np.log(v)
-                    f = _softmin(axis_costs, g, log_mb, eps2, work)
-                    g = _softmin([c.T for c in axis_costs], f, log_la, eps2, work_t)
+                    f = _softmin(axis_costs, g, log_mb, eps2)
+                    g = _softmin([c.T for c in axis_costs], f, log_la, eps2)
                     center()
                     build_kernel(eps2)
                     _kron_matvec(factors_t, alpha, ktu)
@@ -510,8 +508,8 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
     # Subnormal entries carry too few significand bits for an accurate log;
     # treat them like underflowed zeros and resample.
     positive = np.finfo(float).tiny
-    ii, jj = np.nonzero(plan > positive)
-    if ii.size == 0:
+    flat = np.flatnonzero(plan > positive)
+    if flat.size == 0:
         raise DomainError("plan has no positive entries")
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -522,10 +520,8 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
         if attempts > 1000:
             raise DomainError("could not sample enough strictly positive quadruples")
         batch = max(n_samples - accepted, 1)
-        a = rng.integers(0, ii.size, size=batch)
-        b = rng.integers(0, ii.size, size=batch)
-        i, j = ii[a], jj[a]
-        k, l = ii[b], jj[b]
+        i, j = np.divmod(flat[rng.integers(0, flat.size, size=batch)], plan.shape[1])
+        k, l = np.divmod(flat[rng.integers(0, flat.size, size=batch)], plan.shape[1])
         valid = (plan[i, l] > positive) & (plan[k, j] > positive)
         if not np.any(valid):
             continue
@@ -577,7 +573,7 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     read of ``plan``.  An input whose dense arrays would pass
     DENSE_BYTES_LIMIT raises SizeError up front.
     """
-    _require_equal_masses(lam, mu)
+    _require_pair(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
     if lam.dim == 1:
         try:

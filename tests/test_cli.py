@@ -917,6 +917,18 @@ class TestExitCodeProperty:
         cfg_path = write_config(tmp_path, tiny_config())
         assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[-1])
+    def test_mismatched_dimensions_exit_4(self, tmp_path, capsys, command):
+        # A 2-d source against the 1-d target.  Every command refuses the pair
+        # in its first solve; expansion's exact solve once failed inside with
+        # an IndexError.
+        cfg = tiny_config()
+        cfg["source"]["grid"]["dim"] = 2
+        cfg_path = write_config(tmp_path, cfg)
+        assert main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "source and target dimensions differ" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["onestep", "campanato"])
     def test_normalized_pair_passes_the_origin_check(self, tmp_path, command):
         # On 17-point grids the normalising dilation (gamma about 1.39) makes

@@ -419,6 +419,22 @@ class TestGibbsIdentity:
         expected = float(np.max(np.abs(lhs - rhs) / scale))
         assert gibbs_identity_check(res, n_samples=300, seed=7) == expected
 
+    def test_peak_memory_beyond_the_plan(self):
+        # The sampled pairs are drawn from one flat index array of the plan's
+        # positive entries: one int64 array of n x m entries at most, where
+        # row and column arrays took two.
+        lam, mu = curved_pair(256)
+        res = sinkhorn(lam, mu, epsilon=0.3, tol=1e-9)
+        plan = res.plan.mass
+        tracemalloc.start()
+        try:
+            gibbs_identity_check(res, n_samples=200, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(plan > np.finfo(float).tiny)
+        assert peak <= 1.3 * plan.nbytes
+
     def test_single_atom_degenerate_quadruples(self):
         spec = GridSpec(dim=1, h=1.0, extent=(2,), origin_offset=(0.0,))
         lam = GridMeasure(spec=spec, weights=np.array([1.0, 0.0]), alpha=0.5)
@@ -470,6 +486,12 @@ def shifted_narrow_pair(n, zero_atoms):
 
 
 class TestExactOT:
+    def test_dimension_mismatch_rejected(self, uniform_1d, uniform_2d):
+        # As in sinkhorn, the dimensions are checked first: these masses
+        # differ too.
+        with pytest.raises(DomainError, match="dimensions differ"):
+            exact_ot(uniform_1d, uniform_2d)
+
     def test_monotone_fallback_warning_names_its_cause(self, monkeypatch, caplog, uniform_1d):
         cause = "optimality certificate failed (gap 1.000e-03, violation 2.000e-03)"
 
