@@ -36,7 +36,7 @@ from .regularity import (
 )
 from .reports import RunManifest, write_csv, write_json
 from .scalings import apply_to_coupling, normalizing_scaling, scaling_to_json_dict
-from .solvers import entropic_cost, gibbs_identity_check, sinkhorn
+from .solvers import entropic_cost, gibbs_identity_check, require_gibbs_check_size, sinkhorn
 
 # Solver options besides epsilon, each a positive value of its type, and the
 # keys that the thresholds and experiment sections may hold.
@@ -155,6 +155,8 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
     lam, mu = _marginals(cfg)
     epsilon = _solver_epsilon(cfg)
     n_samples = config_value(cfg, "gibbs_check_samples", int, 0)
+    if n_samples > 0:  # refuse a check that would not fit before the solve runs
+        require_gibbs_check_size(lam.spec.n_points, mu.spec.n_points, n_samples)
     res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
     save_coupling(res.plan, out_dir / "plan.bin")
     summary = {

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, config_value
-from .grids import GridMeasure, GridSpec, data_term, squared_distances
+from .grids import GridMeasure, GridSpec, data_term, hull_reach, squared_distances
 from .reports import write_json
 
 __all__ = [
@@ -70,6 +70,12 @@ class Coupling:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def marginal_errors(self) -> tuple[float, float]:
+        """Largest relative row-sum and column-sum errors against the marginals."""
+        return (float(np.max(_relative_errors(self.mass.sum(axis=1), self.source.weights))),
+                float(np.max(_relative_errors(self.mass.sum(axis=0), self.target.weights))))
+
 
 # ---------------------------------------------------------------------------
 # Regions over point pairs
@@ -89,6 +95,15 @@ def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
     by exactly 7R has both ends within 8R of the origin, so its rounded cost
     is off by at most about 5 ulps, and it counts whatever the rounding."""
     return cost >= threshold**2 * (1.0 - 8 * np.finfo(float).eps)
+
+
+def _energy(pi: Coupling, blocks: list[tuple]) -> float:
+    return sum((_block_sum(where, pi.cost_matrix[rows, cols], pi.mass[rows, cols])
+                for rows, cols, where in blocks), 0.0)
+
+
+def _mass(pi: Coupling, blocks: list[tuple]) -> float:
+    return sum((_block_sum(where, pi.mass[rows, cols]) for rows, cols, where in blocks), 0.0)
 
 
 @dataclass(frozen=True)
@@ -112,8 +127,10 @@ class HashRegion:
         grid ordering.  ``mask`` selects the region's pairs of the block
         (broadcastable to it; None when all of them are in it, as in d = 1,
         where the spans are the bands); with ``threshold`` it keeps only pairs
-        displaced by at least ``threshold``."""
+        displaced by at least ``threshold``, none past the hulls' reach."""
         src, tgt = pi.source.spec, pi.target.spec
+        if threshold is not None and not _long(hull_reach(src, tgt), threshold):
+            return []
         row_span, col_span = src.ball_span(self.radius), tgt.ball_span(self.radius)
         col_band = tgt.point_norms <= self.radius
         span_rows = src.point_norms[row_span] <= self.radius
@@ -137,13 +154,11 @@ class HashRegion:
     def energy(self, pi: Coupling, threshold: float | None = None) -> float:
         """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced
         by at least ``threshold``."""
-        return sum((_block_sum(where, pi.cost_matrix[rows, cols], pi.mass[rows, cols])
-                    for rows, cols, where in self.blocks(pi, threshold)), 0.0)
+        return _energy(pi, self.blocks(pi, threshold))
 
     def mass(self, pi: Coupling, threshold: float | None = None) -> float:
         """pi(#_R), or the mass of its pairs displaced by at least ``threshold``."""
-        return sum((_block_sum(where, pi.mass[rows, cols])
-                    for rows, cols, where in self.blocks(pi, threshold)), 0.0)
+        return _mass(pi, self.blocks(pi, threshold))
 
     def per_radius(self, value: float, power: float) -> float:
         """value / R^power; DomainError when R^power is not a positive finite float."""
@@ -196,18 +211,13 @@ class MarginalReport:
 
 def _relative_errors(sums: np.ndarray, weights: np.ndarray) -> np.ndarray:
     err = np.abs(sums - weights)
-    out = np.where(
-        weights > 0,
-        err / np.where(weights > 0, weights, 1.0),
-        np.where(err == 0.0, 0.0, np.inf),
-    )
-    return out
+    return np.where(weights > 0, err / np.where(weights > 0, weights, 1.0),
+                    np.where(err == 0.0, 0.0, np.inf))
 
 
 def check_marginals(pi: Coupling, tol: float = 1e-8) -> MarginalReport:
     """Per-row/column relative marginal errors against the declared measures."""
-    row = float(np.max(_relative_errors(pi.mass.sum(axis=1), pi.source.weights)))
-    col = float(np.max(_relative_errors(pi.mass.sum(axis=0), pi.target.weights)))
+    row, col = pi.marginal_errors
     return MarginalReport(max_row_err=row, max_col_err=col, ok=row <= tol and col <= tol)
 
 
@@ -226,11 +236,11 @@ class LongTrajStats:
 def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajStats:
     """Normalized energy and mass of pairs in #_R with displacement >= threshold."""
     region = HashRegion(R)
-    if threshold < 0:
+    if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    return LongTrajStats(
-        energy=region.per_radius(region.energy(pi, threshold=threshold), pi.dim + 2),
-        mass=region.per_radius(region.mass(pi, threshold=threshold), pi.dim))
+    blocks = region.blocks(pi, threshold)
+    return LongTrajStats(energy=region.per_radius(_energy(pi, blocks), pi.dim + 2),
+                         mass=region.per_radius(_mass(pi, blocks), pi.dim))
 
 
 @dataclass(frozen=True)

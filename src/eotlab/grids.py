@@ -24,6 +24,7 @@ __all__ = [
     "origin_density",
     "holder_seminorm",
     "squared_distances",
+    "hull_reach",
     "data_term",
     "symmetric_grid",
     "make_measure",
@@ -240,6 +241,13 @@ def squared_distances(x: np.ndarray, y: np.ndarray, pairwise: bool = False) -> n
     return total
 
 
+def hull_reach(x: GridSpec, y: GridSpec) -> float:
+    """max |x - y|^2 over two grids' hulls, sum_a max(hi_x - lo_y, hi_y - lo_x)^2:
+    rounding is monotone, so no pair's rounded squared distance exceeds it."""
+    (lo_x, hi_x), (lo_y, hi_y) = x.hull_bounds, y.hull_bounds
+    return float(np.sum(np.maximum(hi_x - lo_y, hi_y - lo_x) ** 2))
+
+
 def _as_point(x, dim: int) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.shape != (dim,):
@@ -288,6 +296,8 @@ def holder_seminorm(m: GridMeasure, R: float) -> float:
     n = pts.shape[0]
     if n < 2:
         raise DomainError(f"fewer than 2 grid points inside B_{R} at grid spacing {m.spec.h:.4g}")
+    if dens.min() == dens.max():
+        return 0.0  # every gap is exactly 0, as is every ratio below
     best = 0.0
     # Each unordered pair once: a row block against the points from its own start.
     for start in range(0, n, _PAIR_BLOCK):

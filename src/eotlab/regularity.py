@@ -561,15 +561,17 @@ def soft_lemma_check(
         raise DomainError(f"defect bound must be nonnegative, got {delta_r}")
     d = pi.dim
     e_r = local_energy(pi, R)
+    inner = HashRegion(R - 1.0)
     rows = []
     for rho in rho_ladder:
         try:
             rho_pow = rho ** (d + 2)
         except OverflowError:
             rho_pow = np.inf
-        if not 0 < rho_pow < np.inf:
+        if not (rho > 0 and 0 < rho_pow < np.inf):
             raise DomainError(f"rho must be positive with a positive finite rho^{d + 2}, got {rho}")
-        mass = long_trajectory_stats(pi, R - 1.0, rho).mass * (R - 1.0) ** d
+        # Normalised as LongTrajStats.mass is, then scaled back, so its bits are that mass's.
+        mass = inner.per_radius(inner.mass(pi, threshold=rho), d) * (R - 1.0) ** d
         bound = delta_r * R**d / rho_pow
         fitted = mass * rho_pow / (delta_r * R**d) if delta_r > 0 else None
         rows.append(

@@ -238,7 +238,7 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     eps = None if pi.epsilon is None else pi.epsilon * s.gamma**-0.5
     out = Coupling(source=lam_s, target=mu_s, mass=mass, epsilon=eps)
     # The deposition is exact, so any marginal violation beyond what the input
-    # coupling already carried indicates an internal error.
+    # coupling already carried (cached, if a call made it) is an internal error.
     before = check_marginals(pi, tol=np.inf)
     budget = max(1e-8, 2.0 * max(before.max_row_err, before.max_col_err))
     report = check_marginals(out, tol=budget)

@@ -16,10 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .couplings import Coupling
-from .errors import CertificateError, DomainError, MassMismatchError, SizeError
-from .grids import (_PAIR_BLOCK, DENSE_BYTES_LIMIT, EXACT_OT_DENSE_ARRAYS,
-                    SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec, require_dense_size,
-                    squared_distances)
+from .errors import CertificateError, DomainError, MassMismatchError
+from .grids import (_PAIR_BLOCK, EXACT_OT_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure,
+                    GridSpec, hull_reach, require_dense_size, squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -30,6 +29,7 @@ __all__ = [
     "exact_ot",
     "entropic_cost",
     "gibbs_identity_check",
+    "require_gibbs_check_size",
 ]
 
 logger = logging.getLogger("eotlab.solvers")
@@ -485,19 +485,21 @@ def entropic_cost(res: SinkhornResult) -> float:
     return res.primal_cost + res.epsilon**2 * res.entropy
 
 
+def require_gibbs_check_size(n: int, m: int, n_samples: int) -> None:
+    """SizeError unless the Gibbs identity check fits: it holds the plan, a bool mask and
+    an int64 index of its positive entries (2.125 n x m) and ~16 arrays of n_samples."""
+    require_dense_size(n, m, 2.125 + 16 * n_samples / (n * m),
+                       f"the Gibbs identity check with {n_samples} samples")
+
+
 def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> float:
     """Max relative log-ratio error of the two-point density identity.
 
     Both sides are evaluated independently: the left from materialized plan
     entries, the right from the sampled pairs' costs at temperature epsilon^2.
     Quadruples touching an underflowed (zero) entry are skipped and resampled.
-    A sample count whose batch, about 16 arrays of ``n_samples`` entries, would
-    pass DENSE_BYTES_LIMIT raises SizeError up front.
-    """
-    need = 16 * n_samples * np.dtype(float).itemsize
-    if need > DENSE_BYTES_LIMIT:
-        raise SizeError(f"the Gibbs identity check on {n_samples} samples needs about "
-                        f"{need / 2**20:,.0f} MiB; the limit is {DENSE_BYTES_LIMIT / 2**20:,.0f} MiB")
+    :func:`require_gibbs_check_size` refuses an oversized check up front."""
+    require_gibbs_check_size(res.f.size, res.g.size, n_samples)
     plan = res.plan.mass
     x, y = res.plan.source.points, res.plan.target.points
     eps2 = res.epsilon**2
@@ -602,8 +604,7 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
         v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])
     v_c = _c_transform_grid(mu.spec, v, lam.points)
     u[zero_i] = v_c[zero_i]
-    (lo_x, hi_x), (lo_y, hi_y) = lam.spec.hull_bounds, mu.spec.hull_bounds
-    scale = max(1.0, float(np.sum(np.maximum(hi_x - lo_y, hi_y - lo_x) ** 2)))
+    scale = max(1.0, hull_reach(lam.spec, mu.spec))
     support = masses > max(1e-300, 1e-12 * float(masses.max()))
     tight = np.abs(u[ii] + v[jj] - c_cells)[support].max(initial=0.0)
     marginal = max(float(np.abs(np.bincount(idx, weights=masses, minlength=w.size) - w).max())

@@ -517,6 +517,26 @@ class TestNonConvergenceAndBadInput:
         err = capsys.readouterr().err
         assert "1000000000000000000 samples" in err and "Traceback" not in err
 
+    def test_gibbs_check_too_large_exits_4_before_the_solve(self, tmp_path, monkeypatch, capsys):
+        # The 20x20 solve counts its plan's two n x m arrays and its per-axis
+        # arrays, about 2.11 n x m; the check holds the plan, a bool mask and
+        # an int64 index of its positive entries, 2.125 n x m, and 1,000
+        # samples add 0.1.  A limit between the two refuses the check up front.
+        from eotlab import cli, grids
+
+        grid = {"dim": 2, "n": 20, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(tmp_path, {
+            "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
+            "solver": {"epsilon": 0.5}, "gibbs_check_samples": 1000})
+        n_m = 400 * 400
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", int(2.17 * 8 * n_m))
+        solves = []
+        monkeypatch.setattr(cli, "sinkhorn", lambda *a, **k: solves.append(a))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "Gibbs identity check with 1000 samples on 400 x 400" in err
+        assert "Traceback" not in err and solves == []
+
     @pytest.mark.parametrize("where", ["config_grid", "sidecar_extent"])
     def test_oversized_grid_exits_4_before_allocating(self, tmp_path, capsys, where):
         import time

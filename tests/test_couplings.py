@@ -24,6 +24,8 @@ from eotlab import (
     save_coupling,
     symmetric_grid,
 )
+from eotlab import couplings
+from eotlab.grids import hull_reach
 from conftest import grid_couplings, line_measure, region_mask, region_radii
 
 
@@ -71,6 +73,20 @@ class TestMarginals:
         mass[3, 5] = bad
         with pytest.raises(DomainError, match="finite and nonnegative"):
             Coupling(source=uniform_1d, target=uniform_1d, mass=mass)
+
+    def test_errors_are_summed_once_per_coupling(self, random_coupling, monkeypatch):
+        # The plan is read-only, so its errors are cached like its cost: a
+        # second check, at another tolerance, sums no row or column again.
+        calls = []
+        original = couplings._relative_errors
+        monkeypatch.setattr(couplings, "_relative_errors",
+                            lambda sums, w: calls.append(1) or original(sums, w))
+        pi = Coupling(source=random_coupling.source, target=random_coupling.target,
+                      mass=random_coupling.mass)
+        first, second = check_marginals(pi, tol=1.0), check_marginals(pi, tol=0.0)
+        assert len(calls) == 2  # the row sums and the column sums, once
+        assert (first.max_row_err, first.max_col_err) == (second.max_row_err, second.max_col_err)
+        assert first.ok and (second.ok == (first.max_row_err == first.max_col_err == 0.0))
 
 
 class TestLocalEnergy:
@@ -214,6 +230,47 @@ class TestLongTrajectories:
         for pi in (random_coupling, random_coupling_2d):
             stats = long_trajectory_stats(pi, 0.5, 100.0)
             assert stats.energy == 0.0 and stats.mass == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pi=grid_couplings())
+    def test_hull_reach_bounds_every_rounded_cost(self, pi):
+        # No rounded cost exceeds the reach, and a pair of grid corners,
+        # whose cost rounds alike, attains it.
+        assert pi.cost_matrix.max() == hull_reach(pi.source.spec, pi.target.spec)
+
+    def test_threshold_past_the_reach_reads_no_cost(self, random_coupling, random_coupling_2d):
+        for pi in (random_coupling, random_coupling_2d):
+            fresh = Coupling(source=pi.source, target=pi.target, mass=pi.mass)
+            reach = hull_reach(pi.source.spec, pi.target.spec) ** 0.5
+            stats = long_trajectory_stats(fresh, 0.5, 1.01 * reach)
+            assert (stats.energy, stats.mass) == (0.0, 0.0)
+            assert "cost_matrix" not in fresh.__dict__
+        # At the reach itself (2, on [-1, 1]) the two pairs of ends count.
+        reach = hull_reach(random_coupling.source.spec, random_coupling.target.spec)
+        stats = long_trajectory_stats(random_coupling, 1.0, reach**0.5)
+        ends = random_coupling.mass[0, -1] + random_coupling.mass[-1, 0]
+        assert stats.mass == ends and stats.energy == reach * ends
+
+    def test_one_block_pass_for_energy_and_mass(self, random_coupling, random_coupling_2d,
+                                                monkeypatch):
+        masks = []
+        original = couplings._long
+        monkeypatch.setattr(couplings, "_long", lambda cost, threshold: (
+            masks.append(np.ndim(cost)) or original(cost, threshold)))
+        for pi in (random_coupling, random_coupling_2d):
+            region = HashRegion(0.6)
+            blocks = len(region.blocks(pi))
+            masks.clear()
+            stats = long_trajectory_stats(pi, 0.6, 0.4)
+            assert masks.count(2) == blocks  # one mask per block
+            assert stats.energy == region.per_radius(region.energy(pi, 0.4), pi.dim + 2)
+            assert stats.mass == region.per_radius(region.mass(pi, 0.4), pi.dim)
+            assert stats.mass > 0
+
+    @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
+    def test_threshold_must_be_nonnegative(self, random_coupling, threshold):
+        with pytest.raises(DomainError, match="threshold must be nonnegative"):
+            long_trajectory_stats(random_coupling, 0.5, threshold)
 
     def test_zero_threshold_recovers_local_energy(self, random_coupling, random_coupling_2d):
         R = 0.6

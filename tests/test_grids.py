@@ -157,6 +157,21 @@ class TestHolderSeminorm:
     def test_constant_density_is_zero(self, uniform_1d):
         assert holder_seminorm(uniform_1d, 0.8) == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_density_forms_no_pair(self, dim, monkeypatch):
+        # Every gap of a density constant on B_R is exactly 0, so is the sup;
+        # no distance is formed.  Outside the ball the density may vary.
+        spec = symmetric_grid(dim=dim, n=21, lo=-1.0, hi=1.0)
+        values = np.where(spec.point_norms <= 0.5, 1.7, 1.0 + spec.point_norms)
+        m = measure_from_density(spec, values, alpha=0.5)
+        calls = []
+        original = grids.squared_distances
+        monkeypatch.setattr(grids, "squared_distances",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        assert holder_seminorm(m, 0.5) == 0.0
+        assert calls == []
+        assert holder_seminorm(m, 0.8) > 0.0 and calls
+
     def test_affine_density_matches_brute_force(self):
         spec = symmetric_grid(dim=1, n=41, lo=-1.0, hi=1.0)
         c = 0.37

@@ -23,6 +23,7 @@ from eotlab import (
     fit_harmonic_displacement,
     harmonic_fit,
     long_traj_experiment,
+    long_trajectory_stats,
     make_measure,
     measure_from_density,
     monge_coupling,
@@ -473,6 +474,19 @@ class TestLadderExperiments:
         pi = diagonal_coupling(uniform_unit_density(n=33))
         with pytest.raises(DomainError, match="rho"):
             soft_lemma_check(pi, R=1.5, rho_ladder=[0.1, rho], delta_r=0.1)
+
+    def test_soft_lemma_masses_are_the_long_trajectory_masses(self, random_coupling_2d):
+        # The masses come from the inner region's mass alone, in the bits of
+        # long_trajectory_stats' normalised mass times (R - 1)^d; a negative
+        # rho, whose rho^4 is positive in d = 2, is refused by name.
+        pi, R = random_coupling_2d, 1.6
+        out = soft_lemma_check(pi, R=R, rho_ladder=[0.1, 0.5, 1.2, 10.0], delta_r=0.1)
+        for row in out["rows"]:
+            stats = long_trajectory_stats(pi, R - 1.0, row["rho"])
+            assert row["mass"] == stats.mass * (R - 1.0) ** 2
+        assert out["rows"][1]["mass"] > 0 and out["rows"][3]["mass"] == 0.0
+        with pytest.raises(DomainError, match="rho must be positive"):
+            soft_lemma_check(pi, R=R, rho_ladder=[-0.5], delta_r=0.1)
 
     def test_soft_lemma_fitted_constant_bounded_on_entropic_plan(self):
         # The measured tail mass stays below the power-law shape at every

@@ -435,6 +435,20 @@ class TestGibbsIdentity:
         assert np.all(plan > np.finfo(float).tiny)
         assert peak <= 1.3 * plan.nbytes
 
+    def test_size_guard_counts_what_the_check_holds(self, monkeypatch):
+        # Between the solve's count (about 2.11 n x m on the 20x20 pair) and
+        # the check's (2.125 n x m and 16 arrays of samples), the solve runs
+        # and the check is refused before it forms the plan.
+        lam, mu = sinkhorn_pair_2d(20)
+        n_m = lam.spec.n_points * mu.spec.n_points
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", int(2.17 * 8 * n_m))
+        res = sinkhorn(lam, mu, 0.32, tol=1e-9)
+        assert res.converged
+        with pytest.raises(SizeError, match="Gibbs identity check with 1000 samples on 400 x 400"):
+            gibbs_identity_check(res, n_samples=1000)
+        assert "plan" not in res.__dict__
+        assert gibbs_identity_check(res, n_samples=10) <= 1e-6
+
     def test_single_atom_degenerate_quadruples(self):
         spec = GridSpec(dim=1, h=1.0, extent=(2,), origin_offset=(0.0,))
         lam = GridMeasure(spec=spec, weights=np.array([1.0, 0.0]), alpha=0.5)
