@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -93,8 +94,13 @@ def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
     """The pairs of squared displacement ``cost`` displaced by at least
     ``threshold``.  The test has a margin of 8 ulps: a pair of #_R displaced
     by exactly 7R has both ends within 8R of the origin, so its rounded cost
-    is off by at most about 5 ulps, and it counts whatever the rounding."""
-    return cost >= threshold**2 * (1.0 - 8 * np.finfo(float).eps)
+    is off by at most about 5 ulps, and it counts whatever the rounding.  A
+    threshold whose square overflows is past every pair, like an infinite one."""
+    try:
+        least = threshold**2 * (1.0 - 8 * np.finfo(float).eps)
+    except OverflowError:
+        least = np.inf
+    return cost >= least
 
 
 def _energy(pi: Coupling, blocks: list[tuple]) -> float:
@@ -254,6 +260,19 @@ class AffineFit:
     b_only: bool = False
 
 
+def _ridged_solve(gram: np.ndarray, rhs: np.ndarray, cond_limit: float,
+                  singular: Callable[[], bool] | None = None) -> tuple:
+    """(theta, ridged) solving a least-squares fit's normal equations gram theta = rhs:
+    past ``cond_limit``, with a 1e-12 ridge, or theta None if ``singular()`` holds."""
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise DomainError("the least-squares fit's normal equations overflow")
+    if np.linalg.cond(gram) > cond_limit:
+        if singular is not None and singular():
+            return None, False
+        return np.linalg.solve(gram + 1e-12 * np.eye(len(gram)), rhs), True
+    return np.linalg.solve(gram, rhs), False
+
+
 def affine_fit(pi: Coupling, r: float) -> AffineFit:
     """Weighted least-squares fit of y ~ A x + b over the hash region at r.
 
@@ -272,28 +291,23 @@ def affine_fit(pi: Coupling, r: float) -> AffineFit:
     rhs = np.einsum("ia,ib->ab", z, s)
     mass = np.sum(w)
 
-    ridged = False
-    b_only = False
-    if np.linalg.cond(gram) > 1e12:
+    def flat() -> bool:
+        # The rows' x span less than d dimensions: only b is determined.
         dx = x - np.einsum("i,ia->a", w, x) / mass
         cov = np.einsum("i,ia,ib->ab", w, dx, dx) / mass
-        if np.linalg.eigvalsh(cov).min() < 1e-12 * max(1.0, float(np.trace(cov))):
-            b_only = True
-        else:
-            gram = gram + 1e-12 * np.eye(d + 1)
-            ridged = True
+        return np.linalg.eigvalsh(cov).min() < 1e-12 * max(1.0, float(np.trace(cov)))
 
-    if b_only:
+    theta, ridged = _ridged_solve(gram, rhs, 1e12, flat)
+    if theta is None:
         a_mat = np.zeros((d, d))
         b_vec = np.sum(s, axis=0) / mass
     else:
-        theta = np.linalg.solve(gram, rhs)
         a_mat = theta[:d, :].T
         b_vec = theta[d, :]
 
     pred = np.einsum("ab,ib->ia", a_mat, x) + b_vec
     defect = region.per_radius(residual(pred), d + 2)
-    return AffineFit(A=a_mat, b=b_vec, defect=defect, r=r, ridged=ridged, b_only=b_only)
+    return AffineFit(A=a_mat, b=b_vec, defect=defect, r=r, ridged=ridged, b_only=theta is None)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +325,14 @@ def monge_coupling(
     lam: GridMeasure, target: GridMeasure, assignment: np.ndarray
 ) -> Coupling:
     """Deterministic-map coupling sending source point i to target point assignment[i]."""
-    assignment = np.asarray(assignment, dtype=int)
+    try:
+        assignment = np.asarray(assignment, dtype=int)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DomainError(f"assignment must hold target point indices: {exc}") from None
     if assignment.shape != (lam.spec.n_points,):
         raise DomainError("assignment must map every source point")
+    if not np.all((0 <= assignment) & (assignment < target.spec.n_points)):
+        raise DomainError("assignment names a target point that does not exist")
     mass = np.zeros((lam.spec.n_points, target.spec.n_points))
     mass[np.arange(assignment.size), assignment] = lam.weights
     return Coupling(source=lam, target=target, mass=mass)

@@ -172,7 +172,9 @@ class GridMeasure:
             raise DomainError("weights must be finite (no NaN or inf)")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
-        if not 0 < np.sum(w) < np.inf:
+        with np.errstate(over="ignore"):
+            total = np.sum(w)
+        if not 0 < total < np.inf:
             raise DomainError("total mass must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -371,7 +373,7 @@ def _density_gaussian(pts: np.ndarray, params: dict) -> np.ndarray:
     amplitude = config_value(params, "amplitude", float, 1.0, where="density.")
     floor = config_value(params, "floor", float, 0.0, where="density.")
     center = _per_axis(params, "center", pts.shape[1])
-    sq = np.sum((pts - center[None, :]) ** 2, axis=1)
+    sq = squared_distances(pts, center[None, :])[:, 0]
     return floor + amplitude * np.exp(-sq / (2.0 * sigma**2))
 
 

@@ -8,7 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .couplings import Coupling, HashRegion, affine_fit, local_energy, long_trajectory_stats
+from .couplings import (Coupling, HashRegion, _ridged_solve, affine_fit, local_energy,
+                        long_trajectory_stats)
 from .errors import AdmissibilityError, DomainError, SmallnessError
 from .grids import GridMeasure, averaging_radius, data_term, density_at, origin_density
 from .scalings import Scaling, apply_to_coupling, compose, normalizing_scaling
@@ -117,11 +118,7 @@ def _harmonic_from_moments(
     phi = _basis_gradients(x)
     gram = np.einsum("i,ica,icb->ab", w, phi, phi)
     rhs = np.einsum("ica,ic->a", phi, s - w[:, None] * x)
-    ridged = False
-    if np.linalg.cond(gram) > 1e10:
-        gram = gram + 1e-12 * np.eye(gram.shape[0])
-        ridged = True
-    coeffs = np.linalg.solve(gram, rhs)
+    coeffs, ridged = _ridged_solve(gram, rhs, 1e10)
     return HarmonicFit(
         coeffs=coeffs,
         grad0=coeffs[:d].copy(),
@@ -142,9 +139,18 @@ def fit_harmonic_displacement(
         x = x[:, None]
     if y.ndim == 1:
         y = y[:, None]
-    return _harmonic_from_moments(
-        x, w, w[:, None] * y, lambda pred: float(np.sum(w[:, None] * (y - pred) ** 2))
-    )
+    if x.shape != y.shape or w.shape != x.shape[:1]:
+        raise DomainError(f"x, y and w must have shapes (n, d), (n, d) and (n,), got "
+                          f"{x.shape}, {y.shape} and {w.shape}")
+    if not all(np.isfinite(a).all() for a in (x, y, w)):
+        raise DomainError("x, y and w must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = _harmonic_from_moments(
+            x, w, w[:, None] * y, lambda pred: float(np.sum(w[:, None] * (y - pred) ** 2))
+        )
+    if not np.isfinite(fit.residual):
+        raise DomainError("the harmonic fit's residual overflows")
+    return fit
 
 
 def harmonic_fit(pi: Coupling, fit_radius: float) -> HarmonicFit:
@@ -189,7 +195,10 @@ def _improve(
             f"marginals are not normalized at the origin: lam(0)={lam0:.4f}, "
             f"mu(0)={mu0:.4f}"
         )
-    smallness = energy + (eps / R) ** 2 + config.delta
+    try:
+        smallness = energy + (eps / R) ** 2 + config.delta
+    except OverflowError:  # eps / R past 1e154 is nowhere near small
+        smallness = np.inf
     if smallness >= config.eps1:
         raise SmallnessError(
             f"smallness {smallness:.4f} >= eps1 {config.eps1} at radius {R}"
@@ -210,6 +219,15 @@ def _improve(
     s_hat = Scaling(A=a_mat, b=b_vec, gamma=gamma, kappa=1.0)
     s_hat.require_admissible()
     return s_hat, fit, det_a, apply_to_coupling(s_hat, pi)
+
+
+def _plan_epsilon(pi: Coupling, epsilon: float | None) -> float:
+    """``epsilon``, else the plan's own (0 for an unregularised plan); DomainError
+    unless it is nonnegative with a finite square."""
+    eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
+    if not (eps >= 0 and eps * eps < np.inf):
+        raise DomainError(f"epsilon must be nonnegative with a finite square, got {eps}")
+    return eps
 
 
 def one_step(
@@ -234,7 +252,7 @@ def one_step(
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
-    eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
+    eps = _plan_epsilon(pi, epsilon)
     e_before = local_energy(pi, R)
     d_before = data_term(lam, mu, R).D
     s_hat, fit, det_a, pi_hat = _improve(pi, lam, mu, R, e_before + d_before, eps, config)
@@ -385,7 +403,7 @@ def quasimin_defect(
     """
     if not lam_factor > 1.0:
         raise DomainError(f"competitor factor must exceed 1, got {lam_factor}")
-    eps = epsilon if epsilon is not None else (pi.epsilon or 0.0)
+    eps = _plan_epsilon(pi, epsilon)
     # P_R: |x| <= R with |y| <= Lambda R, or |x| <= Lambda R with |y| <= R.  It
     # lies in the box of the Lambda R balls' index spans.
     lr = lam_factor * R
@@ -462,8 +480,8 @@ def long_traj_experiment(
     Also reports the regression slope of log(ratio) against R^2/eps^2;
     ``stages`` holds each solve's ``SinkhornResult.stages``.
     """
-    if not R > 0:
-        raise DomainError(f"radius must be positive, got {R}")
+    if not (R > 0 and long_factor > 0):
+        raise DomainError(f"radius and long_factor must be positive, got {R} and {long_factor}")
     for m, name in ((lam, "source"), (mu, "target")):
         if not _hull_covers_ball(m, long_factor * R):
             raise DomainError(

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .couplings import Coupling, check_marginals
-from .errors import AdmissibilityError, DomainError
+from .errors import AdmissibilityError, DomainError, SizeError
 from .grids import GridMeasure, GridSpec, origin_density
 
 __all__ = [
@@ -61,8 +61,10 @@ class Scaling:
         d = a.shape[0]
         if a.shape != (d, d) or b.shape != (d,):
             raise DomainError(f"matrix/vector shapes {a.shape}, {b.shape} inconsistent")
-        if not (self.gamma > 0 and self.kappa > 0):
-            raise DomainError("gamma and kappa must be positive")
+        if not (0 < self.gamma < np.inf and 0 < self.kappa < np.inf):
+            raise DomainError("gamma and kappa must be positive and finite")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise DomainError("A and b must be finite")
         if self.x_matrix is None:
             scale = max(1.0, float(np.abs(a).max()))
             if np.abs(a - a.T).max() > 1e-12 * scale:
@@ -71,8 +73,8 @@ class Scaling:
                 raise DomainError("A must be positive-definite")
         else:
             xm = np.atleast_2d(np.asarray(self.x_matrix, dtype=float))
-            if xm.shape != (d, d):
-                raise DomainError("x_matrix shape inconsistent with A")
+            if xm.shape != (d, d) or not np.isfinite(xm).all():
+                raise DomainError("x_matrix must be a finite matrix of A's shape")
             xm.setflags(write=False)
             object.__setattr__(self, "x_matrix", xm)
         if np.linalg.cond(a) > 1e12:
@@ -108,18 +110,36 @@ class Scaling:
 
 
 def identity_scaling(dim: int) -> Scaling:
+    if dim not in (1, 2):
+        raise DomainError(f"dim must be 1 or 2, got {dim}")
     return Scaling(A=np.eye(dim), b=np.zeros(dim), gamma=1.0, kappa=1.0)
+
+
+def _atoms(s: Scaling, points: np.ndarray) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != s.dim:
+        raise DomainError(f"atoms of a {s.dim}-d scaling need shape (n, {s.dim}), got {pts.shape}")
+    return pts
+
+
+def _finite_atoms(image: np.ndarray) -> np.ndarray:
+    if not np.isfinite(image).all():
+        raise DomainError("transformed atom positions overflow or are not finite")
+    return image
 
 
 def transform_source_atoms(s: Scaling, points: np.ndarray) -> np.ndarray:
     """Push source atom positions through Q1."""
-    return np.asarray(points, dtype=float) @ s.source_matrix.T
+    pts = _atoms(s, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_atoms(pts @ s.source_matrix.T)
 
 
 def transform_target_atoms(s: Scaling, points: np.ndarray) -> np.ndarray:
     """Push target atom positions through Q2."""
-    pts = np.asarray(points, dtype=float)
-    return (pts - s.b[None, :]) @ (s.gamma * s.A).T
+    pts = _atoms(s, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_atoms((pts - s.b[None, :]) @ (s.gamma * s.A).T)
 
 
 def compose(s2: Scaling, s1: Scaling) -> Scaling:
@@ -131,11 +151,16 @@ def compose(s2: Scaling, s1: Scaling) -> Scaling:
     """
     if s1.dim != s2.dim:
         raise DomainError("scalings act in different dimensions")
-    a_c = s2.A @ s1.A
-    b_c = s1.b + np.linalg.solve(s1.A, s2.b) / s1.gamma
+    # A product that overflows is refused before A_c is inverted; a b_c that
+    # does, by Scaling.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_c = s2.A @ s1.A
+        b_c = s1.b + np.linalg.solve(s1.A, s2.b) / s1.gamma
+        x_c = s2.source_matrix @ s1.source_matrix
     gamma_c = s2.gamma * s1.gamma
     kappa_c = s2.kappa * s1.kappa
-    x_c = s2.source_matrix @ s1.source_matrix
+    if not (np.isfinite(a_c).all() and np.isfinite(x_c).all()):
+        raise DomainError("composite scaling overflows")
     # Drop the explicit source matrix whenever A_c^{-1} reproduces it, so
     # commuting composites stay in the plain symmetric form.
     try:
@@ -160,10 +185,18 @@ def _deposit(
 ) -> tuple[GridMeasure, np.ndarray]:
     """Conservative nearest-cell deposition onto a lattice anchored at the
     first transformed point; returns the measure and each atom's flat cell index."""
+    if not 0 < h_new < np.inf:
+        raise DomainError(f"the scaling takes the grid spacing to {h_new}")
     d = points.shape[1]
-    anchor = points[0] / h_new
-    frac = anchor - np.floor(anchor)
-    rel = points / h_new - frac[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = points[0] / h_new
+        frac = anchor - np.floor(anchor)
+        rel = points / h_new - frac[None, :]
+    # Past 2^31 cells from the origin the lattice is far over the size limit
+    # (and its indices would overflow).
+    if not np.abs(rel).max() < 2.0**31:
+        raise SizeError(f"rescaled atoms lie {np.abs(rel).max():.3g} cells of {h_new:.3g} "
+                        "from the origin")
     k = np.rint(rel).astype(int)
     k0 = np.rint(-frac).astype(int)
     kmin = np.minimum(k.min(axis=0), k0)
@@ -182,12 +215,15 @@ def _deposit(
     return GridMeasure(spec=spec, weights=new_weights, alpha=alpha), flat
 
 
+# A determinant that overflows gives a spacing that _deposit refuses.
 def _source_spacing(s: Scaling, h: float) -> float:
-    return h * abs(float(np.linalg.det(s.source_matrix))) ** (1.0 / s.dim)
+    with np.errstate(over="ignore"):
+        return h * abs(float(np.linalg.det(s.source_matrix))) ** (1.0 / s.dim)
 
 
 def _target_spacing(s: Scaling, h: float) -> float:
-    return h * s.gamma * abs(s.det_A) ** (1.0 / s.dim)
+    with np.errstate(over="ignore"):
+        return h * s.gamma * abs(s.det_A) ** (1.0 / s.dim)
 
 
 def _deposit_marginals(

@@ -7,8 +7,12 @@ epsilon has the units of a distance.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -260,6 +264,8 @@ def sinkhorn(
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
+    if not (tol > 0 and max_iter >= 1):
+        raise DomainError(f"tol and max_iter must be positive, got {tol} and {max_iter}")
     mass = _require_pair(lam, mu)
     extent_a, extent_b = lam.spec.extent, mu.spec.extent
     n, m = lam.spec.n_points, mu.spec.n_points
@@ -269,6 +275,8 @@ def sinkhorn(
                    for k, (a, b) in enumerate(zip(extent_a, extent_b)))
     require_dense_size(n, m, SINKHORN_PLAN_ARRAYS + per_axis / (n * m), "sinkhorn")
 
+    # Not squared_distances, which forms dense costs: TestFactoredKernel spies on it
+    # to check that a factored solve forms none.
     axis_costs = [np.subtract.outer(x, y) ** 2 for x, y in zip(lam.spec.axes, mu.spec.axes)]
     factors = [np.empty_like(c) for c in axis_costs]
     factors_t = [factor.T for factor in factors]
@@ -499,6 +507,8 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
     entries, the right from the sampled pairs' costs at temperature epsilon^2.
     Quadruples touching an underflowed (zero) entry are skipped and resampled.
     :func:`require_gibbs_check_size` refuses an oversized check up front."""
+    if not (n_samples >= 0 and seed >= 0):
+        raise DomainError(f"n_samples and seed must be nonnegative, got {n_samples} and {seed}")
     require_gibbs_check_size(res.f.size, res.g.size, n_samples)
     plan = res.plan.mass
     x, y = res.plan.source.points, res.plan.target.points
@@ -656,12 +666,11 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     masses = np.maximum(overlap, 0.0).astype(float)
     # u_i + v_j = c_ij along the path: u moves only on down steps, by the cost
     # difference of the step.
-    x, y = lam.points[:, 0], mu.points[:, 0]
     ii, jj = rows[ri], cols[cj]
-    c_path = (x[ii] - y[jj]) ** 2
+    c_path = squared_distances(lam.points[ii], mu.points[jj], pairwise=True)
     down = np.diff(ri, prepend=0) > 0
     u_path = np.cumsum(np.where(down, np.diff(c_path, prepend=c_path[0]), 0.0))
-    u, v = np.zeros(x.size), np.zeros(y.size)
+    u, v = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
     u[ii] = u_path
     v[jj] = c_path - u_path
     return _certify(lam, mu, ii, jj, masses, c_path, u, v, "monotone_1d", [])
@@ -698,7 +707,7 @@ def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
             hull.append(k)
             starts.append(s)
     best = np.asarray(hull)[np.searchsorted(starts, x, side="right") - 1]
-    return (x - y[best]) ** 2 - v[best]
+    return squared_distances(x[:, None], y[best, None], pairwise=True) - v[best]
 
 
 def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -819,6 +828,40 @@ def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([r.min(axis=1) for _, r in _reduced_blocks(cost, np.zeros(len(cost)), v)])
 
 
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs_binding():
+    """scipy's bundled HiGHS binding.  It is loaded on the first LP, not at
+    import: only the transport LP uses scipy.  ``from scipy.optimize._highspy
+    import _core`` would run all of scipy.optimize's __init__, most of a 2-d
+    run's start-up, so the extension file is loaded by itself and registered
+    under its full name, where a later ``import scipy.optimize`` finds it.
+    If no such file is where scipy keeps it, or it does not load, the binding
+    is imported the usual way."""
+    binding = sys.modules.get(HIGHS_MODULE)
+    if binding is not None:
+        return binding
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_core" + suffix)
+        if not os.path.isfile(path):
+            continue
+        loader = importlib.machinery.ExtensionFileLoader(HIGHS_MODULE, path)
+        try:
+            binding = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(HIGHS_MODULE, path, loader=loader))
+            loader.exec_module(binding)
+        except ImportError:
+            break
+        sys.modules[HIGHS_MODULE] = binding
+        return binding
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
                   u: np.ndarray, v: np.ndarray) -> tuple:
     """The pricing loop of _exact_ot_lp on one level's cost ``cost_s`` from the
@@ -832,10 +875,8 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
     column costs c_ij - u_i - v_j >= 0, so the slack basis is dual-feasible
     and the dual simplex opens at the seeds; the shift adds sum(u a) +
     sum(v b) to every plan's cost, and the seeds plus the row duals are the
-    duals of c.  scipy's HiGHS binding is imported here: importing scipy
-    takes most of eotlab's start-up time, and only the transport LP uses it.
-    Its n x m arrays are gone when it returns."""
-    from scipy.optimize._highspy import _core as highs
+    duals of c.  Its n x m arrays are gone when it returns."""
+    highs = _highs_binding()
 
     n, m = cost_s.shape
     near, batch = SHORTLIST_STENCIL**dim, dim + 1

@@ -231,6 +231,15 @@ class TestLongTrajectories:
             stats = long_trajectory_stats(pi, 0.5, 100.0)
             assert stats.energy == 0.0 and stats.mass == 0.0
 
+    @pytest.mark.parametrize("threshold", [1.4e154, 1e200, 1.7976931348623157e308, np.inf])
+    def test_threshold_whose_square_overflows_selects_no_pair(self, threshold):
+        # A Python float's square past the float range once raised a bare
+        # OverflowError, where an infinite threshold read zeros.
+        lam = measure_from_density(symmetric_grid(1, 9, -1.0, 1.0),
+                                   lambda p: np.ones(len(p)), alpha=0.5)
+        stats = long_trajectory_stats(diagonal_coupling(lam), 0.5, threshold)
+        assert (stats.energy, stats.mass) == (0.0, 0.0)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(pi=grid_couplings())
     def test_hull_reach_bounds_every_rounded_cost(self, pi):

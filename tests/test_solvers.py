@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -149,6 +153,14 @@ class TestSinkhorn:
         # 1e-170 is positive, but its square underflows to zero.
         with pytest.raises(DomainError, match="epsilon"):
             sinkhorn(uniform_1d, uniform_1d, eps)
+
+    @pytest.mark.parametrize("opts", [{"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0},
+                                      {"max_iter": 0}, {"max_iter": -1}])
+    def test_tolerance_and_cap_must_be_positive(self, uniform_1d, opts):
+        # A NaN tol once ran past the whole cap, and a cap of 0 or -1 still
+        # ran 10 iterations: neither was refused.
+        with pytest.raises(DomainError, match="tol and max_iter must be positive"):
+            sinkhorn(uniform_1d, uniform_1d, 0.5, **opts)
 
     def test_dimension_mismatch_rejected(self, uniform_1d, uniform_2d):
         # The kernel has one factor per axis, so the two grids must share them.
@@ -950,6 +962,54 @@ def test_highs_binding_has_every_name_the_lp_uses():
             missing.append(name)
     assert not missing, (f"scipy {scipy.__version__}'s scipy.optimize._highspy._core lacks "
                          f"{', '.join(missing)}, which the 2-d exact-OT LP uses")
+
+
+# A 2-d exact_ot in a fresh process: whether it loaded scipy.optimize, and a
+# digest of every output bit.  ``{patch}`` runs after eotlab is imported.
+HIGHS_PROBE = """
+import hashlib, sys
+import numpy as np
+import eotlab.solvers as solvers
+from eotlab import exact_ot, measure_from_density, symmetric_grid
+{patch}
+spec = symmetric_grid(2, 6, -1.0, 1.0)
+lam = measure_from_density(spec, lambda p: np.ones(len(p)), 0.5, normalize=True)
+mu = measure_from_density(spec, lambda p: 1.0 + 0.5 * p[:, 0], 0.5, normalize=True)
+
+def digest():
+    res = exact_ot(lam, mu)
+    parts = (res.plan.mass, res.u, res.v, np.array([res.cost, res.duality_gap]))
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
+
+first = digest()
+print("scipy.optimize" in sys.modules, first)
+import scipy.optimize
+from scipy.optimize._highspy import _core
+print(_core is solvers._highs_binding(), digest() == first)
+"""
+
+
+def run_highs_probe(patch=""):
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", HIGHS_PROBE.format(patch=patch)],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_lp_loads_the_highs_binding_without_scipy_optimize():
+    # The binding's extension file is loaded by itself, and a later
+    # ``import scipy.optimize`` reuses it.  When the file lookup finds
+    # nothing, the usual import runs and loads scipy.optimize.  Both give
+    # the same bits.
+    (loaded, direct), (reused, same) = run_highs_probe()
+    assert (loaded, reused, same) == ("False", "True", "True")
+    (loaded, fallback), (reused, same) = run_highs_probe(
+        "import importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES = []")
+    assert (loaded, reused, same) == ("True", "True", "True")
+    assert direct == fallback
 
 
 @st.composite
