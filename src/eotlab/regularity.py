@@ -11,7 +11,8 @@ import numpy as np
 from .couplings import (Coupling, HashRegion, _ridged_solve, affine_fit, local_energy,
                         long_trajectory_stats)
 from .errors import AdmissibilityError, DomainError, SmallnessError
-from .grids import GridMeasure, averaging_radius, data_term, density_at, origin_density
+from .grids import (GridMeasure, averaging_radius, data_term, density_at, origin_density,
+                    squared_distances)
 from .scalings import Scaling, apply_to_coupling, compose, normalizing_scaling
 from .solvers import SinkhornResult, entropic_cost, exact_ot, sinkhorn
 
@@ -146,8 +147,8 @@ def fit_harmonic_displacement(
         raise DomainError("x, y and w must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         fit = _harmonic_from_moments(
-            x, w, w[:, None] * y, lambda pred: float(np.sum(w[:, None] * (y - pred) ** 2))
-        )
+            x, w, w[:, None] * y,
+            lambda pred: float(np.sum(w * squared_distances(y, pred, pairwise=True))))
     if not np.isfinite(fit.residual):
         raise DomainError("the harmonic fit's residual overflows")
     return fit
