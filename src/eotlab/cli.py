@@ -20,11 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .couplings import RADIUS_SCAN_COLUMNS, radius_scan_rows, save_coupling
+from .couplings import (LONG_TRAJECTORY_FACTOR, RADIUS_SCAN_COLUMNS, radius_scan_rows,
+                        save_coupling)
 from .errors import (REQUIRED, ConfigError, DomainError, EotlabError, MassMismatchError,
                      SizeError, config_value)
 from .grids import GridMeasure, make_measure
 from .regularity import (
+    COMPETITOR_FACTOR,
+    MAX_CASCADE_LEVELS,
     RegularityConfig,
     campanato_iterate,
     expansion_experiment,
@@ -241,7 +244,7 @@ def _run_longtraj(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     result = long_traj_experiment(
         lam, mu, _exp_value(exp, "R", positive=True), ladder, _solver_opts(cfg),
-        long_factor=_exp_value(exp, "long_factor", default=7.0, positive=True),
+        long_factor=_exp_value(exp, "long_factor", default=LONG_TRAJECTORY_FACTOR, positive=True),
     )
     return _ladder_report(result, {"mass_slope": "mass_slope", "energy_slope": "energy_slope"})
 
@@ -249,7 +252,7 @@ def _run_longtraj(lam, mu, exp, cfg) -> tuple:
 def _run_quasimin(lam, mu, exp, cfg) -> tuple:
     ladder = _exp_value(exp, "eps_ladder", list, positive=True)
     radius = _exp_value(exp, "R", positive=True)
-    lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
+    lam_factor = _exp_between(exp, "Lambda", COMPETITOR_FACTOR, 1.0)
 
     def row(eps: float, res) -> dict:
         report = quasimin_defect(res.plan, lam, mu, radius, lam_factor, epsilon=eps)
@@ -300,7 +303,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
 
 
 def _run_campanato(lam, mu, exp, cfg) -> tuple:
-    max_levels = _exp_nonnegative(exp, "max_levels", int, 16)
+    max_levels = _exp_nonnegative(exp, "max_levels", int, MAX_CASCADE_LEVELS)
     reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
     cascade = campanato_iterate(
         res.plan, lam, mu, radius, theta, epsilon, max_levels=max_levels, config=reg_cfg,
@@ -325,7 +328,7 @@ def _run_softlemma(lam, mu, exp, cfg) -> tuple:
     radius = _exp_value(exp, "R", positive=True)
     rho_ladder = _exp_value(exp, "rho_ladder", list, positive=True)
     delta_r = _exp_nonnegative(exp, "Delta_R", float, None)
-    lam_factor = _exp_between(exp, "Lambda", 2.75, 1.0)
+    lam_factor = _exp_between(exp, "Lambda", COMPETITOR_FACTOR, 1.0)
     res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))
     if delta_r is None:
         report = quasimin_defect(res.plan, lam, mu, radius / 2.0, lam_factor, epsilon=epsilon)

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 RADIUS_SCAN_COLUMNS = ["R", "E", "D", "long_energy", "long_mass", "defect_beta0"]
+# A long trajectory at radius r is a displacement of at least this factor times r.
+LONG_TRAJECTORY_FACTOR = 7.0
 
 
 @dataclass
@@ -342,10 +344,11 @@ def radius_scan_rows(
     pi: Coupling, lam: GridMeasure, mu: GridMeasure, radii: list[float]
 ) -> list[dict]:
     """Per-radius report rows with columns R,E,D,long_energy,long_mass,defect_beta0;
-    a long trajectory at radius r is a displacement of at least 7r."""
+    a long trajectory at radius r is a displacement of at least
+    ``LONG_TRAJECTORY_FACTOR * r``."""
     rows = []
     for r in radii:
-        stats = long_trajectory_stats(pi, r, 7.0 * r)
+        stats = long_trajectory_stats(pi, r, LONG_TRAJECTORY_FACTOR * r)
         rows.append(
             {
                 "R": float(r),

@@ -384,19 +384,17 @@ def _density_perturbed_uniform(pts: np.ndarray, params: dict) -> np.ndarray:
     return 1.0 + amplitude * wave
 
 
-def _image_of_unit_density(
-    pts: np.ndarray, u: Callable, du: Callable, kind: str
-) -> np.ndarray:
+def _image_of_unit_density(pts: np.ndarray, u: Callable, du: Callable) -> np.ndarray:
     """Density of the image of the unit density on [-1, 1] under the map
     T(x) = x + u(x): 1 / T'(T^{-1}(y)), with T^{-1} found by bisection.
 
     One-dimensional only; T must be monotone, which is checked on a probe grid.
     """
     if pts.shape[1] != 1:
-        raise ConfigError(f"{kind} densities are one-dimensional")
+        raise ConfigError("shifted_profile densities are one-dimensional")
     probe = np.linspace(-1.0, 1.0, 4001)
     if np.min(1.0 + du(probe)) <= 1e-6:
-        raise ConfigError(f"{kind} parameters make the transport map non-monotone")
+        raise ConfigError("shifted_profile parameters make the transport map non-monotone")
     y = pts[:, 0]
     lo = np.full_like(y, -1.0)
     hi = np.full_like(y, 1.0)
@@ -430,47 +428,7 @@ def _density_shifted_profile(pts: np.ndarray, params: dict) -> np.ndarray:
         dwin = -2.0 * w * x * (1.0 - x**2) ** (w - 1.0)
         return cusp * win + dwin * (c0 + c1 * np.abs(x) ** (1.0 + p))
 
-    return _image_of_unit_density(pts, u, du, "shifted_profile")
-
-
-def _density_ramp_shift(pts: np.ndarray, params: dict) -> np.ndarray:
-    """Image of the unit density under an odd inward ramp displacement.
-
-    u'(x) = -c * S((|x| - offset)/width) with S the cubic smoothstep, plus an
-    optional centered shift c0*(1-x^2)^2.  The slope vanishes near the origin,
-    so the displacement energy is carried at the ramp scale and decays when the
-    observation radius drops below it.
-    """
-    c0 = config_value(params, "c0", float, 0.0, where="density.")
-    c = config_value(params, "c", float, 0.1, where="density.")
-    offset = config_value(params, "offset", float, 0.05, where="density.")
-    width = config_value(params, "width", float, 0.3, where="density.")
-
-    def smoothstep(t: np.ndarray) -> np.ndarray:
-        t = np.clip(t, 0.0, 1.0)
-        return t * t * (3.0 - 2.0 * t)
-
-    def ramp_integral(t: np.ndarray) -> np.ndarray:
-        # integral of smoothstep from 0 to t
-        t_c = np.clip(t, 0.0, 1.0)
-        inner = t_c**3 - 0.5 * t_c**4
-        return inner + np.maximum(t - 1.0, 0.0)
-
-    def u(x: np.ndarray) -> np.ndarray:
-        shelf = width * ramp_integral((np.abs(x) - offset) / width)
-        return c0 * (1.0 - x**2) ** 2 - c * np.sign(x) * shelf * (1.0 - x**2) ** 2
-
-    def du(x: np.ndarray) -> np.ndarray:
-        win = (1.0 - x**2) ** 2
-        dwin = -4.0 * x * (1.0 - x**2)
-        shelf = width * ramp_integral((np.abs(x) - offset) / width)
-        dshelf = smoothstep((np.abs(x) - offset) / width) * np.sign(x)
-        return (
-            c0 * dwin
-            - c * np.sign(x) * (dshelf * win + shelf * dwin)
-        )
-
-    return _image_of_unit_density(pts, u, du, "ramp_shift")
+    return _image_of_unit_density(pts, u, du)
 
 
 DENSITY_KINDS: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
@@ -479,7 +437,6 @@ DENSITY_KINDS: dict[str, Callable[[np.ndarray, dict], np.ndarray]] = {
     "gaussian": _density_gaussian,
     "perturbed_uniform": _density_perturbed_uniform,
     "shifted_profile": _density_shifted_profile,
-    "ramp_shift": _density_ramp_shift,
 }
 
 

@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .couplings import (Coupling, HashRegion, _ridged_solve, affine_fit, local_energy,
-                        long_trajectory_stats)
+from .couplings import (LONG_TRAJECTORY_FACTOR, Coupling, HashRegion, _ridged_solve,
+                        affine_fit, local_energy, long_trajectory_stats)
 from .errors import AdmissibilityError, DomainError, SmallnessError
 from .grids import (GridMeasure, averaging_radius, data_term, density_at, origin_density,
                     squared_distances)
@@ -53,6 +53,10 @@ DEFAULT_CONFIG = RegularityConfig()
 # measured, mirroring the fit-over-#_1 / energy-at-10 geometry.
 FIT_RADIUS_FACTOR = 0.1
 NORMALIZATION_TOL = 1e-2
+# The quasi-minimality competitor lives on balls of this factor times R, and the
+# campanato cascade stops after this many improvement steps at most.
+COMPETITOR_FACTOR = 2.75
+MAX_CASCADE_LEVELS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,6 @@ def _improve(
             f"fitted offset {b_vec.tolist()} leaves the target grid hull"
         ) from exc
     s_hat = Scaling(A=a_mat, b=b_vec, gamma=gamma, kappa=1.0)
-    s_hat.require_admissible()
     return s_hat, fit, det_a, apply_to_coupling(s_hat, pi)
 
 
@@ -309,7 +312,7 @@ def campanato_iterate(
     R0: float,
     theta: float,
     epsilon: float,
-    max_levels: int = 16,
+    max_levels: int = MAX_CASCADE_LEVELS,
     config: RegularityConfig = DEFAULT_CONFIG,
 ) -> CampanatoTrace:
     """Iterate the one-step improvement down to the entropic length scale.
@@ -391,7 +394,7 @@ def quasimin_defect(
     lam: GridMeasure,
     mu: GridMeasure,
     R: float,
-    lam_factor: float = 2.75,
+    lam_factor: float = COMPETITOR_FACTOR,
     epsilon: float | None = None,
 ) -> DefectReport:
     """Gap between local quadratic cost and the optimal cost of the coupling's
@@ -473,7 +476,7 @@ def long_traj_experiment(
     R: float,
     eps_ladder: list[float],
     solver_opts: dict | None = None,
-    long_factor: float = 7.0,
+    long_factor: float = LONG_TRAJECTORY_FACTOR,
 ) -> dict:
     """Energy/mass carried by displacements >= long_factor*R inside #_{4R},
     relative to E(pi, 5R), across an epsilon ladder.

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .couplings import Coupling, check_marginals
-from .errors import AdmissibilityError, DomainError, SizeError
+from .errors import AdmissibilityError, ConfigError, DomainError, SizeError, config_value
 from .grids import GridMeasure, GridSpec, origin_density
 
 __all__ = [
@@ -318,13 +318,23 @@ def scaling_to_json_dict(s: Scaling) -> dict:
 
 
 def scaling_from_json_dict(d: dict) -> Scaling:
-    b = np.asarray(d["b"], dtype=float)
-    dim = b.shape[0]
-    xm = d.get("x_matrix")
+    """Read a scaling written by :func:`scaling_to_json_dict`.  A malformed dict
+    (a field missing, of the wrong type or of the wrong length) raises
+    ConfigError; a well-formed one that is no valid scaling, DomainError."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a scaling must be a JSON object, got {d!r}")
+    b = np.asarray(config_value(d, "b", list, where="scaling."))
+
+    def matrix(key: str) -> np.ndarray:
+        values = config_value(d, key, list, where="scaling.")
+        if len(values) != b.size**2:
+            raise ConfigError(f"scaling.{key} must hold {b.size**2} numbers, got {len(values)}")
+        return np.reshape(values, (b.size, b.size))
+
     return Scaling(
-        A=np.asarray(d["A"], dtype=float).reshape(dim, dim),
+        A=matrix("A"),
         b=b,
-        gamma=float(d["gamma"]),
-        kappa=float(d["kappa"]),
-        x_matrix=None if xm is None else np.asarray(xm, dtype=float).reshape(dim, dim),
+        gamma=config_value(d, "gamma", float, where="scaling."),
+        kappa=config_value(d, "kappa", float, where="scaling."),
+        x_matrix=None if d.get("x_matrix") is None else matrix("x_matrix"),
     )

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from eotlab import save_measure
 from eotlab.cli import (EXPERIMENT_KEYS, _regularity_config, _section, _solver_epsilon,
                         _solver_opts, main)
+from eotlab.reports import jsonify
 from conftest import line_measure
 
 
@@ -57,6 +58,12 @@ def assert_csv_parses(path):
             if cell in ("", "true", "false") or not any(c.isdigit() for c in cell):
                 continue
             float(cell)
+
+
+class TestJsonify:
+    def test_non_finite_array_entries_become_null(self):
+        assert jsonify(np.array([[1.5, np.nan], [np.inf, -np.inf]])) == [[1.5, None],
+                                                                         [None, None]]
 
 
 class TestSolve:
@@ -835,6 +842,15 @@ class TestBadInputExits2:
         code, err = self.run(tmp_path, capsys, ["experiment", name], cfg)
         assert code == 2
         assert key in err
+
+    def test_ramp_shift_is_not_a_density_kind(self, tmp_path, capsys):
+        # A kind outside the five exits 2 and lists them.
+        cfg = {"source": marginal_spec(n=17, kind="ramp_shift"), "solver": {"epsilon": 0.5}}
+        code, err = self.run(tmp_path, capsys, ["solve"], cfg)
+        assert code == 2
+        assert "unknown density kind 'ramp_shift'" in err
+        assert ("valid kinds: ['affine', 'gaussian', 'perturbed_uniform', 'shifted_profile', "
+                "'uniform']") in err
 
     @pytest.mark.parametrize("case", sorted(BAD_MEASURE_FILES))
     def test_measure_file(self, tmp_path, capsys, case):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eotlab import (
+    AdmissibilityError,
     Coupling,
     DomainError,
     GridMeasure,
@@ -152,6 +153,11 @@ class TestHarmonicFit:
             np.sum(pi.cost_matrix * pi.mass, where=pi.mass > 0)
         )
         assert fit.residual <= zero_model + 1e-12
+
+    def test_three_columns_is_domain_error(self):
+        x = np.zeros((4, 3))
+        with pytest.raises(DomainError, match="harmonic basis"):
+            fit_harmonic_displacement(x, x + 0.1, np.ones(4))
 
 
 class TestMatrixExponential:
@@ -300,6 +306,36 @@ class TestCampanato:
             assert lvl.composed.gamma == pytest.approx(running.gamma, abs=1e-12)
             if lvl.step_scaling is not None:
                 running = compose(lvl.step_scaling, running)
+
+    def test_step_outside_gamma_window_exits_admissibility(self):
+        # The gaussian target's density at the fitted offset puts the step's
+        # gamma near 2.74, outside the window [0.5, 2]: the cascade stops after
+        # its first level, and one_step raises the windows' own error.
+        grid = {"dim": 1, "n": 129}
+        lam, mu = (make_measure({"grid": grid, "alpha": 0.5, "density": d}) for d in (
+            {"kind": "uniform"},
+            {"kind": "gaussian", "sigma": 0.4, "center": 0.6, "floor": 0.0}))
+        pi = sinkhorn(lam, mu, 0.05).plan
+        config = RegularityConfig(eps1=100.0, delta=0.0, c0=1.0)
+        trace = campanato_iterate(pi, lam, mu, R0=0.8, theta=0.5, epsilon=0.05, config=config)
+        assert trace.stop_reason == "admissibility_exit"
+        assert len(trace.levels) == 1 and trace.levels[0].step_scaling is None
+        pi_n = apply_to_coupling(trace.base_scaling, pi)
+        with pytest.raises(AdmissibilityError, match=r"outside windows G=\[0.5, 2.0\]"):
+            one_step(pi_n, pi_n.source, pi_n.target, R=0.8, theta=0.5, epsilon=0.05,
+                     config=config)
+
+    def test_offset_outside_target_hull_exits_admissibility(self, monkeypatch):
+        lam = uniform_unit_density(n=65)
+        far = regularity.HarmonicFit(coeffs=np.array([5.0]), grad0=np.array([5.0]),
+                                     hess0=np.zeros((1, 1)), residual=0.0)
+        monkeypatch.setattr(regularity, "harmonic_fit", lambda pi, r: far)
+        trace = campanato_iterate(diagonal_coupling(lam), lam, lam, R0=1.0, theta=0.5,
+                                  epsilon=0.02)
+        assert trace.stop_reason == "admissibility_exit"
+        assert len(trace.levels) == 1
+        with pytest.raises(AdmissibilityError, match=r"fitted offset \[5.0\] leaves"):
+            one_step(diagonal_coupling(lam), lam, lam, R=1.0, theta=0.5, epsilon=0.02)
 
 
 class TestQuasiminDefect:

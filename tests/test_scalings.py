@@ -7,7 +7,9 @@ import pytest
 
 from eotlab import (
     AdmissibilityError,
+    ConfigError,
     Coupling,
+    DomainError,
     GridMeasure,
     Scaling,
     apply_to_coupling,
@@ -69,6 +71,31 @@ class TestScalingType:
         np.testing.assert_allclose(s2.A, s.A)
         np.testing.assert_allclose(s2.b, s.b)
         assert (s2.gamma, s2.kappa) == (s.gamma, s.kappa)
+
+    def test_json_roundtrip_keeps_source_matrix_of_composite(self):
+        s1 = Scaling(A=np.array([[1.2, 0.1], [0.1, 0.9]]), b=np.array([0.1, -0.2]),
+                     gamma=1.1, kappa=0.8)
+        s2 = Scaling(A=np.array([[0.9, -0.3], [-0.3, 1.1]]), b=np.array([0.05, 0.0]),
+                     gamma=0.9, kappa=1.2)
+        comp = compose(s2, s1)
+        assert comp.x_matrix is not None
+        back = scaling_from_json_dict(scaling_to_json_dict(comp))
+        for name in ("A", "b", "x_matrix"):
+            assert np.array_equal(getattr(back, name), getattr(comp, name))
+        assert (back.gamma, back.kappa) == (comp.gamma, comp.kappa)
+
+    @pytest.mark.parametrize("d", [
+        {},
+        {"A": [1.0], "b": [0.0, 0.0], "gamma": 1.0, "kappa": 1.0},
+        {"A": [1.0], "b": [0.0], "gamma": "1", "kappa": 1.0},
+    ], ids=["empty", "A_wrong_length", "gamma_string"])
+    def test_json_malformed_dict_is_config_error(self, d):
+        with pytest.raises(ConfigError, match="scaling"):
+            scaling_from_json_dict(d)
+
+    def test_json_well_formed_invalid_scaling_is_domain_error(self):
+        with pytest.raises(DomainError, match="gamma and kappa"):
+            scaling_from_json_dict({"A": [1.0], "b": [0.0], "gamma": -1.0, "kappa": 1.0})
 
 
 class TestApplyToMeasures:
