@@ -535,8 +535,8 @@ def expansion_experiment(
     remainder(eps) = (OT_eps - OT - (d/2) eps^2 log(1/eps^2)) / eps^2; the
     reported slope regresses (OT_eps - OT)/eps^2 on log(1/eps^2) over ladder
     points resolved by the grid (eps >= 3h).  ``exact_ot`` records the exact
-    solve's method and its LP solves, and ``stages`` each Sinkhorn solve's
-    ``SinkhornResult.stages``.
+    solve's method, its LP solves and, if it ran one, its seed solve's
+    stages, and ``stages`` each Sinkhorn solve's ``SinkhornResult.stages``.
     """
     d = lam.dim
     h = max(lam.spec.h, mu.spec.h)
@@ -544,6 +544,8 @@ def expansion_experiment(
     mu = mu.scaled(1.0 / mu.total_mass)
     exact = exact_ot(lam, mu)
     ot, exact_record = exact.cost, {"method": exact.method, "solves": exact.solves}
+    if exact.seed_stages:  # the LP's; the 1-d monotone path runs no seed solve
+        exact_record["seed_stages"] = exact.seed_stages
     del exact  # its plan is not read below: drop it before the Sinkhorn solves
 
     def row(eps: float, res: SinkhornResult) -> dict:

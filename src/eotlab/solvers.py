@@ -106,11 +106,9 @@ class SinkhornResult(_PlanOnRead):
 
 @dataclass
 class LPSolve:
-    """One solve of the shortlist LP: its pyramid level (0 is the input, each
-    level above halves the grid), the atoms n x m at that level, the pairs on
+    """One solve of the shortlist LP: the positive atoms n x m, the pairs on
     the shortlist, the violated pairs that pricing its duals added to the
-    shortlist (0 on a level's last solve), and HiGHS's simplex iterations."""
-    level: int
+    shortlist (0 on the last solve), and HiGHS's simplex iterations."""
     atoms: tuple[int, int]
     pairs: int
     added: int
@@ -126,6 +124,7 @@ class ExactOTResult(_PlanOnRead):
     u: np.ndarray
     v: np.ndarray
     solves: list[LPSolve]
+    seed_stages: list[SinkhornStage]
 
 
 def _require_pair(lam: GridMeasure, mu: GridMeasure) -> float:
@@ -261,6 +260,14 @@ def sinkhorn(
     ``plan``.  An input whose plan and per-axis arrays would pass
     DENSE_BYTES_LIMIT raises SizeError up front.
     """
+    return _sinkhorn(lam, mu, epsilon, tol, max_iter)
+
+
+def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
+              max_iter: int) -> SinkhornResult:
+    """The solve of ``sinkhorn``.  exact_ot's seed solve calls it by this
+    name, so that a caller who replaces ``solvers.sinkhorn`` to count or
+    inspect its own solves does not see the seed."""
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
@@ -552,13 +559,13 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 CERT_RTOL = 1e-9
-# Shortlist LP: each positive atom starts with its SHORTLIST_STENCIL**dim
-# nearest partners, the stencil of cells around the image of a smooth map, and
-# each pricing round adds the dim + 1 most violated pairs of every row and
-# column.  A pair violates when its slack exceeds PRICE_RTOL of the cost
+# Shortlist LP: each positive atom starts with the SHORTLIST_STENCIL**dim
+# pairs of smallest reduced cost at the seeds, the grid cells around the image
+# of a smooth map, and each pricing round adds the dim + 1 most violated pairs
+# of every row and column.  A pair violates when its slack exceeds PRICE_RTOL of the cost
 # scale: far below CERT_RTOL, so the exit duals certify with room to spare,
 # while slack at rounding level adds no pairs.
-SHORTLIST_STENCIL = 3
+SHORTLIST_STENCIL = 2
 PRICE_RTOL = 1e-12
 # At the HiGHS defaults (1e-7) a restricted solve can return a plan 4e-8 off
 # its marginals and in cost, which the certificate and the cost both feel.
@@ -566,9 +573,16 @@ PRICE_RTOL = 1e-12
 # restricted LPs infeasible (a 14x14 gaussian of floor 0 to a uniform).
 HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
                  "presolve": "off", "output_flag": False}
-# The LP runs on a pyramid of coarsened grids once either side has more than
-# this many positive atoms; its coarsest level has at most this many per side.
-PYRAMID_ATOMS = 256
+# The LP's seeds come from a Sinkhorn solve at SEED_SPACINGS times the larger
+# grid spacing, to SEED_TOL: entropic potentials at a small epsilon are near
+# the optimal duals (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).  On the
+# README's 20x20 and 32x32 pairs, seeds at 1 to 2 spacings need no pricing
+# round; at 3 spacings the LP needs two and takes 1.8-2.7 times as long, at
+# 4 four or five and 6.5-7.5 times as long.  With these seeds, 4 pairs per
+# line (a SHORTLIST_STENCIL of 2) need no pricing round, 9 are up to 12%
+# slower and 1 needs seven or more rounds.
+SEED_SPACINGS = 2.0
+SEED_TOL = 1e-4
 
 
 def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -576,14 +590,15 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
 
     Dimension 1 uses the monotone coupling of the sorted supports and forms
     no n x m array.  Dimension 2 solves the transport LP on a shortlist of
-    pairs, coarse to fine, grown by pricing against each level's cost;
-    ``solves`` records each LP solve.  Both paths verify dual feasibility
-    over all pairs, complementary slackness, the marginals and a vanishing
-    duality gap before returning, in one certificate that reads the cost on
-    the plan's cells and takes c-transforms over the grids through lower
-    envelopes of parabolas.  The dense plan is built from its cells on first
-    read of ``plan``.  An input whose dense arrays would pass
-    DENSE_BYTES_LIMIT raises SizeError up front.
+    pairs, seeded by a loose Sinkhorn solve and grown by pricing against the
+    full cost; ``solves`` records each LP solve and ``seed_stages`` the seed
+    solve's stages.  Both paths verify dual feasibility over all pairs,
+    complementary slackness, the marginals and a vanishing duality gap
+    before returning, in one certificate that reads the cost on the plan's
+    cells and takes c-transforms over the grids through lower envelopes of
+    parabolas.  The dense plan is built from its cells on first read of
+    ``plan``.  An input whose dense arrays would pass DENSE_BYTES_LIMIT
+    raises SizeError up front.
     """
     _require_pair(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
@@ -597,7 +612,8 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
 
 def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
              masses: np.ndarray, c_cells: np.ndarray, u: np.ndarray, v: np.ndarray,
-             method: str, solves: list[LPSolve]) -> ExactOTResult:
+             method: str, solves: list[LPSolve],
+             seed_stages: list[SinkhornStage] = ()) -> ExactOTResult:
     """The ExactOTResult of the plan ``masses`` on the cells (ii, jj), whose
     costs are ``c_cells``, with the duals ``u`` and ``v``; CertificateError if
     its certificate misses CERT_RTOL.
@@ -634,7 +650,8 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
         return Coupling(source=lam, target=mu, mass=plan)
 
     return ExactOTResult(_build_plan=build_plan, cost=primal, method=method, duality_gap=gap,
-                         feasibility_violation=violation, u=u, v=v, solves=solves)
+                         feasibility_violation=violation, u=u, v=v, solves=solves,
+                         seed_stages=list(seed_stages))
 
 
 def _staircase(ca: np.ndarray, cb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -763,64 +780,34 @@ def _smallest_per_line(cost: np.ndarray, u: np.ndarray, v: np.ndarray, k: int, b
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     """Transport LP over the positive-weight atoms; the others carry no mass.
 
-    The LP is solved on a shortlist of pairs, coarse to fine (Merigot,
-    Comput. Graph. Forum 30(5), 2011; Schmitzer, JMIV 56, 2016).  While
-    either side has more than PYRAMID_ATOMS atoms, both are coarsened by
-    summing 2^dim blocks of cells, at the blocks' barycentres.  Each level is
-    seeded with dual-feasible (u, v): zero on the coarsest level, else the
-    coarser level's v on each atom's block, then c-transformed twice on this
-    level's cost; HiGHS opens at them.  Its shortlist is the cells of the
-    level's own north-west-corner staircase, which make the restricted LP
-    feasible, then each row's and column's smallest reduced costs c - u - v
-    (on the coarsest level, the nearest partners).  HiGHS's basis duals,
-    tight on the plan's support to rounding, are priced against the level's
-    full cost; while some pair outside the shortlist violates u_i + v_j <=
-    c_ij, the most violated pairs of each row and column join it and the LP
-    is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging Sci. 7(4),
-    2014).  The finest level's exit duals are dual-feasible on the full cost,
-    so its last plan is optimal there.
+    The LP is solved on a shortlist of pairs (Merigot, Comput. Graph. Forum
+    30(5), 2011; Schmitzer, JMIV 56, 2016), seeded with dual-feasible (u, v):
+    the target potential of a Sinkhorn solve of the pair at SEED_SPACINGS
+    times the larger grid spacing, to SEED_TOL, c-transformed twice on the
+    positive atoms' cost; HiGHS opens at them.  The shortlist is the cells of
+    the north-west-corner staircase, which make the restricted LP feasible,
+    then each row's and column's smallest reduced costs c - u - v.  HiGHS's
+    basis duals, tight on the plan's support to rounding, are priced against
+    the full cost; while some pair outside the shortlist violates u_i + v_j
+    <= c_ij, the most violated pairs of each row and column join it and the
+    LP is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging Sci. 7(4),
+    2014).  The exit duals are dual-feasible on the full cost, so the last
+    plan is optimal.
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
-    # Each level holds, per side, the atoms' grid multi-indices, the grid's
-    # extent, the weights and the points; parents[l] maps the target atoms of
-    # level l to their blocks at level l + 1.
-    levels = [tuple((np.array(np.unravel_index(idx, m.spec.extent)), m.spec.extent, w,
-                     m.points[idx]) for m, idx, w in ((lam, rows, wa), (mu, cols, wb)))]
-    parents = []
-    while max(side[2].size for side in levels[-1]) > PYRAMID_ATOMS:
-        (src, _), (dst, parent_b) = (_coarsen(*side) for side in levels[-1])
-        levels.append((src, dst))
-        parents.append(parent_b)
-    solves: list[LPSolve] = []
-    for level in reversed(range(len(levels))):
-        (_, _, wa_l, xa), (_, _, wb_l, xb) = levels[level]
-        cost_l = squared_distances(xa, xb)
-        if level == len(levels) - 1:
-            u, v = np.zeros(wa_l.size), np.zeros(wb_l.size)
-        else:
-            u = _c_transform(cost_l, v[parents[level]])
-            v = _c_transform(cost_l.T, u)
-        cells, x, u, v, rounds = _shortlist_lp(cost_l, wa_l, wb_l, lam.dim, u, v)
-        solves += [LPSolve(level, cost_l.shape, *solve) for solve in rounds]
-    c_cells = cost_l[cells]
-    del cost_l
+    seed = _sinkhorn(lam, mu, SEED_SPACINGS * max(lam.spec.h, mu.spec.h), tol=SEED_TOL,
+                     max_iter=100_000)
+    cost = squared_distances(lam.points[rows], mu.points[cols])
+    u = _c_transform(cost, seed.g[cols])
+    v = _c_transform(cost.T, u)
+    cells, x, u, v, rounds = _shortlist_lp(cost, wa, wb, lam.dim, u, v)
+    c_cells = cost[cells]
+    del cost
     u_full, v_full = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
     u_full[rows], v_full[cols] = u, v
     return _certify(lam, mu, rows[cells[0]], cols[cells[1]], np.maximum(x, 0.0), c_cells,
-                    u_full, v_full, "lp_highs", solves)
-
-
-def _coarsen(index: np.ndarray, extent: tuple[int, ...], w: np.ndarray,
-             x: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """Merge the atoms at grid multi-indices ``index`` (dim x k) of a grid of
-    ``extent`` by 2^dim blocks of cells; at an odd extent the last block is
-    one cell wide.  Returns the blocks as (multi-indices, extent, weights,
-    barycentres), in grid order, and each atom's block."""
-    extent = tuple((n + 1) // 2 for n in extent)
-    keys, parent = np.unique(np.ravel_multi_index(index // 2, extent), return_inverse=True)
-    wc = np.bincount(parent, weights=w)
-    xc = np.stack([np.bincount(parent, weights=w * x[:, a]) for a in range(x.shape[1])], axis=1)
-    return (np.array(np.unravel_index(keys, extent)), extent, wc, xc / wc[:, None]), parent
+                    u_full, v_full, "lp_highs",
+                    [LPSolve((rows.size, cols.size), *solve) for solve in rounds], seed.stages)
 
 
 def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -864,18 +851,19 @@ def _highs_binding():
 
 def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
                   u: np.ndarray, v: np.ndarray) -> tuple:
-    """The pricing loop of _exact_ot_lp on one level's cost ``cost_s`` from the
-    dual-feasible seeds (u, v): the shortlist's cells, the last LP's solution
-    on them, its row and column duals, and per solve the pairs on the
-    shortlist, the violated pairs its duals added and its simplex iterations.
+    """The pricing loop of _exact_ot_lp on the positive atoms' cost
+    ``cost_s`` from the dual-feasible seeds (u, v): the shortlist's cells, the
+    last LP's solution on them, its row and column duals, and per solve the
+    pairs on the shortlist, the violated pairs its duals added and its
+    simplex iterations.
 
-    One HiGHS model holds the level.  The marginals are its rows and the
-    shortlist its columns, the level's staircase cells first; each pricing
-    round appends the violated pairs and runs again from the last basis.  A
-    column costs c_ij - u_i - v_j >= 0, so the slack basis is dual-feasible
-    and the dual simplex opens at the seeds; the shift adds sum(u a) +
-    sum(v b) to every plan's cost, and the seeds plus the row duals are the
-    duals of c.  Its n x m arrays are gone when it returns."""
+    One HiGHS model holds the LP.  The marginals are its rows and the
+    shortlist its columns, the staircase cells first; each pricing round
+    appends the violated pairs and runs again, with the primal simplex, from
+    the last basis.  A column costs c_ij - u_i - v_j >= 0, so the slack basis
+    is dual-feasible and the dual simplex opens at the seeds; the shift adds
+    sum(u a) + sum(v b) to every plan's cost, and the seeds plus the row
+    duals are the duals of c.  Its n x m arrays are gone when it returns."""
     highs = _highs_binding()
 
     n, m = cost_s.shape
@@ -919,6 +907,10 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         chosen |= violated
         vi, vj = np.nonzero(violated)
         add_columns(vi, vj)
+        # The new columns price out negative: the last basis stays primal
+        # feasible but not dual feasible, so the primal simplex re-runs from
+        # it in tens of iterations where the dual one took about a thousand.
+        model.setOptionValue("simplex_strategy", 4)
         ii, jj = np.concatenate([ii, vi]), np.concatenate([jj, vj])
     # In row-major order, the cost sums over the plan in the same order
     # whatever order its columns were added in.

@@ -238,11 +238,11 @@ class TestExpansionExperiment:
         assert regression[header.index("slope")] == regression[header.index("intercept")] == ""
         assert not recwarn.list
 
-    def test_trace_records_lp_solves(self, tmp_path, monkeypatch):
+    def test_trace_records_lp_solves(self, tmp_path):
         from eotlab import solvers
 
-        # A 9x9 grid over a pyramid capped at 25 atoms: levels 1 and 0.
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 25)
+        # One LP over the 9x9 grids, seeded by a Sinkhorn solve at two
+        # grid spacings.
         spec = dict(marginal_spec(n=9), grid={"dim": 2, "n": 9, "lo": -1.0, "hi": 1.0})
         target = dict(spec, density={"kind": "gaussian", "sigma": 0.5, "floor": 0.3})
         cfg = write_config(tmp_path, {"source": spec, "target": target,
@@ -252,9 +252,11 @@ class TestExpansionExperiment:
         record = json.loads((out / "trace.json").read_text())["exact_ot"]
         assert record["method"] == "lp_highs"
         solves = record["solves"]
-        assert [s["level"] for s in solves][0] == 1 and solves[-1]["level"] == 0
-        assert solves[0]["atoms"] == [25, 25] and solves[-1]["atoms"] == [81, 81]
+        assert all(s["atoms"] == [81, 81] for s in solves)
         assert solves[-1]["added"] == 0 and all(s["pairs"] > 0 for s in solves)
+        seed = record["seed_stages"]
+        assert seed[-1]["epsilon"] == solvers.SEED_SPACINGS * 0.25
+        assert all(s["stop"] == "converged" and s["iterations"] > 0 for s in seed)
 
     def test_failed_lp_exits_4_without_traceback(self, tmp_path, monkeypatch, capsys):
         # A HiGHS model status other than Optimal is a failed certificate:

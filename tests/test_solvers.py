@@ -622,23 +622,16 @@ class TestExactOT:
 
     @pytest.mark.parametrize("n", [8, 11])
     @pytest.mark.parametrize("zero_atoms", [False, True])
-    def test_pyramid_matches_dense_reference(self, monkeypatch, n, zero_atoms):
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 12)
+    def test_pyramid_matches_dense_reference(self, n, zero_atoms):
         lam, mu = shifted_narrow_pair(n, zero_atoms)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
-        levels = [s.level for s in res.solves]
-        # Coarse to fine, each level priced until no pair violates.
-        assert levels == sorted(levels, reverse=True) and levels[-1] == 0
-        assert len(set(levels)) >= 2
-        for level in set(levels):
-            assert [s.added for s in res.solves if s.level == level][-1] == 0
-        assert res.solves[0].atoms[0] <= 12 and res.solves[0].atoms[1] <= 12
-        assert res.solves[-1].atoms == (np.count_nonzero(lam.weights),
-                                        np.count_nonzero(mu.weights))
+        # One LP over the positive atoms, priced until no pair violates.
+        assert res.solves[-1].added == 0
+        assert {s.atoms for s in res.solves} == {(np.count_nonzero(lam.weights),
+                                                  np.count_nonzero(mu.weights))}
 
-    def test_pyramid_on_different_grids_with_odd_extents(self, monkeypatch):
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 10)
+    def test_pyramid_on_different_grids_with_odd_extents(self):
         rng = np.random.default_rng(5)
         src = GridSpec(dim=2, h=0.2, extent=(9, 7), origin_offset=(4.0, 3.0))
         tgt = GridSpec(dim=2, h=0.15, extent=(11, 5), origin_offset=(4.5, 2.0))
@@ -649,27 +642,25 @@ class TestExactOT:
         mu = GridMeasure(spec=tgt, weights=wm / wm.sum(), alpha=0.5)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
-        assert len({s.level for s in res.solves}) >= 3
+        # The seed solve runs at two spacings of the coarser grid.
+        assert res.seed_stages[-1].epsilon == solvers.SEED_SPACINGS * 0.2
 
     def test_fine_level_pricing_adds_pairs(self, monkeypatch):
         # With one partner per row and column in the seed, the dual-seeded
-        # shortlist misses pairs of the fine optimum, and pricing adds them.
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 12)
+        # shortlist misses pairs of the optimum, and pricing adds them.
         monkeypatch.setattr(solvers, "SHORTLIST_STENCIL", 1)
         lam, mu = shifted_narrow_pair(8, False)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
-        assert any(s.level == 0 and s.added > 0 for s in res.solves)
-        assert max(s.level for s in res.solves) >= 1
+        assert any(s.added > 0 for s in res.solves)
 
     def test_every_level_opens_on_its_staircase(self, monkeypatch):
-        # Each level's shortlist opens with the cells of its own north-west
-        # staircase, which make the restricted LP feasible.  Each level's
-        # columns cost c_ij - u_i - v_j at its dual-feasible seeds, so HiGHS
-        # opens dual-feasible at the seeds.
+        # The shortlist opens with the cells of the north-west staircase,
+        # which make the restricted LP feasible.  Its columns cost c_ij - u_i
+        # - v_j at the dual-feasible seeds, so HiGHS opens dual-feasible at
+        # the seeds.
         from scipy.optimize._highspy import _core
 
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 16)
         staircases, levels, columns = [], [], []
         staircase, shortlist_lp = solvers._staircase, solvers._shortlist_lp
         add_cols = _core._Highs.addCols
@@ -684,8 +675,7 @@ class TestExactOT:
         lam, mu = shifted_narrow_pair(8, False)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
-        assert sorted({s.level for s in res.solves}, reverse=True) == [1, 0]
-        assert len(staircases) == len(levels) == 2
+        assert len(staircases) == len(levels) == 1
         models = list(dict.fromkeys(call[0] for call in columns))
         assert len(models) == len(levels)
         for model, (cost, u, v), (si, sj) in zip(models, levels, staircases):
@@ -699,22 +689,21 @@ class TestExactOT:
             scale = PRICE_RTOL * max(1.0, float(cost.max()))
             assert costs.min() >= -scale
             assert np.abs(costs - (cost[ii, jj] - u[ii] - v[jj])).max() <= scale
-        # Level 0 opens at the seeds from level 1, not at zero.
+        # The LP opens at the seeds of the Sinkhorn solve, not at zero.
         _, u, v = levels[-1]
         assert min(np.abs(u).max(), np.abs(v).max()) > 0.1
 
     def test_pricing_selects_only_when_some_pair_violates(self, monkeypatch):
-        # Each level of this pair takes one solve, so _smallest_per_line runs
-        # once per level, for the seed: a round with no violated pair exits
-        # before the selection.
+        # This pair takes one solve, so _smallest_per_line runs once, for the
+        # seed: a round with no violated pair exits before the selection.
         calls = []
         smallest = solvers._smallest_per_line
         monkeypatch.setattr(solvers, "_smallest_per_line", lambda cost, u, v, k, below, skip=None:
                             calls.append(below) or smallest(cost, u, v, k, below, skip))
         lam, mu = lp_pair_2d(20)
         res = exact_ot(lam, mu)
-        assert [s.added for s in res.solves] == [0, 0] and len({s.level for s in res.solves}) == 2
-        assert calls == [np.inf, np.inf]
+        assert [s.added for s in res.solves] == [0]
+        assert calls == [np.inf]
 
     def test_solves_record_simplex_iterations(self):
         lam, mu = lp_pair_2d(16)
@@ -724,9 +713,9 @@ class TestExactOT:
 
     @pytest.mark.parametrize("atom_side", ["source", "target"])
     def test_one_positive_atom_forces_the_plan(self, atom_side):
-        # One positive atom against a uniform 30x30 partner, which the
-        # pyramid coarsens: the only feasible plan moves the atom's mass to
-        # every partner atom in proportion to its weight.
+        # One positive atom against a uniform 30x30 partner: the only
+        # feasible plan moves the atom's mass to every partner atom in
+        # proportion to its weight.
         spec = GridSpec(dim=2, h=0.1, extent=(30, 30), origin_offset=(14.5, 14.5))
         w = np.zeros(spec.n_points)
         w[5] = 1.0
@@ -754,6 +743,36 @@ class TestExactOT:
         assert res.duality_gap <= CERT_RTOL
         assert res.feasibility_violation <= CERT_RTOL
 
+    def test_seed_on_identical_measures(self):
+        # The seeds come from a Sinkhorn plan spread over neighbours, yet the
+        # LP ends on the identity: cost 0, every diagonal pair tight.
+        lam = lp_pair_2d(12)[0]
+        res = exact_ot(lam, lam)
+        self.assert_matches_reference(res, lam, lam)
+        assert res.cost == 0.0
+        assert np.abs(res.u + res.v).max() <= 1e-12
+
+    def test_seed_on_floor_zero_gaussian_to_uniform(self):
+        # Source weights down to 6e-7: the seed solve and the LP both meet
+        # atoms of near-zero weight.
+        grid = {"dim": 2, "n": 14, "lo": -1.0, "hi": 1.0}
+        lam = make_measure({"grid": grid, "alpha": 0.5, "normalize": True,
+                            "density": {"kind": "gaussian", "sigma": 0.3, "floor": 0.0}})
+        mu = make_measure({"grid": grid, "alpha": 0.5, "normalize": True,
+                           "density": {"kind": "uniform"}})
+        self.assert_matches_reference(exact_ot(lam, mu), lam, mu)
+
+    def test_seed_solve_bypasses_the_public_sinkhorn(self, monkeypatch):
+        # Callers that count their own solves by replacing solvers.sinkhorn,
+        # such as a benchmark's probe, must not see exact_ot's seed solve.
+        def fail(*args, **kwargs):
+            raise AssertionError("exact_ot called solvers.sinkhorn")
+
+        monkeypatch.setattr(solvers, "sinkhorn", fail)
+        lam, mu = lp_pair_2d(12)
+        res = exact_ot(lam, mu)
+        assert res.method == "lp_highs" and res.seed_stages[-1].stop == "converged"
+
     def test_lp_path_matches_monotone_path_in_1d(self):
         # Integer weights with zero-weight atoms on both sides, on grids of 9
         # and 7 points: the cumulative masses of the positive atoms tie
@@ -768,14 +787,13 @@ class TestExactOT:
             assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
 
     def test_pyramid_lp_matches_monotone_path_in_1d(self):
-        # 257 and 240 positive atoms: the LP runs on blocks of two cells,
-        # then on the atoms.
+        # 257 and 240 positive atoms, on which the LP runs.
         lam, mu = zero_atom_pair_1d(300)
         monotone = exact_ot(lam, mu)
         lp = _exact_ot_lp(lam, mu)
         assert (monotone.method, lp.method) == ("monotone_1d", "lp_highs")
         assert monotone.solves == []
-        assert [s.level for s in lp.solves][0] == 1 and lp.solves[-1].atoms == (257, 240)
+        assert lp.solves[-1].atoms == (257, 240)
         assert abs(lp.cost - monotone.cost) <= 1e-12 * monotone.cost
         assert lp.duality_gap <= 1e-9 and lp.feasibility_violation <= 1e-9
 
@@ -825,23 +843,23 @@ class TestExactOT:
         # The 2-d analogue: raise the completed dual of one zero-weight target
         # atom, tight against a positive source atom, on the zero-atom pair of
         # test_pyramid_on_different_grids_with_odd_extents.
-        monkeypatch.setattr(solvers, "PYRAMID_ATOMS", 10)
         lam, mu = odd_extent_pair()
         res = exact_ot(lam, mu)
         assert res.feasibility_violation <= CERT_RTOL
-        j = np.flatnonzero(mu.weights == 0)[0]
-        slack = res.u + res.v[j] - res.plan.cost_matrix[:, j]
-        assert slack[lam.weights > 0].max() >= -1e-12
+        zero = np.flatnonzero(mu.weights == 0)
+        slack = (res.u[:, None] + res.v[zero] - res.plan.cost_matrix[:, zero])[lam.weights > 0]
+        k = int(np.argmax(slack.max(axis=0)))
+        assert slack[:, k].max() >= -1e-12
         calls = []
 
-        def raise_first_zero_column(spec, v, x):
+        def raise_tight_zero_column(spec, v, x):
             out = _c_transform_grid(spec, v, x)
             if not calls:
-                out[0] += 1e-6
+                out[k] += 1e-6
             calls.append(len(x))
             return out
 
-        monkeypatch.setattr(solvers, "_c_transform_grid", raise_first_zero_column)
+        monkeypatch.setattr(solvers, "_c_transform_grid", raise_tight_zero_column)
         with pytest.raises(CertificateError, match="violation") as err:
             exact_ot(lam, mu)
         assert calls[0] == np.count_nonzero(mu.weights == 0)
@@ -1030,13 +1048,10 @@ def lp_grid_pairs(draw):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(pair=lp_grid_pairs(), pyramid=st.integers(4, 16))
-def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair, pyramid):
-    # A pyramid cap of 4 to 16 atoms sends most pairs through two or more
-    # levels, so each finer level starts from the coarser one's solution.
+@given(pair=lp_grid_pairs())
+def test_pyramid_lp_matches_dense_reference_on_random_pairs(pair):
     lam, mu = pair
-    with mock.patch.object(solvers, "PYRAMID_ATOMS", pyramid):
-        res = exact_ot(lam, mu)
+    res = exact_ot(lam, mu)
     ref = dense_reference_cost(lam, mu)
     assert res.method == "lp_highs"
     assert abs(res.cost - ref) <= 1e-12 * max(ref, np.finfo(float).tiny)
