@@ -158,6 +158,8 @@ def _cmd_solve(cfg: dict, out_dir: Path, seed: int, manifest: RunManifest) -> in
     lam, mu = _marginals(cfg)
     epsilon = _solver_epsilon(cfg)
     n_samples = config_value(cfg, "gibbs_check_samples", int, 0)
+    if n_samples < 0:
+        raise ConfigError(f"gibbs_check_samples must be a non-negative integer, got {n_samples}")
     if n_samples > 0:  # refuse a check that would not fit before the solve runs
         require_gibbs_check_size(lam.spec.n_points, mu.spec.n_points, n_samples)
     res = sinkhorn(lam, mu, epsilon, **_solver_opts(cfg))

@@ -41,16 +41,17 @@ __all__ = [
 # The solvers hold n x m arrays: Sinkhorn in d = 1 its cost and kernel factor
 # (in d = 2 these are per axis), the 2-d LP its cost on the positive atoms and
 # a bool shortlist mask, as it reads the reduced costs in row blocks; both
-# form the plan on first read.  tracemalloc peaks with the plan unread, in
-# n x m arrays: Sinkhorn 3.0-3.1 in 1-d (n = 256/512) and 0.03-0.08 in 2-d
-# (20x20, 32x32); exact OT 2.2 on the 2-d LP at 16x16, 1.2-1.6 at 32x32 to
-# 20x20, and 0.09 in 1-d (n = 512).  Sinkhorn's guard counts the
-# plan's SINKHORN_PLAN_ARRAYS and its per-axis arrays, three n x m ones in
-# d = 1.  EXACT_OT_DENSE_ARRAYS stays 6: a smaller count admits larger grids,
-# whose LP time is unmeasured.  An input whose arrays would pass
-# DENSE_BYTES_LIMIT fails before they are allocated; so does a grid that no
-# solve could take, even against the smallest grid of its dimension (2^dim
-# points).
+# form the plan on first read.  The LP's 2-d c-transforms (seeds before the
+# cost, certificate after it) hold at most n x m / 2 entries.  tracemalloc
+# peaks with the plan unread, in n x m arrays: Sinkhorn 3.0-3.1 in 1-d (n =
+# 256/512) and 0.03-0.08 in 2-d (20x20, 32x32); exact OT 2.2 on the 2-d LP at
+# 16x16, 1.2-1.6 at 32x32 to 20x20 and on 2x200 grids, and 0.09 in 1-d (n =
+# 512).  Sinkhorn's guard counts the plan's SINKHORN_PLAN_ARRAYS and its
+# per-axis arrays, three n x m ones in d = 1.  EXACT_OT_DENSE_ARRAYS = 6
+# admits 68x68 grids (1.1 s LP, README); fewer admit larger, unmeasured ones.
+# An input whose arrays would pass DENSE_BYTES_LIMIT fails before they are
+# allocated; so does a grid that no solve could take, even against the
+# smallest grid of its dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
 SINKHORN_PLAN_ARRAYS = 2
 EXACT_OT_DENSE_ARRAYS = 6

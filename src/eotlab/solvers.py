@@ -260,14 +260,19 @@ def sinkhorn(
     ``plan``.  An input whose plan and per-axis arrays would pass
     DENSE_BYTES_LIMIT raises SizeError up front.
     """
-    return _sinkhorn(lam, mu, epsilon, tol, max_iter)
+    res = _sinkhorn(lam, mu, epsilon, tol, max_iter)
+    if not res.converged:
+        stop = res.stages[-1].stop
+        logger.warning("sinkhorn did not converge (%s): marginal error %.3e after %d iterations; "
+                       "%s", stop, res.marg_err, res.iterations, STOP_REASONS[stop])
+    return res
 
 
 def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
               max_iter: int) -> SinkhornResult:
-    """The solve of ``sinkhorn``.  exact_ot's seed solve calls it by this
-    name, so that a caller who replaces ``solvers.sinkhorn`` to count or
-    inspect its own solves does not see the seed."""
+    """The solve of ``sinkhorn``, without its warning.  exact_ot's seed solve
+    calls it, so that a caller who replaces ``solvers.sinkhorn`` does not see
+    the seed, and the seed's stop, which no setting reaches, is not logged."""
     # The temperature epsilon^2 divides every potential update.
     if not (epsilon > 0 and 0.0 < epsilon * epsilon < np.inf):
         raise DomainError(f"epsilon must be positive with a nonzero finite square, got {epsilon}")
@@ -473,12 +478,6 @@ def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
         plan *= mass
         return plan
 
-
-    converged = marg_err <= tol
-    if not converged:
-        stop = stages[-1].stop
-        logger.warning("sinkhorn did not converge (%s): marginal error %.3e after %d "
-                       "iterations; %s", stop, marg_err, iterations, STOP_REASONS[stop])
     return SinkhornResult(
         _build_plan=lambda: Coupling(source=lam, target=mu, mass=build_plan(), epsilon=epsilon),
         f=np.where(lam.weights > 0, f - eps2 * np.log(mass), 0.0),
@@ -488,7 +487,7 @@ def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
         marg_err=marg_err,
         primal_cost=mass * primal_sub,
         entropy=mass * entropy_sub - mass * np.log(mass),
-        converged=converged,
+        converged=marg_err <= tol,
         mass=mass,
         err_history=err_history,
         stages=stages,
@@ -595,10 +594,10 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     solve's stages.  Both paths verify dual feasibility over all pairs,
     complementary slackness, the marginals and a vanishing duality gap
     before returning, in one certificate that reads the cost on the plan's
-    cells and takes c-transforms over the grids through lower envelopes of
-    parabolas.  The dense plan is built from its cells on first read of
-    ``plan``.  An input whose dense arrays would pass DENSE_BYTES_LIMIT
-    raises SizeError up front.
+    cells and takes c-transforms over the grids, as do the LP's seeds: a
+    lower envelope of parabolas in d = 1, one reduction per axis in d = 2.
+    The dense plan is built from its cells on first read of ``plan``.  An
+    input whose dense arrays would pass DENSE_BYTES_LIMIT raises SizeError.
     """
     _require_pair(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
@@ -624,7 +623,7 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
     c_ij) = max_i (u_i - v^c_i) and the slack on the plan's support, both
     relative to the largest cost, and the plan's row-sum and column-sum
     errors, relative to the total mass.  Only v^c reads the cost off the
-    cells, through _c_transform_grid."""
+    cells, through _c_transform_grid.  A NaN gap or violation fails."""
     zero_i, zero_j = lam.weights == 0, mu.weights == 0
     if zero_j.any():
         v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])
@@ -635,11 +634,12 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
     tight = np.abs(u[ii] + v[jj] - c_cells)[support].max(initial=0.0)
     marginal = max(float(np.abs(np.bincount(idx, weights=masses, minlength=w.size) - w).max())
                    for idx, w in ((ii, lam.weights), (jj, mu.weights)))
-    violation = max(max(0.0, float(np.max(u - v_c)), float(tight)) / scale,
-                    marginal / lam.total_mass)
+    # np.max keeps a NaN, which max drops; + 0.0 turns its -0.0 into 0.0.
+    violation = float(np.max([np.max(u - v_c, initial=0.0) / scale, tight / scale,
+                              marginal / lam.total_mass])) + 0.0
     primal = float(np.sum(c_cells * masses))
     gap = abs(primal - float(u @ lam.weights + v @ mu.weights)) / max(1.0, abs(primal))
-    if gap > CERT_RTOL or violation > CERT_RTOL:
+    if not (gap <= CERT_RTOL and violation <= CERT_RTOL):
         raise CertificateError(
             f"optimality certificate failed (gap {gap:.3e}, violation {violation:.3e})"
         )
@@ -695,9 +695,9 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
 
 def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """min_j ((x_i - y_j)^2 - v_j) for each x_i, for points ``y`` in ascending
-    order: the lower envelope of the parabolas, built in one stack pass over
-    ``y`` and read with one binary search per ``x_i`` (Felzenszwalb &
-    Huttenlocher, Theory Comput. 8, 2012)."""
+    order, v_j = -inf leaving y_j out: the lower envelope of the parabolas, in
+    one stack pass over ``y`` and one binary search per ``x_i`` (Felzenszwalb
+    & Huttenlocher, Theory Comput. 8, 2012)."""
     ys, vs = y.tolist(), v.tolist()
     inf = np.inf
     # The envelope's parabolas, left to right, and where each takes over.
@@ -729,20 +729,20 @@ def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """min_j (|x_i - y_j|^2 - v_j) for each row x_i of ``x``, over the points
-    y_j of the grid ``spec``.  The cost is a sum over axes, so the minimum is
-    taken one axis at a time with _c_transform_1d: in d = 2, along each grid
-    line of the last axis at each distinct x_i1, then along the first axis."""
+    y_j of the grid ``spec`` (P x Q in d = 2); v_j = -inf leaves y_j out.  In
+    d = 1 the envelope forms no n x m array.  In d = 2 the cost is a sum over
+    axes, and the minimum two reductions over _c_transform_1d's terms:
+    lines[p, k] = min_q ((x1_k - y_q)^2 - v_pq) at the K distinct x_i1, then
+    min_p ((x_i0 - y_p)^2 + lines[p, k(i)]), of P Q K and len(x) P entries."""
     if spec.dim == 1:
         return _c_transform_1d(spec.axes[0], v, x[:, 0])
     first, last = spec.axes
     x1, which = np.unique(x[:, 1], return_inverse=True)
-    # lines[p, k] = min_q ((x1_k - y_q)^2 - v_pq) along grid line p.
-    lines = np.array([_c_transform_1d(last, vp, x1) for vp in v.reshape(spec.extent)])
-    out = np.empty(len(x))
-    for k in range(x1.size):
-        at = which == k
-        out[at] = _c_transform_1d(first, -lines[:, k], x[at, 0])
-    return out
+    lines = (squared_distances(x1[:, None], last[:, None])
+             - v.reshape(spec.extent)[:, None]).min(axis=2)
+    terms = lines.T[which]
+    terms += squared_distances(x[:, :1], first[:, None])
+    return terms.min(axis=1)
 
 
 def _reduced_blocks(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -783,24 +783,25 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     The LP is solved on a shortlist of pairs (Merigot, Comput. Graph. Forum
     30(5), 2011; Schmitzer, JMIV 56, 2016), seeded with dual-feasible (u, v):
     the target potential of a Sinkhorn solve of the pair at SEED_SPACINGS
-    times the larger grid spacing, to SEED_TOL, c-transformed twice on the
-    positive atoms' cost; HiGHS opens at them.  The shortlist is the cells of
-    the north-west-corner staircase, which make the restricted LP feasible,
-    then each row's and column's smallest reduced costs c - u - v.  HiGHS's
-    basis duals, tight on the plan's support to rounding, are priced against
-    the full cost; while some pair outside the shortlist violates u_i + v_j
-    <= c_ij, the most violated pairs of each row and column join it and the
-    LP is solved again (Gottschlich & Schuhmacher, SIAM J. Imaging Sci. 7(4),
-    2014).  The exit duals are dual-feasible on the full cost, so the last
-    plan is optimal.
+    times the larger grid spacing, to SEED_TOL, c-transformed twice over the
+    positive atoms before their cost is formed; HiGHS opens at them.  The
+    shortlist is the cells of the north-west-corner staircase, which make the
+    restricted LP feasible, then each row's and column's smallest reduced
+    costs c - u - v.  HiGHS's basis duals, tight on the plan's support to
+    rounding, are priced against the full cost; while some pair outside the
+    shortlist violates u_i + v_j <= c_ij, the most violated pairs of each row
+    and column join it and the LP is solved again (Gottschlich & Schuhmacher,
+    SIAM J. Imaging Sci. 7(4), 2014).  The exit duals are dual-feasible on the
+    full cost, so the last plan is optimal.
     """
     rows, cols, wa, wb = _positive_atoms(lam, mu)
     seed = _sinkhorn(lam, mu, SEED_SPACINGS * max(lam.spec.h, mu.spec.h), tol=SEED_TOL,
                      max_iter=100_000)
+    u_seed = np.where(lam.weights > 0, _c_transform_grid(
+        mu.spec, np.where(mu.weights > 0, seed.g, -np.inf), lam.points), -np.inf)
+    v = _c_transform_grid(lam.spec, u_seed, mu.points[cols])
     cost = squared_distances(lam.points[rows], mu.points[cols])
-    u = _c_transform(cost, seed.g[cols])
-    v = _c_transform(cost.T, u)
-    cells, x, u, v, rounds = _shortlist_lp(cost, wa, wb, lam.dim, u, v)
+    cells, x, u, v, rounds = _shortlist_lp(cost, wa, wb, lam.dim, u_seed[rows], v)
     c_cells = cost[cells]
     del cost
     u_full, v_full = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
@@ -808,11 +809,6 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     return _certify(lam, mu, rows[cells[0]], cols[cells[1]], np.maximum(x, 0.0), c_cells,
                     u_full, v_full, "lp_highs",
                     [LPSolve((rows.size, cols.size), *solve) for solve in rounds], seed.stages)
-
-
-def _c_transform(cost: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """min_j (c_ij - v_j) for each row i of ``cost``, in row blocks."""
-    return np.concatenate([r.min(axis=1) for _, r in _reduced_blocks(cost, np.zeros(len(cost)), v)])
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"

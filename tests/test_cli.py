@@ -854,6 +854,14 @@ class TestBadInputExits2:
         assert ("valid kinds: ['affine', 'gaussian', 'perturbed_uniform', 'shifted_profile', "
                 "'uniform']") in err
 
+    def test_negative_gibbs_check_samples(self, tmp_path, capsys):
+        # A negative count once skipped the check and exited 0 without a word.
+        cfg = {"source": marginal_spec(n=17), "solver": {"epsilon": 0.5},
+               "gibbs_check_samples": -5}
+        code, err = self.run(tmp_path, capsys, ["solve"], cfg)
+        assert code == 2
+        assert "gibbs_check_samples must be a non-negative integer, got -5" in err
+
     @pytest.mark.parametrize("case", sorted(BAD_MEASURE_FILES))
     def test_measure_file(self, tmp_path, capsys, case):
         edit, message = BAD_MEASURE_FILES[case]

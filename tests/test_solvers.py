@@ -593,25 +593,6 @@ class TestExactOT:
         with pytest.raises(MassMismatchError):
             exact_ot(uniform_1d, uniform_1d.scaled(2.0))
 
-    @pytest.mark.parametrize("n", [8, 11])
-    @pytest.mark.parametrize("zero_atoms", [False, True])
-    def test_shortlist_lp_matches_dense_reference(self, n, zero_atoms):
-        lam, mu = shifted_narrow_pair(n, zero_atoms)
-        res = exact_ot(lam, mu)
-        assert res.method == "lp_highs"
-        # One level, so more than one solve means pricing solved again.
-        assert len(res.solves) > 1
-        ref = dense_reference_cost(lam, mu)
-        assert abs(res.cost - ref) <= 1e-12 * ref
-        assert res.duality_gap <= 1e-9
-        assert res.feasibility_violation <= 1e-9
-        # The exit duals are HiGHS's own: feasible on the full cost and tight
-        # on the plan's support, to rounding.
-        cost = res.plan.cost_matrix
-        slack = res.u[:, None] + res.v[None, :] - cost
-        assert slack.max() <= 1e-12 * max(1.0, float(cost.max()))
-        assert np.abs(slack[res.plan.mass > 0]).max() <= 1e-12
-
     @staticmethod
     def assert_matches_reference(res, lam, mu):
         ref = dense_reference_cost(lam, mu)
@@ -619,6 +600,21 @@ class TestExactOT:
         assert abs(res.cost - ref) <= 1e-12 * ref
         assert res.duality_gap <= CERT_RTOL
         assert res.feasibility_violation <= CERT_RTOL
+
+    @pytest.mark.parametrize("n", [8, 11])
+    @pytest.mark.parametrize("zero_atoms", [False, True])
+    def test_shortlist_lp_matches_dense_reference(self, n, zero_atoms):
+        lam, mu = shifted_narrow_pair(n, zero_atoms)
+        res = exact_ot(lam, mu)
+        self.assert_matches_reference(res, lam, mu)
+        # One level, so more than one solve means pricing solved again.
+        assert len(res.solves) > 1
+        # The exit duals are HiGHS's own: feasible on the full cost and tight
+        # on the plan's support, to rounding.
+        cost = res.plan.cost_matrix
+        slack = res.u[:, None] + res.v[None, :] - cost
+        assert slack.max() <= 1e-12 * max(1.0, float(cost.max()))
+        assert np.abs(slack[res.plan.mass > 0]).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 11])
     @pytest.mark.parametrize("zero_atoms", [False, True])
@@ -773,6 +769,20 @@ class TestExactOT:
         res = exact_ot(lam, mu)
         assert res.method == "lp_highs" and res.seed_stages[-1].stop == "converged"
 
+    def test_seed_stop_is_recorded_not_logged(self, monkeypatch, caplog):
+        # No setting reaches the seed solve's epsilon or max_iter, so a seed
+        # that stops short goes to seed_stages and is not logged with advice
+        # to raise them.  At a SEED_TOL of 1e-300 the seed stagnates.
+        monkeypatch.setattr(solvers, "SEED_TOL", 1e-300)
+        lam, mu = lp_pair_2d(12)
+        res = exact_ot(lam, mu)
+        assert res.seed_stages[-1].stop == "stagnated"
+        assert res.duality_gap <= CERT_RTOL and res.feasibility_violation <= CERT_RTOL
+        assert "did not converge" not in caplog.text
+        # The caller's own solve at the same settings still warns.
+        sinkhorn(lam, mu, res.seed_stages[-1].epsilon, tol=1e-300)
+        assert "sinkhorn did not converge (stagnated)" in caplog.text
+
     def test_lp_path_matches_monotone_path_in_1d(self):
         # Integer weights with zero-weight atoms on both sides, on grids of 9
         # and 7 points: the cumulative masses of the positive atoms tie
@@ -816,6 +826,20 @@ class TestExactOT:
         violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
         assert violation > CERT_RTOL
 
+    @pytest.mark.parametrize("make_pair", [wavy_pair, lambda: odd_extent_pair()],
+                             ids=["monotone_1d", "lp_2d"])
+    def test_certificate_rejects_nan_dual(self, make_pair):
+        # A NaN compares false with the tolerance and is dropped by max, so
+        # it once passed for a certified plan.
+        lam, mu = make_pair()
+        res = exact_ot(lam, mu)
+        ii, jj = np.nonzero(res.plan.mass)
+        u = res.u.copy()
+        u[ii[0]] = np.nan
+        with pytest.raises(CertificateError, match="gap nan, violation nan"):
+            _certify(lam, mu, ii, jj, res.plan.mass[ii, jj], res.plan.cost_matrix[ii, jj], u,
+                     res.v.copy(), res.method, [])
+
     def test_monotone_certificate_sees_raised_dual_off_the_staircase(self, monkeypatch):
         # Raise the dual of one zero-weight target atom, which no staircase
         # cell meets: the support slack, the marginals and the dual cost stay
@@ -842,7 +866,8 @@ class TestExactOT:
     def test_lp_certificate_sees_raised_dual_off_the_plan(self, monkeypatch):
         # The 2-d analogue: raise the completed dual of one zero-weight target
         # atom, tight against a positive source atom, on the zero-atom pair of
-        # test_pyramid_on_different_grids_with_odd_extents.
+        # test_pyramid_on_different_grids_with_odd_extents.  The LP's two
+        # seeds are the first two c-transforms; the completion is the third.
         lam, mu = odd_extent_pair()
         res = exact_ot(lam, mu)
         assert res.feasibility_violation <= CERT_RTOL
@@ -854,7 +879,7 @@ class TestExactOT:
 
         def raise_tight_zero_column(spec, v, x):
             out = _c_transform_grid(spec, v, x)
-            if not calls:
+            if len(calls) == 2:
                 out[k] += 1e-6
             calls.append(len(x))
             return out
@@ -862,7 +887,8 @@ class TestExactOT:
         monkeypatch.setattr(solvers, "_c_transform_grid", raise_tight_zero_column)
         with pytest.raises(CertificateError, match="violation") as err:
             exact_ot(lam, mu)
-        assert calls[0] == np.count_nonzero(mu.weights == 0)
+        assert calls[:3] == [lam.spec.n_points, np.count_nonzero(mu.weights),
+                             np.count_nonzero(mu.weights == 0)]
         violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
         assert violation > CERT_RTOL
 
@@ -939,8 +965,14 @@ def grid_envelope_cases(draw):
     src, tgt = grid(), grid()
     cost = ((src.points[:, None, :] - tgt.points[None, :, :]) ** 2).sum(axis=2)
     v = np.asarray(draw(st.lists(st.floats(-1.0, 1.0), min_size=tgt.n_points,
-                                 max_size=tgt.n_points)))
-    return src, tgt, v * max(1.0, float(cost.max())), cost
+                                 max_size=tgt.n_points))) * max(1.0, float(cost.max()))
+    # The LP's seeds give the zero-weight atoms -inf, and keep one finite.
+    if draw(st.booleans()):
+        dropped = np.asarray(draw(st.lists(st.booleans(), min_size=tgt.n_points,
+                                           max_size=tgt.n_points)))
+        dropped[draw(st.integers(0, tgt.n_points - 1))] = False
+        v[dropped] = -np.inf
+    return src, tgt, v, cost
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -949,9 +981,11 @@ def test_c_transform_grid_matches_dense(case):
     src, tgt, v, cost = case
     dense = np.min(cost - v[None, :], axis=1)
     envelope = _c_transform_grid(tgt, v, src.points)
+    assert not np.isnan(envelope).any()
     # In d = 2 the per-axis terms are added in another order than the dense
     # sum, so the two agree to rounding, within the 1-d test's tolerance.
-    assert np.all(np.abs(envelope - dense) <= 1e-13 * (float(cost.max()) + float(np.abs(v).max())))
+    scale = float(cost.max()) + float(np.abs(v[np.isfinite(v)]).max())
+    assert np.all(np.abs(envelope - dense) <= 1e-13 * scale)
 
 
 HIGHS_NAMES = ["_Highs", "HighsSolution.col_value", "HighsSolution.row_dual",
@@ -1365,19 +1399,30 @@ def test_lp_peak_memory_holds_no_full_cost():
     assert peak <= 4 * 8 * lam.spec.n_points * mu.spec.n_points
 
 
+def two_line_pair():
+    """A 2-d pair on one grid of two lines of 200 points, weights 0.5 + U(0, 1)."""
+    rng = np.random.default_rng(1)
+    spec = GridSpec(dim=2, h=0.01, extent=(2, 200), origin_offset=(0.5, 99.5))
+    weights = [0.5 + rng.random(spec.n_points) for _ in range(2)]
+    return tuple(GridMeasure(spec=spec, weights=w / w.sum(), alpha=0.5) for w in weights)
+
+
 def test_lp_peak_memory_with_the_plan_unread():
-    # The LP reads each level's reduced costs in row blocks, and the plan is
-    # built from its cells on first read: with the plan unread, the finest
-    # level's cost and its shortlist mask are the only n x m arrays.
-    lam, mu = lp_pair_2d(20)
-    tracemalloc.start()
-    try:
-        res = exact_ot(lam, mu)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.method == "lp_highs"
-    assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
-    plan = res.plan
-    assert res.plan is plan
-    assert abs(float(np.sum(plan.mass * plan.cost_matrix)) - res.cost) <= 1e-12 * res.cost
+    # The LP reads its reduced costs in row blocks, and the plan is built
+    # from its cells on first read: with the plan unread, the cost on the
+    # positive atoms and its shortlist mask are the only n x m arrays.  The
+    # c-transforms of the seeds and the certificate hold at most n x m / 2
+    # entries, before the cost is formed and after it is dropped; on the
+    # grid of two lines the seeds' first one reaches that bound.
+    for lam, mu in (lp_pair_2d(20), two_line_pair()):
+        tracemalloc.start()
+        try:
+            res = exact_ot(lam, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.method == "lp_highs"
+        assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
+        plan = res.plan
+        assert res.plan is plan
+        assert abs(float(np.sum(plan.mass * plan.cost_matrix)) - res.cost) <= 1e-12 * res.cost
