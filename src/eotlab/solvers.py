@@ -21,8 +21,8 @@ import numpy as np
 
 from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError
-from .grids import (_PAIR_BLOCK, EXACT_OT_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure,
-                    GridSpec, hull_reach, require_dense_size, squared_distances)
+from .grids import (EXACT_OT_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec,
+                    hull_reach, require_dense_size, squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -107,8 +107,8 @@ class SinkhornResult(_PlanOnRead):
 @dataclass
 class LPSolve:
     """One solve of the shortlist LP: the positive atoms n x m, the pairs on
-    the shortlist, the violated pairs that pricing its duals added to the
-    shortlist (0 on the last solve), and HiGHS's simplex iterations."""
+    the shortlist, the pairs that pricing its duals added to the shortlist
+    (0 on the last solve), and HiGHS's simplex iterations."""
     atoms: tuple[int, int]
     pairs: int
     added: int
@@ -145,8 +145,7 @@ def _positive_atoms(lam: GridMeasure, mu: GridMeasure) -> tuple[np.ndarray, ...]
     """(rows, cols, wa, wb): the indices and weights of the positive-weight
     atoms of ``lam`` and ``mu``.  Exact OT works on these; the other atoms
     carry no mass."""
-    rows = np.nonzero(lam.weights > 0)[0]
-    cols = np.nonzero(mu.weights > 0)[0]
+    rows, cols = np.flatnonzero(lam.weights > 0), np.flatnonzero(mu.weights > 0)
     return rows, cols, lam.weights[rows], mu.weights[cols]
 
 
@@ -458,12 +457,14 @@ def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
     # c_k over the plan for each axis k, and its relative entropy is (sum_ij
     # pi_ij (f_i + g_j - c_ij)) / eps^2: contractions of the factors, with
     # G_k c_k in the place of G_k for the cost of axis k.
-    au, bv = alpha * u, beta * v
-    potentials = float(np.sum(f * au * kv) + np.sum(g * bv * ktu))
-    primal_sub = 0.0
-    for k, c in enumerate(axis_costs):
-        _kron_matvec([g_a * c if a == k else g_a for a, g_a in enumerate(factors)], bv, kv)
-        primal_sub += float(np.sum(au * kv))
+    # After a non_finite stop these are NaN, which the stop already reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        au, bv = alpha * u, beta * v
+        potentials = float(np.sum(f * au * kv) + np.sum(g * bv * ktu))
+        primal_sub = 0.0
+        for k, c in enumerate(axis_costs):
+            _kron_matvec([g_a * c if a == k else g_a for a, g_a in enumerate(factors)], bv, kv)
+            primal_sub += float(np.sum(au * kv))
     entropy_sub = (potentials - primal_sub) / eps2
 
     def build_plan() -> np.ndarray:
@@ -558,13 +559,10 @@ def gibbs_identity_check(res: SinkhornResult, n_samples: int, seed: int = 0) -> 
 # ---------------------------------------------------------------------------
 
 CERT_RTOL = 1e-9
-# Shortlist LP: each positive atom starts with the SHORTLIST_STENCIL**dim
-# pairs of smallest reduced cost at the seeds, the grid cells around the image
-# of a smooth map, and each pricing round adds the dim + 1 most violated pairs
-# of every row and column.  A pair violates when its slack exceeds PRICE_RTOL of the cost
-# scale: far below CERT_RTOL, so the exit duals certify with room to spare,
-# while slack at rounding level adds no pairs.
-SHORTLIST_STENCIL = 2
+# Shortlist LP: a row or column of the LP violates when its smallest reduced
+# cost is below -PRICE_RTOL of the cost scale: far below CERT_RTOL, so the
+# exit duals certify with room to spare, while slack at rounding level adds
+# no pairs.
 PRICE_RTOL = 1e-12
 # At the HiGHS defaults (1e-7) a restricted solve can return a plan 4e-8 off
 # its marginals and in cost, which the certificate and the cost both feel.
@@ -576,10 +574,8 @@ HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolera
 # grid spacing, to SEED_TOL: entropic potentials at a small epsilon are near
 # the optimal duals (Schmitzer, SIAM J. Sci. Comput. 41(3), 2019).  On the
 # README's 20x20 and 32x32 pairs, seeds at 1 to 2 spacings need no pricing
-# round; at 3 spacings the LP needs two and takes 1.8-2.7 times as long, at
-# 4 four or five and 6.5-7.5 times as long.  With these seeds, 4 pairs per
-# line (a SHORTLIST_STENCIL of 2) need no pricing round, 9 are up to 12%
-# slower and 1 needs seven or more rounds.
+# round; at 3 spacings the LP needs two or three solves and takes 1.3-1.5
+# times as long, at 4 four or five and 3.7-4.3 times as long.
 SEED_SPACINGS = 2.0
 SEED_TOL = 1e-4
 
@@ -594,9 +590,10 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     solve's stages.  Both paths verify dual feasibility over all pairs,
     complementary slackness, the marginals and a vanishing duality gap
     before returning, in one certificate that reads the cost on the plan's
-    cells and takes c-transforms over the grids, as do the LP's seeds: a
-    lower envelope of parabolas in d = 1, one reduction per axis in d = 2.
-    The dense plan is built from its cells on first read of ``plan``.  An
+    cells and takes c-transforms over the grids, as do the LP's seeds,
+    shortlist and pricing: a lower envelope of parabolas in d = 1, one
+    reduction per axis in d = 2.  Neither path forms an n x m array until
+    the dense plan is built from its cells, on first read of ``plan``.  An
     input whose dense arrays would pass DENSE_BYTES_LIMIT raises SizeError.
     """
     _require_pair(lam, mu)
@@ -626,8 +623,8 @@ def _certify(lam: GridMeasure, mu: GridMeasure, ii: np.ndarray, jj: np.ndarray,
     cells, through _c_transform_grid.  A NaN gap or violation fails."""
     zero_i, zero_j = lam.weights == 0, mu.weights == 0
     if zero_j.any():
-        v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])
-    v_c = _c_transform_grid(mu.spec, v, lam.points)
+        v[zero_j] = _c_transform_grid(lam.spec, u, mu.points[zero_j])[0]
+    v_c = _c_transform_grid(mu.spec, v, lam.points)[0]
     u[zero_i] = v_c[zero_i]
     scale = max(1.0, hull_reach(lam.spec, mu.spec))
     support = masses > max(1e-300, 1e-12 * float(masses.max()))
@@ -693,11 +690,11 @@ def _exact_ot_monotone(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     return _certify(lam, mu, ii, jj, masses, c_path, u, v, "monotone_1d", [])
 
 
-def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """min_j ((x_i - y_j)^2 - v_j) for each x_i, for points ``y`` in ascending
-    order, v_j = -inf leaving y_j out: the lower envelope of the parabolas, in
-    one stack pass over ``y`` and one binary search per ``x_i`` (Felzenszwalb
-    & Huttenlocher, Theory Comput. 8, 2012)."""
+def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min_j ((x_i - y_j)^2 - v_j) for each x_i and the j attaining it, for
+    points ``y`` in ascending order, v_j = -inf leaving y_j out: the lower
+    envelope of the parabolas, in one stack pass over ``y`` and one binary
+    search per ``x_i`` (Felzenszwalb & Huttenlocher, Theory Comput. 8, 2012)."""
     ys, vs = y.tolist(), v.tolist()
     inf = np.inf
     # The envelope's parabolas, left to right, and where each takes over.
@@ -724,13 +721,15 @@ def _c_transform_1d(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
             hull.append(k)
             starts.append(s)
     best = np.asarray(hull)[np.searchsorted(starts, x, side="right") - 1]
-    return squared_distances(x[:, None], y[best, None], pairwise=True) - v[best]
+    return squared_distances(x[:, None], y[best, None], pairwise=True) - v[best], best
 
 
-def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _c_transform_grid(spec: GridSpec, v: np.ndarray,
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min_j (|x_i - y_j|^2 - v_j) for each row x_i of ``x``, over the points
-    y_j of the grid ``spec`` (P x Q in d = 2); v_j = -inf leaves y_j out.  In
-    d = 1 the envelope forms no n x m array.  In d = 2 the cost is a sum over
+    y_j of the grid ``spec`` (P x Q in d = 2), and the flat grid index j that
+    attains it, always one of finite v_j; v_j = -inf leaves y_j out.  In d =
+    1 the envelope forms no n x m array.  In d = 2 the cost is a sum over
     axes, and the minimum two reductions over _c_transform_1d's terms:
     lines[p, k] = min_q ((x1_k - y_q)^2 - v_pq) at the K distinct x_i1, then
     min_p ((x_i0 - y_p)^2 + lines[p, k(i)]), of P Q K and len(x) P entries."""
@@ -738,43 +737,12 @@ def _c_transform_grid(spec: GridSpec, v: np.ndarray, x: np.ndarray) -> np.ndarra
         return _c_transform_1d(spec.axes[0], v, x[:, 0])
     first, last = spec.axes
     x1, which = np.unique(x[:, 1], return_inverse=True)
-    lines = (squared_distances(x1[:, None], last[:, None])
-             - v.reshape(spec.extent)[:, None]).min(axis=2)
-    terms = lines.T[which]
+    terms = squared_distances(x1[:, None], last[:, None]) - v.reshape(spec.extent)[:, None]
+    q = terms.argmin(axis=2)
+    terms = np.take_along_axis(terms, q[..., None], axis=2)[..., 0].T[which]
     terms += squared_distances(x[:, :1], first[:, None])
-    return terms.min(axis=1)
-
-
-def _reduced_blocks(cost: np.ndarray, u: np.ndarray, v: np.ndarray,
-                    skip: np.ndarray | None = None, axis: int = 0):
-    """(lines, block) over blocks of about _PAIR_BLOCK**2 entries of the
-    reduced costs r_ij = (c_ij - u_i) - v_j, inf on the pairs of ``skip``: the
-    rows ``lines`` of r, or with ``axis`` 1 those of r.T, from row blocks of
-    cost.T.  Both round each entry in that order, as the dense r does."""
-    c, s = (cost, skip) if axis == 0 else (cost.T, None if skip is None else skip.T)
-    step = max(1, _PAIR_BLOCK**2 // max(1, c.shape[1]))
-    for start in range(0, c.shape[0], step):
-        lines = slice(start, start + step)
-        r = c[lines] - (u[lines, None] if axis == 0 else u)
-        r -= v if axis == 0 else v[lines, None]
-        if s is not None:
-            r[s[lines]] = np.inf
-        yield lines, r
-
-
-def _smallest_per_line(cost: np.ndarray, u: np.ndarray, v: np.ndarray, k: int, below: float,
-                       skip: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the ``k`` smallest reduced costs (c_ij - u_i) - v_j of each row
-    and of each column, the pairs of ``skip`` reading inf, kept where they are
-    below ``below``."""
-    mask = np.zeros(cost.shape, dtype=bool)
-    for axis, lines_of in ((0, mask), (1, mask.T)):
-        for lines, r in _reduced_blocks(cost, u, v, skip, axis):
-            k_line = min(k, r.shape[1])
-            top = np.argpartition(r, k_line - 1, axis=1)[:, :k_line]
-            i, j = np.nonzero(np.take_along_axis(r, top, axis=1) < below)
-            lines_of[lines][i, top[i, j]] = True
-    return mask
+    p = terms.argmin(axis=1)
+    return terms[np.arange(p.size), p], p * last.size + q[p, which]
 
 
 def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
@@ -784,31 +752,26 @@ def _exact_ot_lp(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     30(5), 2011; Schmitzer, JMIV 56, 2016), seeded with dual-feasible (u, v):
     the target potential of a Sinkhorn solve of the pair at SEED_SPACINGS
     times the larger grid spacing, to SEED_TOL, c-transformed twice over the
-    positive atoms before their cost is formed; HiGHS opens at them.  The
-    shortlist is the cells of the north-west-corner staircase, which make the
-    restricted LP feasible, then each row's and column's smallest reduced
-    costs c - u - v.  HiGHS's basis duals, tight on the plan's support to
-    rounding, are priced against the full cost; while some pair outside the
-    shortlist violates u_i + v_j <= c_ij, the most violated pairs of each row
-    and column join it and the LP is solved again (Gottschlich & Schuhmacher,
-    SIAM J. Imaging Sci. 7(4), 2014).  The exit duals are dual-feasible on the
-    full cost, so the last plan is optimal.
+    positive atoms.  The transforms' argmins give each source the target that
+    attains u_i and each target j the source i*(j) that attains v_j, where the
+    star cell (i*(j), j) is tight.  _shortlist_lp builds its shortlist from
+    them, prices on the grid and reads the cost on its cells only.  The exit
+    duals are dual-feasible on the full cost, so the last plan is optimal.
     """
-    rows, cols, wa, wb = _positive_atoms(lam, mu)
+    rows, cols = _positive_atoms(lam, mu)[:2]
     seed = _sinkhorn(lam, mu, SEED_SPACINGS * max(lam.spec.h, mu.spec.h), tol=SEED_TOL,
                      max_iter=100_000)
-    u_seed = np.where(lam.weights > 0, _c_transform_grid(
-        mu.spec, np.where(mu.weights > 0, seed.g, -np.inf), lam.points), -np.inf)
-    v = _c_transform_grid(lam.spec, u_seed, mu.points[cols])
-    cost = squared_distances(lam.points[rows], mu.points[cols])
-    cells, x, u, v, rounds = _shortlist_lp(cost, wa, wb, lam.dim, u_seed[rows], v)
-    c_cells = cost[cells]
-    del cost
+    u_seed, near_j = _c_transform_grid(mu.spec, np.where(mu.weights > 0, seed.g, -np.inf),
+                                       lam.points)
+    u_seed[lam.weights == 0] = -np.inf
+    v, near_i = _c_transform_grid(lam.spec, u_seed, mu.points[cols])
+    (ii, jj), x, c_cells, u, v, rounds = _shortlist_lp(lam, mu, u_seed[rows], v, near_j[rows],
+                                                       near_i)
     u_full, v_full = np.zeros(lam.spec.n_points), np.zeros(mu.spec.n_points)
     u_full[rows], v_full[cols] = u, v
-    return _certify(lam, mu, rows[cells[0]], cols[cells[1]], np.maximum(x, 0.0), c_cells,
-                    u_full, v_full, "lp_highs",
-                    [LPSolve((rows.size, cols.size), *solve) for solve in rounds], seed.stages)
+    return _certify(lam, mu, rows[ii], cols[jj], np.maximum(x, 0.0), c_cells, u_full, v_full,
+                    "lp_highs", [LPSolve((rows.size, cols.size), *solve) for solve in rounds],
+                    seed.stages)
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -845,45 +808,82 @@ def _highs_binding():
     return _core
 
 
-def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
-                  u: np.ndarray, v: np.ndarray) -> tuple:
-    """The pricing loop of _exact_ot_lp on the positive atoms' cost
-    ``cost_s`` from the dual-feasible seeds (u, v): the shortlist's cells, the
-    last LP's solution on them, its row and column duals, and per solve the
-    pairs on the shortlist, the violated pairs its duals added and its
-    simplex iterations.
+def _shortlist_lp(lam: GridMeasure, mu: GridMeasure, u: np.ndarray, v: np.ndarray,
+                  near_j: np.ndarray, near_i: np.ndarray) -> tuple:
+    """The pricing loop of _exact_ot_lp from the seeds (u, v) on the positive
+    atoms, attained at the targets ``near_j`` and the sources ``near_i``: the
+    cells (positions among the positive atoms) in row-major order, the last
+    LP's solution and costs on them, its row and column duals, and per solve
+    the shortlist's pairs, the pairs its duals added and its iterations.
 
-    One HiGHS model holds the LP.  The marginals are its rows and the
-    shortlist its columns, the staircase cells first; each pricing round
-    appends the violated pairs and runs again, with the primal simplex, from
-    the last basis.  A column costs c_ij - u_i - v_j >= 0, so the slack basis
-    is dual-feasible and the dual simplex opens at the seeds; the shift adds
-    sum(u a) + sum(v b) to every plan's cost, and the seeds plus the row
-    duals are the duals of c.  Its n x m arrays are gone when it returns."""
+    The shortlist opens with the staircase cells, which make the LP feasible,
+    the star cells (near_i[j], j) and each line's plus around its argmin.
+    One HiGHS model holds the LP: the marginals are its rows, the cells its
+    columns, of cost c_ij - u_i - v_j >= 0, 0 to rounding on the star cells.
+    The basis of the star cells and the source rows' logicals is then
+    dual-feasible, and the dual simplex opens at the seeds; the seeds plus
+    the row duals are the duals of c.  After each run, a line whose smallest
+    reduced cost under these duals is below -threshold adds the plus around
+    its argmin, and HiGHS re-runs from its last basis until no cell is new."""
     highs = _highs_binding()
+    rows, cols, wa, wb = _positive_atoms(lam, mu)
+    n, m = rows.size, cols.size
+    # Each grid point's position among the positive atoms, -1 for a
+    # zero-weight atom and, in the extra last entry, for plus's -1.
+    row_of, col_of = np.full(lam.spec.n_points + 1, -1), np.full(mu.spec.n_points + 1, -1)
+    row_of[rows], col_of[cols] = np.arange(n), np.arange(m)
+    threshold = PRICE_RTOL * max(1.0, hull_reach(lam.spec, mu.spec))
 
-    n, m = cost_s.shape
-    near, batch = SHORTLIST_STENCIL**dim, dim + 1
-    threshold = PRICE_RTOL * max(1.0, float(cost_s.max()))
+    def plus(lines: np.ndarray, near: np.ndarray, columns: bool = False) -> np.ndarray:
+        """Keys i m + j of the cells that pair each row (or column) of
+        ``lines`` with the positive atoms at ``near`` and beside it along
+        each grid axis (-1 off the grid)."""
+        spec, position = (lam.spec, row_of) if columns else (mu.spec, col_of)
+        partners, stride = [near], 1
+        for size in reversed(spec.extent):
+            at = near // stride % size
+            partners += [np.where(at > 0, near - stride, -1),
+                         np.where(at < size - 1, near + stride, -1)]
+            stride *= size
+        partners = position[np.stack(partners, axis=1)]
+        keep = partners >= 0
+        lines = np.broadcast_to(lines[:, None], partners.shape)[keep]
+        return partners[keep] * m + lines if columns else lines * m + partners[keep]
+
+    def violating(spec: GridSpec, atoms: np.ndarray, duals: np.ndarray, points: np.ndarray,
+                  own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The lines whose smallest reduced cost is below -threshold, and its argmin."""
+        on_grid = np.full(spec.n_points, -np.inf)
+        on_grid[atoms] = duals
+        smallest, near = _c_transform_grid(spec, on_grid, points)
+        bad = np.flatnonzero(smallest - own < -threshold)
+        return bad, near[bad]
+
     model = highs._Highs()
     for name, value in HIGHS_OPTIONS.items():
         model.setOptionValue(name, value)
     weights, empty = np.concatenate([wa, wb]), np.zeros(0, dtype=np.int32)
     model.addRows(n + m, weights, weights, 0, empty, empty, np.zeros(0))
 
-    def add_columns(ii: np.ndarray, jj: np.ndarray) -> None:
-        k = ii.size
-        rows = np.stack([ii, n + jj], axis=1).astype(np.int32).ravel()
-        model.addCols(k, cost_s[ii, jj] - u[ii] - v[jj], np.zeros(k), np.full(k, np.inf), 2 * k,
-                      np.arange(0, 2 * k, 2, dtype=np.int32), rows, np.ones(2 * k))
+    def add_columns(keys: np.ndarray) -> np.ndarray:
+        ii, jj = np.divmod(keys, m)
+        k, c = keys.size, squared_distances(lam.points[rows[ii]], mu.points[cols[jj]], pairwise=True)
+        model.addCols(k, c - u[ii] - v[jj], np.zeros(k), np.full(k, np.inf), 2 * k,
+                      np.arange(0, 2 * k, 2, dtype=np.int32),
+                      np.stack([ii, n + jj], axis=1).astype(np.int32).ravel(), np.ones(2 * k))
+        return c
 
     si, sj = _staircase(np.cumsum(wa), np.cumsum(wb))
-    chosen = _smallest_per_line(cost_s, u, v, near, np.inf)
-    chosen[si, sj] = False
-    rest = np.nonzero(chosen)
-    chosen[si, sj] = True
-    ii, jj = np.concatenate([si, rest[0]]), np.concatenate([sj, rest[1]])
-    add_columns(ii, jj)
+    star = row_of[near_i] * m + np.arange(m)
+    keys = np.concatenate([si * m + sj, star, plus(np.arange(n), near_j),
+                           plus(np.arange(m), near_i, True)])
+    keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    costs = add_columns(keys)
+    basis, status = highs.HighsBasis(), highs.HighsBasisStatus
+    kinds = np.array([status.kLower, status.kBasic], dtype=object)
+    basis.col_status = kinds[np.isin(keys, star).astype(np.intp)].tolist()
+    basis.row_status = [status.kBasic] * n + [status.kLower] * m
+    model.setBasis(basis)
     rounds = []
     while True:
         run = model.run()
@@ -891,24 +891,23 @@ def _shortlist_lp(cost_s: np.ndarray, wa: np.ndarray, wb: np.ndarray, dim: int,
         if run == highs.HighsStatus.kError or status != highs.HighsModelStatus.kOptimal:
             raise CertificateError(f"transport LP failed: HiGHS run status {run.name}, "
                                    f"model status {model.modelStatusToString(status)}")
-        iterations = model.getInfo().simplex_iteration_count
         solution = model.getSolution()
         duals = np.asarray(solution.row_dual)
         u_s, v_s = duals[:n] + u, duals[n:] + v
-        if min(r.min() for _, r in _reduced_blocks(cost_s, u_s, v_s, chosen)) >= -threshold:
-            rounds.append((ii.size, 0, iterations))
+        new = np.setdiff1d(np.concatenate([
+            plus(*violating(mu.spec, cols, v_s, lam.points[rows], u_s)),
+            plus(*violating(lam.spec, rows, u_s, mu.points[cols], v_s), True)]), keys)
+        rounds.append((keys.size, new.size, model.getInfo().simplex_iteration_count))
+        if not new.size:
             break
-        violated = _smallest_per_line(cost_s, u_s, v_s, batch, -threshold, chosen)
-        rounds.append((ii.size, int(np.count_nonzero(violated)), iterations))
-        chosen |= violated
-        vi, vj = np.nonzero(violated)
-        add_columns(vi, vj)
+        costs = np.concatenate([costs, add_columns(new)])
         # The new columns price out negative: the last basis stays primal
         # feasible but not dual feasible, so the primal simplex re-runs from
         # it in tens of iterations where the dual one took about a thousand.
         model.setOptionValue("simplex_strategy", 4)
-        ii, jj = np.concatenate([ii, vi]), np.concatenate([jj, vj])
+        keys = np.concatenate([keys, new])
     # In row-major order, the cost sums over the plan in the same order
     # whatever order its columns were added in.
-    order = np.lexsort((jj, ii))
-    return (ii[order], jj[order]), np.asarray(solution.col_value)[order], u_s, v_s, rounds
+    order = np.argsort(keys)
+    return (np.divmod(keys[order], m), np.asarray(solution.col_value)[order], costs[order],
+            u_s, v_s, rounds)

@@ -642,64 +642,86 @@ class TestExactOT:
         assert res.seed_stages[-1].epsilon == solvers.SEED_SPACINGS * 0.2
 
     def test_fine_level_pricing_adds_pairs(self, monkeypatch):
-        # With one partner per row and column in the seed, the dual-seeded
-        # shortlist misses pairs of the optimum, and pricing adds them.
-        monkeypatch.setattr(solvers, "SHORTLIST_STENCIL", 1)
-        lam, mu = shifted_narrow_pair(8, False)
+        # Seeds from a Sinkhorn solve at four grid spacings are far enough
+        # from the optimal duals that the shortlist around their argmins
+        # misses pairs of the optimum, and pricing adds them.
+        monkeypatch.setattr(solvers, "SEED_SPACINGS", 4.0)
+        lam, mu = lp_pair_2d(12)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
         assert any(s.added > 0 for s in res.solves)
 
     def test_every_level_opens_on_its_staircase(self, monkeypatch):
         # The shortlist opens with the cells of the north-west staircase,
-        # which make the restricted LP feasible.  Its columns cost c_ij - u_i
-        # - v_j at the dual-feasible seeds, so HiGHS opens dual-feasible at
+        # which make the restricted LP feasible, then one star cell per
+        # column, tight at the seeds.  Its columns cost c_ij - u_i - v_j at
+        # the dual-feasible seeds, and HiGHS opens on the basis of the star
+        # cells and the source rows' logicals, so it opens dual-feasible at
         # the seeds.
         from scipy.optimize._highspy import _core
 
-        staircases, levels, columns = [], [], []
+        staircases, levels, columns, bases = [], [], [], []
         staircase, shortlist_lp = solvers._staircase, solvers._shortlist_lp
-        add_cols = _core._Highs.addCols
+        add_cols, set_basis, run = _core._Highs.addCols, _core._Highs.setBasis, _core._Highs.run
         monkeypatch.setattr(solvers, "_staircase", lambda ca, cb:
                             staircases.append(staircase(ca, cb)) or staircases[-1])
-        monkeypatch.setattr(solvers, "_shortlist_lp", lambda cost, wa, wb, dim, u, v:
-                            levels.append((cost, u.copy(), v.copy()))
-                            or shortlist_lp(cost, wa, wb, dim, u, v))
+        monkeypatch.setattr(solvers, "_shortlist_lp", lambda lam, mu, u, v, near_j, near_i:
+                            levels.append((u.copy(), v.copy(), near_i.copy()))
+                            or shortlist_lp(lam, mu, u, v, near_j, near_i))
         monkeypatch.setattr(_core._Highs, "addCols", lambda self, k, costs, *rest:
                             columns.append((self, np.array(costs), np.array(rest[4])))
                             or add_cols(self, k, costs, *rest))
+        monkeypatch.setattr(_core._Highs, "setBasis", lambda self, basis:
+                            bases.append((self, len(columns), list(basis.col_status),
+                                          list(basis.row_status))) or set_basis(self, basis))
+        monkeypatch.setattr(_core._Highs, "run", lambda self:
+                            bases.append((self, "run")) or run(self))
         lam, mu = shifted_narrow_pair(8, False)
         res = exact_ot(lam, mu)
         self.assert_matches_reference(res, lam, mu)
         assert len(staircases) == len(levels) == 1
         models = list(dict.fromkeys(call[0] for call in columns))
-        assert len(models) == len(levels)
-        for model, (cost, u, v), (si, sj) in zip(models, levels, staircases):
-            calls = [(costs, rows) for owner, costs, rows in columns if owner is model]
-            costs = np.concatenate([c for c, _ in calls])
-            rows = np.concatenate([r for _, r in calls])
-            (n, m), k = cost.shape, si.size
-            ii, jj = rows[0::2], rows[1::2] - n
-            assert k == n + m - 1
-            assert np.array_equal(ii[:k], si) and np.array_equal(jj[:k], sj)
-            scale = PRICE_RTOL * max(1.0, float(cost.max()))
-            assert costs.min() >= -scale
-            assert np.abs(costs - (cost[ii, jj] - u[ii] - v[jj])).max() <= scale
+        assert len(models) == len(levels) == 1
+        (u, v, near_i), (si, sj), model = levels[0], staircases[0], models[0]
+        # The basis is set once, on the opening columns, before the first run.
+        bases = [call for call in bases if call[0] is model]
+        assert bases[1:] == [(model, "run")] * len(res.solves)
+        owner, opening, col_status, row_status = bases[0]
+        assert owner is model and opening == 1
+        costs, rows = columns[0][1], columns[0][2]
+        rows_lp, cols_lp = np.flatnonzero(lam.weights > 0), np.flatnonzero(mu.weights > 0)
+        n, m, k = rows_lp.size, cols_lp.size, si.size
+        ii, jj = rows[0::2], rows[1::2] - n
+        assert k == n + m - 1
+        assert np.array_equal(ii[:k], si) and np.array_equal(jj[:k], sj)
+        cost = squared_distances(lam.points[rows_lp[ii]], mu.points[cols_lp[jj]], pairwise=True)
+        scale = PRICE_RTOL * max(1.0, float(squared_distances(lam.points, mu.points).max()))
+        assert costs.min() >= -scale
+        assert np.abs(costs - (cost - u[ii] - v[jj])).max() <= scale
+        # One basic star cell per column, at the source that attains its seed.
+        B, L = _core.HighsBasisStatus.kBasic, _core.HighsBasisStatus.kLower
+        basic = np.array([status == B for status in col_status])
+        assert set(col_status) <= {B, L} and row_status == [B] * n + [L] * m
+        assert np.array_equal(np.sort(jj[basic]), np.arange(m))
+        order = np.argsort(jj[basic])
+        assert np.array_equal(rows_lp[ii[basic][order]], near_i)
+        assert np.abs(costs[basic]).max() <= scale
         # The LP opens at the seeds of the Sinkhorn solve, not at zero.
-        _, u, v = levels[-1]
         assert min(np.abs(u).max(), np.abs(v).max()) > 0.1
 
     def test_pricing_selects_only_when_some_pair_violates(self, monkeypatch):
-        # This pair takes one solve, so _smallest_per_line runs once, for the
-        # seed: a round with no violated pair exits before the selection.
+        # This pair takes one solve: its one pricing round finds no violating
+        # line, so the shortlist's opening columns are the only ones added.
+        from scipy.optimize._highspy import _core
+
         calls = []
-        smallest = solvers._smallest_per_line
-        monkeypatch.setattr(solvers, "_smallest_per_line", lambda cost, u, v, k, below, skip=None:
-                            calls.append(below) or smallest(cost, u, v, k, below, skip))
+        add_cols = _core._Highs.addCols
+        monkeypatch.setattr(_core._Highs, "addCols", lambda self, k, *rest:
+                            calls.append(k) or add_cols(self, k, *rest))
         lam, mu = lp_pair_2d(20)
         res = exact_ot(lam, mu)
         assert [s.added for s in res.solves] == [0]
-        assert calls == [np.inf]
+        assert calls == [res.solves[0].pairs]
 
     def test_solves_record_simplex_iterations(self):
         lam, mu = lp_pair_2d(16)
@@ -850,11 +872,11 @@ class TestExactOT:
         calls = []
 
         def raise_first_zero_column(y, v, x):
-            out = _c_transform_1d(y, v, x)
+            out, best = _c_transform_1d(y, v, x)
             if not calls:
                 out[0] += 1e-6
             calls.append(x.size)
-            return out
+            return out, best
 
         monkeypatch.setattr(solvers, "_c_transform_1d", raise_first_zero_column)
         with pytest.raises(CertificateError, match="violation") as err:
@@ -867,7 +889,9 @@ class TestExactOT:
         # The 2-d analogue: raise the completed dual of one zero-weight target
         # atom, tight against a positive source atom, on the zero-atom pair of
         # test_pyramid_on_different_grids_with_odd_extents.  The LP's two
-        # seeds are the first two c-transforms; the completion is the third.
+        # seeds are the first two c-transforms, and each solve's pricing two
+        # more, one over the positive atoms of each side; the completion
+        # follows them.
         lam, mu = odd_extent_pair()
         res = exact_ot(lam, mu)
         assert res.feasibility_violation <= CERT_RTOL
@@ -877,18 +901,22 @@ class TestExactOT:
         assert slack[:, k].max() >= -1e-12
         calls = []
 
+        completion = 2 + 2 * len(res.solves)
+
         def raise_tight_zero_column(spec, v, x):
-            out = _c_transform_grid(spec, v, x)
-            if len(calls) == 2:
+            out, best = _c_transform_grid(spec, v, x)
+            if len(calls) == completion:
                 out[k] += 1e-6
             calls.append(len(x))
-            return out
+            return out, best
 
         monkeypatch.setattr(solvers, "_c_transform_grid", raise_tight_zero_column)
         with pytest.raises(CertificateError, match="violation") as err:
             exact_ot(lam, mu)
-        assert calls[:3] == [lam.spec.n_points, np.count_nonzero(mu.weights),
-                             np.count_nonzero(mu.weights == 0)]
+        pricing = [np.count_nonzero(lam.weights), np.count_nonzero(mu.weights)]
+        assert calls[:completion + 1] == [lam.spec.n_points, np.count_nonzero(mu.weights),
+                                          *pricing * len(res.solves),
+                                          np.count_nonzero(mu.weights == 0)]
         violation = float(str(err.value).rsplit("violation ", 1)[1].rstrip(")"))
         assert violation > CERT_RTOL
 
@@ -944,7 +972,8 @@ def envelope_cases(draw):
 def test_c_transform_1d_matches_dense(case):
     x, y, v, cost = case
     dense = np.min(cost - v[None, :], axis=1)
-    envelope = _c_transform_1d(y, v, x)
+    envelope, best = _c_transform_1d(y, v, x)
+    assert np.array_equal(envelope, (x - y[best]) ** 2 - v[best])
     # Each entry is one of the dense terms, evaluated the same way, so it can
     # only miss the minimum where rounding misplaces a crossing.
     assert np.all(envelope >= dense)
@@ -980,19 +1009,25 @@ def grid_envelope_cases(draw):
 def test_c_transform_grid_matches_dense(case):
     src, tgt, v, cost = case
     dense = np.min(cost - v[None, :], axis=1)
-    envelope = _c_transform_grid(tgt, v, src.points)
+    envelope, best = _c_transform_grid(tgt, v, src.points)
     assert not np.isnan(envelope).any()
     # In d = 2 the per-axis terms are added in another order than the dense
     # sum, so the two agree to rounding, within the 1-d test's tolerance.
     scale = float(cost.max()) + float(np.abs(v[np.isfinite(v)]).max())
     assert np.all(np.abs(envelope - dense) <= 1e-13 * scale)
+    # The argmin is a flat index of the target grid, never one of a -inf
+    # dual, and the dense reduced cost there is the returned minimum.
+    assert best.shape == envelope.shape and np.isfinite(v[best]).all()
+    at_best = cost[np.arange(best.size), best] - v[best]
+    assert np.all(np.abs(at_best - envelope) <= 1e-13 * scale)
 
 
 HIGHS_NAMES = ["_Highs", "HighsSolution.col_value", "HighsSolution.row_dual",
                "HighsInfo.simplex_iteration_count", "HighsModelStatus.kOptimal",
-               "HighsStatus.kError",
+               "HighsStatus.kError", "HighsBasis", "HighsBasisStatus.kBasic",
+               "HighsBasisStatus.kLower",
                *(f"_Highs.{method}" for method in (
-                   "setOptionValue", "addRows", "addCols", "run", "getModelStatus",
+                   "setOptionValue", "addRows", "addCols", "setBasis", "run", "getModelStatus",
                    "modelStatusToString", "getInfo", "getSolution"))]
 
 
@@ -1385,9 +1420,9 @@ def test_monotone_peak_memory_is_the_plan():
 
 
 def test_lp_peak_memory_holds_no_full_cost():
-    # The 2-d LP prices against each level's cost on its own positive atoms
-    # and certifies from the plan's cells, so no cost over the full grids is
-    # formed next to the pricing arrays.
+    # The 2-d LP reads its cost on the shortlist's cells, and prices and
+    # certifies with c-transforms over the grids, so no cost over the full
+    # grids is formed.
     lam, mu = lp_pair_2d(20)
     tracemalloc.start()
     try:
@@ -1426,3 +1461,52 @@ def test_lp_peak_memory_with_the_plan_unread():
         plan = res.plan
         assert res.plan is plan
         assert abs(float(np.sum(plan.mass * plan.cost_matrix)) - res.cost) <= 1e-12 * res.cost
+
+
+@pytest.mark.parametrize("make_pair, bound", [
+    (lambda: sinkhorn_pair_2d(20), 0.5),
+    (lambda: sinkhorn_pair_2d(32), 0.25),
+    (two_line_pair, 1.1),
+], ids=["size_pair_20", "size_pair_32", "two_lines"])
+def test_lp_peak_memory_holds_no_pair_array(make_pair, bound):
+    # The LP reads the cost on its shortlist's cells only and prices with
+    # c-transforms over the grids, so with the plan unread it holds no n x m
+    # array: the peaks measure 0.38, 0.15 and 0.96 n x m, where a cost over
+    # the positive atoms and a shortlist mask took 1.59, 1.22 and 1.59.  On
+    # the grid of two lines the seeds' first reduction holds n x m / 2.
+    lam, mu = make_pair()
+    exact_ot(*lp_pair_2d(6))  # the HiGHS binding's first load is not the LP's
+    tracemalloc.start()
+    try:
+        res = exact_ot(lam, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.method == "lp_highs" and "plan" not in vars(res)
+    assert peak <= bound * 8 * lam.spec.n_points * mu.spec.n_points
+
+
+def crossed_line_pair():
+    """A 2-d pair of two lines of 200 points each, the target's lines across
+    the source's, weights 0.5 + U(0, 1): Sinkhorn at epsilon 0.02 on it stops
+    non_finite."""
+    rng = np.random.default_rng(1)
+    specs = [GridSpec(dim=2, h=0.01, extent=(2, 200), origin_offset=(0.5, 99.5)),
+             GridSpec(dim=2, h=0.01, extent=(200, 2), origin_offset=(99.5, 0.5))]
+    weights = [0.5 + rng.random(spec.n_points) for spec in specs]
+    return tuple(GridMeasure(spec=spec, weights=w / w.sum(), alpha=0.5)
+                 for spec, w in zip(specs, weights))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_stop_raises_no_runtime_warning():
+    # The stage that stops non_finite leaves NaN scalings; the cost
+    # contraction over them reports the stop, not floating-point warnings.
+    lam, mu = crossed_line_pair()
+    res = sinkhorn(lam, mu, 0.02)
+    assert res.stages[-1].stop == "non_finite" and not res.converged
+    # exact_ot's seed solve hits the same stop, and the LP still certifies.
+    ot = exact_ot(lam, mu)
+    assert ot.seed_stages[-1].stop == "non_finite"
+    TestExactOT.assert_matches_reference(ot, lam, mu)
+    assert len(ot.solves) <= 9
