@@ -280,11 +280,11 @@ def _run_quasimin(lam, mu, exp, cfg) -> tuple:
 
 
 def _run_onestep(lam, mu, exp, cfg) -> tuple:
-    reg_cfg, epsilon, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
+    reg_cfg, _, radius, theta, res = _cascade_setup(lam, mu, exp, cfg)
     s_bar = normalizing_scaling(lam, mu)
     pi_n = apply_to_coupling(s_bar, res.plan)
-    out = one_step(pi_n, pi_n.source, pi_n.target, radius, theta, epsilon=epsilon,
-                   config=reg_cfg)
+    # one_step reads the normalised plan's own epsilon.
+    out = one_step(pi_n, pi_n.source, pi_n.target, radius, theta, config=reg_cfg)
     row = {
         "R": radius,
         "theta": theta,

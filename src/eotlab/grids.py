@@ -33,28 +33,19 @@ __all__ = [
     "load_measure",
     "DENSITY_KINDS",
     "DENSE_BYTES_LIMIT",
-    "SINKHORN_PLAN_ARRAYS",
-    "EXACT_OT_DENSE_ARRAYS",
+    "PLAN_ARRAYS",
     "require_dense_size",
 ]
 
-# The solvers hold n x m arrays: Sinkhorn in d = 1 its cost and kernel factor
-# (in d = 2 these are per axis); the LP reads its cost on the shortlist's
-# cells only, and its 2-d c-transforms (seeds, pricing, certificate) hold at
-# most n x m / 2 entries; both form the plan on first read.  tracemalloc
-# peaks with the plan unread, in n x m arrays: Sinkhorn 3.0-3.1 in 1-d (n =
-# 256/512) and 0.03-0.08 in 2-d (20x20, 32x32); exact OT on the 2-d LP 0.54
-# at 16x16, 0.38 at 20x20, 0.15 at 32x32 and 0.96 on 2x200 grids, and 0.09
-# in 1-d (n = 512).  Sinkhorn's guard counts the plan's SINKHORN_PLAN_ARRAYS
-# and its per-axis arrays, three n x m ones in d = 1.  EXACT_OT_DENSE_ARRAYS
-# = 6 admits 68x68 grids (0.4-0.6 s LP, README); fewer admit larger,
-# unmeasured ones.
-# An input whose arrays would pass DENSE_BYTES_LIMIT fails before they are
-# allocated; so does a grid that no solve could take, even against the
-# smallest grid of its dimension (2^dim points).
+# Neither solver forms an n x m array until its plan is read: Sinkhorn keeps
+# its kernel in per-axis factors and the LP its cost on the shortlist's cells.
+# Each solve's guard counts PLAN_ARRAYS for the plan it returns and the cost
+# that its region reads cache; Sinkhorn adds its per-axis arrays, three n x m
+# ones in d = 1.  An input whose arrays would pass DENSE_BYTES_LIMIT fails
+# before they are allocated; so does a grid that no solve could take, even
+# against the smallest grid of its dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
-SINKHORN_PLAN_ARRAYS = 2
-EXACT_OT_DENSE_ARRAYS = 6
+PLAN_ARRAYS = 2
 
 # Row blocks of this many points when forming the O(n^2) Hölder sup, and of
 # about its square in entries when adding an axis to squared distances: each
@@ -91,8 +82,7 @@ class GridSpec:
                     f"origin lies outside the grid hull along axis {a}: "
                     f"offset {off} not in [0, {n - 1}]"
                 )
-        require_dense_size(self.n_points, 2**self.dim,
-                           min(SINKHORN_PLAN_ARRAYS, EXACT_OT_DENSE_ARRAYS),
+        require_dense_size(self.n_points, 2**self.dim, PLAN_ARRAYS,
                            "the smallest solve with this grid")
         # Squared distances between points of two such grids, at most 4 max |x|^2, stay finite.
         with np.errstate(over="ignore"):

@@ -179,7 +179,6 @@ class OneStepOutcome:
     fit: HarmonicFit
     det_A: float
     eps_term: float
-    pi_after: Coupling
 
 
 def _matrix_exp_symmetric(s: np.ndarray) -> np.ndarray:
@@ -252,7 +251,7 @@ def one_step(
     ``NORMALIZATION_TOL``, and E(R) + D(R) + eps^2/R^2 + delta is below
     ``config.eps1`` (energies are taken at the calling radius; on a bounded
     grid wider radii saturate the localization region).  ``D_after`` averages
-    over the rescaled grids' spacings.
+    over the rescaled grids' spacings.  ``epsilon`` defaults to the plan's own.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
@@ -270,7 +269,6 @@ def one_step(
         fit=fit,
         det_A=det_a,
         eps_term=(eps / R) ** 2,
-        pi_after=pi_hat,
     )
 
 
@@ -319,9 +317,11 @@ def campanato_iterate(
 
     The normalizing scaling is applied first.  Each level measures E and D
     once, and the improvement step reuses them; the step scaling is composed
-    onto the running transform and the radius shrinks by theta.  Stops
-    at r <= c0 * epsilon, on a smallness or admissibility exit, or at
-    ``max_levels``.
+    onto the running transform and the radius shrinks by theta.  A level
+    whose composed scaling dilates by gamma carries the plan's length scale
+    epsilon * sqrt(gamma) (as ``apply_to_coupling`` records), which both the
+    smallness term and the stop read.  Stops at r <= c0 * epsilon *
+    sqrt(gamma), on a smallness or admissibility exit, or at ``max_levels``.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
@@ -353,13 +353,14 @@ def campanato_iterate(
             composed=composed,
         )
         levels.append(level)
-        if r <= config.c0 * epsilon:
+        eps_k = epsilon * composed.gamma**0.5
+        if r <= config.c0 * eps_k:
             stop_reason = "reached_epsilon_scale"
             break
         if k == max_levels:
             break
         try:
-            step, _, _, pi_k = _improve(pi_k, lam_k, mu_k, r, level.E + level.D, epsilon, config)
+            step, _, _, pi_k = _improve(pi_k, lam_k, mu_k, r, level.E + level.D, eps_k, config)
         except SmallnessError:
             stop_reason = "smallness_violated"
             break

@@ -259,7 +259,9 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     transformed measures by construction (weights scale by kappa), and its
     ``source``/``target`` are what :func:`apply_to_measures` returns for
     ``pi.source``/``pi.target``.  When both cell maps are runs, kappa * pi is
-    copied into one block; otherwise its entries are summed per cell."""
+    copied into one block; otherwise its entries are summed per cell.  The
+    maps scale every cross term (x_i - x_k) . (y_j - y_l) by gamma, so a plan
+    that is Gibbs at epsilon comes out Gibbs at epsilon * sqrt(gamma)."""
     s.require_admissible()
     (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
     n, m = lam_s.spec.n_points, mu_s.spec.n_points
@@ -271,7 +273,7 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
         cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()
         mass = np.bincount(cell, weights=(s.kappa * pi.mass).ravel(),
                            minlength=n * m).reshape(n, m)
-    eps = None if pi.epsilon is None else pi.epsilon * s.gamma**-0.5
+    eps = None if pi.epsilon is None else pi.epsilon * s.gamma**0.5
     out = Coupling(source=lam_s, target=mu_s, mass=mass, epsilon=eps)
     # The deposition is exact, so any marginal violation beyond what the input
     # coupling already carried (cached, if a call made it) is an internal error.

@@ -21,8 +21,8 @@ import numpy as np
 
 from .couplings import Coupling
 from .errors import CertificateError, DomainError, MassMismatchError
-from .grids import (EXACT_OT_DENSE_ARRAYS, SINKHORN_PLAN_ARRAYS, GridMeasure, GridSpec,
-                    hull_reach, require_dense_size, squared_distances)
+from .grids import (PLAN_ARRAYS, GridMeasure, GridSpec, hull_reach, require_dense_size,
+                    squared_distances)
 
 __all__ = [
     "SinkhornResult",
@@ -256,8 +256,9 @@ def sinkhorn(
     plan satisfies pi = exp((f + g - c)/eps^2) * lam (x) mu entrywise (f and
     g are 0 on zero-weight atoms).  The cost and entropy are contractions of
     the factors; the plan is formed from its exponents on first read of
-    ``plan``.  An input whose plan and per-axis arrays would pass
-    DENSE_BYTES_LIMIT raises SizeError up front.
+    ``plan``.  The size guard counts PLAN_ARRAYS n x m arrays, the plan and
+    the cost that region reads cache, plus the per-axis arrays; an input
+    whose count would pass DENSE_BYTES_LIMIT raises SizeError up front.
     """
     res = _sinkhorn(lam, mu, epsilon, tol, max_iter)
     if not res.converged:
@@ -284,7 +285,7 @@ def _sinkhorn(lam: GridMeasure, mu: GridMeasure, epsilon: float, tol: float,
     # log-domain sweep's pass over axis k: all three are n x m in d = 1.
     per_axis = sum(2 * a * b + math.prod(extent_a[:k + 1]) * math.prod(extent_b[k:])
                    for k, (a, b) in enumerate(zip(extent_a, extent_b)))
-    require_dense_size(n, m, SINKHORN_PLAN_ARRAYS + per_axis / (n * m), "sinkhorn")
+    require_dense_size(n, m, PLAN_ARRAYS + per_axis / (n * m), "sinkhorn")
 
     # Not squared_distances, which forms dense costs: TestFactoredKernel spies on it
     # to check that a factored solve forms none.
@@ -593,11 +594,13 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     cells and takes c-transforms over the grids, as do the LP's seeds,
     shortlist and pricing: a lower envelope of parabolas in d = 1, one
     reduction per axis in d = 2.  Neither path forms an n x m array until
-    the dense plan is built from its cells, on first read of ``plan``.  An
-    input whose dense arrays would pass DENSE_BYTES_LIMIT raises SizeError.
+    the dense plan is built from its cells, on first read of ``plan``.  The
+    size guard counts PLAN_ARRAYS n x m arrays, the plan and the cost that
+    region reads cache, as ``sinkhorn``'s does; an input past
+    DENSE_BYTES_LIMIT raises SizeError up front.
     """
     _require_pair(lam, mu)
-    require_dense_size(lam.spec.n_points, mu.spec.n_points, EXACT_OT_DENSE_ARRAYS, "exact_ot")
+    require_dense_size(lam.spec.n_points, mu.spec.n_points, PLAN_ARRAYS, "exact_ot")
     if lam.dim == 1:
         try:
             return _exact_ot_monotone(lam, mu)

@@ -152,6 +152,19 @@ class TestExperimentDispatch:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["experiment", "expansion", "--config", str(tmp_path / "nope.json")])
         assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        # A file that is not JSON, JSON that is not an object, and an object
+        # with no source each exit 2 with their own message.
+        for text, message in [("{", "config is not valid JSON"),
+                              ("[1, 2]", "config must be a JSON object"),
+                              ('{"solver": {"epsilon": 0.5}}',
+                               "config missing marginal spec: 'source'")]:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            code = main(["experiment", "expansion", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 2 and message in err and "Traceback" not in err
 
     def test_blocked_output_dir_exits_4(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -545,6 +558,52 @@ class TestNonConvergenceAndBadInput:
         err = capsys.readouterr().err
         assert "Gibbs identity check with 1000 samples on 400 x 400" in err
         assert "Traceback" not in err and solves == []
+
+    def test_exact_ot_is_admitted_where_sinkhorn_is(self, tmp_path, monkeypatch, capsys):
+        # Both solvers' guards count the plan and its cached cost, and
+        # Sinkhorn adds its small per-axis arrays: at 3 n x m on a 20x20
+        # pair, quasimin's Sinkhorn solves and its competitors' exact solves
+        # are all admitted.
+        from eotlab import exact_ot, grids, make_measure
+
+        grid = {"dim": 2, "n": 20, "lo": -1.0, "hi": 1.0}
+        source = {"grid": grid, "alpha": 0.5, "normalize": True, "density": {"kind": "uniform"}}
+        target = {"grid": grid, "alpha": 0.5, "normalize": True,
+                  "density": {"kind": "gaussian", "sigma": 0.8, "floor": 0.3}}
+        monkeypatch.setattr(grids, "DENSE_BYTES_LIMIT", 3 * 8 * 400 * 400)
+        res = exact_ot(make_measure(source), make_measure(target))
+        assert res.method == "lp_highs" and res.duality_gap <= 1e-9
+        cfg = write_config(tmp_path, {"source": source, "target": target,
+                                      "experiment": {"R": 0.3, "eps_ladder": [0.3, 0.2]},
+                                      "solver": {"epsilon": 0.2}})
+        assert main(["experiment", "quasimin", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0, capsys.readouterr().err
+
+    def test_onestep_peak_memory(self, tmp_path):
+        # The n = 256 curved pair: the solve's plan, the normalised plan and
+        # the step's rescaled plan, with the costs their region reads cache;
+        # the rescaled plan is freed once E and D are measured on it.
+        import tracemalloc
+
+        grid = {"dim": 1, "n": 256, "lo": -1.0, "hi": 1.0}
+        cfg = write_config(tmp_path, {
+            "source": {"grid": grid, "density": {"kind": "uniform"}, "alpha": 0.5},
+            "target": {"grid": grid, "alpha": 0.5,
+                       "density": {"kind": "shifted_profile", "c0": 0.02, "c1": 0.42,
+                                   "exponent": 1.0, "window_power": 2.0}},
+            "experiment": {"R0": 0.8, "theta": 0.5,
+                           "thresholds": {"eps1": 0.5, "delta": 0.005, "c0": 3.0}},
+            "solver": {"epsilon": 0.04, "tol": 1e-8},
+        })
+        tracemalloc.start()
+        try:
+            code = main(["experiment", "onestep", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 7 * 8 * 256 * 256
 
     @pytest.mark.parametrize("where", ["config_grid", "sidecar_extent"])
     def test_oversized_grid_exits_4_before_allocating(self, tmp_path, capsys, where):

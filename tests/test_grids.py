@@ -286,6 +286,13 @@ class TestDataTerm:
         values = [data_term(lam, mu, r).D for r in (0.2, 0.4, 0.6, 0.8, 1.0)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
+    def test_mismatched_dimension_or_exponent_raises(self, uniform_1d, uniform_2d):
+        with pytest.raises(DomainError, match="same dimension"):
+            data_term(uniform_1d, uniform_2d, 0.5)
+        other = GridMeasure(uniform_1d.spec, uniform_1d.weights, alpha=0.25)
+        with pytest.raises(DomainError, match="same Hölder exponent"):
+            data_term(uniform_1d, other, 0.5)
+
 
 class TestMeasureIO:
     def test_roundtrip(self, tmp_path, uniform_2d):

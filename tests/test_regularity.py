@@ -285,6 +285,22 @@ class TestCampanato:
             np.testing.assert_allclose(lvl.composed.b, 0.0, atol=1e-10)
             assert lvl.composed.gamma == pytest.approx(1.0, abs=1e-10)
 
+    def test_stop_reads_the_composed_dilation(self):
+        # The target is the source squeezed by 1/1.8, so the normalising
+        # scaling dilates it by gamma = 1.8, near the window's edge, back
+        # onto the source grid, and every step is the identity.  The levels'
+        # plans carry epsilon * sqrt(1.8): c0 * epsilon = 0.11 would stop at
+        # r = 0.0625, c0 * epsilon * sqrt(1.8) = 0.148 stops at r = 0.125.
+        lam = uniform_unit_density(n=65)
+        squeeze = 1.0 / 1.8
+        mu = line_measure(lam.points[:, 0] * squeeze, lam.weights, h=lam.spec.h * squeeze)
+        pi = monge_coupling(lam, mu, np.arange(lam.spec.n_points))
+        trace = campanato_iterate(pi, lam, mu, R0=1.0, theta=0.5, epsilon=0.022, max_levels=12)
+        assert trace.base_scaling.gamma == pytest.approx(1.8, rel=1e-12)
+        assert trace.stop_reason == "reached_epsilon_scale"
+        np.testing.assert_allclose(trace.radii(), [1.0, 0.5, 0.25, 0.125])
+        assert trace.levels[-1].composed.gamma == pytest.approx(1.8, rel=1e-10)
+
     def test_theta_one_rejected(self):
         lam = uniform_unit_density(n=33)
         pi = diagonal_coupling(lam)

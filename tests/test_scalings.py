@@ -20,9 +20,11 @@ from eotlab import (
     diagonal_coupling,
     identity_scaling,
     local_energy,
+    make_measure,
     measure_from_density,
     normalizing_scaling,
     scalings,
+    sinkhorn,
     symmetric_grid,
     transform_source_atoms,
     transform_target_atoms,
@@ -178,6 +180,26 @@ class TestApplyToCoupling:
         out = apply_to_coupling(s, pi)
         assert check_marginals(out, tol=1e-8).ok
         assert out.total_mass == pytest.approx(1.7 * pi.total_mass, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [0.6, 1.7])
+    def test_dilated_plan_is_gibbs_at_its_recorded_epsilon(self, gamma):
+        # Q2 scales every cross term (x_i - x_k)(y_j - y_l) by gamma, so the
+        # log cross-ratios of a plan that is Gibbs at epsilon read epsilon^2 *
+        # gamma after the dilation: the recorded epsilon is epsilon * sqrt(gamma).
+        grid = {"dim": 1, "n": 33, "lo": -1.0, "hi": 1.0}
+        lam, mu = (make_measure({"grid": grid, "alpha": 0.5, "normalize": True, "density": d})
+                   for d in ({"kind": "uniform"}, {"kind": "gaussian", "sigma": 0.6,
+                                                   "floor": 0.2}))
+        pi = sinkhorn(lam, mu, 0.2, tol=1e-10).plan
+        out = apply_to_coupling(Scaling(A=np.eye(1), b=np.zeros(1), gamma=gamma, kappa=1.0), pi)
+        cells = np.ix_(out.source.weights > 0, out.target.weights > 0)
+        log_plan, cost = np.log(out.mass[cells]), out.cost_matrix[cells]
+        # Each pair's cross-ratio against the first row and column.
+        lhs = log_plan + log_plan[0, 0] - log_plan[:, :1] - log_plan[:1, :]
+        rhs = -(cost + cost[0, 0] - cost[:, :1] - cost[:1, :]) / out.epsilon**2
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        assert np.max(np.abs(lhs - rhs) / scale) <= 1e-6
+        assert out.epsilon == pytest.approx(0.2 * gamma**0.5, rel=1e-15)
 
 
 def dense_deposit(s, pi):

@@ -1382,13 +1382,13 @@ def lp_pair_2d(n):
 
 
 @pytest.mark.parametrize("case", [
-    ("lp_highs", lambda: lp_pair_2d(16), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
-    ("lp_highs", lambda: lp_pair_2d(20), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
-    ("monotone_1d", lambda: zero_atom_pair_1d(512), exact_ot, solvers.EXACT_OT_DENSE_ARRAYS),
+    ("lp_highs", lambda: lp_pair_2d(16), exact_ot, solvers.PLAN_ARRAYS),
+    ("lp_highs", lambda: lp_pair_2d(20), exact_ot, solvers.PLAN_ARRAYS),
+    ("monotone_1d", lambda: zero_atom_pair_1d(512), exact_ot, solvers.PLAN_ARRAYS),
     # In d = 1 the Sinkhorn guard counts the plan's arrays and three n x m
     # arrays per axis: the cost, the factor and a log-domain sweep's pass.
     (None, lambda: curved_pair(512), lambda lam, mu: sinkhorn(lam, mu, 0.1, tol=1e-9),
-     solvers.SINKHORN_PLAN_ARRAYS + 3),
+     solvers.PLAN_ARRAYS + 3),
 ], ids=["exact_ot_lp_2d", "exact_ot_lp_pyramid_2d", "exact_ot_monotone_1d", "sinkhorn_1d"])
 def test_peak_memory_within_size_guard(case):
     # The size guard counts n x m float arrays; the traced peak of a solve
