@@ -67,13 +67,6 @@ class Coupling:
         return float(np.sum(self.mass))
 
     @cached_property
-    def cost_matrix(self) -> np.ndarray:
-        """Squared-distance matrix |x_i - y_j|^2."""
-        c = squared_distances(self.source.points, self.target.points)
-        c.setflags(write=False)
-        return c
-
-    @cached_property
     def marginal_errors(self) -> tuple[float, float]:
         """Largest relative row-sum and column-sum errors against the marginals."""
         return (float(np.max(_relative_errors(self.mass.sum(axis=1), self.source.weights))),
@@ -83,13 +76,6 @@ class Coupling:
 # ---------------------------------------------------------------------------
 # Regions over point pairs
 # ---------------------------------------------------------------------------
-
-
-def _block_sum(where: np.ndarray | None, *arrays: np.ndarray) -> float:
-    """sum_ij of the entrywise product of 2-d ``arrays`` over ``where`` (None:
-    every entry), by one einsum: no temporary, and no BLAS."""
-    operands = arrays if where is None else (*arrays, where)
-    return float(np.einsum(",".join(["ij"] * len(operands)) + "->", *operands))
 
 
 def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
@@ -105,20 +91,11 @@ def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
     return cost >= least
 
 
-def _energy(pi: Coupling, blocks: list[tuple]) -> float:
-    return sum((_block_sum(where, pi.cost_matrix[rows, cols], pi.mass[rows, cols])
-                for rows, cols, where in blocks), 0.0)
-
-
-def _mass(pi: Coupling, blocks: list[tuple]) -> float:
-    return sum((_block_sum(where, pi.mass[rows, cols]) for rows, cols, where in blocks), 0.0)
-
-
 @dataclass(frozen=True)
 class HashRegion:
     """Pairs with |x| <= R or |y| <= R.  Every statistic of a plan over the
     region reads the plan through these methods, and reads only the pairs in
-    the region's blocks (see :meth:`blocks`)."""
+    the region's blocks (see :meth:`blocks`), through their per-axis sums."""
 
     radius: float
 
@@ -132,14 +109,17 @@ class HashRegion:
         against the column span of {|y| <= R}, that row span against every
         column, and the rows after it against the column span.  Rows outside
         the span have |x| > R, so the blocks cover the region exactly on any
-        grid ordering.  ``mask`` selects the region's pairs of the block
-        (broadcastable to it; None when all of them are in it, as in d = 1,
-        where the spans are the bands); with ``threshold`` it keeps only pairs
-        displaced by at least ``threshold``, none past the hulls' reach."""
+        grid ordering; column spans hold whole lines of the target grid.
+        ``mask`` selects the region's pairs of the block (broadcastable to it;
+        None when all of them are in it, as in d = 1, where the spans are the
+        bands); with ``threshold`` it keeps only pairs displaced by at least
+        ``threshold``, by each block's distances, and none past the hulls' reach."""
         src, tgt = pi.source.spec, pi.target.spec
         if threshold is not None and not _long(hull_reach(src, tgt), threshold):
             return []
-        row_span, col_span = src.ball_span(self.radius), tgt.ball_span(self.radius)
+        lines = tgt.n_points // tgt.extent[0]
+        row_span, ball = src.ball_span(self.radius), tgt.ball_span(self.radius)
+        col_span = slice(ball.start // lines * lines, -(-ball.stop // lines) * lines)
         col_band = tgt.point_norms <= self.radius
         span_rows = src.point_norms[row_span] <= self.radius
         row_mask = None if span_rows.all() else span_rows[:, None] | col_band[None, :]
@@ -152,21 +132,53 @@ class HashRegion:
             if rows.stop <= rows.start or cols.stop <= cols.start:
                 continue
             if threshold is not None:
-                long = _long(pi.cost_matrix[rows, cols], threshold)
+                long = _long(squared_distances(src.points[rows], tgt.points[cols]), threshold)
                 mask = long if mask is None else long & mask
                 if not mask.any():
                     continue
             out.append((rows, cols, mask))
         return out
 
+    def _axis_sums(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
+        """Per block, (rows, [(subscripts, factors, y_k) per target axis k]): the einsum
+        product of the 2-d ``factors`` is M^k, the block's pairs summed over the target
+        points of each axis-k coordinate y_k[q].  In d = 1 that is the block and its
+        mask, unmultiplied; in d = 2, one einsum over the block's lines per axis."""
+        axes, out = pi.target.spec.axes, []
+        for rows, cols, where in self.blocks(pi, threshold):
+            f = (pi.mass[rows, cols],) + (() if where is None else (where,))
+            if len(axes) == 1:
+                out.append((rows, [(",".join(["ij"] * len(f)), f, axes[0][cols])]))
+                continue
+            lines = len(axes[1])
+            cubes = [a.reshape(len(a), -1, lines) for a in f]
+            sub = ",".join(["iql"] * len(cubes))
+            out.append((rows, [("ij", (np.einsum(sub + "->iq", *cubes),),
+                                axes[0][cols.start // lines:cols.stop // lines]),
+                               ("ij", (np.einsum(sub + "->il", *cubes),), axes[1])]))
+        return out
+
+    @staticmethod
+    def _second_moment(sums: list[tuple], p: np.ndarray | None) -> float:
+        """sum pi_ij |y_j - p_i|^2 over the pairs of :meth:`_axis_sums` about a point p_i
+        per source row, as sum_k sum_q (y_k[q] - p_ik)^2 M^k_i[q], since the cost is a sum
+        over axes; with p None, the pairs' mass, sum M^0."""
+        total = 0.0
+        for rows, axis_sums in sums:
+            for k, (sub, f, y) in enumerate(axis_sums[:1] if p is None else axis_sums):
+                if p is not None:  # M^k weighed by (y_k[q] - p_ik)^2
+                    sub, f = "ij," + sub, (squared_distances(p[rows, k:k + 1], y[:, None]), *f)
+                total += np.einsum(sub + "->", *f)
+        return float(total)
+
     def energy(self, pi: Coupling, threshold: float | None = None) -> float:
         """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced
         by at least ``threshold``."""
-        return _energy(pi, self.blocks(pi, threshold))
+        return self._second_moment(self._axis_sums(pi, threshold), pi.source.points)
 
     def mass(self, pi: Coupling, threshold: float | None = None) -> float:
         """pi(#_R), or the mass of its pairs displaced by at least ``threshold``."""
-        return _mass(pi, self.blocks(pi, threshold))
+        return self._second_moment(self._axis_sums(pi, threshold), None)
 
     def per_radius(self, value: float, power: float) -> float:
         """value / R^power; DomainError when R^power is not a positive finite float."""
@@ -178,29 +190,24 @@ class HashRegion:
 
     def row_moments(self, pi: Coupling) -> tuple:
         """(x_i, W_i, S_i, residual) for the rows with W_i > 0 of the plan P restricted
-        to the region: W_i = sum_j P_ij, S_i = sum_j P_ij y_j, and residual(pred) =
-        sum_ij P_ij |y_j - pred_i|^2 in one pass over P, which avoids the cancellation
-        of a least-squares fit's closed form.  The sums are numpy reductions over
-        the region's blocks in a fixed order, independent of BLAS threads."""
-        y = pi.target.points
+        to the region: W_i = sum_j P_ij, S_i = sum_j P_ij y_j and residual(pred) = sum_ij
+        P_ij |y_j - pred_i|^2, a second moment, which avoids the cancellation of a least-
+        squares fit's closed form.  All are numpy reductions of the region's per-axis
+        sums in a fixed order, independent of BLAS threads."""
         n, d = pi.source.points.shape
         w, s = np.zeros(n), np.zeros((n, d))
-        plans = []
-        for rows, cols, where in self.blocks(pi):
-            plan = pi.mass[rows, cols] if where is None else np.where(where, pi.mass[rows, cols], 0.0)
-            w[rows] = np.einsum("ij->i", plan)
-            s[rows] = np.einsum("ij,ja->ia", plan, y[cols])
-            plans.append((rows, cols, plan))
+        sums = self._axis_sums(pi)
+        for rows, axis_sums in sums:
+            w[rows] = np.einsum(axis_sums[0][0] + "->i", *axis_sums[0][1])
+            for k, (sub, f, y) in enumerate(axis_sums):
+                s[rows, k:k + 1] = np.einsum(sub + ",ja->ia", *f, y[:, None])
         keep = w > 0
 
         def residual(pred: np.ndarray) -> float:
             # A row without region mass has P_ij = 0 on the region, so its pred is never weighed.
             full = np.zeros((n, d))
             full[keep] = pred
-            total = 0.0
-            for rows, cols, plan in plans:
-                total += _block_sum(None, plan, squared_distances(full[rows], y[cols]))
-            return total
+            return self._second_moment(sums, full)
 
         return pi.source.points[keep], w[keep], s[keep], residual
 
@@ -246,9 +253,9 @@ def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajS
     region = HashRegion(R)
     if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    blocks = region.blocks(pi, threshold)
-    return LongTrajStats(energy=region.per_radius(_energy(pi, blocks), pi.dim + 2),
-                         mass=region.per_radius(_mass(pi, blocks), pi.dim))
+    sums, x = region._axis_sums(pi, threshold), pi.source.points
+    return LongTrajStats(energy=region.per_radius(region._second_moment(sums, x), pi.dim + 2),
+                         mass=region.per_radius(region._second_moment(sums, None), pi.dim))
 
 
 @dataclass(frozen=True)
@@ -349,16 +356,9 @@ def radius_scan_rows(
     rows = []
     for r in radii:
         stats = long_trajectory_stats(pi, r, LONG_TRAJECTORY_FACTOR * r)
-        rows.append(
-            {
-                "R": float(r),
-                "E": local_energy(pi, r),
-                "D": data_term(lam, mu, r).D,
-                "long_energy": stats.energy,
-                "long_mass": stats.mass,
-                "defect_beta0": affine_fit(pi, r).defect,
-            }
-        )
+        rows.append({"R": float(r), "E": local_energy(pi, r), "D": data_term(lam, mu, r).D,
+                     "long_energy": stats.energy, "long_mass": stats.mass,
+                     "defect_beta0": affine_fit(pi, r).defect})
     return rows
 
 

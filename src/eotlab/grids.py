@@ -39,11 +39,11 @@ __all__ = [
 
 # Neither solver forms an n x m array until its plan is read: Sinkhorn keeps
 # its kernel in per-axis factors and the LP its cost on the shortlist's cells.
-# Each solve's guard counts PLAN_ARRAYS for the plan it returns and the cost
-# that its region reads cache; Sinkhorn adds its per-axis arrays, three n x m
-# ones in d = 1.  An input whose arrays would pass DENSE_BYTES_LIMIT fails
-# before they are allocated; so does a grid that no solve could take, even
-# against the smallest grid of its dimension (2^dim points).
+# Each solve's guard counts PLAN_ARRAYS: the plan it returns and one n x m
+# temporary of a region read (a block's distances).  Sinkhorn adds its per-axis
+# arrays, three n x m ones in d = 1.  An input whose arrays would pass
+# DENSE_BYTES_LIMIT fails before they are allocated; so does a grid that no
+# solve could take, even against the smallest grid of its dimension (2^dim points).
 DENSE_BYTES_LIMIT = 2**30
 PLAN_ARRAYS = 2
 

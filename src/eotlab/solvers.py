@@ -257,8 +257,8 @@ def sinkhorn(
     g are 0 on zero-weight atoms).  The cost and entropy are contractions of
     the factors; the plan is formed from its exponents on first read of
     ``plan``.  The size guard counts PLAN_ARRAYS n x m arrays, the plan and
-    the cost that region reads cache, plus the per-axis arrays; an input
-    whose count would pass DENSE_BYTES_LIMIT raises SizeError up front.
+    one region-read temporary, plus the per-axis arrays; an input whose
+    count would pass DENSE_BYTES_LIMIT raises SizeError up front.
     """
     res = _sinkhorn(lam, mu, epsilon, tol, max_iter)
     if not res.converged:
@@ -595,9 +595,9 @@ def exact_ot(lam: GridMeasure, mu: GridMeasure) -> ExactOTResult:
     shortlist and pricing: a lower envelope of parabolas in d = 1, one
     reduction per axis in d = 2.  Neither path forms an n x m array until
     the dense plan is built from its cells, on first read of ``plan``.  The
-    size guard counts PLAN_ARRAYS n x m arrays, the plan and the cost that
-    region reads cache, as ``sinkhorn``'s does; an input past
-    DENSE_BYTES_LIMIT raises SizeError up front.
+    size guard counts PLAN_ARRAYS n x m arrays, the plan and one region-read
+    temporary, as ``sinkhorn``'s does; an input past DENSE_BYTES_LIMIT raises
+    SizeError up front.
     """
     _require_pair(lam, mu)
     require_dense_size(lam.spec.n_points, mu.spec.n_points, PLAN_ARRAYS, "exact_ot")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from eotlab import (Coupling, GridMeasure, GridSpec, HashRegion, measure_from_density,
                     symmetric_grid)
 from eotlab.couplings import _long
+from eotlab.grids import squared_distances
 
 
 class _BugRecords(logging.Handler):
@@ -68,6 +69,11 @@ def random_coupling_2d():
     )
 
 
+def dense_cost(pi: Coupling) -> np.ndarray:
+    """The dense reference cost of a plan: |x_i - y_j|^2 for every pair of its points."""
+    return squared_distances(pi.source.points, pi.target.points)
+
+
 def region_mask(region: HashRegion, pi: Coupling, threshold: float | None = None) -> np.ndarray:
     """The dense reference for the region's block reads: its pairs as an n x m
     mask; with ``threshold``, only those displaced by at least ``threshold``
@@ -75,7 +81,7 @@ def region_mask(region: HashRegion, pi: Coupling, threshold: float | None = None
     mask = ((pi.source.spec.point_norms <= region.radius)[:, None]
             | (pi.target.spec.point_norms <= region.radius)[None, :])
     if threshold is not None:
-        mask &= _long(pi.cost_matrix, threshold)
+        mask &= _long(dense_cost(pi), threshold)
     return mask
 
 

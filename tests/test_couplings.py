@@ -26,7 +26,7 @@ from eotlab import (
 )
 from eotlab import couplings
 from eotlab.grids import hull_reach
-from conftest import grid_couplings, line_measure, region_mask, region_radii
+from conftest import dense_cost, grid_couplings, line_measure, region_mask, region_radii
 
 
 @pytest.fixture
@@ -177,7 +177,7 @@ class TestHashRegion:
             block = covered[rows, cols]
             block += np.broadcast_to(True if where is None else where, block.shape)
         np.testing.assert_array_equal(covered, dense)  # disjoint, and exactly the region
-        energy = np.sum(pi.cost_matrix * pi.mass, where=dense)
+        energy = np.sum(dense_cost(pi) * pi.mass, where=dense)
         mass = np.sum(pi.mass, where=dense)
         got = region.energy(pi, threshold=threshold), region.mass(pi, threshold=threshold)
         assert all(isinstance(v, float) for v in got)  # 0.0, not 0, on an empty region
@@ -202,23 +202,30 @@ class TestHashRegion:
         assert abs(residual(pred) - direct) <= 1e-13 * direct
 
     def test_reads_stay_off_the_dense_plan(self):
-        # At R = 0.1 the region is about a fifth of the plan; every read walks
-        # it in blocks, so no call holds anything near one n x m array.
+        # At R = 0.1 the 1-d region is about a fifth of the plan; every read
+        # walks it in blocks, so no call holds anything near one n x m array.
+        # At R = 0.8 the 2-d region is nearly all of the plan, which its reads
+        # take through per-axis sums, so they hold no block-sized array.
         spec = symmetric_grid(dim=1, n=512, lo=-1.0, hi=1.0)
         lam = GridMeasure(spec, np.full(512, 1.0 / 512), 0.5)
         pi = Coupling(source=lam, target=lam,
                       mass=np.random.default_rng(5).random((512, 512)) / 512**2)
-        pi.cost_matrix  # the cached cost is the plan's own, built once
-        for read in (lambda: local_energy(pi, 0.1),
-                     lambda: long_trajectory_stats(pi, 0.1, 0.7),
-                     lambda: affine_fit(pi, 0.1)):
+        spec_2d = symmetric_grid(dim=2, n=32, lo=-1.0, hi=1.0)
+        lam_2d = GridMeasure(spec_2d, np.full(1024, 1.0 / 1024), 0.5)
+        pi_2d = Coupling(source=lam_2d, target=lam_2d,
+                         mass=np.random.default_rng(6).random((1024, 1024)) / 1024**2)
+        for plan, read in ((pi, lambda: local_energy(pi, 0.1)),
+                           (pi, lambda: long_trajectory_stats(pi, 0.1, 0.7)),
+                           (pi, lambda: affine_fit(pi, 0.1)),
+                           (pi_2d, lambda: local_energy(pi_2d, 0.8)),
+                           (pi_2d, lambda: affine_fit(pi_2d, 0.8))):
             tracemalloc.start()
             try:
                 read()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 0.5 * 8 * 512 * 512
+            assert peak < 0.5 * plan.mass.nbytes
 
 
 class TestLongTrajectories:
@@ -245,15 +252,21 @@ class TestLongTrajectories:
     def test_hull_reach_bounds_every_rounded_cost(self, pi):
         # No rounded cost exceeds the reach, and a pair of grid corners,
         # whose cost rounds alike, attains it.
-        assert pi.cost_matrix.max() == hull_reach(pi.source.spec, pi.target.spec)
+        assert dense_cost(pi).max() == hull_reach(pi.source.spec, pi.target.spec)
 
-    def test_threshold_past_the_reach_reads_no_cost(self, random_coupling, random_coupling_2d):
+    def test_threshold_past_the_reach_reads_no_cost(self, random_coupling, random_coupling_2d,
+                                                    monkeypatch):
+        formed = []
+        original = couplings.squared_distances
+        monkeypatch.setattr(couplings, "squared_distances",
+                            lambda *a, **k: formed.append(a) or original(*a, **k))
         for pi in (random_coupling, random_coupling_2d):
-            fresh = Coupling(source=pi.source, target=pi.target, mass=pi.mass)
             reach = hull_reach(pi.source.spec, pi.target.spec) ** 0.5
-            stats = long_trajectory_stats(fresh, 0.5, 1.01 * reach)
+            stats = long_trajectory_stats(pi, 0.5, 1.01 * reach)
             assert (stats.energy, stats.mass) == (0.0, 0.0)
-            assert "cost_matrix" not in fresh.__dict__
+        assert formed == []  # no pair's distance was formed
+        long_trajectory_stats(random_coupling, 0.5, 0.5)
+        assert formed  # the spy sees the distances of a threshold within the reach
         # At the reach itself (2, on [-1, 1]) the two pairs of ends count.
         reach = hull_reach(random_coupling.source.spec, random_coupling.target.spec)
         stats = long_trajectory_stats(random_coupling, 1.0, reach**0.5)

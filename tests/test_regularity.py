@@ -37,7 +37,8 @@ from eotlab import (
 from eotlab import regularity
 from eotlab.errors import SmallnessError
 from eotlab.regularity import _matrix_exp_symmetric
-from conftest import grid_couplings, line_measure, plane_measure, region_mask, region_radii
+from conftest import (dense_cost, grid_couplings, line_measure, plane_measure, region_mask,
+                      region_radii)
 
 
 def plane_measure_with_indices(points, ws, h, alpha=0.5):
@@ -150,7 +151,7 @@ class TestHarmonicFit:
         pi, *_ = shear_map_coupling()
         fit = harmonic_fit(pi, 5.0)
         zero_model = float(
-            np.sum(pi.cost_matrix * pi.mass, where=pi.mass > 0)
+            np.sum(dense_cost(pi) * pi.mass, where=pi.mass > 0)
         )
         assert fit.residual <= zero_model + 1e-12
 

@@ -30,7 +30,7 @@ from eotlab import (
     transform_target_atoms,
 )
 from eotlab.scalings import scaling_from_json_dict, scaling_to_json_dict
-from conftest import line_measure
+from conftest import dense_cost, line_measure
 
 
 def random_admissible_pair(rng, d):
@@ -193,7 +193,7 @@ class TestApplyToCoupling:
         pi = sinkhorn(lam, mu, 0.2, tol=1e-10).plan
         out = apply_to_coupling(Scaling(A=np.eye(1), b=np.zeros(1), gamma=gamma, kappa=1.0), pi)
         cells = np.ix_(out.source.weights > 0, out.target.weights > 0)
-        log_plan, cost = np.log(out.mass[cells]), out.cost_matrix[cells]
+        log_plan, cost = np.log(out.mass[cells]), dense_cost(out)[cells]
         # Each pair's cross-ratio against the first row and column.
         lhs = log_plan + log_plan[0, 0] - log_plan[:, :1] - log_plan[:1, :]
         rhs = -(cost + cost[0, 0] - cost[:, :1] - cost[:1, :]) / out.epsilon**2

@@ -36,7 +36,7 @@ from eotlab.errors import SizeError
 from eotlab.grids import squared_distances
 from eotlab.solvers import (CERT_RTOL, PRICE_RTOL, _c_transform_1d, _c_transform_grid,
                             _certify, _epsilon_ladder, _exact_ot_lp, _exact_ot_monotone)
-from conftest import line_measure, plane_measure
+from conftest import dense_cost, line_measure, plane_measure
 
 
 def two_atom_measure():
@@ -192,7 +192,7 @@ class TestSinkhorn:
         res = sinkhorn(lam, mu, epsilon=0.4, tol=1e-12)
         pi = res.plan
         gibbs = (
-            np.exp((res.f[:, None] + res.g[None, :] - pi.cost_matrix) / res.epsilon**2)
+            np.exp((res.f[:, None] + res.g[None, :] - dense_cost(pi)) / res.epsilon**2)
             * lam.weights[:, None]
             * mu.weights[None, :]
         )
@@ -418,7 +418,7 @@ class TestGibbsIdentity:
         mu = measure_from_density(spec, lambda p: 1.2 - 0.2 * p[:, -1], alpha=0.5,
                                   normalize=True)
         res = sinkhorn(lam, mu, epsilon=0.4, tol=1e-11)
-        plan, cost, eps2 = res.plan.mass, res.plan.cost_matrix, res.epsilon**2
+        plan, cost, eps2 = res.plan.mass, dense_cost(res.plan), res.epsilon**2
         assert np.all(plan > np.finfo(float).tiny)  # one batch, no resampling
         ii, jj = np.nonzero(plan)
         rng = np.random.default_rng(7)
@@ -611,7 +611,7 @@ class TestExactOT:
         assert len(res.solves) > 1
         # The exit duals are HiGHS's own: feasible on the full cost and tight
         # on the plan's support, to rounding.
-        cost = res.plan.cost_matrix
+        cost = dense_cost(res.plan)
         slack = res.u[:, None] + res.v[None, :] - cost
         assert slack.max() <= 1e-12 * max(1.0, float(cost.max()))
         assert np.abs(slack[res.plan.mass > 0]).max() <= 1e-12
@@ -833,7 +833,7 @@ class TestExactOT:
         lam, mu = wavy_pair()
         res = exact_ot(lam, mu)
         ii, jj = np.nonzero(res.plan.mass)
-        masses, c_cells = res.plan.mass[ii, jj], res.plan.cost_matrix[ii, jj]
+        masses, c_cells = res.plan.mass[ii, jj], dense_cost(res.plan)[ii, jj]
 
         def certify(masses):
             return _certify(lam, mu, ii, jj, masses, c_cells, res.u.copy(), res.v.copy(),
@@ -859,7 +859,7 @@ class TestExactOT:
         u = res.u.copy()
         u[ii[0]] = np.nan
         with pytest.raises(CertificateError, match="gap nan, violation nan"):
-            _certify(lam, mu, ii, jj, res.plan.mass[ii, jj], res.plan.cost_matrix[ii, jj], u,
+            _certify(lam, mu, ii, jj, res.plan.mass[ii, jj], dense_cost(res.plan)[ii, jj], u,
                      res.v.copy(), res.method, [])
 
     def test_monotone_certificate_sees_raised_dual_off_the_staircase(self, monkeypatch):
@@ -896,7 +896,7 @@ class TestExactOT:
         res = exact_ot(lam, mu)
         assert res.feasibility_violation <= CERT_RTOL
         zero = np.flatnonzero(mu.weights == 0)
-        slack = (res.u[:, None] + res.v[zero] - res.plan.cost_matrix[:, zero])[lam.weights > 0]
+        slack = (res.u[:, None] + res.v[zero] - dense_cost(res.plan)[:, zero])[lam.weights > 0]
         k = int(np.argmax(slack.max(axis=0)))
         assert slack[:, k].max() >= -1e-12
         calls = []
@@ -1162,7 +1162,7 @@ def test_sinkhorn_2d_result_consistent_on_random_pairs(case):
     tol = 1e-9
     res = sinkhorn(lam, mu, eps, tol=tol)
     plan = res.plan.mass
-    cost = res.plan.cost_matrix
+    cost = dense_cost(res.plan)
     gibbs = (np.exp((res.f[:, None] + res.g[None, :] - cost) / eps**2)
              * lam.weights[:, None] * mu.weights[None, :])
     assert np.abs(plan - gibbs).max() <= 1e-12 * plan.max()
@@ -1460,7 +1460,7 @@ def test_lp_peak_memory_with_the_plan_unread():
         assert peak <= 2 * 8 * lam.spec.n_points * mu.spec.n_points
         plan = res.plan
         assert res.plan is plan
-        assert abs(float(np.sum(plan.mass * plan.cost_matrix)) - res.cost) <= 1e-12 * res.cost
+        assert abs(float(np.sum(plan.mass * dense_cost(plan))) - res.cost) <= 1e-12 * res.cost
 
 
 @pytest.mark.parametrize("make_pair, bound", [
