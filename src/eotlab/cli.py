@@ -300,6 +300,7 @@ def _run_onestep(lam, mu, exp, cfg) -> tuple:
     }
     trace = dict(row, scaling_hat=scaling_to_json_dict(out.scaling_hat),
                  normalizing=scaling_to_json_dict(s_bar), stages=res.stages)
+    del pi_n  # the radius scan reads the solve's plan and its distance tables only
     scan = _radius_scan(res, lam, mu, [radius, theta * radius, theta**2 * radius])
     return list(row), [row], trace, res.converged, scan
 

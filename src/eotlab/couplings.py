@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, config_value
-from .grids import GridMeasure, GridSpec, data_term, hull_reach, squared_distances
+from .grids import GridMeasure, GridSpec, _data_terms, hull_reach, squared_distances
 from .reports import write_json
 
 __all__ = [
@@ -91,6 +91,15 @@ def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
     return cost >= least
 
 
+def _axis_distances(pi: Coupling, rows=slice(None), spans=(slice(None),) * 2, tables=None):
+    """Per target axis k, (x_ik - y_k[q])^2 over source ``rows`` and axis-k coordinates
+    ``spans[k]``: formed, or views of the full ``tables`` (copies in d = 2, summed as fresh)."""
+    if tables is not None:
+        return [t[rows, s].copy() if len(tables) > 1 else t[rows, s] for t, s in zip(tables, spans)]
+    return [squared_distances(pi.source.points[rows, k:k + 1], a[s, None])
+            for k, (a, s) in enumerate(zip(pi.target.spec.axes, spans))]
+
+
 @dataclass(frozen=True)
 class HashRegion:
     """Pairs with |x| <= R or |y| <= R.  Every statistic of a plan over the
@@ -103,8 +112,8 @@ class HashRegion:
         if not self.radius > 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
 
-    def blocks(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
-        """The region as at most three disjoint rectangles (rows, cols, mask),
+    def blocks(self, pi: Coupling, threshold: float | None = None, tables=None) -> list[tuple]:
+        """The region as at most three disjoint rectangles (rows, cols, mask, dist),
         in row order: the rows before the contiguous row span of {|x| <= R}
         against the column span of {|y| <= R}, that row span against every
         column, and the rows after it against the column span.  Rows outside
@@ -113,7 +122,8 @@ class HashRegion:
         ``mask`` selects the region's pairs of the block (broadcastable to it;
         None when all of them are in it, as in d = 1, where the spans are the
         bands); with ``threshold`` it keeps only pairs displaced by at least
-        ``threshold``, by each block's distances, and none past the hulls' reach."""
+        ``threshold``, by each block's distances, and none past the hulls' reach.
+        ``dist`` holds the block's :func:`_axis_distances` if a threshold or ``tables`` ask."""
         src, tgt = pi.source.spec, pi.target.spec
         if threshold is not None and not _long(hull_reach(src, tgt), threshold):
             return []
@@ -131,29 +141,32 @@ class HashRegion:
                                  (slice(row_span.stop, src.n_points), col_span, col_mask)):
             if rows.stop <= rows.start or cols.stop <= cols.start:
                 continue
-            if threshold is not None:
-                long = _long(squared_distances(src.points[rows], tgt.points[cols]), threshold)
+            dist = None if threshold is None and tables is None else _axis_distances(
+                pi, rows, (slice(cols.start // lines, cols.stop // lines), slice(None)), tables)
+            if threshold is not None:  # once per block, for the mask and the energy
+                pairs = dist[0] if len(dist) == 1 else dist[0][:, :, None] + dist[1][:, None, :]
+                long = _long(pairs.reshape(len(pairs), -1), threshold)
                 mask = long if mask is None else long & mask
                 if not mask.any():
                     continue
-            out.append((rows, cols, mask))
+            out.append((rows, cols, mask, dist))
         return out
 
-    def _axis_sums(self, pi: Coupling, threshold: float | None = None) -> list[tuple]:
-        """Per block, (rows, [(subscripts, factors, y_k) per target axis k]): the einsum
-        product of the 2-d ``factors`` is M^k, the block's pairs summed over the target
-        points of each axis-k coordinate y_k[q].  In d = 1 that is the block and its
-        mask, unmultiplied; in d = 2, one einsum over the block's lines per axis."""
+    def _axis_sums(self, pi: Coupling, threshold: float | None = None, tables=None) -> list:
+        """Per block, (rows, dist, [(subscripts, factors, y_k) per target axis k]): the
+        einsum product of the 2-d ``factors`` is M^k, the block's pairs summed over the
+        target points of each axis-k coordinate y_k[q].  In d = 1 that is the block and
+        its mask, unmultiplied; in d = 2, one einsum over the block's lines per axis."""
         axes, out = pi.target.spec.axes, []
-        for rows, cols, where in self.blocks(pi, threshold):
+        for rows, cols, where, dist in self.blocks(pi, threshold, tables):
             f = (pi.mass[rows, cols],) + (() if where is None else (where,))
             if len(axes) == 1:
-                out.append((rows, [(",".join(["ij"] * len(f)), f, axes[0][cols])]))
+                out.append((rows, dist, [(",".join(["ij"] * len(f)), f, axes[0][cols])]))
                 continue
             lines = len(axes[1])
             cubes = [a.reshape(len(a), -1, lines) for a in f]
             sub = ",".join(["iql"] * len(cubes))
-            out.append((rows, [("ij", (np.einsum(sub + "->iq", *cubes),),
+            out.append((rows, dist, [("ij", (np.einsum(sub + "->iq", *cubes),),
                                 axes[0][cols.start // lines:cols.stop // lines]),
                                ("ij", (np.einsum(sub + "->il", *cubes),), axes[1])]))
         return out
@@ -162,23 +175,25 @@ class HashRegion:
     def _second_moment(sums: list[tuple], p: np.ndarray | None) -> float:
         """sum pi_ij |y_j - p_i|^2 over the pairs of :meth:`_axis_sums` about a point p_i
         per source row, as sum_k sum_q (y_k[q] - p_ik)^2 M^k_i[q], since the cost is a sum
-        over axes; with p None, the pairs' mass, sum M^0."""
+        over axes; with p None, the pairs' mass, sum M^0.  A block's ``dist`` (about x,
+        so only in sums read at p = x) is read in place of p's."""
         total = 0.0
-        for rows, axis_sums in sums:
+        for rows, dist, axis_sums in sums:
             for k, (sub, f, y) in enumerate(axis_sums[:1] if p is None else axis_sums):
                 if p is not None:  # M^k weighed by (y_k[q] - p_ik)^2
-                    sub, f = "ij," + sub, (squared_distances(p[rows, k:k + 1], y[:, None]), *f)
+                    w = squared_distances(p[rows, k:k + 1], y[:, None]) if dist is None else dist[k]
+                    sub, f = "ij," + sub, (w, *f)
                 total += np.einsum(sub + "->", *f)
         return float(total)
 
-    def energy(self, pi: Coupling, threshold: float | None = None) -> float:
-        """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced
-        by at least ``threshold``."""
-        return self._second_moment(self._axis_sums(pi, threshold), pi.source.points)
+    def energy(self, pi: Coupling, threshold: float | None = None, tables=None) -> float:
+        """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced by at
+        least ``threshold``, reading ``tables`` (see :meth:`blocks`) if given."""
+        return self._second_moment(self._axis_sums(pi, threshold, tables), pi.source.points)
 
-    def mass(self, pi: Coupling, threshold: float | None = None) -> float:
+    def mass(self, pi: Coupling, threshold: float | None = None, tables=None) -> float:
         """pi(#_R), or the mass of its pairs displaced by at least ``threshold``."""
-        return self._second_moment(self._axis_sums(pi, threshold), None)
+        return self._second_moment(self._axis_sums(pi, threshold, tables), None)
 
     def per_radius(self, value: float, power: float) -> float:
         """value / R^power; DomainError when R^power is not a positive finite float."""
@@ -197,7 +212,7 @@ class HashRegion:
         n, d = pi.source.points.shape
         w, s = np.zeros(n), np.zeros((n, d))
         sums = self._axis_sums(pi)
-        for rows, axis_sums in sums:
+        for rows, _, axis_sums in sums:
             w[rows] = np.einsum(axis_sums[0][0] + "->i", *axis_sums[0][1])
             for k, (sub, f, y) in enumerate(axis_sums):
                 s[rows, k:k + 1] = np.einsum(sub + ",ja->ia", *f, y[:, None])
@@ -236,10 +251,11 @@ def check_marginals(pi: Coupling, tol: float = 1e-8) -> MarginalReport:
     return MarginalReport(max_row_err=row, max_col_err=col, ok=row <= tol and col <= tol)
 
 
-def local_energy(pi: Coupling, R: float) -> float:
-    """R^{-(d+2)} times the second displacement moment over the hash region."""
+def local_energy(pi: Coupling, R: float, tables=None) -> float:
+    """R^{-(d+2)} times the second displacement moment over the hash region;
+    ``tables``, the plan's :func:`_axis_distances`, are read if given."""
     region = HashRegion(R)
-    return region.per_radius(region.energy(pi), pi.dim + 2)
+    return region.per_radius(region.energy(pi, None, tables), pi.dim + 2)
 
 
 @dataclass(frozen=True)
@@ -248,12 +264,13 @@ class LongTrajStats:
     mass: float
 
 
-def long_trajectory_stats(pi: Coupling, R: float, threshold: float) -> LongTrajStats:
-    """Normalized energy and mass of pairs in #_R with displacement >= threshold."""
+def long_trajectory_stats(pi: Coupling, R: float, threshold: float, tables=None) -> LongTrajStats:
+    """Normalized energy and mass of pairs in #_R with displacement >= threshold, from
+    one pass over the blocks (``tables`` as for :func:`local_energy`)."""
     region = HashRegion(R)
     if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
-    sums, x = region._axis_sums(pi, threshold), pi.source.points
+    sums, x = region._axis_sums(pi, threshold, tables), pi.source.points
     return LongTrajStats(energy=region.per_radius(region._second_moment(sums, x), pi.dim + 2),
                          mass=region.per_radius(region._second_moment(sums, None), pi.dim))
 
@@ -352,11 +369,11 @@ def radius_scan_rows(
 ) -> list[dict]:
     """Per-radius report rows with columns R,E,D,long_energy,long_mass,defect_beta0;
     a long trajectory at radius r is a displacement of at least
-    ``LONG_TRAJECTORY_FACTOR * r``."""
-    rows = []
-    for r in radii:
-        stats = long_trajectory_stats(pi, r, LONG_TRAJECTORY_FACTOR * r)
-        rows.append({"R": float(r), "E": local_energy(pi, r), "D": data_term(lam, mu, r).D,
+    ``LONG_TRAJECTORY_FACTOR * r``.  Hölder sups take one pass, distances one table."""
+    tables, rows = _axis_distances(pi), []
+    for r, data in zip(radii, _data_terms(lam, mu, radii)):
+        stats = long_trajectory_stats(pi, r, LONG_TRAJECTORY_FACTOR * r, tables)
+        rows.append({"R": float(r), "E": local_energy(pi, r, tables), "D": data.D,
                      "long_energy": stats.energy, "long_mass": stats.mass,
                      "defect_beta0": affine_fit(pi, r).defect})
     return rows

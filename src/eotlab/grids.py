@@ -281,43 +281,54 @@ def origin_density(m: GridMeasure) -> float:
     return density_at(m, np.zeros(m.dim), averaging_radius(m))
 
 
-def holder_seminorm(m: GridMeasure, R: float) -> float:
-    """Exact discrete sup over point pairs in B_R of |density gap| / dist^alpha."""
-    inside = m.spec.point_norms <= R
-    pts = m.points[inside]
-    dens = m.densities[inside]
-    n = pts.shape[0]
-    if n < 2:
-        raise DomainError(f"fewer than 2 grid points inside B_{R} at grid spacing {m.spec.h:.4g}")
-    if dens.min() == dens.max():
-        return 0.0  # every gap is exactly 0, as is every ratio below
-    best = 0.0
+def _holder_sups(m: GridMeasure, radii: list[float]) -> list[float]:
+    """:func:`holder_seminorm` at every R of ``radii``, from one pass over the pairs of
+    the largest ball: ordered by |x|, each ball is a prefix, so each block of ratios
+    serves every ball.  A ball whose density is constant reads 0 and forms no pair."""
+    counts = [int(np.count_nonzero(m.spec.point_norms <= R)) for R in radii]
+    for R, c in zip(radii, counts):
+        if c < 2:
+            raise DomainError(f"fewer than 2 grid points inside B_{R} at grid spacing {m.spec.h:.4g}")
+    order = np.argsort(m.spec.point_norms, kind="stable")
+    pts, dens = m.points[order], m.densities[order]
+    counts = [c if dens[:c].min() < dens[:c].max() else 0 for c in counts]
+    n, sups = max(counts, default=0), [0.0] * len(counts)
     # Each unordered pair once: a row block against the points from its own start.
     for start in range(0, n, _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, n)
-        dist = np.sqrt(squared_distances(pts[start:stop], pts[start:]))
-        gap = np.abs(dens[start:stop, None] - dens[None, start:])
+        dist = np.sqrt(squared_distances(pts[start:stop], pts[start:n]))
+        gap = np.abs(dens[start:stop, None] - dens[None, start:n])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = gap / dist**m.alpha
         ratio[dist == 0.0] = 0.0
-        best = max(best, float(ratio.max()))
-    return best
+        sups = [max(sup, float(ratio[:c - start, :c - start].max())) if c > start else sup
+                for sup, c in zip(sups, counts)]
+    return sups
+
+
+def holder_seminorm(m: GridMeasure, R: float) -> float:
+    """Exact discrete sup over point pairs in B_R of |density gap| / dist^alpha."""
+    return _holder_sups(m, [R])[0]
+
+
+def _data_terms(lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> list[DataTermReport]:
+    """:func:`data_term` at every R of ``radii``: the Hölder sups of one pass, one gap."""
+    if lam.dim != mu.dim:
+        raise DomainError("measures must share the same dimension")
+    if lam.alpha != mu.alpha:
+        raise DomainError("measures must share the same Hölder exponent")
+    sups = [_holder_sups(m, radii) for m in (lam, mu)]
+    origin, r_avg = np.zeros(lam.dim), averaging_radius(lam, mu)
+    gap = abs(density_at(lam, origin, r_avg) - density_at(mu, origin, r_avg))
+    return [DataTermReport(R=R, holder_lambda=hl, holder_mu=hm, origin_gap=gap,
+                           D=R ** (2.0 * lam.alpha) * (hl**2 + hm**2) + gap**2)
+            for R, hl, hm in zip(radii, *sups)]
 
 
 def data_term(lam: GridMeasure, mu: GridMeasure, R: float) -> DataTermReport:
     """Assemble R^{2a}(Hölder seminorms squared) + squared origin density gap,
     the densities averaged over ``averaging_radius(lam, mu)``."""
-    if lam.dim != mu.dim:
-        raise DomainError("measures must share the same dimension")
-    if lam.alpha != mu.alpha:
-        raise DomainError("measures must share the same Hölder exponent")
-    hl = holder_seminorm(lam, R)
-    hm = holder_seminorm(mu, R)
-    origin = np.zeros(lam.dim)
-    r_avg = averaging_radius(lam, mu)
-    gap = abs(density_at(lam, origin, r_avg) - density_at(mu, origin, r_avg))
-    d_val = R ** (2.0 * lam.alpha) * (hl**2 + hm**2) + gap**2
-    return DataTermReport(R=R, holder_lambda=hl, holder_mu=hm, origin_gap=gap, D=d_val)
+    return _data_terms(lam, mu, [R])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .couplings import (LONG_TRAJECTORY_FACTOR, Coupling, HashRegion, _ridged_solve,
-                        affine_fit, local_energy, long_trajectory_stats)
+from .couplings import (LONG_TRAJECTORY_FACTOR, Coupling, HashRegion, _axis_distances,
+                        _ridged_solve, affine_fit, local_energy, long_trajectory_stats)
 from .errors import AdmissibilityError, DomainError, SmallnessError
 from .grids import (GridMeasure, averaging_radius, data_term, density_at, origin_density,
                     squared_distances)
@@ -578,15 +578,14 @@ def soft_lemma_check(
     """Mass of displacements >= rho in #_{R-1} against delta_r * R^d / rho^{d+2}.
 
     The window condition E(pi, R) << rho^{d+2} << R^{d+2} is reported per row,
-    not enforced; the implied constant is fitted, never asserted.
-    """
+    not enforced; the implied constant is fitted, never asserted.  E and the
+    long-pair masks read one set of per-axis distance tables."""
     if not R > 1.0:
         raise DomainError(f"needs R > 1 so that the inner region #_{{R-1}} exists, got {R}")
     if delta_r < 0:
         raise DomainError(f"defect bound must be nonnegative, got {delta_r}")
-    d = pi.dim
-    e_r = local_energy(pi, R)
-    inner = HashRegion(R - 1.0)
+    d, inner, tables = pi.dim, HashRegion(R - 1.0), _axis_distances(pi)
+    e_r = local_energy(pi, R, tables)
     rows = []
     for rho in rho_ladder:
         try:
@@ -596,7 +595,7 @@ def soft_lemma_check(
         if not (rho > 0 and 0 < rho_pow < np.inf):
             raise DomainError(f"rho must be positive with a positive finite rho^{d + 2}, got {rho}")
         # Normalised as LongTrajStats.mass is, then scaled back, so its bits are that mass's.
-        mass = inner.per_radius(inner.mass(pi, threshold=rho), d) * (R - 1.0) ** d
+        mass = inner.per_radius(inner.mass(pi, rho, tables), d) * (R - 1.0) ** d
         bound = delta_r * R**d / rho_pow
         fitted = mass * rho_pow / (delta_r * R**d) if delta_r > 0 else None
         rows.append(

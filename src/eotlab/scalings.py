@@ -258,14 +258,16 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     """Transform a coupling; the result is marginal-consistent with the
     transformed measures by construction (weights scale by kappa), and its
     ``source``/``target`` are what :func:`apply_to_measures` returns for
-    ``pi.source``/``pi.target``.  When both cell maps are runs, kappa * pi is
-    copied into one block; otherwise its entries are summed per cell.  The
-    maps scale every cross term (x_i - x_k) . (y_j - y_l) by gamma, so a plan
-    that is Gibbs at epsilon comes out Gibbs at epsilon * sqrt(gamma)."""
+    ``pi.source``/``pi.target``.  Identity cell maps give kappa * pi (``pi.mass`` itself,
+    read-only, at kappa = 1), runs copy kappa * pi into one block, and other maps sum it
+    per cell.  The maps scale every cross term (x_i - x_k) . (y_j - y_l) by gamma, so a
+    plan that is Gibbs at epsilon comes out Gibbs at epsilon * sqrt(gamma)."""
     s.require_admissible()
     (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
     n, m = lam_s.spec.n_points, mu_s.spec.n_points
-    if all(np.array_equal(c, np.arange(c[0], c[0] + c.size)) for c in (row_cell, col_cell)):
+    if all(np.array_equal(c, np.arange(k)) for c, k in ((row_cell, n), (col_cell, m))):
+        mass = pi.mass if s.kappa == 1 else s.kappa * pi.mass
+    elif all(np.array_equal(c, np.arange(c[0], c[0] + c.size)) for c in (row_cell, col_cell)):
         mass = np.zeros((n, m))
         block = mass[row_cell[0]:row_cell[-1] + 1, col_cell[0]:col_cell[-1] + 1]
         np.multiply(s.kappa, pi.mass, out=block)

@@ -20,12 +20,15 @@ from eotlab import (
     local_energy,
     long_trajectory_stats,
     measure_from_density,
+    make_measure,
     monge_coupling,
+    radius_scan_rows,
     save_coupling,
+    sinkhorn,
     symmetric_grid,
 )
 from eotlab import couplings
-from eotlab.grids import hull_reach
+from eotlab.grids import data_term, hull_reach
 from conftest import dense_cost, grid_couplings, line_measure, region_mask, region_radii
 
 
@@ -173,7 +176,7 @@ class TestHashRegion:
         region = HashRegion(R)
         dense = region_mask(region, pi, threshold)
         covered = np.zeros(pi.mass.shape, dtype=int)
-        for rows, cols, where in region.blocks(pi, threshold):
+        for rows, cols, where, _ in region.blocks(pi, threshold):
             block = covered[rows, cols]
             block += np.broadcast_to(True if where is None else where, block.shape)
         np.testing.assert_array_equal(covered, dense)  # disjoint, and exactly the region
@@ -289,6 +292,22 @@ class TestLongTrajectories:
             assert stats.mass == region.per_radius(region.mass(pi, 0.4), pi.dim)
             assert stats.mass > 0
 
+    def test_lone_thresholded_read_forms_each_block_distance_once(
+            self, random_coupling, random_coupling_2d, monkeypatch):
+        # The long-pair mask and the energy read the same per-axis distances,
+        # formed per block (one array per target axis), never over the whole plan.
+        formed = []
+        original = couplings.squared_distances
+        monkeypatch.setattr(couplings, "squared_distances",
+                            lambda *a, **k: formed.append(a) or original(*a, **k))
+        for pi in (random_coupling, random_coupling_2d):
+            blocks = HashRegion(0.3).blocks(pi)
+            formed.clear()
+            long_trajectory_stats(pi, 0.3, 0.4)
+            assert len(formed) == pi.dim * len(blocks)
+            assert [len(x) for x, _ in formed] == [
+                len(range(pi.mass.shape[0])[rows]) for rows, *_ in blocks for _ in range(pi.dim)]
+
     @pytest.mark.parametrize("threshold", [-0.1, float("nan")])
     def test_threshold_must_be_nonnegative(self, random_coupling, threshold):
         with pytest.raises(DomainError, match="threshold must be nonnegative"):
@@ -326,7 +345,7 @@ class TestLongTrajectories:
         long = region_mask(region, pi, threshold=7 * 0.125)
         assert np.array_equal(long, region_mask(region, pi) & (apart >= 21))
         covered = np.zeros_like(long)
-        for rows, cols, where in region.blocks(pi, threshold=7 * 0.125):
+        for rows, cols, where, _ in region.blocks(pi, threshold=7 * 0.125):
             covered[rows, cols] |= True if where is None else where
         assert np.array_equal(covered, long)
 
@@ -509,3 +528,52 @@ class TestCouplingIO:
         path.with_suffix(".json").write_text(json.dumps(header))
         with pytest.raises(ConfigError, match="coupling dump holds"):
             load_coupling(path)
+
+
+def curved_pair_plan(n: int) -> tuple:
+    """The Sinkhorn plan of the curved 1-d pair (uniform to shifted_profile)."""
+    grid = {"dim": 1, "n": n, "lo": -1.0, "hi": 1.0}
+    lam = make_measure({"grid": grid, "alpha": 0.5, "density": {"kind": "uniform"}})
+    mu = make_measure({"grid": grid, "alpha": 0.5, "density": {
+        "kind": "shifted_profile", "c0": 0.02, "c1": 0.42, "exponent": 1.0, "window_power": 2.0}})
+    return sinkhorn(lam, mu, 0.15, tol=1e-9).plan, lam, mu
+
+
+def gaussian_pair_plan_2d(n: int) -> tuple:
+    grid = {"dim": 2, "n": n, "lo": -1.0, "hi": 1.0}
+    lam = make_measure({"grid": grid, "alpha": 0.5, "density": {"kind": "uniform"}})
+    mu = make_measure({"grid": grid, "alpha": 0.5,
+                       "density": {"kind": "gaussian", "sigma": 0.5, "floor": 0.3}})
+    return sinkhorn(lam, mu, 0.2, tol=1e-9).plan, lam, mu
+
+
+class TestRadiusScan:
+    RADII = [0.8, 0.6, 0.4, 0.3, 0.2, 0.1]
+
+    @pytest.mark.parametrize("make", [lambda: curved_pair_plan(512),
+                                      lambda: gaussian_pair_plan_2d(20)], ids=["1d", "2d"])
+    def test_rows_equal_the_single_reads_bit_for_bit(self, make):
+        # The scan's shared tables and Hölder ladder change no bit of any read.
+        pi, lam, mu = make()
+        for row, r in zip(radius_scan_rows(pi, lam, mu, self.RADII), self.RADII):
+            stats = long_trajectory_stats(pi, r, couplings.LONG_TRAJECTORY_FACTOR * r)
+            assert row == {"R": r, "E": local_energy(pi, r), "D": data_term(lam, mu, r).D,
+                           "long_energy": stats.energy, "long_mass": stats.mass,
+                           "defect_beta0": affine_fit(pi, r).defect}
+
+    @pytest.mark.parametrize("make", [lambda: curved_pair_plan(64),
+                                      lambda: gaussian_pair_plan_2d(16)], ids=["1d", "2d"])
+    def test_tables_are_formed_once_per_call(self, make, monkeypatch):
+        # One distance table per target axis over every source row; past those,
+        # only each affine fit's residual forms distances, about its fit.
+        pi, lam, mu = make()
+        formed = []
+        original = couplings.squared_distances
+        monkeypatch.setattr(couplings, "squared_distances",
+                            lambda *a, **k: formed.append(a) or original(*a, **k))
+        radius_scan_rows(pi, lam, mu, self.RADII)
+        x = pi.source.points
+        tables = [(p, y) for p, y in formed if np.shares_memory(p, x) and len(p) == len(x)]
+        assert [len(y) for _, y in tables] == [len(a) for a in pi.target.spec.axes]
+        residuals = sum(len(HashRegion(r).blocks(pi)) for r in self.RADII) * pi.dim
+        assert len(formed) == len(tables) + residuals

@@ -223,6 +223,37 @@ class TestHolderSeminorm:
             ratio = np.abs(dens[:, None] - dens[None, :]) / dist**m.alpha
         assert holder_seminorm(m, R) == float(np.max(np.where(dist == 0.0, 0.0, ratio)))
 
+    @pytest.mark.parametrize("dim, alpha", [(1, 0.5), (1, 0.3), (2, 0.5), (2, 0.7)])
+    def test_ladder_equals_each_radius_bit_for_bit(self, dim, alpha, monkeypatch):
+        # One pass over the largest ball gives every radius the max of the very
+        # ratios that a lone radius forms: each sup equals the dense one exactly.
+        # The density is constant on B_0.3, where the sup is 0 with no pair formed.
+        spec = symmetric_grid(dim=dim, n=301 if dim == 1 else 25, lo=-1.0, hi=1.0)
+        rng = np.random.default_rng(40 + dim)
+        values = np.where(spec.point_norms <= 0.3, 1.5, 1.0 + rng.random(spec.n_points))
+        m = measure_from_density(spec, values, alpha=alpha)
+        radii = [0.8, 0.3, 0.55, 1.0, 0.31, 0.8]
+        sups = grids._holder_sups(m, radii)
+        assert sups == [holder_seminorm(m, R) for R in radii]
+        for R, sup in zip(radii, sups):
+            inside = spec.point_norms <= R
+            pts, dens = m.points[inside], m.densities[inside]
+            dist = np.sqrt(grids.squared_distances(pts, pts))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.abs(dens[:, None] - dens[None, :]) / dist**alpha
+            assert sup == float(np.max(np.where(dist == 0.0, 0.0, ratio)))
+        assert sups[1] == 0.0 and sups[4] > 0.0
+        calls = []
+        original = grids.squared_distances
+        monkeypatch.setattr(grids, "squared_distances",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        assert grids._holder_sups(m, [0.3, 0.2]) == [0.0, 0.0] and calls == []
+
+    def test_ladder_raises_at_a_radius_with_one_point(self, uniform_1d):
+        h = uniform_1d.spec.h
+        with pytest.raises(DomainError, match=f"fewer than 2 grid points inside B_{h / 100}"):
+            grids._holder_sups(uniform_1d, [0.8, h / 100, 0.4])
+
     @given(t=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None, derandomize=True)
     def test_dilation_covariance(self, t):

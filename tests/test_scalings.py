@@ -149,6 +149,27 @@ class TestApplyToCoupling:
         out = apply_to_coupling(s, pi)
         assert out.total_mass == pytest.approx(2.0 * pi.total_mass, rel=1e-13)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_identity_cell_maps_keep_the_plan(self, dim):
+        # Both cell maps are the identity of the new grids: at kappa = 1 the
+        # result reads the input's read-only mass itself, with the marginals and
+        # epsilon of a copy; any other kappa gives kappa * pi, not shared.
+        spec = symmetric_grid(dim=dim, n=33 if dim == 1 else 9, lo=-1.0, hi=1.0)
+        mass = np.random.default_rng(14).random((spec.n_points, spec.n_points))
+        pi = Coupling(source=GridMeasure(spec, mass.sum(axis=1), 0.5),
+                      target=GridMeasure(spec, mass.sum(axis=0), 0.5), mass=mass, epsilon=0.3)
+        shift = Scaling(A=np.eye(dim), b=np.full(dim, 0.25), gamma=1.0, kappa=1.0)
+        for s in (identity_scaling(dim), shift):
+            out = apply_to_coupling(s, pi)
+            assert np.shares_memory(out.mass, pi.mass) and not out.mass.flags.writeable
+            assert np.array_equal(out.source.weights, pi.source.weights)
+            assert np.array_equal(out.target.weights, pi.target.weights)
+            assert out.epsilon == 0.3
+        doubled = apply_to_coupling(Scaling(A=np.eye(dim), b=np.zeros(dim), gamma=1.0,
+                                            kappa=2.0), pi)
+        assert not np.shares_memory(doubled.mass, pi.mass)
+        assert np.array_equal(doubled.mass, 2.0 * pi.mass)
+
     def test_translation_shifts_displacement(self, uniform_1d):
         # Pure target translation by b: every displacement changes by -gamma*A*b;
         # recompute the local energy directly on transformed atoms.
