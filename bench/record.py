@@ -104,7 +104,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, help="checkout of the parent commit")
     p.add_argument("--seeds", type=int, nargs="+", default=list(range(91, 101)))
     p.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
-    p.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
     p.add_argument("--tier1", action="store_true", help="time the tier-1 tests once")
     p.add_argument("--out", type=Path, help="write the JSON here (default: standard output)")
     args = p.parse_args(argv)
@@ -113,8 +112,9 @@ def main(argv=None) -> int:
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
     metrics = [m["name"] for m in spec["end_to_end"]]
+    workload_names = [w["name"] for w in spec["workloads"]]
     runs, ok = [], True
-    for workload in args.workloads:
+    for workload in workload_names:
         for k, seed in enumerate(args.seeds):
             order = list(sides) if k % 2 else list(sides)[::-1]
             for side in order:
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
 
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     workloads = {}
-    for workload in args.workloads:
+    for workload in workload_names:
         got = {(r["side"], r["seed"]): r["metrics"] for r in runs if r["workload"] == workload}
         entry = {side: {name: summary(values) for name in metrics if (values := [
             got[side, seed][name] for seed in args.seeds if got[side, seed][name] is not None])}

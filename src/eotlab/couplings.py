@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError, config_value
-from .grids import GridMeasure, GridSpec, _data_terms, hull_reach, squared_distances
+from .grids import GridMeasure, GridSpec, data_term, hull_reach, squared_distances
 from .reports import write_json
 
 __all__ = [
@@ -93,9 +93,10 @@ def _long(cost: np.ndarray, threshold: float) -> np.ndarray:
 
 def _axis_distances(pi: Coupling, rows=slice(None), spans=(slice(None),) * 2, tables=None):
     """Per target axis k, (x_ik - y_k[q])^2 over source ``rows`` and axis-k coordinates
-    ``spans[k]``: formed, or views of the full ``tables`` (copies in d = 2, summed as fresh)."""
+    ``spans[k]``: views of the full ``tables`` if given, or formed.  Radius scans keep
+    the full table in d = 1 only: a 2-d block reads every target line of its rows."""
     if tables is not None:
-        return [t[rows, s].copy() if len(tables) > 1 else t[rows, s] for t, s in zip(tables, spans)]
+        return [t[rows, s] for t, s in zip(tables, spans)]
     return [squared_distances(pi.source.points[rows, k:k + 1], a[s, None])
             for k, (a, s) in enumerate(zip(pi.target.spec.axes, spans))]
 
@@ -172,16 +173,17 @@ class HashRegion:
         return out
 
     @staticmethod
-    def _second_moment(sums: list[tuple], p: np.ndarray | None) -> float:
+    def _second_moment(sums: list[tuple], p: np.ndarray | None, about_x: bool = False) -> float:
         """sum pi_ij |y_j - p_i|^2 over the pairs of :meth:`_axis_sums` about a point p_i
         per source row, as sum_k sum_q (y_k[q] - p_ik)^2 M^k_i[q], since the cost is a sum
-        over axes; with p None, the pairs' mass, sum M^0.  A block's ``dist`` (about x,
-        so only in sums read at p = x) is read in place of p's."""
+        over axes; with p None, the pairs' mass, sum M^0.  ``about_x`` says that p is the
+        source points, so a block's ``dist``, formed about them, is read in place of p's."""
         total = 0.0
         for rows, dist, axis_sums in sums:
             for k, (sub, f, y) in enumerate(axis_sums[:1] if p is None else axis_sums):
                 if p is not None:  # M^k weighed by (y_k[q] - p_ik)^2
-                    w = squared_distances(p[rows, k:k + 1], y[:, None]) if dist is None else dist[k]
+                    w = (dist[k] if about_x and dist is not None else
+                         squared_distances(p[rows, k:k + 1], y[:, None]))
                     sub, f = "ij," + sub, (w, *f)
                 total += np.einsum(sub + "->", *f)
         return float(total)
@@ -189,7 +191,8 @@ class HashRegion:
     def energy(self, pi: Coupling, threshold: float | None = None, tables=None) -> float:
         """sum |x - y|^2 pi(x, y) over the region, or over its pairs displaced by at
         least ``threshold``, reading ``tables`` (see :meth:`blocks`) if given."""
-        return self._second_moment(self._axis_sums(pi, threshold, tables), pi.source.points)
+        return self._second_moment(self._axis_sums(pi, threshold, tables), pi.source.points,
+                                   about_x=True)
 
     def mass(self, pi: Coupling, threshold: float | None = None, tables=None) -> float:
         """pi(#_R), or the mass of its pairs displaced by at least ``threshold``."""
@@ -271,7 +274,7 @@ def long_trajectory_stats(pi: Coupling, R: float, threshold: float, tables=None)
     if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
     sums, x = region._axis_sums(pi, threshold, tables), pi.source.points
-    return LongTrajStats(energy=region.per_radius(region._second_moment(sums, x), pi.dim + 2),
+    return LongTrajStats(energy=region.per_radius(region._second_moment(sums, x, True), pi.dim + 2),
                          mass=region.per_radius(region._second_moment(sums, None), pi.dim))
 
 
@@ -369,9 +372,9 @@ def radius_scan_rows(
 ) -> list[dict]:
     """Per-radius report rows with columns R,E,D,long_energy,long_mass,defect_beta0;
     a long trajectory at radius r is a displacement of at least
-    ``LONG_TRAJECTORY_FACTOR * r``.  Hölder sups take one pass, distances one table."""
-    tables, rows = _axis_distances(pi), []
-    for r, data in zip(radii, _data_terms(lam, mu, radii)):
+    ``LONG_TRAJECTORY_FACTOR * r``.  Hölder sups take one pass, 1-d distances one table."""
+    tables, rows = _axis_distances(pi) if pi.dim == 1 else None, []
+    for r, data in zip(radii, data_term(lam, mu, radii)):
         stats = long_trajectory_stats(pi, r, LONG_TRAJECTORY_FACTOR * r, tables)
         rows.append({"R": float(r), "E": local_energy(pi, r, tables), "D": data.D,
                      "long_energy": stats.energy, "long_mass": stats.mass,

@@ -281,14 +281,16 @@ def origin_density(m: GridMeasure) -> float:
     return density_at(m, np.zeros(m.dim), averaging_radius(m))
 
 
-def _holder_sups(m: GridMeasure, radii: list[float]) -> list[float]:
-    """:func:`holder_seminorm` at every R of ``radii``, from one pass over the pairs of
-    the largest ball: ordered by |x|, each ball is a prefix, so each block of ratios
-    serves every ball.  A ball whose density is constant reads 0 and forms no pair."""
-    counts = [int(np.count_nonzero(m.spec.point_norms <= R)) for R in radii]
-    for R, c in zip(radii, counts):
+def holder_seminorm(m: GridMeasure, R) -> float | list[float]:
+    """Exact discrete sup over point pairs in B_R of |density gap| / dist^alpha; for a
+    sequence of radii, the list of sups, from one pass over the pairs of the largest
+    ball: ordered by |x|, each ball is a prefix, so each block of ratios serves every
+    ball.  A ball whose density is constant reads 0 and forms no pair."""
+    radii = list(R) if np.ndim(R) else [R]
+    counts = [int(np.count_nonzero(m.spec.point_norms <= r)) for r in radii]
+    for r, c in zip(radii, counts):
         if c < 2:
-            raise DomainError(f"fewer than 2 grid points inside B_{R} at grid spacing {m.spec.h:.4g}")
+            raise DomainError(f"fewer than 2 grid points inside B_{r} at grid spacing {m.spec.h:.4g}")
     order = np.argsort(m.spec.point_norms, kind="stable")
     pts, dens = m.points[order], m.densities[order]
     counts = [c if dens[:c].min() < dens[:c].max() else 0 for c in counts]
@@ -303,32 +305,25 @@ def _holder_sups(m: GridMeasure, radii: list[float]) -> list[float]:
         ratio[dist == 0.0] = 0.0
         sups = [max(sup, float(ratio[:c - start, :c - start].max())) if c > start else sup
                 for sup, c in zip(sups, counts)]
-    return sups
+    return sups if np.ndim(R) else sups[0]
 
 
-def holder_seminorm(m: GridMeasure, R: float) -> float:
-    """Exact discrete sup over point pairs in B_R of |density gap| / dist^alpha."""
-    return _holder_sups(m, [R])[0]
-
-
-def _data_terms(lam: GridMeasure, mu: GridMeasure, radii: list[float]) -> list[DataTermReport]:
-    """:func:`data_term` at every R of ``radii``: the Hölder sups of one pass, one gap."""
+def data_term(lam: GridMeasure, mu: GridMeasure, R) -> DataTermReport | list[DataTermReport]:
+    """Assemble R^{2a}(Hölder seminorms squared) + squared origin density gap,
+    the densities averaged over ``averaging_radius(lam, mu)``; for a sequence of
+    radii, the list of reports, from one Hölder pass per measure and one gap."""
     if lam.dim != mu.dim:
         raise DomainError("measures must share the same dimension")
     if lam.alpha != mu.alpha:
         raise DomainError("measures must share the same Hölder exponent")
-    sups = [_holder_sups(m, radii) for m in (lam, mu)]
+    radii = list(R) if np.ndim(R) else [R]
+    sups = [holder_seminorm(m, radii) for m in (lam, mu)]
     origin, r_avg = np.zeros(lam.dim), averaging_radius(lam, mu)
     gap = abs(density_at(lam, origin, r_avg) - density_at(mu, origin, r_avg))
-    return [DataTermReport(R=R, holder_lambda=hl, holder_mu=hm, origin_gap=gap,
-                           D=R ** (2.0 * lam.alpha) * (hl**2 + hm**2) + gap**2)
-            for R, hl, hm in zip(radii, *sups)]
-
-
-def data_term(lam: GridMeasure, mu: GridMeasure, R: float) -> DataTermReport:
-    """Assemble R^{2a}(Hölder seminorms squared) + squared origin density gap,
-    the densities averaged over ``averaging_radius(lam, mu)``."""
-    return _data_terms(lam, mu, [R])[0]
+    reports = [DataTermReport(R=r, holder_lambda=hl, holder_mu=hm, origin_gap=gap,
+                              D=r ** (2.0 * lam.alpha) * (hl**2 + hm**2) + gap**2)
+               for r, hl, hm in zip(radii, *sups)]
+    return reports if np.ndim(R) else reports[0]
 
 
 # ---------------------------------------------------------------------------

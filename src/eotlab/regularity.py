@@ -578,13 +578,14 @@ def soft_lemma_check(
     """Mass of displacements >= rho in #_{R-1} against delta_r * R^d / rho^{d+2}.
 
     The window condition E(pi, R) << rho^{d+2} << R^{d+2} is reported per row,
-    not enforced; the implied constant is fitted, never asserted.  E and the
-    long-pair masks read one set of per-axis distance tables."""
+    not enforced; the implied constant is fitted, never asserted.  In d = 1, E and
+    the long-pair masks read one distance table."""
     if not R > 1.0:
         raise DomainError(f"needs R > 1 so that the inner region #_{{R-1}} exists, got {R}")
     if delta_r < 0:
         raise DomainError(f"defect bound must be nonnegative, got {delta_r}")
-    d, inner, tables = pi.dim, HashRegion(R - 1.0), _axis_distances(pi)
+    d, inner = pi.dim, HashRegion(R - 1.0)
+    tables = _axis_distances(pi) if d == 1 else None
     e_r = local_energy(pi, R, tables)
     rows = []
     for rho in rho_ladder:

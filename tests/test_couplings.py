@@ -564,16 +564,39 @@ class TestRadiusScan:
     @pytest.mark.parametrize("make", [lambda: curved_pair_plan(64),
                                       lambda: gaussian_pair_plan_2d(16)], ids=["1d", "2d"])
     def test_tables_are_formed_once_per_call(self, make, monkeypatch):
-        # One distance table per target axis over every source row; past those,
-        # only each affine fit's residual forms distances, about its fit.
+        # In d = 1, one distance table over every source row; past it, only each
+        # affine fit's residual forms distances, about its fit.  A 2-d scan keeps
+        # no table: each read forms its blocks' distances.
         pi, lam, mu = make()
         formed = []
         original = couplings.squared_distances
         monkeypatch.setattr(couplings, "squared_distances",
                             lambda *a, **k: formed.append(a) or original(*a, **k))
         radius_scan_rows(pi, lam, mu, self.RADII)
+        monkeypatch.undo()
         x = pi.source.points
         tables = [(p, y) for p, y in formed if np.shares_memory(p, x) and len(p) == len(x)]
-        assert [len(y) for _, y in tables] == [len(a) for a in pi.target.spec.axes]
         residuals = sum(len(HashRegion(r).blocks(pi)) for r in self.RADII) * pi.dim
-        assert len(formed) == len(tables) + residuals
+        if pi.dim == 1:
+            assert [len(y) for _, y in tables] == [len(pi.target.spec.axes[0])]
+            assert len(formed) == 1 + residuals
+        else:
+            assert formed and all(len(p) < len(x) for p, _ in formed)
+
+    @pytest.mark.parametrize("make", [lambda: curved_pair_plan(64),
+                                      lambda: gaussian_pair_plan_2d(16)], ids=["1d", "2d"])
+    def test_block_distances_are_read_about_x_only(self, make):
+        # A block's distances are about x: a second moment about any other point
+        # forms its own, with or without the table, and one about x reads them.
+        pi, _, _ = make()
+        region, x = HashRegion(0.4), pi.source.points
+        tables = couplings._axis_distances(pi) if pi.dim == 1 else None
+        for threshold in (None, 0.05):
+            sums = region._axis_sums(pi, threshold, tables)
+            read = threshold is not None or tables is not None
+            assert all((dist is not None) == read for _, dist, _ in sums)
+            fresh = [(rows, None, axis_sums) for rows, _, axis_sums in sums]
+            for p in (x + 0.1, np.flip(x, axis=0)):
+                assert region._second_moment(sums, p) == region._second_moment(fresh, p)
+            assert (region._second_moment(sums, x, about_x=True)
+                    == region._second_moment(fresh, x))

@@ -233,7 +233,7 @@ class TestHolderSeminorm:
         values = np.where(spec.point_norms <= 0.3, 1.5, 1.0 + rng.random(spec.n_points))
         m = measure_from_density(spec, values, alpha=alpha)
         radii = [0.8, 0.3, 0.55, 1.0, 0.31, 0.8]
-        sups = grids._holder_sups(m, radii)
+        sups = holder_seminorm(m, radii)
         assert sups == [holder_seminorm(m, R) for R in radii]
         for R, sup in zip(radii, sups):
             inside = spec.point_norms <= R
@@ -247,12 +247,12 @@ class TestHolderSeminorm:
         original = grids.squared_distances
         monkeypatch.setattr(grids, "squared_distances",
                             lambda *a, **k: calls.append(a) or original(*a, **k))
-        assert grids._holder_sups(m, [0.3, 0.2]) == [0.0, 0.0] and calls == []
+        assert holder_seminorm(m, [0.3, 0.2]) == [0.0, 0.0] and calls == []
 
     def test_ladder_raises_at_a_radius_with_one_point(self, uniform_1d):
         h = uniform_1d.spec.h
         with pytest.raises(DomainError, match=f"fewer than 2 grid points inside B_{h / 100}"):
-            grids._holder_sups(uniform_1d, [0.8, h / 100, 0.4])
+            holder_seminorm(uniform_1d, [0.8, h / 100, 0.4])
 
     @given(t=st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None, derandomize=True)
