@@ -124,8 +124,15 @@ class HashRegion:
         None when all of them are in it, as in d = 1, where the spans are the
         bands); with ``threshold`` it keeps only pairs displaced by at least
         ``threshold``, by each block's distances, and none past the hulls' reach.
-        ``dist`` holds the block's :func:`_axis_distances` if a threshold or ``tables`` ask."""
+        ``dist`` holds the block's :func:`_axis_distances` if a threshold or ``tables`` ask.
+        ``tables`` of another shape raise DomainError; their values are the caller's: a
+        table of the right shape with other values gives other numbers."""
         src, tgt = pi.source.spec, pi.target.spec
+        if tables is not None:
+            want = [(src.n_points, len(a)) for a in tgt.axes]
+            got = [np.shape(t) for t in tables] if np.iterable(tables) else np.shape(tables)
+            if got != want:
+                raise DomainError(f"distance tables of shape {got}, expected {want}")
         if threshold is not None and not _long(hull_reach(src, tgt), threshold):
             return []
         lines = tgt.n_points // tgt.extent[0]
@@ -256,7 +263,9 @@ def check_marginals(pi: Coupling, tol: float = 1e-8) -> MarginalReport:
 
 def local_energy(pi: Coupling, R: float, tables=None) -> float:
     """R^{-(d+2)} times the second displacement moment over the hash region;
-    ``tables``, the plan's :func:`_axis_distances`, are read if given."""
+    ``tables``, the plan's :func:`_axis_distances`, are read if given.  Only their
+    shapes are checked: the diagonal plan of the uniform 16-point measure of mass 1
+    on [-1, 1] reads 20.0 at R = 0.5 with ``[5 * np.ones((16, 16))]``, against 0.0."""
     region = HashRegion(R)
     return region.per_radius(region.energy(pi, None, tables), pi.dim + 2)
 

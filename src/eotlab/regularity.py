@@ -327,6 +327,8 @@ def campanato_iterate(
         raise DomainError(f"theta must lie in (0, 1), got {theta}")
     if not (R0 > 0 and epsilon > 0):
         raise DomainError("R0 and epsilon must be positive")
+    if not (isinstance(max_levels, (int, np.integer)) and max_levels >= 0):
+        raise DomainError(f"max_levels must be a nonnegative integer, got {max_levels!r}")
     s_bar = normalizing_scaling(lam, mu)
     pi_k = apply_to_coupling(s_bar, pi)
 

@@ -215,33 +215,18 @@ def _deposit(
     return GridMeasure(spec=spec, weights=new_weights, alpha=alpha), flat
 
 
-# A determinant that overflows gives a spacing that _deposit refuses.
-def _source_spacing(s: Scaling, h: float) -> float:
-    with np.errstate(over="ignore"):
-        return h * abs(float(np.linalg.det(s.source_matrix))) ** (1.0 / s.dim)
-
-
-def _target_spacing(s: Scaling, h: float) -> float:
-    with np.errstate(over="ignore"):
-        return h * s.gamma * abs(s.det_A) ** (1.0 / s.dim)
-
-
 def _deposit_marginals(
     s: Scaling, lam: GridMeasure, mu: GridMeasure
 ) -> tuple[tuple[GridMeasure, np.ndarray], tuple[GridMeasure, np.ndarray]]:
-    """Deposit both pushed-forward marginals; each comes with its atoms' cells."""
-    source = _deposit(
-        transform_source_atoms(s, lam.points),
-        s.kappa * lam.weights,
-        _source_spacing(s, lam.spec.h),
-        lam.alpha,
-    )
-    target = _deposit(
-        transform_target_atoms(s, mu.points),
-        s.kappa * mu.weights,
-        _target_spacing(s, mu.spec.h),
-        mu.alpha,
-    )
+    """Deposit both pushed-forward marginals; each comes with its atoms' cells.  Q1
+    scales the spacing by |det A^{-1}|^{1/d} and Q2 by gamma |det A|^{1/d}; a
+    determinant that overflows gives a spacing that _deposit refuses."""
+    with np.errstate(over="ignore"):
+        h_lam = lam.spec.h * abs(float(np.linalg.det(s.source_matrix))) ** (1.0 / s.dim)
+        h_mu = mu.spec.h * s.gamma * abs(s.det_A) ** (1.0 / s.dim)
+    source = _deposit(transform_source_atoms(s, lam.points), s.kappa * lam.weights, h_lam,
+                      lam.alpha)
+    target = _deposit(transform_target_atoms(s, mu.points), s.kappa * mu.weights, h_mu, mu.alpha)
     return source, target
 
 
@@ -258,19 +243,16 @@ def apply_to_coupling(s: Scaling, pi: Coupling) -> Coupling:
     """Transform a coupling; the result is marginal-consistent with the
     transformed measures by construction (weights scale by kappa), and its
     ``source``/``target`` are what :func:`apply_to_measures` returns for
-    ``pi.source``/``pi.target``.  Identity cell maps give kappa * pi (``pi.mass`` itself,
-    read-only, at kappa = 1), runs copy kappa * pi into one block, and other maps sum it
-    per cell.  The maps scale every cross term (x_i - x_k) . (y_j - y_l) by gamma, so a
-    plan that is Gibbs at epsilon comes out Gibbs at epsilon * sqrt(gamma)."""
+    ``pi.source``/``pi.target``.  When both cell maps are the identity of the new grids
+    the plan is kappa * pi (``pi.mass`` itself, read-only, at kappa = 1); otherwise
+    kappa * pi is summed per cell.  The maps scale every cross term
+    (x_i - x_k) . (y_j - y_l) by gamma, so a plan that is Gibbs at epsilon comes out
+    Gibbs at epsilon * sqrt(gamma)."""
     s.require_admissible()
     (lam_s, row_cell), (mu_s, col_cell) = _deposit_marginals(s, pi.source, pi.target)
     n, m = lam_s.spec.n_points, mu_s.spec.n_points
     if all(np.array_equal(c, np.arange(k)) for c, k in ((row_cell, n), (col_cell, m))):
         mass = pi.mass if s.kappa == 1 else s.kappa * pi.mass
-    elif all(np.array_equal(c, np.arange(c[0], c[0] + c.size)) for c in (row_cell, col_cell)):
-        mass = np.zeros((n, m))
-        block = mass[row_cell[0]:row_cell[-1] + 1, col_cell[0]:col_cell[-1] + 1]
-        np.multiply(s.kappa, pi.mass, out=block)
     else:
         cell = (row_cell[:, None] * m + col_cell[None, :]).ravel()
         mass = np.bincount(cell, weights=(s.kappa * pi.mass).ravel(),

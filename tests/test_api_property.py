@@ -171,7 +171,7 @@ def test_escape_found_raises_eotlab_error(name, setup, values):
     assert next(drawn, None) is None  # every value was drawn
 
 
-SHAPE_ESCAPES = {  # once a ValueError from numpy, or (transform_target_atoms) a result
+SHAPE_ESCAPES = {  # once a ValueError or TypeError from numpy, or (transform_target_atoms) a result
     "apply_to_coupling": lambda lam, mu, res: apply_to_coupling(identity_scaling(2), res.plan),
     "apply_to_measures": lambda lam, mu, res: apply_to_measures(identity_scaling(2), lam, mu),
     "transform_source_atoms": lambda lam, mu, res: transform_source_atoms(identity_scaling(2),
@@ -180,6 +180,8 @@ SHAPE_ESCAPES = {  # once a ValueError from numpy, or (transform_target_atoms) a
                                                                           lam.points),
     "fit_harmonic_displacement": lambda lam, mu, res: fit_harmonic_displacement(
         lam.points, mu.points[:-1], lam.weights),
+    "local_energy": lambda lam, mu, res: local_energy(res.plan, 0.5, tables=[np.zeros((2, 2))]),
+    "HashRegion.mass": lambda lam, mu, res: HashRegion(0.5).mass(res.plan, 0.1, tables="ab"),
 }
 
 

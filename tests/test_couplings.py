@@ -464,6 +464,24 @@ class TestAffineFit:
         assert affine_fit(pi2, 0.9).defect <= translated_value + 1e-10
 
 
+def _uniform(dim, n=4):
+    return GridMeasure(symmetric_grid(dim=dim, n=n, lo=-1.0, hi=1.0), np.ones(n**dim), 0.5)
+
+
+@pytest.mark.parametrize("make, error, phrase", [
+    (lambda tmp: Coupling(source=_uniform(1), target=_uniform(1), mass=np.ones((4, 3))),
+     DomainError, r"mass matrix shape \(4, 3\) != \(4, 4\)"),
+    (lambda tmp: Coupling(source=_uniform(1), target=_uniform(2, 2), mass=np.ones((4, 4))),
+     DomainError, "dimensions differ"),
+    (lambda tmp: monge_coupling(_uniform(1), _uniform(1), [0, 1, 2]), DomainError,
+     "must map every source point"),
+    (lambda tmp: load_coupling(tmp / "plan.bin"), ConfigError, "missing JSON header"),
+], ids=["mass_shape", "dimensions", "assignment_length", "missing_header"])
+def test_input_checks(tmp_path, make, error, phrase):
+    with pytest.raises(error, match=phrase):
+        make(tmp_path)
+
+
 class TestCouplingIO:
     def test_roundtrip(self, tmp_path, random_coupling):
         path = tmp_path / "plan.bin"

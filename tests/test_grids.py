@@ -17,6 +17,7 @@ from eotlab import (
     density_at,
     holder_seminorm,
     load_measure,
+    make_measure,
     measure_from_density,
     save_measure,
     symmetric_grid,
@@ -323,6 +324,41 @@ class TestDataTerm:
         other = GridMeasure(uniform_1d.spec, uniform_1d.weights, alpha=0.25)
         with pytest.raises(DomainError, match="same Hölder exponent"):
             data_term(uniform_1d, other, 0.5)
+
+
+def _measure_file(tmp, header):
+    """A 1-d measure's sidecar at tmp/m.json and, with ``header``, its CSV."""
+    spec = symmetric_grid(dim=1, n=4, lo=-1.0, hi=1.0)
+    save_measure(GridMeasure(spec, np.ones(4), 0.5), tmp / "m.csv")
+    (tmp / "m.csv").unlink()
+    if header is not None:
+        (tmp / "m.csv").write_text(header)
+    return tmp / "m.csv"
+
+
+def _shifted(dim, c0=0.0):
+    return make_measure({"grid": {"dim": dim, "n": 9}, "alpha": 0.5,
+                         "density": {"kind": "shifted_profile", "c0": c0}})
+
+
+@pytest.mark.parametrize("make, error, phrase", [
+    (lambda tmp: GridMeasure(symmetric_grid(1, 4, -1.0, 1.0), np.ones(5), 0.5), DomainError,
+     "weights length 5 does not match grid with 4 points"),
+    (lambda tmp: density_at(GridMeasure(symmetric_grid(1, 4, -1.0, 1.0), np.ones(4), 0.5),
+                            [0.0, 0.0], 0.5), DomainError, r"point must have shape \(1,\)"),
+    (lambda tmp: symmetric_grid(1, 1, -1.0, 1.0), DomainError, "at least 2 points"),
+    (lambda tmp: _shifted(2), ConfigError, "one-dimensional"),
+    (lambda tmp: _shifted(1, c0=5.0), ConfigError, "non-monotone"),
+    (lambda tmp: make_measure({"file": str(_measure_file(tmp, None))}), ConfigError,
+     "cannot read measure file"),
+    (lambda tmp: load_measure(tmp / "none.csv"), ConfigError, "missing JSON sidecar"),
+    (lambda tmp: load_measure(_measure_file(tmp, "index_0,index_1,weight\n")), ConfigError,
+     "CSV has 2 index columns but the sidecar says dim=1"),
+], ids=["weights_length", "point_shape", "one_point", "shifted_2d", "shifted_non_monotone",
+        "unreadable_file", "missing_sidecar", "index_columns"])
+def test_input_checks(tmp_path, make, error, phrase):
+    with pytest.raises(error, match=phrase):
+        make(tmp_path)
 
 
 class TestMeasureIO:

@@ -155,6 +155,16 @@ class TestHarmonicFit:
         )
         assert fit.residual <= zero_model + 1e-12
 
+    def test_1d_arrays_fit_as_one_column(self):
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-1, 1, size=50)
+        y = x + 0.1 + 0.05 * x + 0.01 * rng.standard_normal(50)
+        w = 0.5 + rng.random(50)
+        flat = fit_harmonic_displacement(x, y, w)
+        column = fit_harmonic_displacement(x[:, None], y[:, None], w)
+        assert np.array_equal(flat.coeffs, column.coeffs)
+        assert flat.residual == column.residual
+
     def test_three_columns_is_domain_error(self):
         x = np.zeros((4, 3))
         with pytest.raises(DomainError, match="harmonic basis"):
@@ -301,6 +311,14 @@ class TestCampanato:
         assert trace.stop_reason == "reached_epsilon_scale"
         np.testing.assert_allclose(trace.radii(), [1.0, 0.5, 0.25, 0.125])
         assert trace.levels[-1].composed.gamma == pytest.approx(1.8, rel=1e-10)
+
+    @pytest.mark.parametrize("max_levels", [-1, 1.5, np.inf])
+    def test_max_levels_must_be_a_nonnegative_integer(self, max_levels):
+        lam = uniform_unit_density(n=33)
+        pi = diagonal_coupling(lam)
+        with pytest.raises(DomainError, match="max_levels must be a nonnegative integer"):
+            campanato_iterate(pi, lam, lam, R0=1.0, theta=0.5, epsilon=0.02,
+                              max_levels=max_levels)
 
     def test_theta_one_rejected(self):
         lam = uniform_unit_density(n=33)

@@ -95,6 +95,21 @@ class TestScalingType:
         with pytest.raises(ConfigError, match="scaling"):
             scaling_from_json_dict(d)
 
+    @pytest.mark.parametrize("make, error, phrase", [
+        (lambda: Scaling(A=np.eye(2), b=np.zeros(3), gamma=1.0, kappa=1.0), DomainError,
+         "shapes"),
+        (lambda: Scaling(A=np.eye(2), b=np.zeros(2), gamma=1.0, kappa=1.0,
+                         x_matrix=np.eye(3)), DomainError, "x_matrix must be a finite matrix"),
+        (lambda: Scaling(A=np.diag([1.0, 1e-13]), b=np.zeros(2), gamma=1.0, kappa=1.0),
+         DomainError, "numerically singular"),
+        (lambda: compose(identity_scaling(2), identity_scaling(1)), DomainError,
+         "different dimensions"),
+        (lambda: scaling_from_json_dict([1.0]), ConfigError, "must be a JSON object"),
+    ], ids=["A_b_shapes", "x_matrix_shape", "singular", "compose_dims", "json_not_object"])
+    def test_input_checks(self, make, error, phrase):
+        with pytest.raises(error, match=phrase):
+            make()
+
     def test_json_well_formed_invalid_scaling_is_domain_error(self):
         with pytest.raises(DomainError, match="gamma and kappa"):
             scaling_from_json_dict({"A": [1.0], "b": [0.0], "gamma": -1.0, "kappa": 1.0})
@@ -247,6 +262,20 @@ class TestDeposition:
         assert is_run(row_cell) and is_run(col_cell)
         assert np.array_equal(apply_to_coupling(s, pi).mass, ref)
 
+    def test_padded_run_matches_the_dense_sum_in_1d(self):
+        # b = 1 moves the target hull off the origin, so its grid is padded from
+        # 15 to 18 cells: the target cells are a run but not the identity.
+        xs = np.arange(-9, 6) * 0.125
+        mass = np.random.default_rng(11).random((xs.size, xs.size))
+        lam = line_measure(xs, mass.sum(axis=1), h=0.125)
+        mu = line_measure(xs, mass.sum(axis=0), h=0.125)
+        pi = Coupling(source=lam, target=mu, mass=mass)
+        s = Scaling(A=np.array([[1.3]]), b=np.array([1.0]), gamma=0.7, kappa=1.9)
+        ref, row_cell, col_cell = dense_deposit(s, pi)
+        assert ref.shape == (15, 18)
+        assert is_run(col_cell) and not np.array_equal(col_cell, np.arange(ref.shape[1]))
+        assert np.array_equal(apply_to_coupling(s, pi).mass, ref)
+
     def test_sum_matches_the_dense_sum_under_shear(self):
         # A sheared 2-d scaling sends atoms to scattered cells, some shared,
         # so the deposition sums per cell.
@@ -262,8 +291,8 @@ class TestDeposition:
         assert np.array_equal(apply_to_coupling(s, pi).mass, ref)
 
     def test_peak_memory_of_a_1d_deposit(self):
-        # The copy path holds the new plan and the sign test's boolean mask:
-        # about 1.13 n x m float arrays (a summed deposit held 3).
+        # Both cell maps are the identity here, so the call holds one new plan,
+        # kappa * pi: about one n x m float array (a summed deposit held 3).
         n = 512
         spec = symmetric_grid(dim=1, n=n, lo=-1.0, hi=1.0)
         mass = np.random.default_rng(13).random((n, n)) / n**2
